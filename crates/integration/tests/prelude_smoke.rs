@@ -30,7 +30,7 @@ mod resolves {
         ServerPowerModel,
     };
     pub use leakctl_sim::{Clock, EventQueue, Periodic, SimRng, TraceRecorder};
-    pub use leakctl_telemetry::{ChannelId, Csth, Sensor, SensorSpec, TimeSeries, VibrationTach};
+    pub use leakctl_telemetry::{ChannelId, Csth, SensorBank, SensorSpec, SeriesView, TimeSeries};
     pub use leakctl_thermal::{ConvectionModel, Integrator, ThermalError};
     pub use leakctl_units::{
         AirFlow, Amps, Celsius, Joules, Kelvin, KilowattHours, QuantityError, Rpm, SimDuration,

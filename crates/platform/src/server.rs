@@ -1,7 +1,7 @@
 //! The assembled digital-twin server.
 
 use leakctl_sim::{Periodic, SimRng, TraceRecorder};
-use leakctl_telemetry::{ChannelId, Csth, Sensor, SensorSpec, CSTH_POLL_PERIOD};
+use leakctl_telemetry::{ChannelId, Csth, SensorBank, SensorSpec, CSTH_POLL_PERIOD};
 use leakctl_thermal::{ThermalNetwork, ThermalState};
 use leakctl_units::{Celsius, Joules, Rpm, SimDuration, SimInstant, Utilization, Watts};
 
@@ -9,30 +9,6 @@ use crate::config::ServerConfig;
 use crate::engine::{ServerCore, SpTransition};
 use crate::error::PlatformError;
 use crate::fans::FanFault;
-
-/// Telemetry channel handles.
-#[derive(Debug, Clone)]
-struct Channels {
-    cpu_temps: Vec<ChannelId>, // 2 per socket
-    dimm_temps: Vec<ChannelId>,
-    core_currents: Vec<ChannelId>,
-    socket_voltages: Vec<ChannelId>,
-    system_power: ChannelId,
-    fan_power: ChannelId,
-    fan_rpm: ChannelId,
-}
-
-/// Sensor instances matching [`Channels`].
-#[derive(Debug, Clone)]
-struct Sensors {
-    cpu_temps: Vec<Sensor>,
-    dimm_temps: Vec<Sensor>,
-    dimm_offsets: Vec<f64>,
-    core_currents: Vec<Sensor>,
-    system_power: Sensor,
-    fan_power: Sensor,
-    fan_rpm: Sensor,
-}
 
 /// The digital-twin enterprise server.
 ///
@@ -55,10 +31,15 @@ struct Sensors {
 #[derive(Debug, Clone)]
 pub struct Server {
     core: ServerCore,
-    // Telemetry.
+    // Telemetry: one sensor per CSTH channel, in registration order.
     csth: Csth,
-    channels: Channels,
-    sensors: Sensors,
+    sensors: SensorBank,
+    /// Per-poll scratch: the true value and the reading of each channel.
+    truth: Vec<f64>,
+    frame: Vec<f64>,
+    /// Per-module DIMM sensor offsets around the bank node.
+    dimm_offsets: Vec<f64>,
+    cpu_temps: Vec<ChannelId>, // 2 per socket
     poll: Periodic,
     trace: TraceRecorder,
 }
@@ -77,92 +58,73 @@ impl Server {
         let mut rng = SimRng::seed(seed);
 
         // ---- telemetry --------------------------------------------
+        // Channels register in poll order; the fork order below fixes
+        // every noise stream.
         let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        let mut cpu_temp_ch = Vec::new();
-        let mut cpu_temp_sensors = Vec::new();
+        let mut sensors = SensorBank::new();
+        let mut add = |name: &str, unit: &str, spec, rng| {
+            sensors.push(spec, rng);
+            csth.add_channel(name, unit)
+        };
+        let mut cpu_temps = Vec::new();
         for s in 0..config.sockets {
             for d in 0..2 {
-                cpu_temp_ch.push(csth.add_channel(&format!("cpu{s}_temp{d}"), "C"));
-                cpu_temp_sensors.push(Sensor::new(
-                    SensorSpec::cpu_thermal_diode(),
-                    rng.fork(&format!("cpu{s}_temp{d}")),
-                ));
+                let name = format!("cpu{s}_temp{d}");
+                let rng = rng.fork(&name);
+                cpu_temps.push(add(&name, "C", SensorSpec::cpu_thermal_diode(), rng)?);
             }
         }
-        let mut dimm_ch = Vec::new();
-        let mut dimm_sensors = Vec::new();
         let mut dimm_offsets = Vec::new();
         for i in 0..config.dimm_count {
-            dimm_ch.push(csth.add_channel(&format!("dimm{i:02}_temp"), "C"));
-            dimm_sensors.push(Sensor::new(
+            let rng_i = rng.fork(&format!("dimm{i:02}"));
+            add(
+                &format!("dimm{i:02}_temp"),
+                "C",
                 SensorSpec::dimm_thermal(),
-                rng.fork(&format!("dimm{i:02}")),
-            ));
+                rng_i,
+            )?;
             dimm_offsets.push(0.8 * rng.next_gaussian());
         }
-        let mut core_i_ch = Vec::new();
-        let mut core_i_sensors = Vec::new();
+        let spec = |noise_sigma, quantization| SensorSpec {
+            noise_sigma,
+            quantization,
+            ..SensorSpec::ideal()
+        };
         for s in 0..config.sockets {
             for c in 0..config.cores_per_socket {
-                core_i_ch.push(csth.add_channel(&format!("cpu{s}_core{c:02}_i"), "A"));
-                core_i_sensors.push(Sensor::new(
-                    SensorSpec {
-                        gain: 1.0,
-                        offset: 0.0,
-                        noise_sigma: 0.02,
-                        quantization: 0.001,
-                    },
-                    rng.fork(&format!("cpu{s}_core{c:02}_i")),
-                ));
+                let name = format!("cpu{s}_core{c:02}_i");
+                let rng = rng.fork(&name);
+                add(&name, "A", spec(0.02, 0.001), rng)?;
             }
         }
-        let socket_v_ch: Vec<ChannelId> = (0..config.sockets)
-            .map(|s| csth.add_channel(&format!("cpu{s}_vdd"), "V"))
-            .collect();
-        let system_power_ch = csth.add_channel("system_power", "W");
-        let fan_power_ch = csth.add_channel("fan_power", "W");
-        let fan_rpm_ch = csth.add_channel("fan_rpm", "RPM");
-
-        let channels = Channels {
-            cpu_temps: cpu_temp_ch,
-            dimm_temps: dimm_ch,
-            core_currents: core_i_ch,
-            socket_voltages: socket_v_ch,
-            system_power: system_power_ch,
-            fan_power: fan_power_ch,
-            fan_rpm: fan_rpm_ch,
-        };
-        let sensors = Sensors {
-            cpu_temps: cpu_temp_sensors,
-            dimm_temps: dimm_sensors,
-            dimm_offsets,
-            core_currents: core_i_sensors,
-            system_power: Sensor::new(SensorSpec::system_power_meter(), rng.fork("system_power")),
-            fan_power: Sensor::new(
-                SensorSpec {
-                    gain: 1.0,
-                    offset: 0.0,
-                    noise_sigma: 0.2,
-                    quantization: 0.1,
-                },
-                rng.fork("fan_power"),
-            ),
-            fan_rpm: Sensor::new(
-                SensorSpec {
-                    gain: 1.0,
-                    offset: 0.0,
-                    noise_sigma: 3.0,
-                    quantization: 1.0,
-                },
-                rng.fork("fan_rpm"),
-            ),
-        };
+        // Socket voltages pass through exactly: an ideal channel never
+        // draws noise, so its stream is never forked.
+        for s in 0..config.sockets {
+            add(
+                &format!("cpu{s}_vdd"),
+                "V",
+                SensorSpec::ideal(),
+                SimRng::seed(0),
+            )?;
+        }
+        for (name, unit, spec) in [
+            ("system_power", "W", SensorSpec::system_power_meter()),
+            ("fan_power", "W", spec(0.2, 0.1)),
+            ("fan_rpm", "RPM", spec(3.0, 1.0)),
+        ] {
+            let rng = rng.fork(name);
+            add(name, unit, spec, rng)?;
+        }
+        let channels = csth.channel_count();
 
         let mut server = Self {
             core,
             csth,
-            channels,
             sensors,
+            truth: Vec::with_capacity(channels),
+            frame: vec![0.0; channels],
+            dimm_offsets,
+            cpu_temps,
             poll: Periodic::new(SimInstant::ZERO, CSTH_POLL_PERIOD),
             trace: TraceRecorder::with_capacity(10_000),
         };
@@ -243,10 +205,9 @@ impl Server {
     /// see them — the allocation-free single source for every "as a
     /// controller sees it" temperature read.
     pub fn measured_cpu_temps_iter(&self) -> impl Iterator<Item = Celsius> + '_ {
-        self.channels
-            .cpu_temps
+        self.cpu_temps
             .iter()
-            .filter_map(|&ch| self.csth.series(ch).last())
+            .filter_map(|&ch| self.csth.last(ch))
             .map(|(_, v)| Celsius::new(v))
     }
 
@@ -556,59 +517,41 @@ impl Server {
         Ok(())
     }
 
-    /// Records one full telemetry sample at the current instant.
+    /// Records one telemetry frame at the current instant: every
+    /// channel's true value in registration order, measured by the
+    /// sensor bank in one pass.
     fn poll_telemetry(&mut self) -> Result<(), PlatformError> {
-        let at = self.core.now();
         let core = &self.core;
+        let truth = &mut self.truth;
+        truth.clear();
         // CPU temperatures: two diodes per die.
-        for (s, nodes) in core.socket_nodes.iter().enumerate() {
-            let true_t = core.net.temperature(&core.state, nodes.die).degrees();
-            for d in 0..2 {
-                let idx = 2 * s + d;
-                let measured = self.sensors.cpu_temps[idx].measure(true_t);
-                self.csth
-                    .record(self.channels.cpu_temps[idx], at, measured)?;
-            }
+        for nodes in &core.socket_nodes {
+            let t = core.net.temperature(&core.state, nodes.die).degrees();
+            truth.extend([t, t]);
         }
         // DIMM temperatures: per-module offset around the bank node.
         let per_bank = core.config.dimm_count / 2;
-        for i in 0..core.config.dimm_count {
-            let bank = i / per_bank;
-            let true_t = core
+        for (i, offset) in self.dimm_offsets.iter().enumerate() {
+            let bank = core
                 .net
-                .temperature(&core.state, core.dimm_nodes[bank])
-                .degrees()
-                + self.sensors.dimm_offsets[i];
-            let measured = self.sensors.dimm_temps[i].measure(true_t);
-            self.csth
-                .record(self.channels.dimm_temps[i], at, measured)?;
+                .temperature(&core.state, core.dimm_nodes[i / per_bank]);
+            truth.push(bank.degrees() + offset);
         }
-        // Per-core currents and per-socket voltages.
-        for (s, (socket, nodes)) in core.sockets.iter().zip(&core.socket_nodes).enumerate() {
-            let die_t = core.net.temperature(&core.state, nodes.die);
-            let i_true = socket.core_current(core.last_activity, die_t).value();
-            for c in 0..core.config.cores_per_socket {
-                let idx = s * core.config.cores_per_socket + c;
-                let measured = self.sensors.core_currents[idx].measure(i_true);
-                self.csth
-                    .record(self.channels.core_currents[idx], at, measured)?;
-            }
-            self.csth.record(
-                self.channels.socket_voltages[s],
-                at,
-                socket.core_voltage().value(),
-            )?;
+        // Per-core currents, then per-socket voltages.
+        for (socket, nodes) in core.sockets.iter().zip(&core.socket_nodes) {
+            let die = core.net.temperature(&core.state, nodes.die);
+            let i = socket.core_current(core.last_activity, die).value();
+            truth.extend(std::iter::repeat_n(i, core.config.cores_per_socket));
         }
+        truth.extend(core.sockets.iter().map(|s| s.core_voltage().value()));
         // System power, fan power, fan RPM.
-        let wall = core.system_power().value();
-        let wall_measured = self.sensors.system_power.measure(wall);
-        self.csth
-            .record(self.channels.system_power, at, wall_measured)?;
-        let fan_measured = self.sensors.fan_power.measure(core.fan_power().value());
-        self.csth
-            .record(self.channels.fan_power, at, fan_measured)?;
-        let rpm_measured = self.sensors.fan_rpm.measure(core.actual_rpm().value());
-        self.csth.record(self.channels.fan_rpm, at, rpm_measured)?;
+        truth.extend([
+            core.system_power().value(),
+            core.fan_power().value(),
+            core.actual_rpm().value(),
+        ]);
+        self.sensors.measure_frame(truth, &mut self.frame);
+        self.csth.record_frame(core.now(), &self.frame)?;
         Ok(())
     }
 

@@ -15,7 +15,7 @@ use core::fmt;
 
 use leakctl_units::{SimDuration, SimInstant};
 
-use crate::harness::Csth;
+use crate::harness::{Channel, Csth};
 use crate::series::TimeSeries;
 
 /// Errors produced by CSV import/export.
@@ -36,6 +36,12 @@ pub enum CsvError {
         /// Parse problem description.
         reason: String,
     },
+    /// A channel was not sampled at the same instants as the first
+    /// channel, so the capture does not form whole frames.
+    RaggedChannel {
+        /// The offending channel.
+        channel: String,
+    },
 }
 
 impl fmt::Display for CsvError {
@@ -46,6 +52,12 @@ impl fmt::Display for CsvError {
             }
             Self::BadHeader => write!(f, "missing or malformed CSV header"),
             Self::BadRow { line, reason } => write!(f, "line {line}: {reason}"),
+            Self::RaggedChannel { channel } => {
+                write!(
+                    f,
+                    "channel {channel} is not sampled with the other channels"
+                )
+            }
         }
     }
 }
@@ -64,22 +76,17 @@ impl Csth {
     pub fn to_csv(&self) -> Result<String, CsvError> {
         let mut out = String::from(HEADER);
         out.push('\n');
-        for ch in self.channel_data() {
-            for field in [&ch.name, &ch.unit] {
+        for id in self.channels() {
+            let (name, unit) = (self.name(id), self.unit(id));
+            for field in [name, unit] {
                 if field.contains(',') || field.contains('\n') {
                     return Err(CsvError::UnrepresentableName {
-                        name: field.clone(),
+                        name: field.to_owned(),
                     });
                 }
             }
-            for (t, v) in ch.series.iter() {
-                out.push_str(&format!(
-                    "{:.3},{},{},{}\n",
-                    t.as_secs_f64(),
-                    ch.name,
-                    ch.unit,
-                    v
-                ));
+            for (t, v) in self.series(id).iter() {
+                out.push_str(&format!("{:.3},{},{},{}\n", t.as_secs_f64(), name, unit, v));
             }
         }
         Ok(out)
@@ -87,22 +94,23 @@ impl Csth {
 
     /// Parses a capture previously produced by [`Csth::to_csv`].
     ///
-    /// Channels appear in first-encounter order; `poll_period` is
+    /// Channels appear in first-encounter order and must all be sampled
+    /// at the same instants — one frame per instant; `poll_period` is
     /// attached as metadata.
     ///
     /// # Errors
     ///
     /// Returns [`CsvError::BadHeader`] or [`CsvError::BadRow`] for
-    /// malformed input.
+    /// malformed input, and [`CsvError::RaggedChannel`] when a channel's
+    /// timestamps differ from the first channel's.
     pub fn from_csv(input: &str, poll_period: SimDuration) -> Result<Self, CsvError> {
         let mut lines = input.lines().enumerate();
         match lines.next() {
             Some((_, h)) if h.trim() == HEADER => {}
             _ => return Err(CsvError::BadHeader),
         }
-        let mut csth = Csth::new(poll_period);
-        let mut order: Vec<String> = Vec::new();
-        let mut data: Vec<(String, TimeSeries)> = Vec::new();
+        let mut channels: Vec<Channel> = Vec::new();
+        let mut columns: Vec<TimeSeries> = Vec::new();
         for (idx, line) in lines {
             let line = line.trim();
             if line.is_empty() {
@@ -124,18 +132,19 @@ impl Csth {
                 line: line_no,
                 reason: format!("bad value: {e}"),
             })?;
-            let name = parts[1];
-            let unit = parts[2];
-            let slot = match order.iter().position(|n| n == name) {
+            let (name, unit) = (parts[1], parts[2]);
+            let slot = match channels.iter().position(|c| c.name == name) {
                 Some(i) => i,
                 None => {
-                    order.push(name.to_owned());
-                    data.push(((*unit).to_owned(), TimeSeries::new()));
-                    order.len() - 1
+                    channels.push(Channel {
+                        name: name.to_owned(),
+                        unit: unit.to_owned(),
+                    });
+                    columns.push(TimeSeries::new());
+                    channels.len() - 1
                 }
             };
-            data[slot]
-                .1
+            columns[slot]
                 .push(
                     SimInstant::from_millis((secs * 1_000.0).round() as u64),
                     value,
@@ -145,10 +154,21 @@ impl Csth {
                     reason,
                 })?;
         }
-        for (name, (unit, series)) in order.into_iter().zip(data) {
-            csth.push_channel_data(name, unit, series);
+        let times = columns
+            .first()
+            .map(|c| c.view().times().to_vec())
+            .unwrap_or_default();
+        if let Some(c) = columns.iter().position(|c| c.view().times() != times) {
+            return Err(CsvError::RaggedChannel {
+                channel: channels[c].name.clone(),
+            });
         }
-        Ok(csth)
+        let mut readers: Vec<_> = columns.iter().map(|c| c.view().values()).collect();
+        let mut values = Vec::with_capacity(times.len() * readers.len());
+        for _ in 0..times.len() {
+            values.extend(readers.iter_mut().filter_map(Iterator::next));
+        }
+        Ok(Csth::from_frames(poll_period, channels, times, values))
     }
 }
 
@@ -159,12 +179,12 @@ mod tests {
 
     fn capture() -> Csth {
         let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        let t = csth.add_channel("cpu0_temp", "C");
-        let p = csth.add_channel("system_power", "W");
+        csth.add_channel("cpu0_temp", "C").unwrap();
+        csth.add_channel("system_power", "W").unwrap();
         for i in 0u64..5 {
             let at = SimInstant::from_millis(i * 10_000);
-            csth.record(t, at, 50.0 + i as f64).unwrap();
-            csth.record(p, at, 500.0 + 2.0 * i as f64).unwrap();
+            csth.record_frame(at, &[50.0 + i as f64, 500.0 + 2.0 * i as f64])
+                .unwrap();
         }
         csth
     }
@@ -179,18 +199,16 @@ mod tests {
         let p = parsed.channel_by_name("system_power").unwrap();
         assert_eq!(parsed.unit(t), "C");
         assert_eq!(parsed.unit(p), "W");
-        assert_eq!(
-            parsed.series(t).values(),
-            original
-                .series(original.channel_by_name("cpu0_temp").unwrap())
-                .values()
-        );
+        assert!(parsed.series(t).values().eq(original
+            .series(original.channel_by_name("cpu0_temp").unwrap())
+            .values()));
         assert_eq!(
             parsed.series(p).times(),
             original
                 .series(original.channel_by_name("system_power").unwrap())
                 .times()
         );
+        assert_eq!(parsed.to_csv().unwrap(), csv, "re-export is byte-identical");
     }
 
     #[test]
@@ -204,8 +222,8 @@ mod tests {
     #[test]
     fn rejects_comma_in_name() {
         let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        let ch = csth.add_channel("bad,name", "C");
-        csth.record(ch, SimInstant::ZERO, 1.0).unwrap();
+        csth.add_channel("bad,name", "C").unwrap();
+        csth.record_frame(SimInstant::ZERO, &[1.0]).unwrap();
         assert!(matches!(
             csth.to_csv(),
             Err(CsvError::UnrepresentableName { .. })

@@ -1,38 +1,61 @@
-//! The telemetry harness: named channels over [`TimeSeries`] storage.
+//! The telemetry harness: named channels over frame-major storage.
 
 use core::fmt;
 
 use leakctl_units::{SimDuration, SimInstant};
 
-use crate::series::TimeSeries;
+use crate::series::SeriesView;
 
 /// Identifier of a channel registered with a [`Csth`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ChannelId(pub(crate) usize);
 
-/// Errors produced by the telemetry harness.
+/// Errors produced by the telemetry harness. A rejected call mutates
+/// nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryError {
-    /// A channel id referred to a different harness.
-    UnknownChannel {
-        /// The offending index.
-        index: usize,
+    /// A frame did not carry exactly one value per channel.
+    FrameLength {
+        /// Registered channel count.
+        expected: usize,
+        /// Values in the rejected frame.
+        got: usize,
     },
-    /// A sample was rejected by the underlying series.
-    BadSample {
-        /// Channel name.
+    /// A frame was stamped before the previous one.
+    TimeRegression {
+        /// The rejected frame's time.
+        at: SimInstant,
+        /// The previous frame's time.
+        last: SimInstant,
+    },
+    /// A frame carried a NaN or infinite value.
+    NonFinite {
+        /// Name of the first offending channel.
         channel: String,
-        /// Rejection reason.
-        reason: String,
+        /// The rejected frame's time.
+        at: SimInstant,
+    },
+    /// A channel was registered after the first frame was recorded.
+    ChannelsFrozen {
+        /// Name of the rejected channel.
+        channel: String,
     },
 }
 
 impl fmt::Display for TelemetryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::UnknownChannel { index } => write!(f, "unknown channel id {index}"),
-            Self::BadSample { channel, reason } => {
-                write!(f, "bad sample on channel {channel}: {reason}")
+            Self::FrameLength { expected, got } => {
+                write!(f, "frame has {got} values for {expected} channels")
+            }
+            Self::TimeRegression { at, last } => {
+                write!(f, "frame at {at} precedes last frame at {last}")
+            }
+            Self::NonFinite { channel, at } => {
+                write!(f, "frame at {at}: channel {channel} is not finite")
+            }
+            Self::ChannelsFrozen { channel } => {
+                write!(f, "cannot add channel {channel} after the first frame")
             }
         }
     }
@@ -44,17 +67,19 @@ impl std::error::Error for TelemetryError {}
 pub(crate) struct Channel {
     pub(crate) name: String,
     pub(crate) unit: String,
-    pub(crate) series: TimeSeries,
 }
 
 /// The Continuous System Telemetry Harness: a registry of named,
-/// unit-annotated channels, each backed by a [`TimeSeries`].
+/// unit-annotated channels sampled together.
 ///
 /// The platform registers one channel per physical sensor (4 CPU
 /// temperatures, 32 DIMM temperatures, per-core V/I, system power) and
-/// records into them from its 10-second poller; controllers and the
-/// characterization pipeline read from here, never from simulator
-/// internals.
+/// records one *frame* — a value for every channel — per 10-second
+/// poll. Storage is frame-major: one timestamp per frame and one
+/// row-major `frame × channel` value array, so a poll is one append and
+/// [`Csth::series`] reads a channel as a strided [`SeriesView`].
+/// Controllers and the characterization pipeline read from here, never
+/// from simulator internals.
 ///
 /// # Example
 ///
@@ -63,13 +88,18 @@ pub(crate) struct Channel {
 /// use leakctl_units::SimInstant;
 ///
 /// let mut csth = Csth::new(CSTH_POLL_PERIOD);
-/// let ch = csth.add_channel("system_power", "W");
-/// csth.record(ch, SimInstant::ZERO, 502.0).unwrap();
-/// assert_eq!(csth.series(ch).last().unwrap().1, 502.0);
+/// let power = csth.add_channel("system_power", "W").unwrap();
+/// let fan = csth.add_channel("fan_rpm", "RPM").unwrap();
+/// csth.record_frame(SimInstant::ZERO, &[502.0, 2400.0]).unwrap();
+/// assert_eq!(csth.last(power), Some((SimInstant::ZERO, 502.0)));
+/// assert_eq!(csth.series(fan).mean(), Some(2400.0));
 /// ```
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Csth {
     channels: Vec<Channel>,
+    times: Vec<SimInstant>,
+    /// `values[frame · channels + channel]`.
+    values: Vec<f64>,
     poll_period: SimDuration,
 }
 
@@ -81,53 +111,108 @@ impl Csth {
     pub fn new(poll_period: SimDuration) -> Self {
         Self {
             channels: Vec::new(),
+            times: Vec::new(),
+            values: Vec::new(),
+            poll_period,
+        }
+    }
+
+    /// Assembles a capture from validated frame-major parts.
+    pub(crate) fn from_frames(
+        poll_period: SimDuration,
+        channels: Vec<Channel>,
+        times: Vec<SimInstant>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(values.len(), times.len() * channels.len(), "whole frames");
+        Self {
+            channels,
+            times,
+            values,
             poll_period,
         }
     }
 
     /// Registers a channel and returns its id.
-    pub fn add_channel(&mut self, name: &str, unit: &str) -> ChannelId {
-        self.channels.push(Channel {
-            name: name.to_owned(),
-            unit: unit.to_owned(),
-            series: TimeSeries::new(),
-        });
-        ChannelId(self.channels.len() - 1)
-    }
-
-    /// Records a sample on a channel.
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::UnknownChannel`] for foreign ids and
-    /// [`TelemetryError::BadSample`] for out-of-order or non-finite
-    /// samples.
-    pub fn record(
-        &mut self,
-        channel: ChannelId,
-        at: SimInstant,
-        value: f64,
-    ) -> Result<(), TelemetryError> {
-        let ch = self
-            .channels
-            .get_mut(channel.0)
-            .ok_or(TelemetryError::UnknownChannel { index: channel.0 })?;
-        ch.series
-            .push(at, value)
-            .map_err(|reason| TelemetryError::BadSample {
-                channel: ch.name.clone(),
-                reason,
-            })
+    /// Returns [`TelemetryError::ChannelsFrozen`] once a frame has been
+    /// recorded: every frame carries the same channels.
+    pub fn add_channel(&mut self, name: &str, unit: &str) -> Result<ChannelId, TelemetryError> {
+        if !self.times.is_empty() {
+            return Err(TelemetryError::ChannelsFrozen {
+                channel: name.to_owned(),
+            });
+        }
+        self.channels.push(Channel {
+            name: name.to_owned(),
+            unit: unit.to_owned(),
+        });
+        Ok(ChannelId(self.channels.len() - 1))
     }
 
-    /// The series recorded on `channel`.
+    /// Records one frame: a value for every channel, in registration
+    /// order, sampled at `at`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelemetryError::FrameLength`] when `frame` does not
+    /// hold one value per channel, [`TelemetryError::TimeRegression`]
+    /// when `at` precedes the last frame, and
+    /// [`TelemetryError::NonFinite`] naming the first non-finite
+    /// channel. Nothing is recorded on error.
+    pub fn record_frame(&mut self, at: SimInstant, frame: &[f64]) -> Result<(), TelemetryError> {
+        if frame.len() != self.channels.len() {
+            return Err(TelemetryError::FrameLength {
+                expected: self.channels.len(),
+                got: frame.len(),
+            });
+        }
+        if let Some(&last) = self.times.last() {
+            if at < last {
+                return Err(TelemetryError::TimeRegression { at, last });
+            }
+        }
+        if let Some(c) = frame.iter().position(|v| !v.is_finite()) {
+            return Err(TelemetryError::NonFinite {
+                channel: self.channels[c].name.clone(),
+                at,
+            });
+        }
+        self.times.push(at);
+        self.values.extend_from_slice(frame);
+        Ok(())
+    }
+
+    /// The samples recorded on `channel`, as a borrowed view.
     ///
     /// # Panics
     ///
     /// Panics for a foreign channel id.
     #[must_use]
-    pub fn series(&self, channel: ChannelId) -> &TimeSeries {
-        &self.channels[channel.0].series
+    pub fn series(&self, channel: ChannelId) -> SeriesView<'_> {
+        assert!(
+            channel.0 < self.channels.len(),
+            "unknown channel id {}",
+            channel.0
+        );
+        let values = self.values.get(channel.0..).unwrap_or(&[]);
+        SeriesView::strided(&self.times, values, self.channels.len())
+    }
+
+    /// The latest sample on `channel`, in `O(1)`; `None` before the
+    /// first frame or for a foreign channel id.
+    #[must_use]
+    pub fn last(&self, channel: ChannelId) -> Option<(SimInstant, f64)> {
+        if channel.0 >= self.channels.len() {
+            return None;
+        }
+        let at = *self.times.last()?;
+        Some((
+            at,
+            self.values[self.values.len() - self.channels.len() + channel.0],
+        ))
     }
 
     /// The channel's name.
@@ -170,6 +255,12 @@ impl Csth {
         self.channels.len()
     }
 
+    /// Number of recorded frames.
+    #[must_use]
+    pub fn frame_count(&self) -> usize {
+        self.times.len()
+    }
+
     /// The nominal polling period.
     #[must_use]
     pub fn poll_period(&self) -> SimDuration {
@@ -179,15 +270,7 @@ impl Csth {
     /// Total samples across all channels.
     #[must_use]
     pub fn sample_count(&self) -> usize {
-        self.channels.iter().map(|c| c.series.len()).sum()
-    }
-
-    pub(crate) fn channel_data(&self) -> &[Channel] {
-        &self.channels
-    }
-
-    pub(crate) fn push_channel_data(&mut self, name: String, unit: String, series: TimeSeries) {
-        self.channels.push(Channel { name, unit, series });
+        self.values.len()
     }
 }
 
@@ -200,25 +283,31 @@ mod tests {
         SimInstant::from_millis(s * 1_000)
     }
 
+    fn two_channels() -> (Csth, ChannelId, ChannelId) {
+        let mut csth = Csth::new(CSTH_POLL_PERIOD);
+        let cpu0 = csth.add_channel("cpu0_temp", "C").unwrap();
+        let cpu1 = csth.add_channel("cpu1_temp", "C").unwrap();
+        (csth, cpu0, cpu1)
+    }
+
     #[test]
     fn register_and_record() {
-        let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        let cpu0 = csth.add_channel("cpu0_temp", "C");
-        let cpu1 = csth.add_channel("cpu1_temp", "C");
-        csth.record(cpu0, at(0), 55.0).unwrap();
-        csth.record(cpu0, at(10), 57.0).unwrap();
-        csth.record(cpu1, at(10), 54.0).unwrap();
-        assert_eq!(csth.series(cpu0).len(), 2);
-        assert_eq!(csth.series(cpu1).len(), 1);
+        let (mut csth, cpu0, cpu1) = two_channels();
+        csth.record_frame(at(0), &[55.0, 53.0]).unwrap();
+        csth.record_frame(at(10), &[57.0, 54.0]).unwrap();
+        assert_eq!(csth.series(cpu0).values().collect::<Vec<_>>(), [55.0, 57.0]);
+        assert_eq!(csth.series(cpu1).values().collect::<Vec<_>>(), [53.0, 54.0]);
+        assert_eq!(csth.last(cpu1), Some((at(10), 54.0)));
         assert_eq!(csth.channel_count(), 2);
-        assert_eq!(csth.sample_count(), 3);
+        assert_eq!(csth.frame_count(), 2);
+        assert_eq!(csth.sample_count(), 4);
         assert_eq!(csth.poll_period(), CSTH_POLL_PERIOD);
     }
 
     #[test]
     fn lookup_by_name() {
         let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        let p = csth.add_channel("system_power", "W");
+        let p = csth.add_channel("system_power", "W").unwrap();
         assert_eq!(csth.channel_by_name("system_power"), Some(p));
         assert_eq!(csth.channel_by_name("nope"), None);
         assert_eq!(csth.name(p), "system_power");
@@ -227,29 +316,37 @@ mod tests {
 
     #[test]
     fn unknown_channel_rejected() {
-        let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        let err = csth.record(ChannelId(3), at(0), 1.0).unwrap_err();
-        assert!(matches!(err, TelemetryError::UnknownChannel { index: 3 }));
-        assert!(err.to_string().contains('3'));
+        let (mut csth, _, _) = two_channels();
+        assert_eq!(csth.last(ChannelId(3)), None);
+        csth.record_frame(at(0), &[1.0, 2.0]).unwrap();
+        assert_eq!(csth.last(ChannelId(2)), None, "no read past the frame");
     }
 
     #[test]
     fn bad_sample_reported_with_channel_name() {
-        let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        let ch = csth.add_channel("cpu0_temp", "C");
-        csth.record(ch, at(10), 50.0).unwrap();
-        let err = csth.record(ch, at(5), 51.0).unwrap_err();
-        match err {
-            TelemetryError::BadSample { channel, .. } => assert_eq!(channel, "cpu0_temp"),
-            other => panic!("unexpected {other:?}"),
-        }
+        let (mut csth, cpu0, _) = two_channels();
+        csth.record_frame(at(10), &[50.0, 49.0]).unwrap();
+        let err = csth.record_frame(at(20), &[51.0, f64::NAN]).unwrap_err();
+        assert_eq!(
+            err,
+            TelemetryError::NonFinite {
+                channel: "cpu1_temp".into(),
+                at: at(20)
+            }
+        );
+        assert!(err.to_string().contains("cpu1_temp"));
+        assert_eq!(
+            csth.series(cpu0).len(),
+            1,
+            "rejected frame recorded nothing"
+        );
     }
 
     #[test]
     fn channels_iterator_in_order() {
         let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        let a = csth.add_channel("a", "x");
-        let b = csth.add_channel("b", "y");
+        let a = csth.add_channel("a", "x").unwrap();
+        let b = csth.add_channel("b", "y").unwrap();
         let ids: Vec<ChannelId> = csth.channels().collect();
         assert_eq!(ids, vec![a, b]);
     }

@@ -6,15 +6,13 @@
 //! polled every 10 seconds. This crate reproduces that information
 //! structure for the digital twin:
 //!
-//! - [`Sensor`] — measurement-channel model (gain/offset error, Gaussian
-//!   noise, quantization) so controllers see realistic telemetry, not
-//!   the simulator's exact state,
-//! - [`TimeSeries`] — an append-only timestamped series with summary
-//!   statistics and windowed queries,
-//! - [`Csth`] — the harness: named channels with units, a fixed polling
-//!   period, CSV export/import,
-//! - [`VibrationTach`] — the fan-speed verification path (the paper
-//!   validated RPM settings with high-accuracy vibration sensors).
+//! - [`SensorBank`] — measurement-channel models (gain/offset error,
+//!   Gaussian noise, quantization) sampled in lockstep, so controllers
+//!   see realistic telemetry, not the simulator's exact state,
+//! - [`Csth`] — the harness: named channels with units recorded one
+//!   frame per poll into frame-major storage, CSV export/import,
+//! - [`SeriesView`] — one channel read out of a capture, with summary
+//!   statistics and windowed queries; [`TimeSeries`] is its owned form.
 //!
 //! # Example
 //!
@@ -24,8 +22,8 @@
 //! use leakctl_units::SimInstant;
 //!
 //! let mut csth = Csth::new(leakctl_telemetry::CSTH_POLL_PERIOD);
-//! let cpu0 = csth.add_channel("cpu0_temp", "C");
-//! csth.record(cpu0, SimInstant::ZERO, 55.2).unwrap();
+//! let cpu0 = csth.add_channel("cpu0_temp", "C").unwrap();
+//! csth.record_frame(SimInstant::ZERO, &[55.2]).unwrap();
 //! assert_eq!(csth.series(cpu0).len(), 1);
 //! # let _ = SensorSpec::default();
 //! # let _ = SimRng::seed(0);
@@ -38,13 +36,11 @@ mod csv;
 mod harness;
 mod sensor;
 mod series;
-mod vibration;
 
 pub use csv::CsvError;
 pub use harness::{ChannelId, Csth, TelemetryError};
-pub use sensor::{Sensor, SensorSpec};
-pub use series::TimeSeries;
-pub use vibration::VibrationTach;
+pub use sensor::{SensorBank, SensorSpec};
+pub use series::{SeriesView, TimeSeries};
 
 use leakctl_units::SimDuration;
 

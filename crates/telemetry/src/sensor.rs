@@ -63,6 +63,21 @@ impl SensorSpec {
             quantization: 1.0,
         }
     }
+
+    /// The reading of `true_value` given the standard-normal draw `z`:
+    /// `quantize(gain·true + offset + σ·z)`. The one measurement
+    /// function every sensor shares; `z` is ignored when σ = 0.
+    #[inline]
+    fn apply(&self, true_value: f64, z: f64) -> f64 {
+        let mut v = self.gain * true_value + self.offset;
+        if self.noise_sigma > 0.0 {
+            v += self.noise_sigma * z;
+        }
+        if self.quantization > 0.0 {
+            v = (v / self.quantization).round() * self.quantization;
+        }
+        v
+    }
 }
 
 impl Default for SensorSpec {
@@ -73,88 +88,107 @@ impl Default for SensorSpec {
 }
 
 /// Gaussian draws precomputed per refill — one block serves that many
-/// polls of the channel, amortizing the Box–Muller transform (the
-/// dominant cost of a telemetry poll) without touching the per-sensor
-/// stream: the buffered values are exactly the next draws of this
-/// sensor's RNG, in order.
+/// polls, amortizing the Box–Muller transform (the dominant cost of a
+/// telemetry poll) without touching any channel's stream: the buffered
+/// values are exactly the next draws of that channel's RNG, in order.
 const NOISE_BLOCK: usize = 16;
 
-/// A stateful sensor combining a [`SensorSpec`] with its own noise
-/// stream.
+/// A bank of sensors measured in lockstep: one reading per channel per
+/// frame, the way a CSTH poll samples every channel together.
 ///
-/// Each sensor owns a forked RNG so adding or removing one sensor never
-/// changes the noise another sensor sees — a requirement for
-/// reproducible experiments. Noise is generated in blocks
-/// ([`SimRng::fill_gaussian`]) and consumed per measurement; the
-/// sequence of measurements is byte-identical to per-call draws.
+/// Each channel has its [`SensorSpec`] and its own forked RNG, so adding
+/// or removing one channel never changes the noise another sees — a
+/// requirement for reproducible experiments. Noise is drawn in blocks
+/// ([`SimRng::fill_gaussian`]) stored draw-major, `noise[k · channels +
+/// c]`, behind one shared cursor: every channel is measured once per
+/// frame, so all cursors would move together anyway. A refill draws only
+/// for channels with σ > 0, and the readings are byte-identical to one
+/// `next_gaussian` per noisy reading.
 ///
 /// # Example
 ///
 /// ```
 /// use leakctl_sim::SimRng;
-/// use leakctl_telemetry::{Sensor, SensorSpec};
+/// use leakctl_telemetry::{SensorBank, SensorSpec};
 ///
 /// let mut rng = SimRng::seed(1);
-/// let mut sensor = Sensor::new(SensorSpec::cpu_thermal_diode(), rng.fork("cpu0"));
-/// let reading = sensor.measure(70.0);
-/// assert!((reading - 70.0).abs() < 2.0);
+/// let mut bank = SensorBank::new();
+/// bank.push(SensorSpec::cpu_thermal_diode(), rng.fork("cpu0"));
+/// bank.push(SensorSpec::ideal(), SimRng::seed(0));
+/// let mut frame = [0.0; 2];
+/// bank.measure_frame(&[70.0, 1.1], &mut frame);
+/// assert!((frame[0] - 70.0).abs() < 2.0);
+/// assert_eq!(frame[1], 1.1);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Sensor {
-    spec: SensorSpec,
-    rng: SimRng,
-    noise_buf: [f64; NOISE_BLOCK],
-    noise_pos: usize,
+#[derive(Debug, Clone, Default)]
+pub struct SensorBank {
+    specs: Vec<SensorSpec>,
+    rngs: Vec<SimRng>,
+    noise: Vec<f64>,
+    /// Draws left in the current block; 0 means the next frame refills.
+    left: usize,
 }
 
-impl Sensor {
-    /// Creates a sensor with its own noise stream.
+impl SensorBank {
+    /// An empty bank.
     #[must_use]
-    pub fn new(spec: SensorSpec, rng: SimRng) -> Self {
-        Self {
-            spec,
-            rng,
-            noise_buf: [0.0; NOISE_BLOCK],
-            noise_pos: NOISE_BLOCK,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// An ideal pass-through sensor.
-    #[must_use]
-    pub fn ideal() -> Self {
-        Self::new(SensorSpec::ideal(), SimRng::seed(0))
+    /// Appends a channel with its own noise stream. A σ = 0 channel
+    /// never draws from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a frame has been measured: every channel shares the
+    /// block cursor.
+    pub fn push(&mut self, spec: SensorSpec, rng: SimRng) {
+        assert!(
+            self.noise.is_empty(),
+            "sensors join a bank before its first frame"
+        );
+        self.specs.push(spec);
+        self.rngs.push(rng);
     }
 
-    /// The next standard-normal draw from this sensor's stream, served
-    /// from the precomputed block.
-    #[inline]
-    fn next_noise(&mut self) -> f64 {
-        if self.noise_pos == NOISE_BLOCK {
-            self.rng.fill_gaussian(&mut self.noise_buf);
-            self.noise_pos = 0;
+    /// Draws the next block for every noisy channel.
+    fn refill(&mut self) {
+        let n = self.specs.len();
+        self.noise.resize(NOISE_BLOCK * n, 0.0);
+        let mut block = [0.0; NOISE_BLOCK];
+        for (c, (spec, rng)) in self.specs.iter().zip(&mut self.rngs).enumerate() {
+            if spec.noise_sigma > 0.0 {
+                rng.fill_gaussian(&mut block);
+                for (k, &z) in block.iter().enumerate() {
+                    self.noise[k * n + c] = z;
+                }
+            }
         }
-        let z = self.noise_buf[self.noise_pos];
-        self.noise_pos += 1;
-        z
+        self.left = NOISE_BLOCK;
     }
 
-    /// Produces a measurement of `true_value`.
-    pub fn measure(&mut self, true_value: f64) -> f64 {
-        let spec = self.spec;
-        let mut v = spec.gain * true_value + spec.offset;
-        if spec.noise_sigma > 0.0 {
-            v += spec.noise_sigma * self.next_noise();
+    /// Measures one frame: `out[c]` is channel `c`'s reading of
+    /// `truth[c]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `truth` or `out` does not hold one value per channel.
+    pub fn measure_frame(&mut self, truth: &[f64], out: &mut [f64]) {
+        let n = self.specs.len();
+        assert!(
+            truth.len() == n && out.len() == n,
+            "a frame holds one value per channel"
+        );
+        if self.left == 0 {
+            self.refill();
         }
-        if spec.quantization > 0.0 {
-            v = (v / spec.quantization).round() * spec.quantization;
+        let k = NOISE_BLOCK - self.left;
+        let draws = &self.noise[k * n..(k + 1) * n];
+        for (((o, &x), spec), &z) in out.iter_mut().zip(truth).zip(&self.specs).zip(draws) {
+            *o = spec.apply(x, z);
         }
-        v
-    }
-
-    /// The sensor's error characteristics.
-    #[must_use]
-    pub fn spec(&self) -> SensorSpec {
-        self.spec
+        self.left -= 1;
     }
 }
 
@@ -162,11 +196,22 @@ impl Sensor {
 mod tests {
     use super::*;
 
+    /// A one-channel bank as a reading function.
+    fn sensor(spec: SensorSpec, rng: SimRng) -> impl FnMut(f64) -> f64 {
+        let mut bank = SensorBank::new();
+        bank.push(spec, rng);
+        move |true_value| {
+            let mut out = [0.0];
+            bank.measure_frame(&[true_value], &mut out);
+            out[0]
+        }
+    }
+
     #[test]
     fn ideal_sensor_is_identity() {
-        let mut s = Sensor::ideal();
+        let mut s = sensor(SensorSpec::ideal(), SimRng::seed(0));
         for v in [-10.0, 0.0, 55.5, 100.0] {
-            assert_eq!(s.measure(v), v);
+            assert_eq!(s(v), v);
         }
     }
 
@@ -178,9 +223,8 @@ mod tests {
             noise_sigma: 0.0,
             quantization: 0.0,
         };
-        let mut s = Sensor::new(spec, SimRng::seed(0));
-        assert!((s.measure(100.0) - 101.5).abs() < 1e-12);
-        assert_eq!(s.spec(), spec);
+        let mut s = sensor(spec, SimRng::seed(0));
+        assert!((s(100.0) - 101.5).abs() < 1e-12);
     }
 
     #[test]
@@ -189,9 +233,9 @@ mod tests {
             quantization: 0.5,
             ..SensorSpec::ideal()
         };
-        let mut s = Sensor::new(spec, SimRng::seed(0));
-        assert_eq!(s.measure(70.26), 70.5);
-        assert_eq!(s.measure(70.24), 70.0);
+        let mut s = sensor(spec, SimRng::seed(0));
+        assert_eq!(s(70.26), 70.5);
+        assert_eq!(s(70.24), 70.0);
     }
 
     #[test]
@@ -201,11 +245,11 @@ mod tests {
         let mut rng = SimRng::seed(77);
         let spec = SensorSpec::cpu_thermal_diode();
         let child = rng.fork("cpu0");
-        let mut sensor = Sensor::new(spec, child.clone());
+        let mut s = sensor(spec, child.clone());
         let mut reference_rng = child;
         for i in 0..100 {
             let true_t = 50.0 + (i as f64) * 0.1;
-            let got = sensor.measure(true_t);
+            let got = s(true_t);
             let mut want =
                 spec.gain * true_t + spec.offset + spec.noise_sigma * reference_rng.next_gaussian();
             want = (want / spec.quantization).round() * spec.quantization;
@@ -219,9 +263,9 @@ mod tests {
             noise_sigma: 0.25,
             ..SensorSpec::ideal()
         };
-        let mut s = Sensor::new(spec, SimRng::seed(42));
+        let mut s = sensor(spec, SimRng::seed(42));
         let n = 20_000;
-        let readings: Vec<f64> = (0..n).map(|_| s.measure(50.0)).collect();
+        let readings: Vec<f64> = (0..n).map(|_| s(50.0)).collect();
         let mean = readings.iter().sum::<f64>() / f64::from(n);
         let var = readings.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / f64::from(n);
         assert!((mean - 50.0).abs() < 0.01, "mean {mean}");
@@ -231,10 +275,16 @@ mod tests {
     #[test]
     fn independent_noise_streams() {
         let mut rng = SimRng::seed(9);
-        let mut a = Sensor::new(SensorSpec::cpu_thermal_diode(), rng.fork("a"));
-        let mut b = Sensor::new(SensorSpec::cpu_thermal_diode(), rng.fork("b"));
-        let ra: Vec<f64> = (0..32).map(|_| a.measure(60.0)).collect();
-        let rb: Vec<f64> = (0..32).map(|_| b.measure(60.0)).collect();
+        let mut bank = SensorBank::new();
+        bank.push(SensorSpec::cpu_thermal_diode(), rng.fork("a"));
+        bank.push(SensorSpec::cpu_thermal_diode(), rng.fork("b"));
+        let mut frame = [0.0; 2];
+        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+        for _ in 0..32 {
+            bank.measure_frame(&[60.0, 60.0], &mut frame);
+            ra.push(frame[0]);
+            rb.push(frame[1]);
+        }
         assert_ne!(ra, rb, "distinct sensors must have distinct noise");
     }
 

@@ -1,12 +1,191 @@
-//! Append-only timestamped sample series.
+//! Timestamped sample series: a borrowed strided view with the summary
+//! statistics, and its owned form.
 
 use leakctl_units::{SimDuration, SimInstant};
 
-/// An append-only series of `(time, value)` samples with summary
-/// statistics — the storage behind every CSTH channel.
+/// A read-only view of one channel's `(time, value)` samples.
 ///
-/// Samples must be appended in non-decreasing time order, which is how
-/// pollers operate and keeps windowed queries `O(log n)`.
+/// Sample `i` is at `times[i]` with value `values[i · stride]`, so the
+/// same view reads a channel straight out of a frame-major
+/// [`Csth`](crate::Csth) capture (stride = channel count) or out of a
+/// [`TimeSeries`] (stride 1) without copying. Times are non-decreasing,
+/// which keeps windowed queries `O(log n)`. This is the one home of the
+/// series statistics.
+#[derive(Debug, Clone, Copy)]
+pub struct SeriesView<'a> {
+    times: &'a [SimInstant],
+    values: &'a [f64],
+    stride: usize,
+}
+
+impl<'a> SeriesView<'a> {
+    /// A view of `times.len()` samples whose values sit `stride` apart
+    /// starting at `values[0]`.
+    pub(crate) fn strided(times: &'a [SimInstant], values: &'a [f64], stride: usize) -> Self {
+        debug_assert!(stride > 0, "a series view needs a non-zero stride");
+        let span = match times.len() {
+            0 => 0,
+            n => (n - 1) * stride + 1,
+        };
+        Self {
+            times,
+            values: &values[..span],
+            stride,
+        }
+    }
+
+    fn value(&self, i: usize) -> f64 {
+        self.values[i * self.stride]
+    }
+
+    /// Number of samples.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// `true` when no samples have been recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    /// Sample timestamps.
+    #[must_use]
+    pub fn times(&self) -> &'a [SimInstant] {
+        self.times
+    }
+
+    /// Sample values, in time order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + Clone + 'a {
+        self.values.iter().step_by(self.stride).copied()
+    }
+
+    /// Iterates `(time, value)` pairs.
+    pub fn iter(&self) -> impl Iterator<Item = (SimInstant, f64)> + 'a {
+        self.times.iter().copied().zip(self.values())
+    }
+
+    /// The most recent sample.
+    #[must_use]
+    pub fn last(&self) -> Option<(SimInstant, f64)> {
+        Some((*self.times.last()?, *self.values.last()?))
+    }
+
+    /// Arithmetic mean of all values.
+    #[must_use]
+    pub fn mean(&self) -> Option<f64> {
+        if self.is_empty() {
+            None
+        } else {
+            Some(self.values().sum::<f64>() / self.len() as f64)
+        }
+    }
+
+    /// Largest value.
+    #[must_use]
+    pub fn max(&self) -> Option<f64> {
+        self.values()
+            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
+    }
+
+    /// Smallest value.
+    #[must_use]
+    pub fn min(&self) -> Option<f64> {
+        self.values()
+            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.min(v))))
+    }
+
+    /// Linear-interpolation percentile (`p ∈ [0, 100]`) of the values.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` is outside `[0, 100]`.
+    #[must_use]
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+        if self.is_empty() {
+            return None;
+        }
+        let mut sorted: Vec<f64> = self.values().collect();
+        sorted.sort_by(f64::total_cmp);
+        let rank = p / 100.0 * (sorted.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        let frac = rank - lo as f64;
+        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    }
+
+    /// Samples with `from <= time < to`.
+    #[must_use]
+    pub fn window(&self, from: SimInstant, to: SimInstant) -> SeriesView<'a> {
+        let start = self.times.partition_point(|&t| t < from);
+        let end = self.times.partition_point(|&t| t < to).max(start);
+        let values = self.values.get(start * self.stride..).unwrap_or(&[]);
+        Self::strided(&self.times[start..end], values, self.stride)
+    }
+
+    /// The value at or immediately before `at` (sample-and-hold read).
+    #[must_use]
+    pub fn at_or_before(&self, at: SimInstant) -> Option<f64> {
+        let idx = self.times.partition_point(|&t| t <= at);
+        if idx == 0 {
+            None
+        } else {
+            Some(self.value(idx - 1))
+        }
+    }
+
+    /// Time-weighted average over the sampled span (trapezoidal), or the
+    /// plain mean when fewer than two samples exist.
+    #[must_use]
+    pub fn time_weighted_mean(&self) -> Option<f64> {
+        if self.len() < 2 {
+            return self.mean();
+        }
+        let mut area = 0.0;
+        let mut span = 0.0;
+        for i in 1..self.len() {
+            let dt = (self.times[i] - self.times[i - 1]).as_secs_f64();
+            area += 0.5 * (self.value(i) + self.value(i - 1)) * dt;
+            span += dt;
+        }
+        if span > 0.0 {
+            Some(area / span)
+        } else {
+            self.mean()
+        }
+    }
+
+    /// Resamples onto a regular grid (`period` apart, starting at the
+    /// first sample) using sample-and-hold semantics.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a zero period.
+    #[must_use]
+    pub fn resample(&self, period: SimDuration) -> TimeSeries {
+        assert!(!period.is_zero(), "resample period must be non-zero");
+        let mut out = TimeSeries::new();
+        let (Some(&first), Some(&last)) = (self.times.first(), self.times.last()) else {
+            return out;
+        };
+        let mut t = first;
+        while t <= last {
+            if let Some(v) = self.at_or_before(t) {
+                out.times.push(t);
+                out.values.push(v);
+            }
+            t += period;
+        }
+        out
+    }
+}
+
+/// An owned, append-only series of `(time, value)` samples — the owned
+/// form of a [`SeriesView`], which carries all the statistics.
+///
+/// Samples must be appended in non-decreasing time order.
 ///
 /// # Example
 ///
@@ -17,8 +196,8 @@ use leakctl_units::{SimDuration, SimInstant};
 /// let mut s = TimeSeries::new();
 /// s.push(SimInstant::from_millis(0), 50.0).unwrap();
 /// s.push(SimInstant::from_millis(10_000), 60.0).unwrap();
-/// assert_eq!(s.mean(), Some(55.0));
-/// assert_eq!(s.max(), Some(60.0));
+/// assert_eq!(s.view().mean(), Some(55.0));
+/// assert_eq!(s.view().max(), Some(60.0));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TimeSeries {
@@ -53,153 +232,10 @@ impl TimeSeries {
         Ok(())
     }
 
-    /// Number of samples.
+    /// The statistics view over every sample.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when no samples have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Sample timestamps.
-    #[must_use]
-    pub fn times(&self) -> &[SimInstant] {
-        &self.times
-    }
-
-    /// Sample values.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Iterates `(time, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SimInstant, f64)> + '_ {
-        self.times.iter().copied().zip(self.values.iter().copied())
-    }
-
-    /// The most recent sample.
-    #[must_use]
-    pub fn last(&self) -> Option<(SimInstant, f64)> {
-        Some((*self.times.last()?, *self.values.last()?))
-    }
-
-    /// Arithmetic mean of all values.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
-    }
-
-    /// Largest value.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        self.values
-            .iter()
-            .copied()
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Smallest value.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        self.values
-            .iter()
-            .copied()
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.min(v))))
-    }
-
-    /// Linear-interpolation percentile (`p ∈ [0, 100]`) of the values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `[0, 100]`.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("values are finite"));
-        let rank = p / 100.0 * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-
-    /// Samples with `from <= time < to`.
-    #[must_use]
-    pub fn window(&self, from: SimInstant, to: SimInstant) -> TimeSeries {
-        let start = self.times.partition_point(|&t| t < from);
-        let end = self.times.partition_point(|&t| t < to);
-        TimeSeries {
-            times: self.times[start..end].to_vec(),
-            values: self.values[start..end].to_vec(),
-        }
-    }
-
-    /// The value at or immediately before `at` (sample-and-hold read).
-    #[must_use]
-    pub fn at_or_before(&self, at: SimInstant) -> Option<f64> {
-        let idx = self.times.partition_point(|&t| t <= at);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.values[idx - 1])
-        }
-    }
-
-    /// Time-weighted average over the sampled span (trapezoidal), or the
-    /// plain mean when fewer than two samples exist.
-    #[must_use]
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.values.len() < 2 {
-            return self.mean();
-        }
-        let mut area = 0.0;
-        let mut span = 0.0;
-        for i in 1..self.values.len() {
-            let dt = (self.times[i] - self.times[i - 1]).as_secs_f64();
-            area += 0.5 * (self.values[i] + self.values[i - 1]) * dt;
-            span += dt;
-        }
-        if span > 0.0 {
-            Some(area / span)
-        } else {
-            self.mean()
-        }
-    }
-
-    /// Resamples onto a regular grid (`period` apart, starting at the
-    /// first sample) using sample-and-hold semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a zero period.
-    #[must_use]
-    pub fn resample(&self, period: SimDuration) -> TimeSeries {
-        assert!(!period.is_zero(), "resample period must be non-zero");
-        let mut out = TimeSeries::new();
-        let (Some(&first), Some(&last)) = (self.times.first(), self.times.last()) else {
-            return out;
-        };
-        let mut t = first;
-        while t <= last {
-            if let Some(v) = self.at_or_before(t) {
-                out.push(t, v).expect("grid times are monotone");
-            }
-            t += period;
-        }
-        out
+    pub fn view(&self) -> SeriesView<'_> {
+        SeriesView::strided(&self.times, &self.values, 1)
     }
 }
 
@@ -222,27 +258,31 @@ mod tests {
     #[test]
     fn push_and_stats() {
         let s = series(&[(0, 50.0), (10, 70.0), (20, 60.0)]);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-        assert_eq!(s.mean(), Some(60.0));
-        assert_eq!(s.max(), Some(70.0));
-        assert_eq!(s.min(), Some(50.0));
-        assert_eq!(s.last(), Some((at(20), 60.0)));
-        assert_eq!(s.times().len(), 3);
-        assert_eq!(s.values(), &[50.0, 70.0, 60.0]);
+        let v = s.view();
+        assert_eq!(v.len(), 3);
+        assert!(!v.is_empty());
+        assert_eq!(v.mean(), Some(60.0));
+        assert_eq!(v.max(), Some(70.0));
+        assert_eq!(v.min(), Some(50.0));
+        assert_eq!(v.last(), Some((at(20), 60.0)));
+        assert_eq!(v.times().len(), 3);
+        assert_eq!(v.values().collect::<Vec<_>>(), [50.0, 70.0, 60.0]);
     }
 
     #[test]
     fn empty_series_stats() {
         let s = TimeSeries::new();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.last(), None);
-        assert_eq!(s.percentile(50.0), None);
-        assert_eq!(s.time_weighted_mean(), None);
-        assert_eq!(s.at_or_before(at(5)), None);
+        let v = s.view();
+        assert!(v.is_empty());
+        assert_eq!(v.mean(), None);
+        assert_eq!(v.max(), None);
+        assert_eq!(v.min(), None);
+        assert_eq!(v.last(), None);
+        assert_eq!(v.percentile(50.0), None);
+        assert_eq!(v.time_weighted_mean(), None);
+        assert_eq!(v.at_or_before(at(5)), None);
+        assert!(v.window(at(0), at(10)).is_empty());
+        assert!(v.resample(SimDuration::from_secs(1)).view().is_empty());
     }
 
     #[test]
@@ -256,33 +296,39 @@ mod tests {
     #[test]
     fn percentiles() {
         let s = series(&[(0, 10.0), (1, 20.0), (2, 30.0), (3, 40.0), (4, 50.0)]);
-        assert_eq!(s.percentile(0.0), Some(10.0));
-        assert_eq!(s.percentile(50.0), Some(30.0));
-        assert_eq!(s.percentile(100.0), Some(50.0));
-        assert_eq!(s.percentile(25.0), Some(20.0));
+        let v = s.view();
+        assert_eq!(v.percentile(0.0), Some(10.0));
+        assert_eq!(v.percentile(50.0), Some(30.0));
+        assert_eq!(v.percentile(100.0), Some(50.0));
+        assert_eq!(v.percentile(25.0), Some(20.0));
     }
 
     #[test]
     #[should_panic(expected = "percentile")]
     fn percentile_range_checked() {
-        let _ = series(&[(0, 1.0)]).percentile(150.0);
+        let _ = series(&[(0, 1.0)]).view().percentile(150.0);
     }
 
     #[test]
     fn window_is_half_open() {
         let s = series(&[(0, 1.0), (10, 2.0), (20, 3.0), (30, 4.0)]);
-        let w = s.window(at(10), at(30));
-        assert_eq!(w.values(), &[2.0, 3.0]);
-        assert!(s.window(at(31), at(40)).is_empty());
+        let w = s.view().window(at(10), at(30));
+        assert_eq!(w.values().collect::<Vec<_>>(), [2.0, 3.0]);
+        assert!(s.view().window(at(31), at(40)).is_empty());
+        assert!(
+            s.view().window(at(30), at(10)).is_empty(),
+            "inverted bounds"
+        );
     }
 
     #[test]
     fn sample_and_hold_read() {
         let s = series(&[(10, 1.0), (20, 2.0)]);
-        assert_eq!(s.at_or_before(at(9)), None);
-        assert_eq!(s.at_or_before(at(10)), Some(1.0));
-        assert_eq!(s.at_or_before(at(15)), Some(1.0));
-        assert_eq!(s.at_or_before(at(25)), Some(2.0));
+        let v = s.view();
+        assert_eq!(v.at_or_before(at(9)), None);
+        assert_eq!(v.at_or_before(at(10)), Some(1.0));
+        assert_eq!(v.at_or_before(at(15)), Some(1.0));
+        assert_eq!(v.at_or_before(at(25)), Some(2.0));
     }
 
     #[test]
@@ -290,23 +336,44 @@ mod tests {
         // 0 °C for 90 s then 10 °C for 10 s: TW mean must sit near the
         // long-held value, the plain mean at the midpoint.
         let s = series(&[(0, 0.0), (90, 0.0), (90, 10.0), (100, 10.0)]);
-        let tw = s.time_weighted_mean().unwrap();
+        let tw = s.view().time_weighted_mean().unwrap();
         assert!((tw - 1.0).abs() < 1e-9, "expected 1.0, got {tw}");
-        assert_eq!(s.mean(), Some(5.0));
+        assert_eq!(s.view().mean(), Some(5.0));
     }
 
     #[test]
     fn resample_holds_values() {
         let s = series(&[(0, 1.0), (25, 2.0), (50, 3.0)]);
-        let r = s.resample(SimDuration::from_secs(10));
-        assert_eq!(r.len(), 6); // t = 0, 10, 20, 30, 40, 50.
-        assert_eq!(r.values(), &[1.0, 1.0, 1.0, 2.0, 2.0, 3.0]);
+        let r = s.view().resample(SimDuration::from_secs(10));
+        assert_eq!(r.view().len(), 6); // t = 0, 10, 20, 30, 40, 50.
+        assert_eq!(
+            r.view().values().collect::<Vec<_>>(),
+            [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]
+        );
     }
 
     #[test]
     fn iter_yields_pairs() {
         let s = series(&[(0, 1.0), (10, 2.0)]);
-        let pairs: Vec<_> = s.iter().collect();
+        let pairs: Vec<_> = s.view().iter().collect();
         assert_eq!(pairs, vec![(at(0), 1.0), (at(10), 2.0)]);
+    }
+
+    #[test]
+    fn strided_view_reads_one_column() {
+        // Two interleaved channels, three frames: column 1 is 10, 11, 12.
+        let times = [at(0), at(10), at(20)];
+        let values = [0.0, 10.0, 1.0, 11.0, 2.0, 12.0];
+        let v = SeriesView::strided(&times, &values[1..], 2);
+        assert_eq!(v.values().len(), 3);
+        assert_eq!(v.values().collect::<Vec<_>>(), [10.0, 11.0, 12.0]);
+        assert_eq!(v.last(), Some((at(20), 12.0)));
+        assert_eq!(v.at_or_before(at(15)), Some(11.0));
+        let w = v.window(at(10), at(30));
+        assert_eq!(
+            w.iter().collect::<Vec<_>>(),
+            [(at(10), 11.0), (at(20), 12.0)]
+        );
+        assert_eq!(w.mean(), Some(11.5));
     }
 }

@@ -1,9 +1,22 @@
 //! Property-based tests for telemetry storage and sensors.
 
 use leakctl_sim::SimRng;
-use leakctl_telemetry::{Csth, Sensor, SensorSpec, TimeSeries, CSTH_POLL_PERIOD};
+use leakctl_telemetry::{Csth, SensorBank, SensorSpec, TimeSeries, CSTH_POLL_PERIOD};
 use leakctl_units::SimInstant;
 use proptest::prelude::*;
+
+/// The per-call reference for one reading: one `next_gaussian` per noisy
+/// reading, no buffering.
+fn reference_reading(spec: SensorSpec, rng: &mut SimRng, true_value: f64) -> f64 {
+    let mut v = spec.gain * true_value + spec.offset;
+    if spec.noise_sigma > 0.0 {
+        v += spec.noise_sigma * rng.next_gaussian();
+    }
+    if spec.quantization > 0.0 {
+        v = (v / spec.quantization).round() * spec.quantization;
+    }
+    v
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -18,6 +31,7 @@ proptest! {
         for (i, v) in values.iter().enumerate() {
             s.push(SimInstant::from_millis(i as u64 * 1_000), *v).expect("push");
         }
+        let s = s.view();
         let (min, mean, max) = (
             s.min().expect("non-empty"),
             s.mean().expect("non-empty"),
@@ -43,8 +57,8 @@ proptest! {
         }
         let end = SimInstant::from_millis(10_000_000);
         let mid = SimInstant::from_millis(split_ms);
-        let left = s.window(SimInstant::ZERO, mid);
-        let right = s.window(mid, end);
+        let left = s.view().window(SimInstant::ZERO, mid);
+        let right = s.view().window(mid, end);
         prop_assert_eq!(left.len() + right.len(), n);
     }
 
@@ -61,10 +75,59 @@ proptest! {
             noise_sigma: 0.3,
             quantization: quant,
         };
-        let mut sensor = Sensor::new(spec, SimRng::seed(seed));
-        let reading = sensor.measure(value);
+        let mut bank = SensorBank::new();
+        bank.push(spec, SimRng::seed(seed));
+        let mut reading = [0.0];
+        bank.measure_frame(&[value], &mut reading);
+        let reading = reading[0];
         let steps = reading / quant;
         prop_assert!((steps - steps.round()).abs() < 1e-9, "reading {reading} not on the {quant} grid");
+    }
+
+    /// A lockstep bank reads bit-identically to per-call draws from each
+    /// channel's own stream, for any mix of noisy, noise-free, quantized
+    /// and unquantized channels and any frame count across refills.
+    #[test]
+    fn sensor_bank_matches_per_call_reference(
+        channels in prop::collection::vec(
+            (0.9..1.1f64, -2.0..2.0f64, 0usize..3, 0usize..3),
+            1..12,
+        ),
+        frames in 1usize..70,
+        seed in 0u64..1_000,
+    ) {
+        let sigmas = [0.0, 0.25, 3.0];
+        let quants = [0.0, 0.5, 0.001];
+        let specs: Vec<SensorSpec> = channels
+            .iter()
+            .map(|&(gain, offset, s, q)| SensorSpec {
+                gain,
+                offset,
+                noise_sigma: sigmas[s],
+                quantization: quants[q],
+            })
+            .collect();
+        let mut parent = SimRng::seed(seed);
+        let mut bank = SensorBank::new();
+        let mut reference = Vec::new();
+        for (c, &spec) in specs.iter().enumerate() {
+            let rng = parent.fork(&format!("ch{c}"));
+            reference.push(rng.clone());
+            bank.push(spec, rng);
+        }
+        let mut truth_rng = SimRng::seed(seed ^ 0x5eed);
+        let mut truth = vec![0.0; specs.len()];
+        let mut out = vec![0.0; specs.len()];
+        for f in 0..frames {
+            for t in &mut truth {
+                *t = truth_rng.next_f64() * 200.0 - 50.0;
+            }
+            bank.measure_frame(&truth, &mut out);
+            for (c, (&spec, rng)) in specs.iter().zip(&mut reference).enumerate() {
+                let want = reference_reading(spec, rng, truth[c]);
+                prop_assert_eq!(out[c].to_bits(), want.to_bits(), "frame {} channel {}", f, c);
+            }
+        }
     }
 
     /// CSV round trip preserves any harness content with clean names.
@@ -76,16 +139,13 @@ proptest! {
         let mut names = channels;
         names.dedup();
         let mut csth = Csth::new(CSTH_POLL_PERIOD);
-        for (c, name) in names.iter().enumerate() {
-            let ch = csth.add_channel(name, "W");
-            for i in 0..samples {
-                csth.record(
-                    ch,
-                    SimInstant::from_millis(i as u64 * 10_000),
-                    (c * 100 + i) as f64,
-                )
+        for name in &names {
+            csth.add_channel(name, "W").expect("before the first frame");
+        }
+        for i in 0..samples {
+            let frame: Vec<f64> = (0..names.len()).map(|c| (c * 100 + i) as f64).collect();
+            csth.record_frame(SimInstant::from_millis(i as u64 * 10_000), &frame)
                 .expect("record");
-            }
         }
         let csv = csth.to_csv().expect("export");
         let parsed = Csth::from_csv(&csv, CSTH_POLL_PERIOD).expect("parse");
@@ -94,7 +154,7 @@ proptest! {
         for name in &names {
             let a = csth.channel_by_name(name).expect("channel");
             let b = parsed.channel_by_name(name).expect("channel");
-            prop_assert_eq!(csth.series(a).values(), parsed.series(b).values());
+            prop_assert!(csth.series(a).values().eq(parsed.series(b).values()));
         }
     }
 }
