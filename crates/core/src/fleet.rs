@@ -112,6 +112,15 @@ pub struct Fleet {
     /// Storage indices stepped per-server (non-backward-Euler
     /// integrators: no factorization to share).
     scalar_members: Range<usize>,
+    /// Every server's total power (W) at the end of the last step, in
+    /// storage order — filled by the step while each server is still in
+    /// cache, so [`Fleet::total_power`] sums a vector instead of
+    /// re-running every leakage, PSU and fan model.
+    powers: Vec<f64>,
+    /// `true` while `powers` matches the servers: set after each full
+    /// step, cleared by anything that may change a server's power
+    /// between steps.
+    powers_valid: bool,
 }
 
 impl Fleet {
@@ -248,6 +257,8 @@ impl Fleet {
             recirculation_k_per_w,
             groups,
             scalar_members: scalar_start..order.len(),
+            powers: vec![0.0; order.len()],
+            powers_valid: false,
         })
     }
 
@@ -270,7 +281,9 @@ impl Fleet {
         self.groups.len()
     }
 
-    /// Commands every server's fans.
+    /// Commands every server's fans. A command takes effect from the
+    /// next step (command latency, then slew), so no server's current
+    /// power moves and the end-of-step power vector stays valid.
     pub fn command_all(&mut self, rpm: Rpm) {
         for server in &mut self.servers {
             server.command_fan_speed(rpm);
@@ -295,13 +308,15 @@ impl Fleet {
     /// per-server controllers). Syncs the server's full state and drops
     /// the owning group's packed residency (the caller may mutate state
     /// the packed copy would shadow); the group re-packs on the next
-    /// step.
+    /// step. The end-of-step power vector is dropped too, until the
+    /// next step refills it.
     #[must_use]
     pub fn server_mut(&mut self, index: usize) -> Option<&mut Server> {
         if index >= self.servers.len() {
             return None;
         }
         let storage = self.index_map[index];
+        self.powers_valid = false;
         if let Some(g) = self.group_of(storage) {
             let range = self.groups[g].range.clone();
             Self::evict_group(&mut self.groups[g], &mut self.servers[range]);
@@ -435,6 +450,7 @@ impl Fleet {
         for group in &mut self.groups {
             group.lanes = None;
         }
+        self.powers_valid = false;
         Ok(())
     }
 
@@ -496,14 +512,18 @@ impl Fleet {
         activity: Utilization,
         inlet: Celsius,
     ) -> Result<(), CoreError> {
+        self.powers_valid = false;
         // Explicit integrators have no factorization to share.
-        for server in &mut self.servers[self.scalar_members.clone()] {
+        let scalars = self.scalar_members.clone();
+        for server in &mut self.servers[scalars.clone()] {
             server.set_ambient(inlet)?;
             server.step(dt, activity)?;
         }
+        record_powers(&self.servers[scalars.clone()], &mut self.powers[scalars]);
         for g in 0..self.groups.len() {
             self.step_group(g, dt, activity, inlet)?;
         }
+        self.powers_valid = true;
         Ok(())
     }
 
@@ -519,24 +539,29 @@ impl Fleet {
     ) -> Result<(), CoreError> {
         let group = &mut self.groups[g];
         let servers = &mut self.servers[group.range.clone()];
+        let powers = &mut self.powers[group.range.clone()];
         let count = servers.len();
         let plan = *group.solver.plan();
 
         // ---- phase A: per-server dynamics (fans, failsafe, powers,
         // accounting) — independent per server, sharded when resident.
-        let shard_ranges: Vec<Range<usize>> = match group.lanes.as_ref() {
-            Some(lanes) if lanes.shard_count() > 1 => (0..lanes.shard_count())
-                .map(|i| lanes.shard_range(i))
-                .collect(),
-            _ => std::iter::once(0..count).collect(),
-        };
-        run_sharded(servers, &shard_ranges, |chunk, _| {
+        let begin = |chunk: &mut [Server], _| {
             for server in chunk {
                 server.begin_step_with_inlet(dt, activity, inlet)?;
             }
             Ok::<(), PlatformError>(())
-        })?;
+        };
+        match group.lanes.as_ref() {
+            Some(lanes) if lanes.shard_count() > 1 => {
+                let ranges: Vec<Range<usize>> = (0..lanes.shard_count())
+                    .map(|i| lanes.shard_range(i))
+                    .collect();
+                run_sharded(servers, &ranges, begin)?;
+            }
+            _ => begin(servers, 0..count)?,
+        }
         if dt.is_zero() {
+            record_powers(servers, powers);
             return Ok(());
         }
 
@@ -559,28 +584,31 @@ impl Fleet {
                 // ---- phase C: refresh + blocked solve + die-slot
                 // sync + finish, one worker per shard.
                 let die_slots = &group.die_slots;
-                let mut shards: Vec<(Range<usize>, _)> = lanes.shards_mut().collect();
-                if shards.len() == 1 {
-                    let (_, shard) = &mut shards[0];
-                    finish_shard(&kernel, shard, servers, die_slots, dt)?;
+                if lanes.shard_count() == 1 {
+                    let Some((_, shard)) = lanes.shards_mut().next() else {
+                        unreachable!("one shard");
+                    };
+                    finish_shard(&kernel, shard, servers, powers, die_slots, dt)?;
                 } else {
-                    let results =
-                        thread::scope(|scope| {
-                            let mut handles = Vec::with_capacity(shards.len());
-                            let mut rest = &mut servers[..];
-                            for (range, shard) in &mut shards {
-                                let (chunk, tail) = rest.split_at_mut(range.len());
-                                rest = tail;
-                                let kernel = &kernel;
-                                handles.push(scope.spawn(move || {
-                                    finish_shard(kernel, shard, chunk, die_slots, dt)
-                                }));
-                            }
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                                .collect::<Vec<_>>()
-                        });
+                    let results = thread::scope(|scope| {
+                        let mut handles = Vec::with_capacity(lanes.shard_count());
+                        let mut rest = &mut servers[..];
+                        let mut rest_powers = &mut powers[..];
+                        for (range, shard) in lanes.shards_mut() {
+                            let (chunk, tail) = rest.split_at_mut(range.len());
+                            rest = tail;
+                            let (chunk_powers, tail) = rest_powers.split_at_mut(range.len());
+                            rest_powers = tail;
+                            let kernel = &kernel;
+                            handles.push(scope.spawn(move || {
+                                finish_shard(kernel, shard, chunk, chunk_powers, die_slots, dt)
+                            }));
+                        }
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                            .collect::<Vec<_>>()
+                    });
                     for result in results {
                         result?;
                     }
@@ -610,6 +638,7 @@ impl Fleet {
                 for server in servers.iter_mut() {
                     server.finish_step(dt)?;
                 }
+                record_powers(servers, powers);
                 Ok(())
             }
             Err(other) => Err(CoreError::from(PlatformError::from(other))),
@@ -627,13 +656,25 @@ impl Fleet {
     /// *original* server order: storage order groups servers by hash,
     /// and float addition is order-sensitive, so summing storage-order
     /// would bitwise-diverge a mixed-SKU fleet from the scalar
-    /// reference loop the bit-identity tests compare against.
+    /// reference loop the bit-identity tests compare against. Between
+    /// steps it sums the end-of-step power vector (the same values);
+    /// after a mutation that may change a server's power it asks the
+    /// servers afresh.
     #[must_use]
     pub fn total_power(&self) -> Watts {
-        self.index_map
-            .iter()
-            .map(|&storage| self.servers[storage].total_power())
-            .sum()
+        if self.powers_valid {
+            Watts::new(
+                self.index_map
+                    .iter()
+                    .map(|&storage| self.powers[storage])
+                    .sum(),
+            )
+        } else {
+            self.index_map
+                .iter()
+                .map(|&storage| self.servers[storage].total_power())
+                .sum()
+        }
     }
 
     /// Total fleet energy since construction (original server order,
@@ -761,21 +802,31 @@ where
     results.into_iter().collect()
 }
 
+/// Writes each server's current total power into `powers` (parallel
+/// slices).
+fn record_powers(servers: &[Server], powers: &mut [f64]) {
+    for (server, power) in servers.iter().zip(powers) {
+        *power = server.total_power().value();
+    }
+}
+
 /// Phase C for one shard: lane-major source refresh + blocked solve
 /// through the shared factors, then per server the cheap die-slot sync
-/// (full unpack only when this step's telemetry poll reads the state)
-/// and the clock/telemetry finish.
+/// (full unpack only when this step's telemetry poll reads the state),
+/// the clock/telemetry finish and the end-of-step power, recorded into
+/// `powers` while the server is still in cache.
 fn finish_shard(
     kernel: &StepKernel<'_, leakctl_thermal::AutoBackend>,
     shard: &mut leakctl_thermal::PackedLanes,
     chunk: &mut [Server],
+    powers: &mut [f64],
     die_slots: &[usize],
     dt: SimDuration,
 ) -> Result<(), PlatformError> {
     kernel
         .step_shard(shard, |i| chunk[i].thermal_network())
         .map_err(PlatformError::from)?;
-    for (i, server) in chunk.iter_mut().enumerate() {
+    for (i, (server, power)) in chunk.iter_mut().zip(powers).enumerate() {
         let end = server.now() + dt;
         let poll_due = server.telemetry_poll_pending(end);
         {
@@ -787,6 +838,7 @@ fn finish_shard(
             }
         }
         server.finish_step(dt)?;
+        *power = server.total_power().value();
     }
     Ok(())
 }

@@ -964,27 +964,6 @@ impl Room {
         result
     }
 
-    /// Advances the room by `dt` with per-rack activity levels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Placement`] when `activities` does not have
-    /// one entry per rack, and propagates platform/solver failures.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a validated `PlacementAction` and drive \
-                `Room::apply_placement` + `Room::step_placed` instead"
-    )]
-    pub fn step_racks(
-        &mut self,
-        dt: SimDuration,
-        activities: &[Utilization],
-    ) -> Result<(), CoreError> {
-        let action = PlacementAction::from_utilizations(activities);
-        self.apply_placement(&action)?;
-        self.step_placed(dt)
-    }
-
     /// One operator-split step: serial air phase, then the rack phase
     /// sharded across scoped workers.
     fn advance(&mut self, dt: SimDuration, activities: &[Utilization]) -> Result<(), CoreError> {
@@ -1339,22 +1318,22 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn per_rack_activities_shape_the_room() {
         let mut room = Room::with_plan(small(), ShardPlan::new(2)).unwrap();
         assert!(matches!(
-            room.step_racks(SimDuration::from_secs(1), &[Utilization::FULL]),
+            room.apply_placement(&PlacementAction::from_utilizations(&[Utilization::FULL])),
             Err(CoreError::Placement(PlacementError::RackCountMismatch {
                 got: 1,
                 racks: 2
             }))
         ));
+        room.apply_placement(&PlacementAction::from_utilizations(&[
+            Utilization::FULL,
+            Utilization::IDLE,
+        ]))
+        .unwrap();
         for _ in 0..1_800 {
-            room.step_racks(
-                SimDuration::from_secs(1),
-                &[Utilization::FULL, Utilization::IDLE],
-            )
-            .unwrap();
+            room.step_placed(SimDuration::from_secs(1)).unwrap();
         }
         assert!(room.hot_aisle_temperature(0) > room.hot_aisle_temperature(1));
         assert_eq!(room.hottest_rack(), 0);

@@ -1,0 +1,102 @@
+//! The fleet's end-of-step power vector never disagrees with its
+//! servers: after any sequence of steps, fan commands, fan faults,
+//! direct server mutation, checkpoint/restore and accounting resets,
+//! `Fleet::total_power` is bit-identical to a fresh original-order sum
+//! of every server's own `total_power`.
+
+use leakctl::fleet::Fleet;
+use leakctl_platform::{FanFault, ServerConfig};
+use leakctl_thermal::{Integrator, ShardPlan};
+use leakctl_units::{Celsius, Rpm, SimDuration, Utilization, Watts};
+use proptest::prelude::*;
+
+/// Server `i`'s SKU: two batched topologies plus an explicit-integrator
+/// server on the fleet's scalar path, so storage order differs from
+/// index order.
+fn config(kind: usize) -> ServerConfig {
+    match kind % 3 {
+        0 => ServerConfig::default(),
+        1 => ServerConfig {
+            sockets: 1,
+            process_sigma: vec![1.0],
+            ..ServerConfig::default()
+        },
+        _ => ServerConfig {
+            integrator: Integrator::ExponentialEuler,
+            ..ServerConfig::default()
+        },
+    }
+}
+
+fn fresh_total(fleet: &mut Fleet) -> u64 {
+    let total: Watts = (0..fleet.len())
+        .map(|i| fleet.server(i).unwrap().total_power())
+        .sum();
+    total.value().to_bits()
+}
+
+fn activity(x: f64) -> Utilization {
+    Utilization::saturating_from_fraction(x)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn total_power_matches_fresh_server_sum(
+        kinds in prop::collection::vec(0usize..3, 3..8),
+        ops in prop::collection::vec((0usize..9, 0usize..8, 0.0..1.0f64), 20..60),
+        seed in 0u64..1_000,
+    ) {
+        let configs: Vec<ServerConfig> = kinds.iter().map(|&k| config(k)).collect();
+        for threads in [1usize, 2] {
+            let plan = ShardPlan::new(threads).with_min_lanes_per_shard(1);
+            let mut fleet = Fleet::with_plan(&configs, 0.002, seed, plan).unwrap();
+            let mut snap = None;
+            let dt = SimDuration::from_secs(1);
+            for &(op, pick, x) in &ops {
+                let i = pick % fleet.len();
+                match op {
+                    0 | 1 => fleet.step(dt, activity(x)).unwrap(),
+                    // A zero-length step still re-evaluates powers.
+                    2 => fleet.step(SimDuration::ZERO, activity(x)).unwrap(),
+                    3 => fleet.command_all(Rpm::new(1800.0 + 2400.0 * x)),
+                    4 => {
+                        let fault = match pick % 3 {
+                            0 => FanFault::None,
+                            1 => FanFault::Stuck,
+                            _ => FanFault::Degraded { flow_scale: x },
+                        };
+                        fleet.inject_fan_fault(i, fault).unwrap();
+                    }
+                    5 => {
+                        let server = fleet.server_mut(i).unwrap();
+                        match pick % 3 {
+                            0 => server.command_fan_speed(Rpm::new(1800.0 + 2400.0 * x)),
+                            1 => server.set_ambient(Celsius::new(18.0 + 12.0 * x)).unwrap(),
+                            // Steps one server alone: its power moves
+                            // while every other server's stays.
+                            _ => server.step(dt, activity(x)).unwrap(),
+                        }
+                    }
+                    6 => snap = Some(fleet.checkpoint()),
+                    7 => {
+                        if let Some(snap) = &snap {
+                            fleet.restore(snap).unwrap();
+                        }
+                    }
+                    _ => fleet.reset_accounting(),
+                }
+                let cached = fleet.total_power().value().to_bits();
+                prop_assert_eq!(
+                    cached,
+                    fresh_total(&mut fleet),
+                    "op {} on server {}, threads {}",
+                    op,
+                    i,
+                    threads
+                );
+            }
+        }
+    }
+}

@@ -64,6 +64,34 @@ struct Edge {
     directed: bool,
 }
 
+impl Edge {
+    /// The effective conductance given the current channel flows.
+    fn conductance(&self, channels: &[Channel]) -> f64 {
+        match self.coupling {
+            Coupling::Conductance(g) => g.value(),
+            Coupling::Convective { channel, model } => model
+                .conductance(AirFlow::new(channels[channel.0].flow))
+                .value(),
+            Coupling::Advective { channel, fraction } => {
+                let q = channels[channel.0].flow;
+                fraction * q * AIR_DENSITY * AIR_SPECIFIC_HEAT
+            }
+        }
+    }
+}
+
+/// One boundary term of the source vector: capacitive slot `slot`
+/// receives `g · T(node)` from boundary node `node` through edge `edge`,
+/// whose conductance at the current flows is `g` (the term is inert
+/// while `g ≤ 0`, as assembly skips such edges).
+#[derive(Debug, Clone, Copy)]
+struct BoundaryTerm {
+    slot: usize,
+    node: usize,
+    edge: usize,
+    g: f64,
+}
+
 #[derive(Debug, Clone)]
 struct Channel {
     #[allow(dead_code)] // retained for diagnostics / future reporting
@@ -309,19 +337,22 @@ impl ThermalNetworkBuilder {
         }
         let powers = vec![0.0; self.nodes.len()];
         let structure_hash = structure_hash(&self.nodes, &self.edges, self.channels.len());
-        Ok(ThermalNetwork {
+        let mut net = ThermalNetwork {
             nodes: self.nodes,
             edges: self.edges,
             channels: self.channels,
             powers,
             slot_to_node,
+            boundary_stencil: Vec::new(),
             flow_gen: next_generation(),
             power_gen: next_generation(),
             boundary_gen: next_generation(),
             topology_id: next_generation(),
             structure_hash,
             gen_lease: GenLease::empty(),
-        })
+        };
+        net.build_boundary_stencil();
+        Ok(net)
     }
 }
 
@@ -434,6 +465,11 @@ pub struct ThermalNetwork {
     channels: Vec<Channel>,
     powers: Vec<f64>,
     slot_to_node: Vec<usize>,
+    // Every capacitive ← boundary term of the source vector, in assembly
+    // order. Conductances depend on flows alone, so the terms' `g` are
+    // refreshed only when a flow changes; boundary temperatures are read
+    // live.
+    boundary_stencil: Vec<BoundaryTerm>,
     // Cache-invalidation generations (see `GENERATION`): bumped only
     // when the corresponding input actually changes value, so constant
     // stretches keep cached assemblies and factorizations alive.
@@ -568,6 +604,11 @@ impl ThermalNetwork {
         if ch.flow.to_bits() != value.to_bits() {
             ch.flow = value;
             self.flow_gen = self.gen_lease.mint();
+            // A few terms per network: re-evaluating them all is cheaper
+            // than any bookkeeping of which channel each one follows.
+            for term in &mut self.boundary_stencil {
+                term.g = self.edges[term.edge].conductance(&self.channels);
+            }
         }
         Ok(())
     }
@@ -619,20 +660,6 @@ impl ThermalNetwork {
         match self.nodes[node.0].kind {
             NodeKind::Capacitive { slot, .. } => Some(slot),
             NodeKind::Boundary { .. } => None,
-        }
-    }
-
-    /// The effective conductance of an edge given current channel flows.
-    fn edge_conductance(&self, edge: &Edge) -> f64 {
-        match edge.coupling {
-            Coupling::Conductance(g) => g.value(),
-            Coupling::Convective { channel, model } => model
-                .conductance(AirFlow::new(self.channels[channel.0].flow))
-                .value(),
-            Coupling::Advective { channel, fraction } => {
-                let q = self.channels[channel.0].flow;
-                fraction * q * AIR_DENSITY * AIR_SPECIFIC_HEAT
-            }
         }
     }
 
@@ -737,53 +764,81 @@ impl ThermalNetwork {
         s_bound: &mut [f64],
     ) {
         s_bound.fill(0.0);
-        for edge in &self.edges {
-            let g = self.edge_conductance(edge);
-            if g <= 0.0 {
+        self.walk_couplings(
+            |edge| edge.conductance(&self.channels),
+            |_, g, rs, other| {
+                add(rs, rs, g);
+                match self.nodes[other].kind {
+                    NodeKind::Capacitive { slot: os, .. } => add(rs, os, -g),
+                    NodeKind::Boundary { temp } => s_bound[rs] += g * temp,
+                }
+            },
+        );
+    }
+
+    /// Writes only the boundary-coupling source vector into `s_bound`,
+    /// skipping matrix assembly. Replays the boundary stencil, which
+    /// holds the same products in the same accumulation order as
+    /// [`Self::assemble_conductance_with`], so the result is
+    /// bit-identical to the `s_bound` a full assembly would produce —
+    /// the batch solver uses this to refresh per-server sources while
+    /// sharing one conductance matrix across the fleet.
+    pub(crate) fn assemble_boundary_source_into(&self, s_bound: &mut [f64]) {
+        s_bound.fill(0.0);
+        for term in &self.boundary_stencil {
+            if term.g <= 0.0 {
                 continue;
             }
-            let ends = [(edge.a, edge.b), (edge.b, edge.a)];
-            // For a directed edge only the second endpoint (edge.b)
-            // receives heat, i.e. only the (b, a) orientation applies.
-            let orientations: &[(usize, usize)] =
-                if edge.directed { &ends[1..] } else { &ends[..] };
-            for &(receiver, other) in orientations {
-                if let NodeKind::Capacitive { slot: rs, .. } = self.nodes[receiver].kind {
-                    add(rs, rs, g);
-                    match self.nodes[other].kind {
-                        NodeKind::Capacitive { slot: os, .. } => {
-                            add(rs, os, -g);
-                        }
-                        NodeKind::Boundary { temp } => {
-                            s_bound[rs] += g * temp;
-                        }
-                    }
-                }
+            if let NodeKind::Boundary { temp } = self.nodes[term.node].kind {
+                s_bound[term.slot] += term.g * temp;
             }
         }
     }
 
-    /// Writes only the boundary-coupling source vector into `s_bound`,
-    /// skipping matrix assembly. Iterates edges in the same order with
-    /// the same accumulation as [`Self::assemble_conductance_with`], so
-    /// the result is bit-identical to the `s_bound` that a full assembly
-    /// would produce — the batch solver uses this to refresh per-server
-    /// sources while sharing one conductance matrix across the fleet.
-    pub(crate) fn assemble_boundary_source_into(&self, s_bound: &mut [f64]) {
-        s_bound.fill(0.0);
-        for edge in &self.edges {
-            let g = self.edge_conductance(edge);
+    /// Collects every capacitive ← boundary orientation, in assembly
+    /// order, with its conductance at the current flows.
+    fn build_boundary_stencil(&mut self) {
+        let mut stencil = Vec::new();
+        // Unit weight: the term list is structural; `g` is per flow.
+        self.walk_couplings(
+            |_| 1.0,
+            |edge, _, slot, node| {
+                if matches!(self.nodes[node].kind, NodeKind::Boundary { .. }) {
+                    let g = self.edges[edge].conductance(&self.channels);
+                    stencil.push(BoundaryTerm {
+                        slot,
+                        node,
+                        edge,
+                        g,
+                    });
+                }
+            },
+        );
+        self.boundary_stencil = stencil;
+    }
+
+    /// The one edge-orientation walk behind assembly, the boundary
+    /// stencil and the adjacency. Visits edges in edge order, skipping
+    /// those whose `conductance` is not positive; within an edge it
+    /// calls `visit(edge index, g, receiver slot, other node)` for each
+    /// orientation whose receiver is capacitive — both for a symmetric
+    /// edge, only `b ← a` for a directed one (only its downstream end
+    /// receives heat).
+    fn walk_couplings(
+        &self,
+        conductance: impl Fn(&Edge) -> f64,
+        mut visit: impl FnMut(usize, f64, usize, usize),
+    ) {
+        for (index, edge) in self.edges.iter().enumerate() {
+            let g = conductance(edge);
             if g <= 0.0 {
                 continue;
             }
             let ends = [(edge.a, edge.b), (edge.b, edge.a)];
-            let orientations: &[(usize, usize)] =
-                if edge.directed { &ends[1..] } else { &ends[..] };
+            let orientations = if edge.directed { &ends[1..] } else { &ends[..] };
             for &(receiver, other) in orientations {
-                if let NodeKind::Capacitive { slot: rs, .. } = self.nodes[receiver].kind {
-                    if let NodeKind::Boundary { temp } = self.nodes[other].kind {
-                        s_bound[rs] += g * temp;
-                    }
+                if let NodeKind::Capacitive { slot, .. } = self.nodes[receiver].kind {
+                    visit(index, g, slot, other);
                 }
             }
         }
@@ -796,20 +851,15 @@ impl ThermalNetwork {
     pub(crate) fn slot_adjacency(&self) -> Vec<Vec<usize>> {
         let n = self.slot_to_node.len();
         let mut nbrs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for edge in &self.edges {
-            let ends = [(edge.a, edge.b), (edge.b, edge.a)];
-            let orientations: &[(usize, usize)] =
-                if edge.directed { &ends[1..] } else { &ends[..] };
-            for &(receiver, other) in orientations {
-                if let (
-                    NodeKind::Capacitive { slot: rs, .. },
-                    NodeKind::Capacitive { slot: os, .. },
-                ) = (&self.nodes[receiver].kind, &self.nodes[other].kind)
-                {
-                    nbrs[*rs].push(*os);
+        // Unit weight: the sparsity is structural, whatever the flows.
+        self.walk_couplings(
+            |_| 1.0,
+            |_, _, rs, other| {
+                if let NodeKind::Capacitive { slot: os, .. } = self.nodes[other].kind {
+                    nbrs[rs].push(os);
                 }
-            }
-        }
+            },
+        );
         for row in &mut nbrs {
             row.sort_unstable();
             row.dedup();
@@ -1147,5 +1197,168 @@ mod tests {
         net.set_flow(ch, AirFlow::new(-5.0)).unwrap();
         assert_eq!(net.flow(ch), AirFlow::ZERO);
         assert!(net.set_flow(FlowChannelId(4), AirFlow::ZERO).is_err());
+    }
+
+    /// Tiny deterministic generator for the randomized stencil test.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            self.0 >> 33
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            self.next() as f64 / (1u64 << 31) as f64
+        }
+    }
+
+    /// The `s_bound` a full assembly writes, for comparison with the
+    /// stencil replay.
+    fn full_boundary_source(net: &ThermalNetwork) -> Vec<u64> {
+        let mut s = vec![0.0; net.state_count()];
+        net.assemble_conductance_with(&mut |_, _, _| {}, &mut s);
+        s.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn stencil_boundary_source(net: &ThermalNetwork) -> Vec<u64> {
+        // Poison the buffer: the replay must overwrite every slot.
+        let mut s = vec![f64::NAN; net.state_count()];
+        net.assemble_boundary_source_into(&mut s);
+        s.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A random network with conductive, convective (with and without a
+    /// floor, so zero flow gives `g = 0`) and directed advective edges,
+    /// where slot 0 always has two boundary edges.
+    fn random_network(rng: &mut Lcg) -> (ThermalNetwork, Vec<NodeId>, Vec<FlowChannelId>) {
+        let mut b = ThermalNetworkBuilder::new();
+        let caps: Vec<NodeId> = (0..2 + rng.below(5))
+            .map(|i| b.add_node(&format!("c{i}"), ThermalCapacitance::new(1.0 + rng.unit())))
+            .collect();
+        let bounds: Vec<NodeId> = (0..2 + rng.below(2))
+            .map(|i| b.add_boundary(&format!("b{i}"), Celsius::new(15.0 + 20.0 * rng.unit())))
+            .collect();
+        let channels: Vec<FlowChannelId> = (0..2)
+            .map(|i| b.add_flow_channel(&format!("ch{i}")))
+            .collect();
+        let floorless = |rng: &mut Lcg| {
+            ConvectionModel::new(
+                ThermalConductance::new(0.5 + rng.unit()),
+                AirFlow::new(0.02),
+                0.8,
+                ThermalConductance::ZERO,
+            )
+        };
+        b.connect(
+            caps[0],
+            bounds[0],
+            Coupling::Conductance(ThermalConductance::new(1.0 + rng.unit())),
+        )
+        .unwrap();
+        let model = floorless(rng);
+        b.connect(
+            caps[0],
+            bounds[1],
+            Coupling::Convective {
+                channel: channels[0],
+                model,
+            },
+        )
+        .unwrap();
+        for _ in 0..4 + rng.below(10) {
+            let to = caps[rng.below(caps.len())];
+            let from = if rng.below(2) == 0 {
+                bounds[rng.below(bounds.len())]
+            } else {
+                caps[rng.below(caps.len())]
+            };
+            if from == to {
+                continue;
+            }
+            let channel = channels[rng.below(channels.len())];
+            match rng.below(4) {
+                0 => b
+                    .connect(
+                        from,
+                        to,
+                        Coupling::Conductance(ThermalConductance::new(0.1 + rng.unit())),
+                    )
+                    .unwrap(),
+                1 => {
+                    let model = floorless(rng);
+                    b.connect(from, to, Coupling::Convective { channel, model })
+                        .unwrap();
+                }
+                2 => {
+                    let model = ConvectionModel::turbulent(
+                        ThermalConductance::new(0.5 + rng.unit()),
+                        AirFlow::new(0.03),
+                    );
+                    b.connect(to, from, Coupling::Convective { channel, model })
+                        .unwrap();
+                }
+                _ => b
+                    .connect_directed(
+                        from,
+                        to,
+                        Coupling::Advective {
+                            channel,
+                            fraction: 0.1 + 0.9 * rng.unit(),
+                        },
+                    )
+                    .unwrap(),
+            }
+        }
+        (b.build().unwrap(), bounds, channels)
+    }
+
+    #[test]
+    fn boundary_stencil_matches_full_assembly_bit_for_bit() {
+        let mut rng = Lcg(0x5eed);
+        let mut zero_flow_seen = false;
+        for _ in 0..40 {
+            let (mut net, bounds, channels) = random_network(&mut rng);
+            for _ in 0..25 {
+                match rng.below(3) {
+                    0 => {
+                        let ch = channels[rng.below(channels.len())];
+                        // A third of flow changes stop the channel:
+                        // its advective and floorless edges drop out.
+                        let q = if rng.below(3) == 0 {
+                            zero_flow_seen = true;
+                            0.0
+                        } else {
+                            0.05 * rng.unit()
+                        };
+                        net.set_flow(ch, AirFlow::new(q)).unwrap();
+                    }
+                    1 => {
+                        let node = bounds[rng.below(bounds.len())];
+                        let t = Celsius::new(10.0 + 30.0 * rng.unit());
+                        net.set_boundary(node, t).unwrap();
+                    }
+                    _ => {
+                        // A clone whose flow moves while the original's
+                        // does not: each keeps its own stencil.
+                        let mut twin = net.clone();
+                        let ch = channels[rng.below(channels.len())];
+                        let q = net.flow(ch).value() + 0.01 + 0.02 * rng.unit();
+                        twin.set_flow(ch, AirFlow::new(q)).unwrap();
+                        twin.set_boundary(bounds[0], Celsius::new(12.5)).unwrap();
+                        assert_eq!(stencil_boundary_source(&twin), full_boundary_source(&twin));
+                    }
+                }
+                assert_eq!(stencil_boundary_source(&net), full_boundary_source(&net));
+            }
+        }
+        assert!(zero_flow_seen, "the g <= 0 skip must be exercised");
     }
 }

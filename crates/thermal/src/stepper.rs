@@ -16,9 +16,10 @@
 //! [`ThermalNetwork::set_boundary`] only when a value actually
 //! changes):
 //!
-//! 1. the flow-dependent conductance matrix `G` plus the
-//!    boundary-coupling source, invalidated by flow or boundary
-//!    changes;
+//! 1. the flow-dependent conductance matrix `G`, invalidated by flow
+//!    changes, and the boundary-coupling source, invalidated by flow or
+//!    boundary changes (a boundary-only change replays the network's
+//!    boundary stencil instead of reassembling `G`);
 //! 2. the power-injection source vector, invalidated by power changes;
 //! 3. the factorization of `(C + h·G)`, keyed on `(h, flow)` — the
 //!    common constant-fan/constant-dt stretches pay only a
@@ -96,7 +97,10 @@ pub struct TransientSolver<B: SolverBackend = AutoBackend> {
     /// part goes stale.
     s: Vec<f64>,
     c: Vec<f64>,
-    cond_key: Option<(u64, u64)>,
+    /// `G` assembly key: flow generation.
+    g_key: Option<u64>,
+    /// Boundary-source key: `(flow, boundary)` generations.
+    bound_key: Option<(u64, u64)>,
     power_key: Option<u64>,
     // ---- factorization keys ----------------------------------------
     /// Backward-Euler `(C + h·G)` factorization key: `(h, flow)`.
@@ -141,7 +145,8 @@ impl<B: SolverBackend> TransientSolver<B> {
             s_power: vec![0.0; n],
             s: vec![0.0; n],
             c,
-            cond_key: None,
+            g_key: None,
+            bound_key: None,
             power_key: None,
             be_key: None,
             ss_key: None,
@@ -177,11 +182,19 @@ impl<B: SolverBackend> TransientSolver<B> {
     /// Brings the assembled `(G, s, c)` caches up to date with `net`'s
     /// current generations.
     fn refresh(&mut self, net: &ThermalNetwork) {
-        let cond_key = (net.flow_generation(), net.boundary_generation());
+        let flow_key = net.flow_generation();
+        let bound_key = (flow_key, net.boundary_generation());
         let mut source_stale = false;
-        if self.cond_key != Some(cond_key) {
+        if self.g_key != Some(flow_key) {
             self.backend.assemble_conductance(net, &mut self.s_bound);
-            self.cond_key = Some(cond_key);
+            self.g_key = Some(flow_key);
+            self.bound_key = Some(bound_key);
+            source_stale = true;
+        } else if self.bound_key != Some(bound_key) {
+            // Boundary-only change: `G` stands, and the stencil replays
+            // the same boundary products a full assembly would.
+            net.assemble_boundary_source_into(&mut self.s_bound);
+            self.bound_key = Some(bound_key);
             source_stale = true;
         }
         let power_key = net.power_generation();
@@ -403,7 +416,12 @@ mod tests {
     use crate::network::{Coupling, ThermalNetworkBuilder};
     use leakctl_units::{AirFlow, Celsius, ThermalCapacitance, ThermalConductance, Watts};
 
-    fn two_node() -> (ThermalNetwork, crate::NodeId, crate::FlowChannelId) {
+    fn two_node() -> (
+        ThermalNetwork,
+        crate::NodeId,
+        crate::NodeId,
+        crate::FlowChannelId,
+    ) {
         let mut b = ThermalNetworkBuilder::new();
         let die = b.add_node("die", ThermalCapacitance::new(100.0));
         let sink = b.add_node("sink", ThermalCapacitance::new(500.0));
@@ -424,7 +442,7 @@ mod tests {
         let mut net = b.build().unwrap();
         net.set_flow(ch, AirFlow::from_cfm(200.0)).unwrap();
         net.set_power(die, Watts::new(60.0)).unwrap();
-        (net, die, ch)
+        (net, die, amb, ch)
     }
 
     #[test]
@@ -435,25 +453,33 @@ mod tests {
             Integrator::ExponentialEuler,
             Integrator::BackwardEuler,
         ] {
-            let (mut net, die, ch) = two_node();
+            let (mut net, die, amb, ch) = two_node();
             let mut solver = TransientSolver::new(&net);
             let mut cached = net.uniform_state(Celsius::new(24.0));
             let mut stateless = net.uniform_state(Celsius::new(24.0));
             let dt = SimDuration::from_millis(500);
             for step in 0..400 {
-                // Exercise every invalidation path mid-run.
-                if step == 100 {
-                    net.set_flow(ch, AirFlow::from_cfm(500.0)).unwrap();
+                // Exercise every invalidation path mid-run: a flow, a
+                // power, then a boundary moving every step (the stencil
+                // replay, `G` kept) with one more flow change on top.
+                if step == 100 || step == 320 {
+                    net.set_flow(ch, AirFlow::from_cfm(200.0 + step as f64))
+                        .unwrap();
                 }
                 if step == 200 {
                     net.set_power(die, Watts::new(120.0)).unwrap();
+                }
+                if step >= 250 {
+                    let inlet = Celsius::new(24.0 + 0.01 * f64::from(step - 250));
+                    net.set_boundary(amb, inlet).unwrap();
                 }
                 solver.step(&net, &mut cached, dt, method).unwrap();
                 net.step(&mut stateless, dt, method).unwrap();
             }
             for (a, b) in cached.temps.iter().zip(&stateless.temps) {
-                assert!(
-                    (a - b).abs() <= 1e-12 * a.abs().max(1.0),
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
                     "{method:?}: cached {a} vs stateless {b}"
                 );
             }
@@ -468,7 +494,7 @@ mod tests {
             Integrator::ExponentialEuler,
             Integrator::BackwardEuler,
         ] {
-            let (mut net, die, ch) = two_node();
+            let (mut net, die, _, ch) = two_node();
             let mut dense = TransientSolver::<DenseBackend>::with_backend(&net);
             let mut csr = TransientSolver::<CsrBackend>::with_backend(&net);
             assert!(!dense.is_sparse() && csr.is_sparse());
@@ -496,7 +522,7 @@ mod tests {
 
     #[test]
     fn csr_steady_state_matches_dense() {
-        let (net, die, _) = two_node();
+        let (net, die, _, _) = two_node();
         let mut dense = TransientSolver::<DenseBackend>::with_backend(&net);
         let mut csr = TransientSolver::<CsrBackend>::with_backend(&net);
         let mut sd = net.uniform_state(Celsius::new(0.0));
@@ -510,7 +536,7 @@ mod tests {
 
     #[test]
     fn auto_backend_selects_by_node_count() {
-        let (net, _, _) = two_node();
+        let (net, _, _, _) = two_node();
         assert!(!TransientSolver::new(&net).is_sparse());
         // A long chain above the threshold must auto-select CSR.
         let mut b = ThermalNetworkBuilder::new();
@@ -550,7 +576,7 @@ mod tests {
 
     #[test]
     fn steady_state_into_matches_direct_solve() {
-        let (net, die, _) = two_node();
+        let (net, die, _, _) = two_node();
         let mut solver = TransientSolver::new(&net);
         let mut state = net.uniform_state(Celsius::new(0.0));
         solver.steady_state_into(&net, &mut state).unwrap();
@@ -564,7 +590,7 @@ mod tests {
 
     #[test]
     fn steady_state_reuses_factorization_across_power_changes() {
-        let (mut net, die, _) = two_node();
+        let (mut net, die, _, _) = two_node();
         let mut solver = TransientSolver::new(&net);
         let mut state = net.uniform_state(Celsius::new(0.0));
         solver.steady_state_into(&net, &mut state).unwrap();
@@ -600,7 +626,7 @@ mod tests {
 
     #[test]
     fn works_against_a_clone_with_diverged_inputs() {
-        let (net, die, _) = two_node();
+        let (net, die, _, _) = two_node();
         let mut clone = net.clone();
         clone.set_power(die, Watts::new(200.0)).unwrap();
         let mut solver = TransientSolver::new(&net);
