@@ -204,7 +204,19 @@ impl RoomAirModel {
         let supply_node = b.add_boundary("crah_supply", spec.supply);
         let supply_channel = b.add_flow_channel("crah_supply");
         let outage_channel = b.add_flow_channel("crah_bypass");
+        // The aisles come before the hubs. The CSR LU eliminates in
+        // node order without reordering: eliminating the plenum or the
+        // return first (each is coupled to every rack) would fill the
+        // factor densely, while eliminating them last keeps it O(racks).
+        let racks: Vec<RackNodes> = (0..spec.racks)
+            .map(|r| RackNodes {
+                cold: b.add_node(&format!("cold{r}"), spec.aisle_capacitance),
+                hot: b.add_node(&format!("hot{r}"), spec.aisle_capacitance),
+                channel: b.add_flow_channel(&format!("tile{r}")),
+            })
+            .collect();
         let plenum = b.add_node("plenum", spec.plenum_capacitance);
+        let ret = b.add_node("return", spec.return_capacitance);
         b.connect_directed(
             supply_node,
             plenum,
@@ -213,7 +225,6 @@ impl RoomAirModel {
                 fraction: 1.0,
             },
         )?;
-        let ret = b.add_node("return", spec.return_capacitance);
         // Built with zero flow: it only carries air when the CRAH is
         // derated, so nominal rooms assemble the exact same system as
         // before the fault surface existed (zero-flow edges are
@@ -226,11 +237,7 @@ impl RoomAirModel {
                 fraction: 1.0,
             },
         )?;
-        let mut racks = Vec::with_capacity(spec.racks);
-        for r in 0..spec.racks {
-            let cold = b.add_node(&format!("cold{r}"), spec.aisle_capacitance);
-            let hot = b.add_node(&format!("hot{r}"), spec.aisle_capacitance);
-            let channel = b.add_flow_channel(&format!("tile{r}"));
+        for &RackNodes { cold, hot, channel } in &racks {
             b.connect_directed(
                 plenum,
                 cold,
@@ -265,7 +272,6 @@ impl RoomAirModel {
                     fraction: 1.0 - beta,
                 },
             )?;
-            racks.push(RackNodes { cold, hot, channel });
         }
         let mut net = b.build()?;
         for (nodes, q) in racks.iter().zip(&spec.tile_flows) {
@@ -943,5 +949,25 @@ mod tests {
         assert_eq!(small.racks(), 4);
         assert!(small.state().is_finite());
         assert!((small.recirculation() - 0.1).abs() < 1e-15);
+    }
+
+    /// The room's CSR factor stays O(n): with the hubs eliminated last,
+    /// each aisle row fills only against the plenum and the return.
+    #[test]
+    fn room_lu_factor_stays_linear() {
+        use crate::sparse::{CsrLuSymbolic, CsrMatrix};
+        for side in [8, 16] {
+            for beta in [0.0, 0.15] {
+                let room = powered(side * side, beta);
+                let net = room.network();
+                let n = net.state_count();
+                let g = CsrMatrix::from_adjacency(n, &net.slot_adjacency());
+                let nnz = CsrLuSymbolic::analyze(&g).factor_nnz();
+                assert!(
+                    nnz <= 6 * n,
+                    "{side}x{side} room, beta {beta}: LU nnz {nnz} > 6 * {n} nodes"
+                );
+            }
+        }
     }
 }

@@ -18,6 +18,15 @@
 //!   mirroring how the dense stepper caches its `(dt, flow)`-keyed
 //!   factorization.
 //!
+//! Elimination follows node order: there is no pivoting and no
+//! fill-reducing reordering. The order in which a network builder adds
+//! its capacitive nodes is the elimination order, so a builder must add
+//! hub nodes (one node coupled to many, like a room's plenum and
+//! return) *last*. Eliminated first, a hub couples all its neighbours
+//! to each other and the factor fills densely; eliminated last, it
+//! adds only its own row and column. The room air network
+//! ([`RoomAirModel`](crate::RoomAirModel)) is built that way.
+//!
 //! No pivoting is safe here because the systems the solver factors are
 //! (weakly) diagonally dominant: `C + h·G` has the positive capacitance
 //! added to a diagonal that already bounds the off-diagonal row sum, and
@@ -237,6 +246,11 @@ pub struct CsrLuSymbolic {
 
 impl CsrLuSymbolic {
     /// Runs the symbolic factorization for the given matrix pattern.
+    ///
+    /// Rows are eliminated in index order, with no reordering, so the
+    /// fill depends on the node order the network was built in: a hub
+    /// node eliminated early fills the rows of all its neighbours. Add
+    /// hub nodes last (see the module documentation).
     ///
     /// The pattern is symmetrized internally (fill is computed on
     /// `pattern(A) ∪ pattern(Aᵀ)`), which upper-bounds the true

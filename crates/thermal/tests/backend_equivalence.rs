@@ -2,14 +2,15 @@
 //! engine: whatever path steps the network — dense per-server, CSR
 //! sparse, per-lane batched, packed batched, thread-sharded packed or
 //! hash-grouped heterogeneous — the trajectory must match the dense
-//! per-server reference to ≤ 1e-12 relative (and the sharded paths
-//! must be *bit-identical* across thread and shard counts), across
-//! randomized topologies, batch sizes and mid-run input changes.
+//! per-server reference to ≤ 1e-12 relative, or 1e-9 on random room
+//! air networks (and the sharded paths must be *bit-identical* across
+//! thread and shard counts), across randomized topologies, batch sizes
+//! and mid-run input changes.
 
 use leakctl_thermal::{
     BatchLane, BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, HeteroBatch,
-    Integrator, PackedLanes, ShardPlan, ShardedBatchSolver, ShardedLanes, ThermalNetwork,
-    ThermalNetworkBuilder,
+    Integrator, PackedLanes, RoomAirModel, RoomAirSpec, ShardPlan, ShardedBatchSolver,
+    ShardedLanes, ThermalError, ThermalNetwork, ThermalNetworkBuilder,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
@@ -96,9 +97,13 @@ fn build_rig(
 }
 
 fn assert_close(a: &[f64], b: &[f64], what: &str) {
+    assert_within(a, b, 1e-12, what);
+}
+
+fn assert_within(a: &[f64], b: &[f64], rel: f64, what: &str) {
     for (x, y) in a.iter().zip(b) {
         assert!(
-            (x - y).abs() <= 1e-12 * x.abs().max(1.0),
+            (x - y).abs() <= rel * x.abs().max(1.0),
             "{what}: {x} vs reference {y}"
         );
     }
@@ -522,5 +527,78 @@ proptest! {
                 &format!("lane {lane} (hetero hash group)"),
             );
         }
+    }
+}
+
+proptest! {
+    // Dense LU on up to 602 air nodes is the slow half of each case.
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The room air network is the production CSR network: a derated
+    /// CRAH (flow through the `crah_bypass` edge), tile blockage and
+    /// recirculation must all step and solve to the dense reference
+    /// within 1e-9. At zero capacity no steady state exists, and the
+    /// room says so with a typed error while the transient keeps
+    /// tracking.
+    #[test]
+    fn csr_room_air_tracks_dense(
+        racks in 32usize..301,
+        recirculating in proptest::any::<bool>(),
+        beta_draw in 0.0..0.3f64,
+        flows in prop::collection::vec(0.5..6.0f64, 300),
+        powers in prop::collection::vec(0.0..15_000.0f64, 300),
+        blocked_rack in 0usize..300,
+        blockage in 0.0..1.0f64,
+        capacity_draw in 0.0..1.0f64,
+        supply in 14.0..24.0f64,
+    ) {
+        // β ∈ {0} ∪ (0, 0.3] and capacity ∈ (0, 1].
+        let beta = if recirculating { 0.3 - beta_draw } else { 0.0 };
+        let capacity = 1.0 - capacity_draw;
+        let tile_flows = flows[..racks].iter().map(|&q| AirFlow::new(q)).collect();
+        let spec = RoomAirSpec::with_tile_flows(Celsius::new(supply), tile_flows, beta);
+        let mut room = RoomAirModel::new(spec).unwrap();
+        prop_assert!(room.is_sparse());
+        for (rack, &p) in powers[..racks].iter().enumerate() {
+            room.set_rack_power(rack, Watts::new(p)).unwrap();
+        }
+        room.set_tile_blockage(blocked_rack % racks, blockage).unwrap();
+        room.set_crah_capacity(capacity).unwrap();
+
+        let net = room.network();
+        let mut dense = DenseTransientSolver::with_backend(net);
+        let mut csr = CsrTransientSolver::with_backend(net);
+        let mut sd = net.uniform_state(Celsius::new(supply));
+        let mut sc = net.uniform_state(Celsius::new(supply));
+        let dt = SimDuration::from_secs(5);
+        for _ in 0..12 {
+            dense.step(net, &mut sd, dt, Integrator::BackwardEuler).unwrap();
+            csr.step(net, &mut sc, dt, Integrator::BackwardEuler).unwrap();
+        }
+        assert_within(sc.temperatures(), sd.temperatures(), 1e-9, "room transient");
+        let mut ssd = net.uniform_state(Celsius::new(0.0));
+        let mut ssc = net.uniform_state(Celsius::new(0.0));
+        dense.steady_state_into(net, &mut ssd).unwrap();
+        csr.steady_state_into(net, &mut ssc).unwrap();
+        assert_within(ssc.temperatures(), ssd.temperatures(), 1e-9, "room steady state");
+
+        // Full outage: the closed loop still steps alike on both
+        // backends, and the room refuses a steady solve or a preview.
+        room.set_crah_capacity(0.0).unwrap();
+        let net = room.network();
+        for _ in 0..4 {
+            dense.step(net, &mut sd, dt, Integrator::BackwardEuler).unwrap();
+            csr.step(net, &mut sc, dt, Integrator::BackwardEuler).unwrap();
+        }
+        assert_within(sc.temperatures(), sd.temperatures(), 1e-9, "room outage transient");
+        // The raw backends cannot be asked: `G` is singular only in
+        // exact arithmetic, and either LU may meet a rounded non-zero
+        // last pivot. The room's check comes before any backend.
+        let mut cold = Vec::new();
+        prop_assert_eq!(
+            room.preview_supply(Celsius::new(supply), &mut cold),
+            Err(ThermalError::SingularSystem)
+        );
+        prop_assert_eq!(room.solve_steady(), Err(ThermalError::SingularSystem));
     }
 }
