@@ -1,12 +1,12 @@
 //! Criterion bench for **rack-scale** stepping: the shared-factorization
 //! batch engine against independent per-server solves, thread-sharded
-//! stepping, hash-grouped heterogeneous (mixed-SKU) fleets, and the
-//! CSR sparse backend against dense at room-scale node counts.
+//! stepping, and the CSR sparse backend against dense at room-scale
+//! node counts.
 //!
 //! Run with `cargo bench -p leakctl-bench --bench rack_scale`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use leakctl_bench::{room_network, HeteroRackKernel, RackKernel, ShardedRackKernel};
+use leakctl_bench::{room_network, RackKernel, ShardedRackKernel};
 use leakctl_thermal::{
     CsrTransientSolver, DenseTransientSolver, Integrator, ShardPlan, TransientSolver,
 };
@@ -90,29 +90,6 @@ fn bench_rack_scale(c: &mut Criterion) {
         if env_threads == 1 {
             break;
         }
-    }
-    group.finish();
-
-    // Heterogeneous fleet: 128 servers cycling through 1/2/3-socket
-    // SKUs, hash-grouped so each SKU batches through its own shared
-    // factorization. Tracked so mixed-fleet batching has a number.
-    let mut probe = HeteroRackKernel::new(128);
-    assert_eq!(probe.group_count(), 3, "three SKUs in the mix");
-    probe.step(300);
-    let t = probe.max_temperature().degrees();
-    eprintln!("[rack_scale] 128-lane mixed-SKU fleet after 300 s: max {t:.1} C");
-    assert!(t > 30.0, "heterogeneous lanes must heat up");
-    let mut group = c.benchmark_group("heterogeneous_fleet");
-    group.sample_size(10);
-    for servers in [32usize, 128] {
-        group.bench_function(format!("hetero{servers}_3sku_200steps"), |b| {
-            let mut kernel = HeteroRackKernel::new(servers);
-            kernel.step(1);
-            b.iter(|| {
-                kernel.step(BLOCK);
-                kernel.max_temperature()
-            })
-        });
     }
     group.finish();
 

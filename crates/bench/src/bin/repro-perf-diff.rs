@@ -1,17 +1,19 @@
 //! Perf regression gate: compares a fresh `BENCH_perf.json` against the
 //! previous CI artifact and fails (exit 1) when any shared measurement
-//! lost more than 20 % steps/sec.
+//! lost more than 20 % steps/sec, or when a measurement of the old
+//! report is missing from the new one.
 //!
 //! ```text
 //! cargo run --release -p leakctl-bench --bin repro-perf-diff -- OLD.json NEW.json [--threshold 0.20]
 //! ```
 //!
-//! Measurements are matched by name; entries present in only one report
-//! (new benches, renamed ones) are listed but never fail the gate, so
-//! adding a measurement does not require seeding history. Wall-clock
-//! noise on shared CI runners is why the default gate is as loose as
-//! 20 % — the report keeps best-of-N minima precisely so this stays
-//! meaningful.
+//! Measurements are matched by name. An entry only in the new report (a
+//! new bench) is listed and passes, so adding a measurement does not
+//! require seeding history; an entry only in the old report (a dropped
+//! or renamed bench) fails, so a measurement cannot vanish unnoticed.
+//! Wall-clock noise on shared CI runners is why the default gate is as
+//! loose as 20 % — the report keeps best-of-N minima precisely so this
+//! stays meaningful.
 
 use std::process::ExitCode;
 
@@ -57,16 +59,16 @@ fn main() -> ExitCode {
         threshold * 100.0
     );
     // The comparison policy lives in `leakctl_bench::perf::diff_reports`
-    // (unit-tested there): shared names gate on the threshold, names
-    // present in only one report — newly added or dropped measurements
-    // — are listed but never fail.
+    // (unit-tested there): shared names gate on the threshold, a name
+    // only in the new report is listed, a name only in the old report
+    // fails.
     let report = diff_reports(&old, &new, threshold);
     for line in &report.lines {
         println!("{line}");
     }
     if report.failed {
         eprintln!(
-            "perf gate FAILED: steps/sec regression beyond {:.0}%",
+            "perf gate FAILED: steps/sec regression beyond {:.0}% or a dropped measurement",
             threshold * 100.0
         );
         ExitCode::FAILURE

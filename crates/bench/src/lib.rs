@@ -583,74 +583,6 @@ impl ShardedRackKernel {
     }
 }
 
-/// A mixed-SKU rack (1/2/3-socket server topologies interleaved)
-/// stepped through hash-grouped heterogeneous batching
-/// ([`HeteroBatch`](leakctl_thermal::HeteroBatch)) — the kernel behind
-/// the `heterogeneous_fleet` criterion group.
-#[derive(Debug)]
-pub struct HeteroRackKernel {
-    nets: Vec<leakctl_thermal::ThermalNetwork>,
-    batch: leakctl_thermal::HeteroBatch,
-}
-
-impl HeteroRackKernel {
-    /// Builds `servers` lanes cycling through 1-, 2- and 3-socket
-    /// SKUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when construction fails (static topology, known to
-    /// build).
-    #[must_use]
-    pub fn new(servers: usize) -> Self {
-        use leakctl_thermal::{HeteroBatch, ShardPlan};
-        use leakctl_units::{AirFlow, Celsius, Watts};
-        let mut nets = Vec::with_capacity(servers);
-        let mut states = Vec::with_capacity(servers);
-        for lane in 0..servers {
-            let sockets = 1 + lane % 3;
-            let (mut net, lane_dies, flow) = server_like_network(sockets);
-            net.set_flow(flow, AirFlow::from_cfm(250.0)).expect("flow");
-            for (s, &die) in lane_dies.iter().enumerate() {
-                net.set_power(die, Watts::new(70.0 + lane as f64 * 0.1 + s as f64))
-                    .expect("power");
-            }
-            states.push(net.uniform_state(Celsius::new(24.0)));
-            nets.push(net);
-        }
-        let batch = HeteroBatch::pack(&nets, &states, ShardPlan::new(1));
-        Self { nets, batch }
-    }
-
-    /// Number of structure-hash groups (SKUs).
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.batch.group_count()
-    }
-
-    /// Advances every lane by `steps` backward-Euler seconds, each SKU
-    /// group batching through its own shared factorization.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a step fails (the kernel networks are regular).
-    pub fn step(&mut self, steps: u64) {
-        use leakctl_units::SimDuration;
-        for _ in 0..steps {
-            self.batch
-                .step(&self.nets, SimDuration::from_secs(1))
-                .expect("hetero step succeeds");
-        }
-    }
-
-    /// The hottest lane temperature (consume the result so benchmark
-    /// loops are not optimized away).
-    #[must_use]
-    pub fn max_temperature(&self) -> leakctl_units::Celsius {
-        leakctl_units::Celsius::new(self.batch.max_temperature())
-    }
-}
-
 /// A full machine room (fleets coupled through the CRAH/plenum/aisle
 /// air network) at the canonical operating point — the kernel behind
 /// the `repro-room` servers-stepped/sec report and the `room_scale`
@@ -943,7 +875,9 @@ pub mod perf {
 
     /// Compares `(name, steps_per_sec)` lists by name with an allowed
     /// fractional loss of `threshold` — the policy behind the
-    /// `repro-perf-diff` CI gate.
+    /// `repro-perf-diff` CI gate. A name in `old` but missing from
+    /// `new` fails the gate (a dropped measurement would otherwise hide
+    /// its regression); a name only in `new` is listed and passes.
     #[must_use]
     pub fn diff_reports(
         old: &[(String, f64)],
@@ -977,7 +911,8 @@ pub mod perf {
         }
         for (name, _) in old {
             if !new.iter().any(|(n, _)| n == name) {
-                lines.push(format!("{name:<28} dropped from report"));
+                failed = true;
+                lines.push(format!("{name:<28} dropped from report  MISSING"));
             }
         }
         DiffReport { lines, failed }
@@ -1066,15 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn hetero_kernel_groups_skus_and_warms_up() {
-        let mut kernel = HeteroRackKernel::new(12);
-        assert_eq!(kernel.group_count(), 3, "1/2/3-socket SKUs");
-        kernel.step(200);
-        let max = kernel.max_temperature().degrees();
-        assert!((30.0..100.0).contains(&max), "dies should warm, got {max}");
-    }
-
-    #[test]
     fn room_kernel_steps_and_accounts() {
         let mut kernel = RoomKernel::new(1, 2, 2);
         assert_eq!(kernel.servers(), 4);
@@ -1094,19 +1020,26 @@ mod tests {
     }
 
     #[test]
-    fn perf_diff_tolerates_added_and_dropped_names() {
+    fn perf_diff_fails_dropped_names_and_tolerates_added_ones() {
         use perf::diff_reports;
-        let old = vec![("alpha".to_owned(), 1000.0), ("gone".to_owned(), 5.0)];
+        let old = vec![("alpha".to_owned(), 1000.0), ("beta".to_owned(), 5.0)];
         let new = vec![
             ("alpha".to_owned(), 900.0),
+            ("beta".to_owned(), 5.0),
             ("brand_new_measurement".to_owned(), 123.0),
         ];
         let report = diff_reports(&old, &new, 0.20);
         assert!(!report.failed, "10% loss and a new name must pass");
         assert!(report.lines.iter().any(|l| l.contains("(new)")));
-        assert!(report.lines.iter().any(|l| l.contains("dropped")));
+        // A measurement missing from the new report fails the gate.
+        let dropped = diff_reports(&old, &new[..1], 0.20);
+        assert!(dropped.failed, "a dropped name must fail");
+        assert!(dropped
+            .lines
+            .iter()
+            .any(|l| l.starts_with("beta") && l.contains("MISSING")));
         // A real regression on a shared name still fails.
-        let bad = vec![("alpha".to_owned(), 500.0)];
+        let bad = vec![("alpha".to_owned(), 500.0), ("beta".to_owned(), 5.0)];
         assert!(diff_reports(&old, &bad, 0.20).failed);
     }
 

@@ -4,10 +4,10 @@
 //! [`Fleet`] supersedes the original scalar `Rack` (which stepped each
 //! server's thermal network through its own per-server solve) while
 //! preserving its public API — `Rack` remains as a type alias. The
-//! physics is unchanged and bit-identical: per-server fan dynamics,
-//! failsafe, power models and telemetry run exactly as in
-//! `Server::step`; only the thermal integration is hoisted out and
-//! solved for all servers at once.
+//! physics is unchanged and bit-identical to an identically seeded
+//! scalar `Server::step` loop: fan dynamics, failsafe, power models and
+//! telemetry run through the same platform methods; only where the
+//! state lives and how the thermal integration is batched differ.
 //!
 //! The stepping engine works in three layers:
 //!
@@ -16,22 +16,32 @@
 //!   (mixed-SKU fleets via [`Fleet::from_configs`]); each group batches
 //!   through its own shared `(dt, flow)` factorization instead of
 //!   falling back to scalar stepping.
-//! - **Resident packed state.** While a group's fan flows agree
-//!   (the common fleet regime), its thermal state lives in slot-major
-//!   [`ShardedLanes`] blocks *between* steps: no per-step
-//!   gather/scatter. Each step syncs only the CPU-die slots back into
-//!   the servers (the slots per-server dynamics read); a lane is fully
-//!   unpacked only on the steps whose telemetry poll actually reads it,
-//!   or when [`Fleet::server`]/[`Fleet::server_mut`] is called. When
-//!   flows diverge (per-server fan commands), the group transparently
-//!   falls back to the per-lane batch API and re-packs once flows
-//!   re-converge.
+//! - **Resident temperatures and dynamics.** At the start of a step in
+//!   which a group's fan flows agree (the common fleet regime), the
+//!   group turns packed-resident: its thermal state moves into slot-major
+//!   [`ShardedLanes`] blocks and its per-step dynamics — fan banks,
+//!   failsafes, clocks, accounting, power parameters — into
+//!   [`DynamicsLanes`] arrays beside them. A plain step is then begin →
+//!   solve → finish over those arrays: the
+//!   [`SharedKernel`](leakctl_thermal::SharedKernel) takes each lane's
+//!   power injection plus the one boundary source the group's common
+//!   inlet and flow give, and no `Server` is touched. Fleet accessors
+//!   (energy, power, die temperatures, faults, commands, accounting)
+//!   read and write the resident arrays. The servers are written back
+//!   when something reads them — [`Fleet::server`],
+//!   [`Fleet::server_mut`], [`Fleet::checkpoint`], [`Fleet::sync_states`]
+//!   — and, for the lanes concerned, on every step whose CSTH poll
+//!   falls due. [`Fleet::server_mut`] and [`Fleet::restore`] drop
+//!   residency, and so does a step over which the lanes' flows diverge
+//!   (a per-server fan command, a fan fault, a failsafe trip): the
+//!   group then steps through the per-lane batch API until its flows
+//!   agree again.
 //! - **Shard workers.** Large groups split into per-shard lane blocks
 //!   ([`ShardPlan`], thread count from `LEAKCTL_THREADS` or the
-//!   machine) and each step's two parallel phases — per-server begin
-//!   (fans, failsafe, powers, accounting) and refresh+solve+finish —
-//!   run one [`std::thread::scope`] worker per shard. Results are
-//!   bit-identical for any thread or shard count.
+//!   machine) and each resident step's two parallel phases — begin
+//!   (fans, failsafe, powers, accounting) and solve+finish — run one
+//!   [`std::thread::scope`] worker per shard. Results are bit-identical
+//!   for any thread or shard count.
 //!
 //! Inlet coupling follows the original model: all servers share one
 //! inlet whose temperature drifts with the rack's total heat (exhaust
@@ -41,12 +51,14 @@
 use std::ops::Range;
 use std::thread;
 
-use leakctl_platform::{FanFault, PlatformError, Server, ServerConfig};
-use leakctl_thermal::{
-    group_by_structure_hash, BatchLane, Integrator, ShardPlan, ShardedBatchSolver, ShardedLanes,
-    StepKernel, ThermalError, ThermalState,
+use leakctl_platform::{
+    DynamicsLanes, FanFault, LaneTemplate, PlatformError, Server, ServerConfig,
 };
-use leakctl_units::{Celsius, Joules, Rpm, SimDuration, TempDelta, Utilization, Watts};
+use leakctl_thermal::{
+    group_by_structure_hash, BatchLane, Integrator, PackedLanes, ShardPlan, ShardedBatchSolver,
+    ShardedLanes, ThermalState,
+};
+use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, TempDelta, Utilization, Watts};
 
 use crate::error::CoreError;
 
@@ -57,13 +69,111 @@ struct FleetGroup {
     /// Contiguous storage range of this group's servers.
     range: Range<usize>,
     solver: ShardedBatchSolver,
-    /// Packed thermal state — authoritative while `Some` (flows
-    /// homogeneous); `None` while the group steps through the per-lane
-    /// fallback (diverged fans) or before the first step.
-    lanes: Option<ShardedLanes>,
-    /// State slots of the CPU die nodes (identical across the group's
-    /// topology): the only slots synced back every step.
-    die_slots: Vec<usize>,
+    /// The group's representative network, carrying the common flow and
+    /// inlet of resident steps (made at the first one).
+    template: Option<LaneTemplate>,
+    /// Authoritative over the servers' copies while `Some`; `None`
+    /// before the first step, after [`Fleet::server_mut`] or
+    /// [`Fleet::restore`], and while the group's flows disagree.
+    resident: Option<Resident>,
+}
+
+/// Where a batched server lives inside its group's resident blocks
+/// (fixed: the plan's partition depends only on the group size).
+#[derive(Debug, Clone, Copy)]
+struct LaneRef {
+    group: usize,
+    shard: usize,
+    offset: usize,
+}
+
+/// A packed-resident group between steps.
+#[derive(Debug)]
+struct Resident {
+    temps: ShardedLanes,
+    /// One block per shard of `temps`, over the same lanes.
+    dynamics: Vec<DynamicsLanes>,
+    /// The inlet of the last step: every lane's ambient boundary.
+    inlet: Celsius,
+}
+
+impl Resident {
+    /// Moves a group's servers into resident blocks on `plan`'s
+    /// partition.
+    fn load(servers: &[Server], plan: &ShardPlan, inlet: Celsius) -> Self {
+        let states: Vec<ThermalState> = servers.iter().map(|s| s.thermal_state().clone()).collect();
+        let temps = ShardedLanes::pack(&states, plan);
+        let dynamics = (0..temps.shard_count())
+            .map(|i| DynamicsLanes::load(&servers[temps.shard_range(i)]))
+            .collect();
+        Self {
+            temps,
+            dynamics,
+            inlet,
+        }
+    }
+
+    /// Writes every lane back into its server; residency is kept.
+    fn store(&self, servers: &mut [Server]) {
+        for (i, dynamics) in self.dynamics.iter().enumerate() {
+            let range = self.temps.shard_range(i);
+            dynamics.store(self.temps.shard(i), self.inlet, &mut servers[range]);
+        }
+    }
+
+    /// Writes one lane back into its server; residency is kept.
+    fn store_lane(&self, lane: LaneRef, server: &mut Server) {
+        self.dynamics[lane.shard].store_lane(
+            lane.offset,
+            self.temps.shard(lane.shard),
+            self.inlet,
+            server,
+        );
+    }
+
+    fn command_all(&mut self, rpm: Rpm, servers: &mut [Server]) {
+        for (i, dynamics) in self.dynamics.iter_mut().enumerate() {
+            dynamics.command_all(rpm, &mut servers[self.temps.shard_range(i)]);
+        }
+    }
+
+    /// Runs `work` on every (temperature block, dynamics block) pair —
+    /// the first shard on the calling thread, each further shard on a
+    /// scoped worker — and folds the results in shard order.
+    fn fold_shards<T: Send>(
+        &mut self,
+        work: impl Fn(&mut PackedLanes, &mut DynamicsLanes) -> T + Sync,
+        combine: impl Fn(T, T) -> T,
+    ) -> T {
+        let single = self.dynamics.len() == 1;
+        let mut blocks = self.temps.shards_mut().zip(&mut self.dynamics);
+        let Some(((_, temps), dynamics)) = blocks.next() else {
+            unreachable!("a resident group has at least one shard");
+        };
+        if single {
+            return work(temps, dynamics);
+        }
+        thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = blocks
+                .map(|((_, temps), dynamics)| scope.spawn(move || work(temps, dynamics)))
+                .collect();
+            let first = work(temps, dynamics);
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .fold(first, combine)
+        })
+    }
+}
+
+/// The common flow of two shards, or `None` when either diverged or
+/// they differ.
+fn same_flow(a: Option<AirFlow>, b: Option<AirFlow>) -> Option<AirFlow> {
+    match (a, b) {
+        (Some(x), Some(y)) if x.value().to_bits() == y.value().to_bits() => Some(x),
+        _ => None,
+    }
 }
 
 /// A rack of servers with inlet-temperature coupling:
@@ -106,21 +216,15 @@ pub struct Fleet {
     /// `index_map[original] = storage` — public indices are original
     /// construction order.
     index_map: Vec<usize>,
+    /// `lanes[storage]`: the server's place in its group's resident
+    /// blocks (`None` for scalar-integrated servers).
+    lanes: Vec<Option<LaneRef>>,
     room: Celsius,
     recirculation_k_per_w: f64,
     groups: Vec<FleetGroup>,
     /// Storage indices stepped per-server (non-backward-Euler
     /// integrators: no factorization to share).
     scalar_members: Range<usize>,
-    /// Every server's total power (W) at the end of the last step, in
-    /// storage order — filled by the step while each server is still in
-    /// cache, so [`Fleet::total_power`] sums a vector instead of
-    /// re-running every leakage, PSU and fan model.
-    powers: Vec<f64>,
-    /// `true` while `powers` matches the servers: set after each full
-    /// step, cleared by anything that may change a server's power
-    /// between steps.
-    powers_valid: bool,
 }
 
 impl Fleet {
@@ -160,12 +264,12 @@ impl Fleet {
         Self::with_plan(configs, recirculation_k_per_w, seed, Self::default_plan())
     }
 
-    /// The environment's thread plan, widened for fleet stepping:
-    /// `Fleet::step` spawns its scoped workers twice per step (begin
-    /// phase, then solve+finish), so shards need enough per-server
-    /// dynamics work to amortize the spawns — a wider floor than the
-    /// thermal-only kernels use. [`Fleet::with_plan`] honors a
-    /// caller's plan verbatim.
+    /// The environment's thread plan, widened for fleet stepping: a
+    /// resident step spawns its scoped workers twice (begin phase, then
+    /// solve+finish), so shards need enough per-server dynamics work to
+    /// amortize the spawns — a wider floor than the thermal-only
+    /// kernels use. [`Fleet::with_plan`] honors a caller's plan
+    /// verbatim.
     fn default_plan() -> ShardPlan {
         ShardPlan::from_env().with_min_lanes_per_shard(32)
     }
@@ -238,6 +342,18 @@ impl Fleet {
             };
             servers.push(server);
         }
+        let mut lanes = vec![None; servers.len()];
+        for (g, (range, _)) in groups.iter().enumerate() {
+            for (shard, lane_range) in plan.ranges(range.len()).into_iter().enumerate() {
+                for lane in lane_range.clone() {
+                    lanes[range.start + lane] = Some(LaneRef {
+                        group: g,
+                        shard,
+                        offset: lane - lane_range.start,
+                    });
+                }
+            }
+        }
         let groups = groups
             .into_iter()
             .map(|(range, template_original)| {
@@ -245,20 +361,19 @@ impl Fleet {
                 FleetGroup {
                     range,
                     solver: ShardedBatchSolver::with_plan(template.thermal_network(), plan),
-                    lanes: None,
-                    die_slots: template.core().die_state_slots(),
+                    template: None,
+                    resident: None,
                 }
             })
             .collect();
         Ok(Self {
             servers,
             index_map,
+            lanes,
             room,
             recirculation_k_per_w,
             groups,
             scalar_members: scalar_start..order.len(),
-            powers: vec![0.0; order.len()],
-            powers_valid: false,
         })
     }
 
@@ -281,93 +396,71 @@ impl Fleet {
         self.groups.len()
     }
 
-    /// Commands every server's fans. A command takes effect from the
-    /// next step (command latency, then slew), so no server's current
-    /// power moves and the end-of-step power vector stays valid.
+    /// Commands every server's fans (a command takes effect from the
+    /// next step: command latency, then slew). Resident servers take it
+    /// in their resident records.
     pub fn command_all(&mut self, rpm: Rpm) {
-        for server in &mut self.servers {
+        for group in &mut self.groups {
+            let servers = &mut self.servers[group.range.clone()];
+            match group.resident.as_mut() {
+                Some(resident) => resident.command_all(rpm, servers),
+                None => servers.iter_mut().for_each(|s| s.command_fan_speed(rpm)),
+            }
+        }
+        for server in &mut self.servers[self.scalar_members.clone()] {
             server.command_fan_speed(rpm);
         }
     }
 
     /// Access to an individual server (e.g. to read per-server
-    /// telemetry or ground truth). Takes `&mut self` because the
-    /// fleet's thermal state lives packed in the batch engine between
-    /// steps: this lazily syncs the server's full state first.
+    /// telemetry or ground truth). Takes `&mut self` because a
+    /// resident group's state lives in the fleet's blocks between
+    /// steps: this writes the server's lane back first (residency is
+    /// kept).
     #[must_use]
     pub fn server(&mut self, index: usize) -> Option<&Server> {
-        if index >= self.servers.len() {
-            return None;
+        let &storage = self.index_map.get(index)?;
+        if let Some(lane) = self.lanes[storage] {
+            if let Some(resident) = self.groups[lane.group].resident.as_ref() {
+                resident.store_lane(lane, &mut self.servers[storage]);
+            }
         }
-        let storage = self.index_map[index];
-        self.sync_server_state(storage);
         Some(&self.servers[storage])
     }
 
     /// Mutable access to an individual server (e.g. to attach
-    /// per-server controllers). Syncs the server's full state and drops
-    /// the owning group's packed residency (the caller may mutate state
-    /// the packed copy would shadow); the group re-packs on the next
-    /// step. The end-of-step power vector is dropped too, until the
-    /// next step refills it.
+    /// per-server controllers). Writes the owning group back and drops
+    /// its residency (the caller may mutate state the resident copy
+    /// would shadow); the group turns resident again at the next step
+    /// that starts with its flows in agreement.
     #[must_use]
     pub fn server_mut(&mut self, index: usize) -> Option<&mut Server> {
-        if index >= self.servers.len() {
-            return None;
-        }
-        let storage = self.index_map[index];
-        self.powers_valid = false;
-        if let Some(g) = self.group_of(storage) {
-            let range = self.groups[g].range.clone();
-            Self::evict_group(&mut self.groups[g], &mut self.servers[range]);
+        let &storage = self.index_map.get(index)?;
+        if let Some(lane) = self.lanes[storage] {
+            let group = &mut self.groups[lane.group];
+            if let Some(resident) = group.resident.take() {
+                resident.store(&mut self.servers[group.range.clone()]);
+            }
         }
         Some(&mut self.servers[storage])
     }
 
-    /// Unpacks every resident group's packed temperatures back into
-    /// the per-server states (residency is kept; reads stay cheap until
-    /// the next divergence).
+    /// Writes every resident group back into its servers (residency is
+    /// kept; reads stay cheap until the next divergence).
     pub fn sync_states(&mut self) {
-        for group in &mut self.groups {
-            if let Some(lanes) = group.lanes.as_ref() {
-                for (offset, server) in self.servers[group.range.clone()].iter_mut().enumerate() {
-                    let (_, state) = server.split_thermal();
-                    lanes.unpack_lane_into(offset, state);
-                }
+        for group in &self.groups {
+            if let Some(resident) = group.resident.as_ref() {
+                resident.store(&mut self.servers[group.range.clone()]);
             }
         }
     }
 
-    /// The hash group owning a storage index, if any.
-    fn group_of(&self, storage: usize) -> Option<usize> {
-        self.groups.iter().position(|g| g.range.contains(&storage))
-    }
-
-    /// Syncs one server's full thermal state from its group's packed
-    /// block (no-op when the group is not resident).
-    fn sync_server_state(&mut self, storage: usize) {
-        if let Some(g) = self.group_of(storage) {
-            let group = &self.groups[g];
-            if let Some(lanes) = group.lanes.as_ref() {
-                let offset = storage - group.range.start;
-                let (_, state) = self.servers[storage].split_thermal();
-                lanes.unpack_lane_into(offset, state);
-            }
-        }
-    }
-
-    /// Unpacks a group's packed state into its servers and drops
-    /// residency. `members` is exactly the group's server run
-    /// (`servers[group.range]` in storage coordinates — callers that
-    /// hold the full vector slice it first).
-    fn evict_group(group: &mut FleetGroup, members: &mut [Server]) {
-        if let Some(lanes) = group.lanes.take() {
-            assert_eq!(members.len(), group.range.len(), "group member slice");
-            for (offset, server) in members.iter_mut().enumerate() {
-                let (_, state) = server.split_thermal();
-                lanes.unpack_lane_into(offset, state);
-            }
-        }
+    /// A storage index's resident group and lane, when its group is
+    /// resident.
+    fn resident_lane(&self, storage: usize) -> Option<(&Resident, LaneRef)> {
+        let lane = self.lanes[storage]?;
+        let resident = self.groups[lane.group].resident.as_ref()?;
+        Some((resident, lane))
     }
 
     /// Number of shared factorizations currently live across the batch
@@ -381,11 +474,11 @@ impl Fleet {
 
     /// Injects (or clears, with [`FanFault::None`]) a fan-bank fault
     /// on server `index`. Routed through [`Fleet::server_mut`], so the
-    /// owning group's packed residency is dropped; from the next step
-    /// the faulted server's chassis flow diverges from its neighbours,
-    /// its group transparently falls back to per-lane stepping, and
-    /// every cached factorization invalidates through the ordinary
-    /// flow-generation counters.
+    /// owning group's residency is dropped; from the next step the
+    /// faulted server's chassis flow diverges from its neighbours, its
+    /// group steps through the per-lane fallback, and every cached
+    /// factorization invalidates through the ordinary flow-generation
+    /// counters.
     ///
     /// # Errors
     ///
@@ -408,19 +501,24 @@ impl Fleet {
     }
 
     /// Server `index`'s currently injected fan fault (`None` for an
-    /// out-of-range index). Reads non-thermal state, so no lane sync
-    /// or residency eviction.
+    /// out-of-range index), read from the resident record when its
+    /// group is resident.
     #[must_use]
     pub fn fan_fault(&self, index: usize) -> Option<FanFault> {
         let &storage = self.index_map.get(index)?;
-        Some(self.servers[storage].fan_fault())
+        Some(match self.resident_lane(storage) {
+            Some((resident, lane)) => resident.dynamics[lane.shard]
+                .record(lane.offset)
+                .fan_fault(),
+            None => self.servers[storage].fan_fault(),
+        })
     }
 
     /// Snapshots the full fleet — every server's thermal state, fan
     /// bank (faults included), service processor, clock, accounting
-    /// and sensor RNG streams — in original index order. Packed shard
-    /// blocks are synced into the servers first, so the snapshot is
-    /// exact regardless of residency or thread plan.
+    /// and sensor RNG streams — in original index order. Resident
+    /// groups are written back into the servers first, so the snapshot
+    /// is exact regardless of residency or thread plan.
     pub fn checkpoint(&mut self) -> FleetCheckpoint {
         self.sync_states();
         FleetCheckpoint {
@@ -433,10 +531,10 @@ impl Fleet {
     }
 
     /// Restores a [`Fleet::checkpoint`] — into this fleet or any fleet
-    /// built from the same configs (any thread/shard plan). Packed
-    /// residency is dropped, so the next step re-packs the restored
-    /// states verbatim and re-derives factorizations from them: the
-    /// resumed trajectory is bit-identical to the uninterrupted one.
+    /// built from the same configs (any thread/shard plan). Residency
+    /// is dropped, so the next step starts from the restored servers
+    /// and re-derives factorizations from them: the resumed trajectory
+    /// is bit-identical to the uninterrupted one.
     ///
     /// # Errors
     ///
@@ -448,9 +546,8 @@ impl Fleet {
             self.servers[self.index_map[original]] = snap.clone();
         }
         for group in &mut self.groups {
-            group.lanes = None;
+            group.resident = None;
         }
-        self.powers_valid = false;
         Ok(())
     }
 
@@ -512,24 +609,23 @@ impl Fleet {
         activity: Utilization,
         inlet: Celsius,
     ) -> Result<(), CoreError> {
-        self.powers_valid = false;
         // Explicit integrators have no factorization to share.
-        let scalars = self.scalar_members.clone();
-        for server in &mut self.servers[scalars.clone()] {
+        for server in &mut self.servers[self.scalar_members.clone()] {
             server.set_ambient(inlet)?;
             server.step(dt, activity)?;
         }
-        record_powers(&self.servers[scalars.clone()], &mut self.powers[scalars]);
         for g in 0..self.groups.len() {
             self.step_group(g, dt, activity, inlet)?;
         }
-        self.powers_valid = true;
         Ok(())
     }
 
-    /// One hash group's step: parallel begin phase, serial
-    /// homogeneity/factorization, parallel refresh+solve+finish — or
-    /// the per-lane fallback while the group's fans disagree.
+    /// One hash group's step. A group whose servers' flows agree turns
+    /// resident first. A resident group runs begin (sharded), then the
+    /// shared factorization (serial), then solve+finish (sharded) over
+    /// its resident blocks. A group that is not resident — or whose
+    /// flows diverged over this step's begin — steps its servers
+    /// through the per-lane batch API.
     fn step_group(
         &mut self,
         g: usize,
@@ -539,110 +635,83 @@ impl Fleet {
     ) -> Result<(), CoreError> {
         let group = &mut self.groups[g];
         let servers = &mut self.servers[group.range.clone()];
-        let powers = &mut self.powers[group.range.clone()];
         let count = servers.len();
-        let plan = *group.solver.plan();
-
-        // ---- phase A: per-server dynamics (fans, failsafe, powers,
-        // accounting) — independent per server, sharded when resident.
-        let begin = |chunk: &mut [Server], _| {
-            for server in chunk {
-                server.begin_step_with_inlet(dt, activity, inlet)?;
-            }
-            Ok::<(), PlatformError>(())
-        };
-        match group.lanes.as_ref() {
-            Some(lanes) if lanes.shard_count() > 1 => {
-                let ranges: Vec<Range<usize>> = (0..lanes.shard_count())
-                    .map(|i| lanes.shard_range(i))
-                    .collect();
-                run_sharded(servers, &ranges, begin)?;
-            }
-            _ => begin(servers, 0..count)?,
-        }
-        if dt.is_zero() {
-            record_powers(servers, powers);
-            return Ok(());
-        }
-
-        // ---- phase B (serial): flow homogeneity + shared
-        // factorization for the whole group.
-        match group
-            .solver
-            .prepare(|i| servers[i].thermal_network(), count, dt)
+        if group.resident.is_none()
+            && group
+                .solver
+                .lanes_homogeneous(|i| servers[i].thermal_network(), count)
         {
-            Ok(kernel) => {
-                if group.lanes.is_none() {
-                    // Flows (re-)converged: state becomes packed-resident.
-                    let states: Vec<ThermalState> =
-                        servers.iter().map(|s| s.thermal_state().clone()).collect();
-                    group.lanes = Some(ShardedLanes::pack(&states, &plan));
-                }
-                let Some(lanes) = group.lanes.as_mut() else {
-                    unreachable!("lanes packed above");
-                };
-                // ---- phase C: refresh + blocked solve + die-slot
-                // sync + finish, one worker per shard.
-                let die_slots = &group.die_slots;
-                if lanes.shard_count() == 1 {
-                    let Some((_, shard)) = lanes.shards_mut().next() else {
-                        unreachable!("one shard");
-                    };
-                    finish_shard(&kernel, shard, servers, powers, die_slots, dt)?;
-                } else {
-                    let results = thread::scope(|scope| {
-                        let mut handles = Vec::with_capacity(lanes.shard_count());
-                        let mut rest = &mut servers[..];
-                        let mut rest_powers = &mut powers[..];
-                        for (range, shard) in lanes.shards_mut() {
-                            let (chunk, tail) = rest.split_at_mut(range.len());
-                            rest = tail;
-                            let (chunk_powers, tail) = rest_powers.split_at_mut(range.len());
-                            rest_powers = tail;
-                            let kernel = &kernel;
-                            handles.push(scope.spawn(move || {
-                                finish_shard(kernel, shard, chunk, chunk_powers, die_slots, dt)
-                            }));
-                        }
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                            .collect::<Vec<_>>()
-                    });
-                    for result in results {
-                        result?;
+            group.resident = Some(Resident::load(servers, group.solver.plan(), inlet));
+        }
+        let mut begun = false;
+        if let Some(resident) = group.resident.as_mut() {
+            resident.inlet = inlet;
+            if dt.is_zero() {
+                return Ok(());
+            }
+            let flow = resident.fold_shards(
+                |temps, dynamics| dynamics.begin(temps, dt, activity),
+                same_flow,
+            );
+            for (i, dynamics) in resident.dynamics.iter_mut().enumerate() {
+                dynamics.flush_events(&mut servers[resident.temps.shard_range(i)]);
+            }
+            if let Some(flow) = flow {
+                let template = group
+                    .template
+                    .get_or_insert_with(|| LaneTemplate::of(&servers[0]));
+                template.set_inputs(flow, inlet)?;
+                let kernel = group
+                    .solver
+                    .prepare_shared(template.network(), dt)
+                    .map_err(PlatformError::from)?;
+                let poll_due = resident.fold_shards(
+                    |temps, dynamics| {
+                        kernel.step_shard(temps, dynamics.sources())?;
+                        Ok::<bool, PlatformError>(dynamics.finish(temps, dt))
+                    },
+                    |a, b| Ok(a? | b?),
+                )?;
+                if poll_due {
+                    for (i, dynamics) in resident.dynamics.iter_mut().enumerate() {
+                        let range = resident.temps.shard_range(i);
+                        dynamics.poll(resident.temps.shard(i), &mut servers[range])?;
                     }
                 }
-                Ok(())
+                return Ok(());
             }
-            Err(ThermalError::MixedBatchSignatures) => {
-                // Per-server fan commands diverged: state returns to
-                // the servers and the group steps through the
-                // mixed-signature per-lane engine (same factorization
-                // cache) until flows re-converge.
-                Self::evict_group(group, servers);
-                {
-                    let mut lanes_vec: Vec<BatchLane<'_>> = servers
-                        .iter_mut()
-                        .map(|server| {
-                            let (net, state) = server.split_thermal();
-                            BatchLane { net, state }
-                        })
-                        .collect();
-                    group
-                        .solver
-                        .lane_solver_mut()
-                        .step(&mut lanes_vec, dt)
-                        .map_err(PlatformError::from)?;
-                }
-                for server in servers.iter_mut() {
-                    server.finish_step(dt)?;
-                }
-                record_powers(servers, powers);
-                Ok(())
-            }
-            Err(other) => Err(CoreError::from(PlatformError::from(other))),
+            // The lanes' flows diverged over this step: hand the begun
+            // step to the servers and finish it per lane.
+            resident.store(servers);
+            group.resident = None;
+            begun = true;
         }
+        if !begun {
+            for server in servers.iter_mut() {
+                server.begin_step_with_inlet(dt, activity, inlet)?;
+            }
+        }
+        if dt.is_zero() {
+            return Ok(());
+        }
+        {
+            let mut lanes: Vec<BatchLane<'_>> = servers
+                .iter_mut()
+                .map(|server| {
+                    let (net, state) = server.split_thermal();
+                    BatchLane { net, state }
+                })
+                .collect();
+            group
+                .solver
+                .lane_solver_mut()
+                .step(&mut lanes, dt)
+                .map_err(PlatformError::from)?;
+        }
+        for server in servers.iter_mut() {
+            server.finish_step(dt)?;
+        }
+        Ok(())
     }
 
     /// The current shared inlet temperature.
@@ -656,25 +725,23 @@ impl Fleet {
     /// *original* server order: storage order groups servers by hash,
     /// and float addition is order-sensitive, so summing storage-order
     /// would bitwise-diverge a mixed-SKU fleet from the scalar
-    /// reference loop the bit-identity tests compare against. Between
-    /// steps it sums the end-of-step power vector (the same values);
-    /// after a mutation that may change a server's power it asks the
-    /// servers afresh.
+    /// reference loop the bit-identity tests compare against. A
+    /// resident server contributes the end-of-step power its last step
+    /// recorded (nothing changes it between steps); any other server is
+    /// asked afresh.
     #[must_use]
     pub fn total_power(&self) -> Watts {
-        if self.powers_valid {
-            Watts::new(
-                self.index_map
-                    .iter()
-                    .map(|&storage| self.powers[storage])
-                    .sum(),
-            )
-        } else {
+        Watts::new(
             self.index_map
                 .iter()
-                .map(|&storage| self.servers[storage].total_power())
-                .sum()
-        }
+                .map(|&storage| match self.resident_lane(storage) {
+                    Some((resident, lane)) => {
+                        resident.dynamics[lane.shard].power(lane.offset).value()
+                    }
+                    None => self.servers[storage].total_power().value(),
+                })
+                .sum(),
+        )
     }
 
     /// Total fleet energy since construction (original server order,
@@ -683,16 +750,26 @@ impl Fleet {
     pub fn total_energy(&self) -> Joules {
         self.index_map
             .iter()
-            .map(|&storage| self.servers[storage].total_energy())
+            .map(|&storage| match self.resident_lane(storage) {
+                Some((resident, lane)) => resident.dynamics[lane.shard]
+                    .record(lane.offset)
+                    .total_energy(),
+                None => self.servers[storage].total_energy(),
+            })
             .sum()
     }
 
     /// Resets every server's energy, peak-power and timing
     /// accumulators (e.g. after a warm-up phase). Thermal state and
-    /// packed residency are untouched.
+    /// residency are untouched.
     pub fn reset_accounting(&mut self) {
         for server in &mut self.servers {
             server.reset_accounting();
+        }
+        for resident in self.groups.iter_mut().filter_map(|g| g.resident.as_mut()) {
+            for dynamics in &mut resident.dynamics {
+                dynamics.reset_accounting();
+            }
         }
     }
 
@@ -707,11 +784,11 @@ impl Fleet {
     /// Every server's hottest die temperature, in original index
     /// order, appended into `out` (cleared first).
     ///
-    /// Reads straight from the packed shard blocks while a group is
-    /// resident — no full-state unpack (which [`Fleet::server`] forces)
-    /// and no residency eviction (which [`Fleet::server_mut`] costs) —
-    /// so rack- and room-level controller loops can poll die
-    /// temperatures every decision period for free.
+    /// Reads straight from the packed blocks while a group is resident
+    /// — no write-back (which [`Fleet::server`] forces) and no
+    /// residency eviction (which [`Fleet::server_mut`] costs) — so
+    /// rack- and room-level controller loops can poll die temperatures
+    /// every decision period for free.
     pub fn die_temps_view(&self, out: &mut Vec<Celsius>) {
         out.clear();
         out.extend(
@@ -725,19 +802,11 @@ impl Fleet {
     /// resident (authoritative between steps) or its own state
     /// otherwise.
     fn die_temp_at_storage(&self, storage: usize) -> Celsius {
-        if let Some(g) = self.group_of(storage) {
-            let group = &self.groups[g];
-            if let Some(lanes) = group.lanes.as_ref() {
-                let offset = storage - group.range.start;
-                let t = group
-                    .die_slots
-                    .iter()
-                    .map(|&slot| lanes.lane_temperature(offset, slot))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                return Celsius::new(t);
-            }
+        match self.resident_lane(storage) {
+            Some((resident, lane)) => resident.dynamics[lane.shard]
+                .max_die_temperature(resident.temps.shard(lane.shard), lane.offset),
+            None => self.servers[storage].max_die_temperature(),
         }
-        self.servers[storage].max_die_temperature()
     }
 }
 
@@ -768,9 +837,8 @@ impl FleetCheckpoint {
 /// is a single range, one scoped worker per range otherwise — and
 /// reports the lowest shard's failure (deterministic regardless of
 /// completion order). `work` also receives its chunk's range so
-/// callers can slice per-item side arrays. Shared by the fleet's
-/// per-server phases (sharding servers within a rack) and the room's
-/// rack phase (sharding fleets across racks).
+/// callers can slice per-item side arrays. Shared by the room's rack
+/// phase (sharding fleets across racks) and the building's room phase.
 pub(crate) fn run_sharded<T, E, F>(
     items: &mut [T],
     ranges: &[Range<usize>],
@@ -800,47 +868,6 @@ where
             .collect::<Vec<_>>()
     });
     results.into_iter().collect()
-}
-
-/// Writes each server's current total power into `powers` (parallel
-/// slices).
-fn record_powers(servers: &[Server], powers: &mut [f64]) {
-    for (server, power) in servers.iter().zip(powers) {
-        *power = server.total_power().value();
-    }
-}
-
-/// Phase C for one shard: lane-major source refresh + blocked solve
-/// through the shared factors, then per server the cheap die-slot sync
-/// (full unpack only when this step's telemetry poll reads the state),
-/// the clock/telemetry finish and the end-of-step power, recorded into
-/// `powers` while the server is still in cache.
-fn finish_shard(
-    kernel: &StepKernel<'_, leakctl_thermal::AutoBackend>,
-    shard: &mut leakctl_thermal::PackedLanes,
-    chunk: &mut [Server],
-    powers: &mut [f64],
-    die_slots: &[usize],
-    dt: SimDuration,
-) -> Result<(), PlatformError> {
-    kernel
-        .step_shard(shard, |i| chunk[i].thermal_network())
-        .map_err(PlatformError::from)?;
-    for (i, (server, power)) in chunk.iter_mut().zip(powers).enumerate() {
-        let end = server.now() + dt;
-        let poll_due = server.telemetry_poll_pending(end);
-        {
-            let (_, state) = server.split_thermal();
-            if poll_due {
-                shard.unpack_lane_into(i, state);
-            } else {
-                shard.copy_lane_slots_into(i, die_slots, state);
-            }
-        }
-        server.finish_step(dt)?;
-        *power = server.total_power().value();
-    }
-    Ok(())
 }
 
 #[cfg(test)]

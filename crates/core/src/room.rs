@@ -1166,8 +1166,9 @@ pub struct ControlStats {
     /// cap. [`Room::run_controlled`] has no cap and leaves this zero;
     /// scenario runners fill it in.
     pub cap_violation_time: SimDuration,
-    /// Time from the last fault clearing until the hottest die came
-    /// back under the cap (`None`: no fault, or never recovered).
+    /// Time from the onset of the last cap excursion to the step after
+    /// which the hottest die stays under the cap (`None`: no excursion,
+    /// or the run ended above the cap). Scenario runners fill it in.
     pub recovery_time: Option<SimDuration>,
     /// Extra total energy relative to a fault-free reference run of
     /// the same scenario (`None` outside scenario runs).

@@ -75,16 +75,6 @@ pub enum ScenarioEvent {
     Load(Utilization),
 }
 
-impl ScenarioEvent {
-    /// `true` for events that change the plant's fault state (load
-    /// moves are workload, not faults) — the events recovery time is
-    /// measured from.
-    #[must_use]
-    fn is_fault_transition(&self) -> bool {
-        !matches!(self, Self::Load(_))
-    }
-}
-
 /// A deterministic fault/recovery/load script: timed events over a
 /// fixed duration and step size, judged against a thermal cap.
 ///
@@ -238,6 +228,40 @@ impl ScenarioCheckpoint {
     }
 }
 
+/// Recovery accounting over the hottest-die samples a runner takes
+/// after every step: when the last cap excursion began, and when the
+/// die came back under the cap for good.
+#[derive(Debug, Clone, Copy, Default)]
+struct CapExcursions {
+    /// Sample time of the first over-cap sample of the last excursion.
+    onset: Option<SimDuration>,
+    /// Sample time of the first under-cap sample after it (`None`
+    /// while the excursion lasts).
+    recovered_at: Option<SimDuration>,
+}
+
+impl CapExcursions {
+    /// Judges the sample taken at `at`: `over` when the hottest die was
+    /// above the cap. An over-cap sample after a recovery starts a new
+    /// excursion.
+    fn judge(&mut self, over: bool, at: SimDuration) {
+        if over {
+            if self.onset.is_none() || self.recovered_at.is_some() {
+                self.onset = Some(at);
+            }
+            self.recovered_at = None;
+        } else if self.onset.is_some() && self.recovered_at.is_none() {
+            self.recovered_at = Some(at);
+        }
+    }
+
+    /// Onset of the last excursion to its sustained return under the
+    /// cap; `None` without an excursion or while one lasts.
+    fn recovery_time(&self) -> Option<SimDuration> {
+        Some(self.recovered_at? - self.onset?)
+    }
+}
+
 /// The runner's progress state (everything outside the room and the
 /// controller), captured verbatim in a [`ScenarioCheckpoint`].
 #[derive(Debug, Clone)]
@@ -248,9 +272,8 @@ struct Cursor {
     load: Utilization,
     stats: ControlStats,
     events_applied: usize,
-    last_fault_time: Option<SimDuration>,
-    violated_since_fault: bool,
-    recovered_at: Option<SimDuration>,
+    /// Cap-excursion tracking (see [`CapExcursions`]).
+    excursions: CapExcursions,
 }
 
 /// Drives a [`Room`] and a [`RoomController`] through a [`Scenario`],
@@ -282,9 +305,7 @@ impl ScenarioRunner {
                 load,
                 stats: ControlStats::default(),
                 events_applied: 0,
-                last_fault_time: None,
-                violated_since_fault: false,
-                recovered_at: None,
+                excursions: CapExcursions::default(),
             },
             obs: RoomObservation::new(),
         }
@@ -346,7 +367,7 @@ impl ScenarioRunner {
                 if *at > now {
                     break;
                 }
-                self.apply_event(room, event.clone(), now)?;
+                self.apply_event(room, event.clone())?;
                 self.cursor.next_event += 1;
                 self.cursor.events_applied += 1;
             }
@@ -369,26 +390,15 @@ impl ScenarioRunner {
             self.cursor.stats.peak_die = self.cursor.stats.peak_die.max(die);
             if die > self.scenario.die_cap {
                 self.cursor.stats.cap_violation_time += dt;
-                self.cursor.violated_since_fault = true;
-                self.cursor.recovered_at = None;
-            } else if self.cursor.violated_since_fault && self.cursor.recovered_at.is_none() {
-                self.cursor.recovered_at = Some(dt * self.cursor.step);
             }
+            self.cursor
+                .excursions
+                .judge(die > self.scenario.die_cap, dt * self.cursor.step);
         }
         Ok(())
     }
 
-    fn apply_event(
-        &mut self,
-        room: &mut Room,
-        event: ScenarioEvent,
-        now: SimDuration,
-    ) -> Result<(), CoreError> {
-        if event.is_fault_transition() {
-            self.cursor.last_fault_time = Some(now);
-            self.cursor.violated_since_fault = false;
-            self.cursor.recovered_at = None;
-        }
+    fn apply_event(&mut self, room: &mut Room, event: ScenarioEvent) -> Result<(), CoreError> {
         match event {
             ScenarioEvent::CrahCapacity(capacity) => room.set_crah_capacity(capacity)?,
             ScenarioEvent::TileBlockage { rack, blockage } => {
@@ -405,15 +415,13 @@ impl ScenarioRunner {
     }
 
     /// The outcome so far (complete once [`ScenarioRunner::finished`]).
-    /// Recovery time is measured from the last fault-state event (load
-    /// moves excluded) to the end of the first cap excursion after it.
+    /// Recovery time runs from the onset of the last cap excursion to
+    /// the step after which the hottest die stays under the cap (see
+    /// [`ControlStats::recovery_time`]).
     #[must_use]
     pub fn outcome(&self, room: &Room) -> ScenarioOutcome {
         let mut stats = self.cursor.stats;
-        stats.recovery_time = match (self.cursor.last_fault_time, self.cursor.recovered_at) {
-            (Some(fault), Some(recovered)) if recovered > fault => Some(recovered - fault),
-            _ => None,
-        };
+        stats.recovery_time = self.cursor.excursions.recovery_time();
         ScenarioOutcome {
             name: self.scenario.name.clone(),
             stats,
@@ -502,19 +510,6 @@ pub enum BuildingEvent {
         /// The room-scale event.
         event: ScenarioEvent,
     },
-}
-
-impl BuildingEvent {
-    /// `true` for events that change fault state (load moves are
-    /// workload, not faults) — the events recovery time is measured
-    /// from.
-    fn is_fault_transition(&self) -> bool {
-        match self {
-            Self::RoomLoad { .. } | Self::LoadSurge(_) => false,
-            Self::Room { event, .. } => event.is_fault_transition(),
-            _ => true,
-        }
-    }
 }
 
 /// A deterministic building-scale fault/recovery/load script — the
@@ -687,9 +682,8 @@ struct BuildingCursor {
     loads: Vec<Utilization>,
     stats: ControlStats,
     events_applied: usize,
-    last_fault_time: Option<SimDuration>,
-    violated_since_fault: bool,
-    recovered_at: Option<SimDuration>,
+    /// Cap-excursion tracking (see [`CapExcursions`]).
+    excursions: CapExcursions,
 }
 
 /// Drives a [`Building`], one [`RoomController`] per room, and a
@@ -725,9 +719,7 @@ impl BuildingScenarioRunner {
                 loads: vec![load; rooms],
                 stats: ControlStats::default(),
                 events_applied: 0,
-                last_fault_time: None,
-                violated_since_fault: false,
-                recovered_at: None,
+                excursions: CapExcursions::default(),
             },
             obs: RoomObservation::new(),
         }
@@ -808,7 +800,7 @@ impl BuildingScenarioRunner {
                     break;
                 }
                 let event = event.clone();
-                self.apply_event(building, event, now)?;
+                self.apply_event(building, event)?;
                 self.cursor.next_event += 1;
                 self.cursor.events_applied += 1;
             }
@@ -841,11 +833,10 @@ impl BuildingScenarioRunner {
             self.cursor.stats.peak_die = self.cursor.stats.peak_die.max(die);
             if die > self.scenario.die_cap {
                 self.cursor.stats.cap_violation_time += dt;
-                self.cursor.violated_since_fault = true;
-                self.cursor.recovered_at = None;
-            } else if self.cursor.violated_since_fault && self.cursor.recovered_at.is_none() {
-                self.cursor.recovered_at = Some(dt * self.cursor.step);
             }
+            self.cursor
+                .excursions
+                .judge(die > self.scenario.die_cap, dt * self.cursor.step);
         }
         Ok(())
     }
@@ -854,13 +845,7 @@ impl BuildingScenarioRunner {
         &mut self,
         building: &mut Building,
         event: BuildingEvent,
-        now: SimDuration,
     ) -> Result<(), CoreError> {
-        if event.is_fault_transition() {
-            self.cursor.last_fault_time = Some(now);
-            self.cursor.violated_since_fault = false;
-            self.cursor.recovered_at = None;
-        }
         match event {
             BuildingEvent::Chiller(fraction) => building.set_chiller_availability(fraction)?,
             BuildingEvent::ChwExcursion(excursion) => building.set_chw_excursion(excursion)?,
@@ -914,10 +899,7 @@ impl BuildingScenarioRunner {
     #[must_use]
     pub fn outcome(&self, building: &Building, supervisor: &Supervisor) -> BuildingOutcome {
         let mut stats = self.cursor.stats;
-        stats.recovery_time = match (self.cursor.last_fault_time, self.cursor.recovered_at) {
-            (Some(fault), Some(recovered)) if recovered > fault => Some(recovered - fault),
-            _ => None,
-        };
+        stats.recovery_time = self.cursor.excursions.recovery_time();
         BuildingOutcome {
             name: self.scenario.name.clone(),
             stats,
@@ -1091,6 +1073,49 @@ mod tests {
         let mut judged = outcome;
         judged.set_energy_overhead_vs(&reference);
         assert!(judged.stats.energy_overhead.is_some());
+    }
+
+    #[test]
+    fn excursion_that_ends_before_the_fault_clears_has_a_recovery_time() {
+        // The derated plant stays faulted for the whole excursion and
+        // beyond: a load spike pushes the die over the cap and the load
+        // drop brings it back while the fault is still in place. The
+        // fault clearing afterwards does not reset the measurement.
+        let scenario = Scenario::new(
+            "spike-under-derate",
+            SimDuration::from_secs(1_500),
+            SimDuration::from_secs(1),
+        )
+        .with_initial_load(Utilization::saturating_from_fraction(0.25))
+        .with_die_cap(Celsius::new(59.0))
+        .at(SimDuration::from_secs(60), ScenarioEvent::CrahCapacity(0.6))
+        .at(
+            SimDuration::from_secs(120),
+            ScenarioEvent::Load(Utilization::FULL),
+        )
+        .at(
+            SimDuration::from_secs(600),
+            ScenarioEvent::Load(Utilization::saturating_from_fraction(0.25)),
+        )
+        .at(
+            SimDuration::from_secs(1_200),
+            ScenarioEvent::CrahCapacity(1.0),
+        );
+        let mut room = small_room(1);
+        let mut ctl = FixedSupplyController::new(Celsius::new(18.0));
+        let mut runner = ScenarioRunner::new(scenario);
+        // Up to the fault clearing: the excursion has come and gone.
+        runner.run_steps(&mut room, &mut ctl, 1_200).unwrap();
+        let before_clear = runner.outcome(&room).stats;
+        assert!(before_clear.cap_violation_time > SimDuration::ZERO);
+        assert!(room.max_die_temperature() < Celsius::new(59.0));
+        let outcome = runner.run(&mut room, &mut ctl).unwrap();
+        assert!(!outcome.stayed_under_cap());
+        let recovery = outcome.stats.recovery_time.expect("the excursion ended");
+        // One contiguous excursion: onset to return spans exactly the
+        // samples spent over the cap.
+        assert_eq!(recovery, outcome.stats.cap_violation_time);
+        assert_eq!(Some(recovery), before_clear.recovery_time);
     }
 
     #[test]

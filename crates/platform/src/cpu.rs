@@ -23,7 +23,7 @@ use leakctl_units::{Amps, Celsius, Utilization, Volts, Watts};
 /// let busy = socket.power(Utilization::FULL, Celsius::new(70.0));
 /// assert!(busy > idle);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSocket {
     id: usize,
     cores: usize,

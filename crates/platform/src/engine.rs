@@ -2,10 +2,15 @@
 //! with no telemetry or tracing attached.
 //!
 //! [`ServerCore`] is everything [`Server`](crate::Server) needs to
-//! advance the machine state — fans, failsafe, component power models,
-//! the thermal RC network with its cached stepper, and energy/peak
-//! accounting — extracted so the thermal integration can be lifted out
-//! of the per-server loop and batched across a fleet:
+//! advance the machine state. It splits in two:
+//!
+//! - a [`Dynamics`] record — fans, failsafe, clock, applied activity,
+//!   energy/peak accounting and the DIMM/board/PSU power parameters —
+//!   a plain `Copy` value with no heap pointers;
+//! - the CPU socket models, the thermal RC network with its cached
+//!   stepper, and the node handles that tie the two together.
+//!
+//! A step runs in three phases:
 //!
 //! 1. [`ServerCore::begin_step`] applies fan dynamics, the thermal
 //!    failsafe and component powers, and accounts energy;
@@ -15,18 +20,25 @@
 //!    [`ServerCore::split_thermal`] lanes from many cores at once;
 //! 3. [`ServerCore::finish_step`] advances the simulation clock.
 //!
+//! Each formula of phases 1 and 3 is a [`Dynamics`] method (or a
+//! [`CpuSocket`] one), and both [`ServerCore`] and the fleet's resident
+//! lanes ([`DynamicsLanes`](crate::DynamicsLanes), which keep one
+//! record per server in contiguous storage and solve over packed
+//! temperatures) call the same methods, so every path advances the
+//! physics identically.
+//!
 //! [`ServerCore::step`] runs the three phases back to back for headless
 //! (telemetry-free) stepping. `Server` wraps the same phases and adds
-//! CSTH polling and event tracing on top, so both paths advance the
-//! physics identically.
+//! CSTH polling and event tracing on top.
 
+use leakctl_power::PsuModel;
 use leakctl_sim::Clock;
 use leakctl_thermal::{
     ConvectionModel, Coupling, NodeId, ThermalNetwork, ThermalNetworkBuilder, ThermalState,
     TransientSolver,
 };
 use leakctl_units::{
-    Celsius, Joules, Rpm, SimDuration, SimInstant, ThermalConductance, Utilization, Watts,
+    AirFlow, Celsius, Joules, Rpm, SimDuration, SimInstant, ThermalConductance, Utilization, Watts,
 };
 
 use crate::config::ServerConfig;
@@ -56,6 +68,223 @@ pub enum SpTransition {
     Released,
 }
 
+/// One server's per-step dynamics state: the fan bank with its
+/// supplies, the service-processor failsafe, the clock, the applied
+/// activity, energy/peak accounting, and the non-socket power
+/// parameters (DIMM banks, board, PSU).
+///
+/// A plain `Copy` record with no heap pointers. [`ServerCore`] embeds
+/// one, and a fleet keeps one per resident server in contiguous
+/// storage; both step it through the same methods.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Dynamics {
+    pub(crate) fans: FanBank,
+    pub(crate) sp: ServiceProcessor,
+    pub(crate) dimm_banks: [DimmBank; 2],
+    pub(crate) board_power: Watts,
+    pub(crate) psu: PsuModel,
+    pub(crate) max_rpm: Rpm,
+    pub(crate) clock: Clock,
+    pub(crate) last_activity: Utilization,
+    pub(crate) system_energy: Joules,
+    pub(crate) fan_energy: Joules,
+    pub(crate) peak_power: Watts,
+    pub(crate) accounted: SimDuration,
+}
+
+impl Dynamics {
+    fn new(config: &ServerConfig) -> Self {
+        let dimms_per_bank = config.dimm_count / 2;
+        let dimm_slope_per_bank = config.dimm_dynamic_slope() / 2.0;
+        let bank = |b| {
+            DimmBank::new(
+                b,
+                dimms_per_bank,
+                config.dimm_idle_each,
+                dimm_slope_per_bank,
+            )
+        };
+        Self {
+            fans: FanBank::new(
+                config.fans,
+                config.default_rpm,
+                config.fan_slew_rpm_per_s,
+                SimDuration::from_millis(config.supply_latency_ms),
+                config.min_rpm,
+                config.max_rpm,
+            ),
+            sp: ServiceProcessor::new(
+                config.critical_temp,
+                config.failsafe_release_temp,
+                config.max_rpm,
+            ),
+            dimm_banks: [bank(0), bank(1)],
+            board_power: config.board_power,
+            psu: config.psu,
+            max_rpm: config.max_rpm,
+            clock: Clock::new(),
+            last_activity: Utilization::IDLE,
+            system_energy: Joules::ZERO,
+            fan_energy: Joules::ZERO,
+            peak_power: Watts::ZERO,
+            accounted: SimDuration::ZERO,
+        }
+    }
+
+    /// The simulation clock.
+    #[must_use]
+    pub fn now(&self) -> SimInstant {
+        self.clock.now()
+    }
+
+    /// Accumulated system + fan energy.
+    #[must_use]
+    pub fn total_energy(&self) -> Joules {
+        self.system_energy + self.fan_energy
+    }
+
+    /// Accumulated fan energy.
+    #[must_use]
+    pub fn fan_energy(&self) -> Joules {
+        self.fan_energy
+    }
+
+    /// Accumulated system (wall) energy.
+    #[must_use]
+    pub fn system_energy(&self) -> Joules {
+        self.system_energy
+    }
+
+    /// Highest instantaneous total power observed.
+    #[must_use]
+    pub fn peak_power(&self) -> Watts {
+        self.peak_power
+    }
+
+    /// Time over which energy has been accumulated.
+    #[must_use]
+    pub fn accounted_time(&self) -> SimDuration {
+        self.accounted
+    }
+
+    /// Fan power drawn right now.
+    #[must_use]
+    pub fn fan_power(&self) -> Watts {
+        self.fans.power()
+    }
+
+    /// Mean actual fan speed.
+    #[must_use]
+    pub fn actual_rpm(&self) -> Rpm {
+        self.fans.mean_rpm()
+    }
+
+    /// Last applied fan command.
+    #[must_use]
+    pub fn commanded_rpm(&self) -> Rpm {
+        self.fans.commanded()
+    }
+
+    /// Number of accepted fan speed changes.
+    #[must_use]
+    pub fn fan_speed_changes(&self) -> u64 {
+        self.fans.speed_changes()
+    }
+
+    /// How many times the thermal failsafe tripped.
+    #[must_use]
+    pub fn failsafe_activations(&self) -> u32 {
+        self.sp.activations()
+    }
+
+    /// The activity level applied in the most recent step.
+    #[must_use]
+    pub fn current_activity(&self) -> Utilization {
+        self.last_activity
+    }
+
+    /// The fan bank's currently injected fault.
+    #[must_use]
+    pub fn fan_fault(&self) -> FanFault {
+        self.fans.fault()
+    }
+
+    /// Commands all fan pairs to `rpm` at the current instant. Returns
+    /// `false` (and commands nothing) while the failsafe is engaged.
+    pub fn command_fan_speed(&mut self, rpm: Rpm) -> bool {
+        if self.sp.is_engaged() {
+            return false;
+        }
+        self.fans.command_all(self.clock.now(), rpm);
+        true
+    }
+
+    /// Resets energy, peak-power and timing accumulators.
+    pub fn reset_accounting(&mut self) {
+        self.system_energy = Joules::ZERO;
+        self.fan_energy = Joules::ZERO;
+        self.peak_power = Watts::ZERO;
+        self.accounted = SimDuration::ZERO;
+    }
+
+    /// Start of a step of `dt` at `activity`: the supplies apply due
+    /// commands and the fans slew over the step. Returns the chassis
+    /// flow the fans deliver during the step.
+    pub(crate) fn advance_fans(&mut self, dt: SimDuration, activity: Utilization) -> AirFlow {
+        let end = self.clock.now() + dt;
+        self.last_activity = activity;
+        self.fans.advance(end, dt);
+        self.fans.flow()
+    }
+
+    /// The thermal failsafe on the start-of-step hottest die; a trip
+    /// commands maximum cooling at the current instant.
+    pub(crate) fn failsafe(&mut self, max_die: Celsius) -> SpTransition {
+        match self.sp.check(max_die) {
+            SpAction::ForceMaxCooling => {
+                self.fans.command_all(self.clock.now(), self.max_rpm);
+                SpTransition::ForcedMaxCooling
+            }
+            SpAction::Release => SpTransition::Released,
+            SpAction::None => SpTransition::None,
+        }
+    }
+
+    /// Each DIMM bank's power at the applied activity.
+    pub(crate) fn dimm_powers(&self) -> [Watts; 2] {
+        self.dimm_banks.map(|b| b.power(self.last_activity))
+    }
+
+    /// DC power of all system components, given the CPU sockets' total.
+    pub(crate) fn dc_power(&self, cpu: Watts) -> Watts {
+        let dimm: Watts = self.dimm_powers().into_iter().sum();
+        cpu + dimm + self.board_power
+    }
+
+    /// Wall power of the system side plus fan power, given the CPU
+    /// sockets' total.
+    pub(crate) fn total_power(&self, cpu: Watts) -> Watts {
+        self.psu.input_power(self.dc_power(cpu)) + self.fans.power()
+    }
+
+    /// Energy and peak accounting over a step of `dt`, with the
+    /// start-of-step CPU power.
+    pub(crate) fn account(&mut self, dt: SimDuration, cpu: Watts) {
+        let wall = self.psu.input_power(self.dc_power(cpu));
+        let fan_p = self.fans.power();
+        self.system_energy += wall * dt;
+        self.fan_energy += fan_p * dt;
+        self.peak_power = self.peak_power.max(wall + fan_p);
+        self.accounted += dt;
+    }
+
+    /// End of a step: advances the clock by `dt`.
+    pub(crate) fn finish(&mut self, dt: SimDuration) {
+        let end = self.clock.now() + dt;
+        self.clock.advance_to(end).expect("time moves forward");
+    }
+}
+
 /// The digital-twin server minus telemetry: components, thermal model,
 /// failsafe, clock and accounting.
 ///
@@ -66,11 +295,10 @@ pub enum SpTransition {
 #[derive(Debug, Clone)]
 pub struct ServerCore {
     pub(crate) config: ServerConfig,
-    // Components.
+    /// Fans, failsafe, clock, accounting and the non-socket power
+    /// parameters.
+    pub(crate) dynamics: Dynamics,
     pub(crate) sockets: Vec<CpuSocket>,
-    pub(crate) dimm_banks: Vec<DimmBank>,
-    pub(crate) fans: FanBank,
-    pub(crate) sp: ServiceProcessor,
     // Thermal model.
     pub(crate) net: ThermalNetwork,
     pub(crate) state: ThermalState,
@@ -79,17 +307,10 @@ pub struct ServerCore {
     /// constant-dt stretches of a run.
     pub(crate) stepper: TransientSolver,
     pub(crate) socket_nodes: Vec<SocketNodes>,
-    pub(crate) dimm_nodes: Vec<NodeId>,
+    pub(crate) dimm_nodes: [NodeId; 2],
     pub(crate) air_dimm: NodeId,
     pub(crate) ambient_node: NodeId,
     pub(crate) chassis_flow: leakctl_thermal::FlowChannelId,
-    // Time & accounting.
-    pub(crate) clock: Clock,
-    pub(crate) last_activity: Utilization,
-    pub(crate) system_energy: Joules,
-    pub(crate) fan_energy: Joules,
-    pub(crate) peak_power: Watts,
-    pub(crate) accounted: SimDuration,
 }
 
 impl ServerCore {
@@ -118,31 +339,7 @@ impl ServerCore {
                 )
             })
             .collect();
-        let dimms_per_bank = config.dimm_count / 2;
-        let dimm_slope_per_bank = config.dimm_dynamic_slope() / 2.0;
-        let dimm_banks: Vec<DimmBank> = (0..2)
-            .map(|b| {
-                DimmBank::new(
-                    b,
-                    dimms_per_bank,
-                    config.dimm_idle_each,
-                    dimm_slope_per_bank,
-                )
-            })
-            .collect();
-        let fans = FanBank::new(
-            config.fans,
-            config.default_rpm,
-            config.fan_slew_rpm_per_s,
-            SimDuration::from_millis(config.supply_latency_ms),
-            config.min_rpm,
-            config.max_rpm,
-        );
-        let sp = ServiceProcessor::new(
-            config.critical_temp,
-            config.failsafe_release_temp,
-            config.max_rpm,
-        );
+        let dynamics = Dynamics::new(&config);
 
         // ---- thermal network --------------------------------------
         let mut b = ThermalNetworkBuilder::new();
@@ -179,8 +376,7 @@ impl ServerCore {
             Coupling::Conductance(ThermalConductance::new(0.5)),
         )?;
 
-        let mut dimm_nodes = Vec::new();
-        for bank in 0..2 {
+        let mut dimm_bank = |bank: usize| {
             let node = b.add_node(&format!("dimm_bank{bank}"), config.dimm_bank_capacitance);
             b.connect(
                 node,
@@ -189,9 +385,10 @@ impl ServerCore {
                     channel: chassis_flow,
                     model: dimm_conv,
                 },
-            )?;
-            dimm_nodes.push(node);
-        }
+            )
+            .map(|()| node)
+        };
+        let dimm_nodes = [dimm_bank(0)?, dimm_bank(1)?];
 
         let per_socket_fraction = 1.0 / config.sockets as f64;
         let mut socket_nodes = Vec::new();
@@ -228,16 +425,14 @@ impl ServerCore {
             socket_nodes.push(SocketNodes { die, sink, air });
         }
         let mut net = b.build()?;
-        net.set_flow(chassis_flow, fans.flow())?;
+        net.set_flow(chassis_flow, dynamics.fans.flow())?;
         let state = net.uniform_state(config.ambient);
         let stepper = TransientSolver::new(&net);
 
         Ok(Self {
             config,
+            dynamics,
             sockets,
-            dimm_banks,
-            fans,
-            sp,
             net,
             state,
             stepper,
@@ -246,12 +441,6 @@ impl ServerCore {
             air_dimm,
             ambient_node: ambient,
             chassis_flow,
-            clock: Clock::new(),
-            last_activity: Utilization::IDLE,
-            system_energy: Joules::ZERO,
-            fan_energy: Joules::ZERO,
-            peak_power: Watts::ZERO,
-            accounted: SimDuration::ZERO,
         })
     }
 
@@ -260,7 +449,7 @@ impl ServerCore {
     /// The simulation clock.
     #[must_use]
     pub fn now(&self) -> SimInstant {
-        self.clock.now()
+        self.dynamics.now()
     }
 
     /// The machine configuration.
@@ -275,23 +464,6 @@ impl ServerCore {
     #[must_use]
     pub fn thermal_network(&self) -> &ThermalNetwork {
         &self.net
-    }
-
-    /// The state-vector slots of the CPU die nodes, in socket order —
-    /// the slots per-step dynamics read (failsafe, power models,
-    /// leakage). A fleet engine keeping thermal state resident in
-    /// packed batch storage syncs exactly these slots back into the
-    /// core each step and defers full unpacks to telemetry reads.
-    #[must_use]
-    pub fn die_state_slots(&self) -> Vec<usize> {
-        self.socket_nodes
-            .iter()
-            .map(|n| {
-                self.net
-                    .state_slot(n.die)
-                    .expect("die nodes are capacitive")
-            })
-            .collect()
     }
 
     /// Ground-truth die temperature of `socket`.
@@ -355,24 +527,24 @@ impl ServerCore {
     /// behind the PSU; fans are powered externally.
     #[must_use]
     pub fn system_power(&self) -> Watts {
-        self.config.psu.input_power(self.dc_power())
+        self.dynamics.psu.input_power(self.dc_power())
     }
 
     /// Ground-truth DC power of all system components.
     #[must_use]
     pub fn dc_power(&self) -> Watts {
-        let cpu: Watts = self
-            .sockets
+        self.dynamics.dc_power(self.cpu_power())
+    }
+
+    /// The CPU sockets' total power at the current die temperatures and
+    /// applied activity.
+    fn cpu_power(&self) -> Watts {
+        let activity = self.dynamics.last_activity;
+        self.sockets
             .iter()
             .zip(&self.socket_nodes)
-            .map(|(s, n)| s.power(self.last_activity, self.net.temperature(&self.state, n.die)))
-            .sum();
-        let dimm: Watts = self
-            .dimm_banks
-            .iter()
-            .map(|b| b.power(self.last_activity))
-            .sum();
-        cpu + dimm + self.config.board_power
+            .map(|(s, n)| s.power(activity, self.net.temperature(&self.state, n.die)))
+            .sum()
     }
 
     /// Ground-truth total CPU leakage right now (for analysis and
@@ -389,74 +561,74 @@ impl ServerCore {
     /// Ground-truth fan power (drawn from the external supplies).
     #[must_use]
     pub fn fan_power(&self) -> Watts {
-        self.fans.power()
+        self.dynamics.fan_power()
     }
 
     /// Ground-truth total power: system wall power plus fan power.
     #[must_use]
     pub fn total_power(&self) -> Watts {
-        self.system_power() + self.fan_power()
+        self.dynamics.total_power(self.cpu_power())
     }
 
     /// Accumulated system + fan energy since construction or the last
     /// [`ServerCore::reset_accounting`].
     #[must_use]
     pub fn total_energy(&self) -> Joules {
-        self.system_energy + self.fan_energy
+        self.dynamics.total_energy()
     }
 
     /// Accumulated fan energy.
     #[must_use]
     pub fn fan_energy(&self) -> Joules {
-        self.fan_energy
+        self.dynamics.fan_energy()
     }
 
     /// Accumulated system (wall) energy.
     #[must_use]
     pub fn system_energy(&self) -> Joules {
-        self.system_energy
+        self.dynamics.system_energy()
     }
 
     /// Highest instantaneous total power observed.
     #[must_use]
     pub fn peak_power(&self) -> Watts {
-        self.peak_power
+        self.dynamics.peak_power()
     }
 
     /// Time over which energy has been accumulated.
     #[must_use]
     pub fn accounted_time(&self) -> SimDuration {
-        self.accounted
+        self.dynamics.accounted_time()
     }
 
     /// Mean actual fan speed.
     #[must_use]
     pub fn actual_rpm(&self) -> Rpm {
-        self.fans.mean_rpm()
+        self.dynamics.actual_rpm()
     }
 
     /// Last applied fan command.
     #[must_use]
     pub fn commanded_rpm(&self) -> Rpm {
-        self.fans.commanded()
+        self.dynamics.commanded_rpm()
     }
 
     /// Number of accepted fan speed changes.
     #[must_use]
     pub fn fan_speed_changes(&self) -> u64 {
-        self.fans.speed_changes()
+        self.dynamics.fan_speed_changes()
     }
 
     /// How many times the thermal failsafe tripped.
     #[must_use]
     pub fn failsafe_activations(&self) -> u32 {
-        self.sp.activations()
+        self.dynamics.failsafe_activations()
     }
 
     /// The activity level applied in the most recent step.
     #[must_use]
     pub fn current_activity(&self) -> Utilization {
-        self.last_activity
+        self.dynamics.current_activity()
     }
 
     // ---- control ----------------------------------------------------
@@ -466,11 +638,7 @@ impl ServerCore {
     /// Returns `false` when the thermal failsafe is engaged and the
     /// command was overridden (callers may want to trace that).
     pub fn command_fan_speed(&mut self, rpm: Rpm) -> bool {
-        if self.sp.is_engaged() {
-            return false;
-        }
-        self.fans.command_all(self.clock.now(), rpm);
-        true
+        self.dynamics.command_fan_speed(rpm)
     }
 
     /// Injects (or clears, with [`FanFault::None`]) a fan-bank fault.
@@ -483,13 +651,13 @@ impl ServerCore {
     ///
     /// Panics for a [`FanFault::Degraded`] flow scale outside `[0, 1]`.
     pub fn inject_fan_fault(&mut self, fault: FanFault) {
-        self.fans.inject_fault(fault);
+        self.dynamics.fans.inject_fault(fault);
     }
 
     /// The fan bank's currently injected fault.
     #[must_use]
     pub fn fan_fault(&self) -> FanFault {
-        self.fans.fault()
+        self.dynamics.fan_fault()
     }
 
     /// Re-pins the ambient (inlet) temperature — used for ambient-
@@ -514,10 +682,7 @@ impl ServerCore {
     /// Resets energy, peak-power and timing accumulators (used between
     /// experiment phases).
     pub fn reset_accounting(&mut self) {
-        self.system_energy = Joules::ZERO;
-        self.fan_energy = Joules::ZERO;
-        self.peak_power = Watts::ZERO;
-        self.accounted = SimDuration::ZERO;
+        self.dynamics.reset_accounting();
     }
 
     // ---- dynamics ---------------------------------------------------
@@ -530,7 +695,9 @@ impl ServerCore {
     /// After this, integrate the thermal network (either
     /// [`ServerCore::integrate`] or an external batch solve over
     /// [`ServerCore::split_thermal`]) and call
-    /// [`ServerCore::finish_step`].
+    /// [`ServerCore::finish_step`]. Every formula here is a
+    /// [`Dynamics`] or [`CpuSocket`] method that
+    /// [`DynamicsLanes::begin`](crate::DynamicsLanes::begin) calls too.
     ///
     /// # Errors
     ///
@@ -543,51 +710,26 @@ impl ServerCore {
         if dt.is_zero() {
             return Ok(SpTransition::None);
         }
-        let end = self.clock.now() + dt;
-        self.last_activity = activity;
-
-        // Fan supplies apply due commands; fans slew.
-        self.fans.advance(end, dt);
-        self.net.set_flow(self.chassis_flow, self.fans.flow())?;
-
-        // Thermal failsafe on ground-truth die temperature.
-        let transition = match self.sp.check(self.max_die_temperature()) {
-            SpAction::ForceMaxCooling => {
-                self.fans.command_all(self.clock.now(), self.config.max_rpm);
-                SpTransition::ForcedMaxCooling
-            }
-            SpAction::Release => SpTransition::Released,
-            SpAction::None => SpTransition::None,
-        };
+        let flow = self.dynamics.advance_fans(dt, activity);
+        self.net.set_flow(self.chassis_flow, flow)?;
+        let transition = self.dynamics.failsafe(self.max_die_temperature());
 
         // Component powers from start-of-step temperatures. Each model
         // is evaluated once and reused for both the thermal injection
         // and the energy accounting (the leakage exponential is the
         // single most expensive power-model term).
-        let mut cpu_p = Watts::ZERO;
+        let mut cpu = Watts::ZERO;
         for (socket, nodes) in self.sockets.iter().zip(&self.socket_nodes) {
-            let die_t = self.net.temperature(&self.state, nodes.die);
-            let p = socket.power(activity, die_t);
-            cpu_p += p;
+            let p = socket.power(activity, self.net.temperature(&self.state, nodes.die));
+            cpu += p;
             self.net.set_power(nodes.die, p)?;
         }
-        let mut dimm_p = Watts::ZERO;
-        for (bank, &node) in self.dimm_banks.iter().zip(&self.dimm_nodes) {
-            let p = bank.power(activity);
-            dimm_p += p;
+        for (p, node) in self.dynamics.dimm_powers().into_iter().zip(self.dimm_nodes) {
             self.net.set_power(node, p)?;
         }
-        self.net.set_power(self.air_dimm, self.config.board_power)?;
-
-        // Energy accounting with start-of-step powers.
-        let dc = cpu_p + dimm_p + self.config.board_power;
-        let wall = self.config.psu.input_power(dc);
-        let fan_p = self.fan_power();
-        self.system_energy += wall * dt;
-        self.fan_energy += fan_p * dt;
-        self.peak_power = self.peak_power.max(wall + fan_p);
-        self.accounted += dt;
-
+        self.net
+            .set_power(self.air_dimm, self.dynamics.board_power)?;
+        self.dynamics.account(dt, cpu);
         Ok(transition)
     }
 
@@ -642,8 +784,7 @@ impl ServerCore {
         if dt.is_zero() {
             return;
         }
-        let end = self.clock.now() + dt;
-        self.clock.advance_to(end).expect("time moves forward");
+        self.dynamics.finish(dt);
     }
 
     /// Advances the core by `dt` with the given switching activity:
@@ -687,7 +828,7 @@ impl ServerCore {
         let mut net = self.net.clone();
         let rpm = rpm.clamp(self.config.min_rpm, self.config.max_rpm);
         net.set_flow(self.chassis_flow, self.config.fans.flow(rpm))?;
-        for (bank, &node) in self.dimm_banks.iter().zip(&self.dimm_nodes) {
+        for (bank, node) in self.dynamics.dimm_banks.iter().zip(self.dimm_nodes) {
             net.set_power(node, bank.power(activity))?;
         }
         net.set_power(self.air_dimm, self.config.board_power)?;
@@ -734,6 +875,7 @@ impl ServerCore {
             .map(|s| s.power(activity, temps[s.id()]))
             .sum::<Watts>()
             + self
+                .dynamics
                 .dimm_banks
                 .iter()
                 .map(|b| b.power(activity))

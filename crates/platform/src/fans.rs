@@ -69,7 +69,7 @@ impl FanUnit {
 /// Commands arrive after a fixed latency — the script on the DLC-PC
 /// writes the new current setting and the supply settles — after which
 /// the pair's fans start slewing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanSupply {
     pending: Option<(SimInstant, Rpm)>,
     latency: SimDuration,
@@ -153,10 +153,13 @@ pub enum FanFault {
 
 /// The chassis fan bank: three supplies, each driving a pair of fans,
 /// as in the paper's "6 fans, distributed in 3 rows of 2".
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A plain record on fixed arrays (no heap pointers), so a fleet can
+/// keep thousands of banks in one contiguous block.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanBank {
-    supplies: Vec<FanSupply>,
-    fans: Vec<FanUnit>,
+    supplies: [FanSupply; Self::PAIRS],
+    fans: [FanUnit; 2 * Self::PAIRS],
     model: FanPowerModel,
     min_rpm: Rpm,
     max_rpm: Rpm,
@@ -190,12 +193,8 @@ impl FanBank {
         );
         assert!(min_rpm < max_rpm, "min_rpm must be below max_rpm");
         Self {
-            supplies: (0..Self::PAIRS)
-                .map(|_| FanSupply::new(initial, latency))
-                .collect(),
-            fans: (0..2 * Self::PAIRS)
-                .map(|_| FanUnit::new(initial, slew_rpm_per_s))
-                .collect(),
+            supplies: [FanSupply::new(initial, latency); Self::PAIRS],
+            fans: [FanUnit::new(initial, slew_rpm_per_s); 2 * Self::PAIRS],
             model,
             min_rpm,
             max_rpm,

@@ -1,0 +1,425 @@
+//! Resident dynamics lanes: the per-step dynamics of a run of
+//! identical-topology servers in contiguous storage.
+//!
+//! A fleet keeps a hash group's thermal state packed slot-major in
+//! [`PackedLanes`] between steps. [`DynamicsLanes`] keeps the rest of
+//! what a plain step touches beside it: one [`Dynamics`] record per
+//! server (fans, failsafe, clock, accounting, DIMM/board/PSU
+//! parameters), the socket power models, the start-of-step power
+//! injections in the same slot-major layout the solve reads, and the
+//! end-of-step total power. A plain step is then
+//! [`DynamicsLanes::begin`] → [`SharedKernel::step_shard`] →
+//! [`DynamicsLanes::finish`] over those arrays, with no
+//! [`Server`] object touched. The records run through the same
+//! [`Dynamics`] and [`CpuSocket`] methods as [`ServerCore`], so the
+//! trajectory is bit-identical to stepping the servers one by one.
+//!
+//! The servers stay the authority for everything else. Whatever reads
+//! a server writes its lane back first: [`DynamicsLanes::store`] copies
+//! the record, the packed temperatures and the step's network inputs
+//! (flow, inlet, injected powers) into it, and
+//! [`DynamicsLanes::poll`] copies the record and temperatures of the
+//! lanes whose CSTH poll falls due and records their frames.
+//!
+//! [`SharedKernel::step_shard`]: leakctl_thermal::SharedKernel::step_shard
+
+use leakctl_thermal::{FlowChannelId, NodeId, PackedLanes, ThermalNetwork};
+use leakctl_units::{AirFlow, Celsius, Rpm, SimDuration, SimInstant, Utilization, Watts};
+
+use crate::cpu::CpuSocket;
+use crate::engine::{Dynamics, ServerCore, SpTransition};
+use crate::error::PlatformError;
+use crate::server::Server;
+
+/// The state slots a step injects power into, shared by every server
+/// of one topology.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PoweredSlots {
+    /// One per socket, in socket order.
+    dies: Vec<usize>,
+    dimms: [usize; 2],
+    board: usize,
+}
+
+impl PoweredSlots {
+    fn of(core: &ServerCore) -> Self {
+        let slot = |node: NodeId| {
+            core.net
+                .state_slot(node)
+                .expect("powered nodes are capacitive")
+        };
+        Self {
+            dies: core.socket_nodes.iter().map(|n| slot(n.die)).collect(),
+            dimms: core.dimm_nodes.map(slot),
+            board: slot(core.air_dimm),
+        }
+    }
+}
+
+/// The per-step dynamics of a contiguous run of servers sharing one
+/// thermal topology, stored as arrays beside the run's packed
+/// temperatures (see the module docs).
+///
+/// Lane `i` is server `i` of the slice it was loaded from; every method
+/// taking servers expects that same slice.
+#[derive(Debug, Clone)]
+pub struct DynamicsLanes {
+    lanes: usize,
+    slots: PoweredSlots,
+    records: Vec<Dynamics>,
+    /// Socket models, `sockets[lane * per_lane + socket]`.
+    sockets: Vec<CpuSocket>,
+    /// Power injected over the current step, slot-major
+    /// (`[slot * lanes + lane]`); unpowered slot rows stay zero.
+    sources: Vec<f64>,
+    /// Total power (W) at the end of the last step, per lane.
+    powers: Vec<f64>,
+    /// Each lane's next CSTH poll instant.
+    next_poll: Vec<SimInstant>,
+    /// Failsafe transitions of the last [`Self::begin`], not yet traced:
+    /// `(lane, step start, transition)`.
+    events: Vec<(usize, SimInstant, SpTransition)>,
+}
+
+impl DynamicsLanes {
+    /// Loads the lanes from `servers` (at least one, all of one thermal
+    /// topology): their records, socket models, last injected powers,
+    /// current total powers and poll schedules.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `servers` is empty or mixes topologies.
+    #[must_use]
+    pub fn load(servers: &[Server]) -> Self {
+        assert!(!servers.is_empty(), "dynamics lanes need a server");
+        let lanes = servers.len();
+        let slots = PoweredSlots::of(&servers[0].core);
+        let n = servers[0].core.net.state_count();
+        let mut sources = vec![0.0; n * lanes];
+        for (lane, server) in servers.iter().enumerate() {
+            let core = &server.core;
+            assert_eq!(
+                core.net.structure_hash(),
+                servers[0].core.net.structure_hash(),
+                "dynamics lanes share one thermal topology"
+            );
+            let injected = core
+                .socket_nodes
+                .iter()
+                .map(|n| n.die)
+                .chain(core.dimm_nodes)
+                .chain([core.air_dimm]);
+            for (slot, node) in slots.powered().zip(injected) {
+                sources[slot * lanes + lane] = core.net.power(node).value();
+            }
+        }
+        Self {
+            lanes,
+            records: servers.iter().map(|s| s.core.dynamics).collect(),
+            sockets: servers
+                .iter()
+                .flat_map(|s| s.core.sockets.iter().copied())
+                .collect(),
+            sources,
+            powers: servers.iter().map(|s| s.total_power().value()).collect(),
+            next_poll: servers.iter().map(|s| s.poll.next_fire()).collect(),
+            events: Vec::new(),
+            slots,
+        }
+    }
+
+    /// Lane `lane`'s dynamics record.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    #[must_use]
+    pub fn record(&self, lane: usize) -> &Dynamics {
+        &self.records[lane]
+    }
+
+    /// Lane `lane`'s total power at the end of the last step.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    #[must_use]
+    pub fn power(&self, lane: usize) -> Watts {
+        Watts::new(self.powers[lane])
+    }
+
+    /// The power each lane injects over the current step, slot-major —
+    /// the per-lane source of the thermal solve.
+    #[must_use]
+    pub fn sources(&self) -> &[f64] {
+        &self.sources
+    }
+
+    /// Lane `lane`'s hottest die in the packed block `temps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range or `temps` is not this
+    /// block's shape.
+    #[must_use]
+    pub fn max_die_temperature(&self, temps: &PackedLanes, lane: usize) -> Celsius {
+        assert_eq!(temps.batch(), self.lanes, "packed block shape");
+        assert!(lane < self.lanes, "lane out of range");
+        hottest_die(&self.slots.dies, temps.temperatures(), self.lanes, lane)
+    }
+
+    /// Commands every lane's fans to `rpm`, as
+    /// [`Server::command_fan_speed`] does: a lane whose failsafe is
+    /// engaged ignores it, and its server traces that.
+    pub fn command_all(&mut self, rpm: Rpm, servers: &mut [Server]) {
+        assert_eq!(servers.len(), self.lanes, "one server per lane");
+        for (record, server) in self.records.iter_mut().zip(servers) {
+            if !record.command_fan_speed(rpm) {
+                server.trace_ignored_command(record.now(), rpm);
+            }
+        }
+    }
+
+    /// Resets every lane's energy, peak-power and timing accumulators.
+    pub fn reset_accounting(&mut self) {
+        for record in &mut self.records {
+            record.reset_accounting();
+        }
+    }
+
+    /// Phase 1 of a plain step over every lane, reading start-of-step
+    /// die temperatures from `temps`: fan supplies and slew, the
+    /// failsafe, the socket/DIMM/board powers written into
+    /// [`Self::sources`], and energy accounting — each through the
+    /// [`Dynamics`] and [`CpuSocket`] methods [`ServerCore::begin_step`]
+    /// calls.
+    ///
+    /// Returns the chassis flow when every lane delivers the same flow
+    /// (bit for bit) over the step, and `None` when the lanes diverged
+    /// (their networks would then need per-lane factorizations).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `temps` is not this block's shape or `dt` is zero (a
+    /// zero-length step has no dynamics; skip it).
+    pub fn begin(
+        &mut self,
+        temps: &PackedLanes,
+        dt: SimDuration,
+        activity: Utilization,
+    ) -> Option<AirFlow> {
+        assert_eq!(temps.batch(), self.lanes, "packed block shape");
+        assert!(!dt.is_zero(), "a zero-length step has no dynamics to begin");
+        let lanes = self.lanes;
+        let per_lane = self.slots.dies.len();
+        let temps = temps.temperatures();
+        let mut shared: Option<AirFlow> = None;
+        let mut homogeneous = true;
+        for (lane, record) in self.records.iter_mut().enumerate() {
+            let flow = record.advance_fans(dt, activity);
+            match shared {
+                None => shared = Some(flow),
+                Some(first) => homogeneous &= first.value().to_bits() == flow.value().to_bits(),
+            }
+            let start = record.now();
+            let transition = record.failsafe(hottest_die(&self.slots.dies, temps, lanes, lane));
+            if transition != SpTransition::None {
+                self.events.push((lane, start, transition));
+            }
+            let mut cpu = Watts::ZERO;
+            let sockets = &self.sockets[lane * per_lane..(lane + 1) * per_lane];
+            for (socket, &slot) in sockets.iter().zip(&self.slots.dies) {
+                let at = slot * lanes + lane;
+                let p = socket.power(activity, Celsius::new(temps[at]));
+                cpu += p;
+                self.sources[at] = p.value();
+            }
+            for (p, slot) in record.dimm_powers().into_iter().zip(self.slots.dimms) {
+                self.sources[slot * lanes + lane] = p.value();
+            }
+            self.sources[self.slots.board * lanes + lane] = record.board_power.value();
+            record.account(dt, cpu);
+        }
+        shared.filter(|_| homogeneous)
+    }
+
+    /// Phase 3 of a plain step, after the solve advanced `temps`: every
+    /// lane's clock moves by `dt` and its end-of-step total power is
+    /// recorded. Returns `true` when some lane's CSTH poll is now due
+    /// (call [`Self::poll`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `temps` is not this block's shape.
+    pub fn finish(&mut self, temps: &PackedLanes, dt: SimDuration) -> bool {
+        assert_eq!(temps.batch(), self.lanes, "packed block shape");
+        let lanes = self.lanes;
+        let per_lane = self.slots.dies.len();
+        let temps = temps.temperatures();
+        let mut poll_due = false;
+        for (lane, (record, power)) in self.records.iter_mut().zip(&mut self.powers).enumerate() {
+            record.finish(dt);
+            let activity = record.last_activity;
+            let cpu: Watts = self.sockets[lane * per_lane..(lane + 1) * per_lane]
+                .iter()
+                .zip(&self.slots.dies)
+                .map(|(s, &slot)| s.power(activity, Celsius::new(temps[slot * lanes + lane])))
+                .sum();
+            *power = record.total_power(cpu).value();
+            poll_due |= self.next_poll[lane] <= record.now();
+        }
+        poll_due
+    }
+
+    /// Traces the failsafe transitions of the last [`Self::begin`] into
+    /// their servers, at the instant each step began.
+    pub fn flush_events(&mut self, servers: &mut [Server]) {
+        assert_eq!(servers.len(), self.lanes, "one server per lane");
+        for (lane, at, transition) in self.events.drain(..) {
+            servers[lane].trace_transition(at, transition);
+        }
+    }
+
+    /// Records the CSTH frames now due: each such lane's record and
+    /// packed temperatures are copied into its server, which then polls
+    /// exactly as [`Server::finish_step`] does.
+    ///
+    /// # Errors
+    ///
+    /// Propagates telemetry failures.
+    pub fn poll(
+        &mut self,
+        temps: &PackedLanes,
+        servers: &mut [Server],
+    ) -> Result<(), PlatformError> {
+        assert_eq!(servers.len(), self.lanes, "one server per lane");
+        for (lane, server) in servers.iter_mut().enumerate() {
+            if self.next_poll[lane] > self.records[lane].now() {
+                continue;
+            }
+            server.core.dynamics = self.records[lane];
+            temps.unpack_lane_into(lane, &mut server.core.state);
+            server.poll_due()?;
+            self.next_poll[lane] = server.poll.next_fire();
+        }
+        Ok(())
+    }
+
+    /// Writes lane `lane` back into `server` in full: the record, the
+    /// packed temperatures and the network inputs of the last step
+    /// (chassis flow, `inlet` as the ambient boundary, injected
+    /// powers), so the server reads exactly as if it had stepped alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range or `temps` is not this
+    /// block's shape.
+    pub fn store_lane(
+        &self,
+        lane: usize,
+        temps: &PackedLanes,
+        inlet: Celsius,
+        server: &mut Server,
+    ) {
+        assert_eq!(temps.batch(), self.lanes, "packed block shape");
+        let core = &mut server.core;
+        core.dynamics = self.records[lane];
+        temps.unpack_lane_into(lane, &mut core.state);
+        let injected = core
+            .socket_nodes
+            .iter()
+            .map(|n| n.die)
+            .chain(core.dimm_nodes)
+            .chain([core.air_dimm]);
+        let powers = self
+            .slots
+            .powered()
+            .map(|slot| Watts::new(self.sources[slot * self.lanes + lane]));
+        // The server's own channel, boundary and capacitive nodes: the
+        // setters cannot fail on them.
+        let written: Result<(), leakctl_thermal::ThermalError> = (|| {
+            core.net
+                .set_flow(core.chassis_flow, core.dynamics.fans.flow())?;
+            core.net.set_boundary(core.ambient_node, inlet)?;
+            for (node, power) in injected.zip(powers) {
+                core.net.set_power(node, power)?;
+            }
+            Ok(())
+        })();
+        written.expect("a server's own network accepts its inputs");
+    }
+
+    /// [`Self::store_lane`] for every lane.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::store_lane`], and when `servers` is not one server per
+    /// lane.
+    pub fn store(&self, temps: &PackedLanes, inlet: Celsius, servers: &mut [Server]) {
+        assert_eq!(servers.len(), self.lanes, "one server per lane");
+        for (lane, server) in servers.iter_mut().enumerate() {
+            self.store_lane(lane, temps, inlet, server);
+        }
+    }
+}
+
+impl PoweredSlots {
+    /// Every powered slot in injection order: dies, DIMM banks, board.
+    fn powered(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dies
+            .iter()
+            .copied()
+            .chain(self.dimms)
+            .chain([self.board])
+    }
+}
+
+/// The hottest of `lane`'s die slots in a slot-major block of `lanes`
+/// columns, folded as [`ServerCore::max_die_temperature`] folds.
+fn hottest_die(dies: &[usize], temps: &[f64], lanes: usize, lane: usize) -> Celsius {
+    dies.iter()
+        .map(|&slot| Celsius::new(temps[slot * lanes + lane]))
+        .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
+}
+
+/// A hash group's representative network: the topology every resident
+/// lane shares, carrying the group's common chassis flow and inlet so
+/// the shared factorization and boundary source are derived from one
+/// network instead of from every lane.
+#[derive(Debug, Clone)]
+pub struct LaneTemplate {
+    net: ThermalNetwork,
+    chassis: FlowChannelId,
+    ambient: NodeId,
+}
+
+impl LaneTemplate {
+    /// The representative of `server`'s topology.
+    #[must_use]
+    pub fn of(server: &Server) -> Self {
+        let core = &server.core;
+        Self {
+            net: core.net.clone(),
+            chassis: core.chassis_flow,
+            ambient: core.ambient_node,
+        }
+    }
+
+    /// Sets the shared chassis flow and inlet (ambient boundary).
+    ///
+    /// # Errors
+    ///
+    /// Propagates thermal-network failures (never expected for the
+    /// template's own channel and node).
+    pub fn set_inputs(&mut self, flow: AirFlow, inlet: Celsius) -> Result<(), PlatformError> {
+        self.net.set_flow(self.chassis, flow)?;
+        self.net.set_boundary(self.ambient, inlet)?;
+        Ok(())
+    }
+
+    /// The representative network.
+    #[must_use]
+    pub fn network(&self) -> &ThermalNetwork {
+        &self.net
+    }
+}

@@ -15,7 +15,9 @@
 //! - [`ServiceProcessor`] — the thermal failsafe watchdog,
 //! - [`Server`] — the assembled machine: thermal RC network, component
 //!   powers with leakage-temperature feedback, PSU losses, CSTH
-//!   telemetry polling, and energy/peak accounting.
+//!   telemetry polling, and energy/peak accounting,
+//! - [`DynamicsLanes`] — many servers' per-step dynamics as contiguous
+//!   arrays, the plain step of a fleet's packed-resident groups.
 //!
 //! # Example
 //!
@@ -43,14 +45,16 @@ mod dimm;
 mod engine;
 mod error;
 mod fans;
+mod lanes;
 mod server;
 mod service_processor;
 
 pub use config::ServerConfig;
 pub use cpu::CpuSocket;
 pub use dimm::DimmBank;
-pub use engine::{ServerCore, SpTransition};
+pub use engine::{Dynamics, ServerCore, SpTransition};
 pub use error::PlatformError;
 pub use fans::{FanBank, FanFault, FanSupply, FanUnit};
+pub use lanes::{DynamicsLanes, LaneTemplate};
 pub use server::Server;
 pub use service_processor::{ServiceProcessor, SpAction};

@@ -19,18 +19,23 @@ use crate::fans::FanFault;
 /// [`Server::step`], command cooling with [`Server::command_fan_speed`],
 /// and observe it the way the paper's DLC-PC does — through telemetry.
 ///
-/// For rack-scale fleets, the per-step thermal integration can be
-/// lifted out and batched: [`Server::begin_step`] applies fan/power
-/// dynamics, [`Server::split_thermal`] exposes the network/state lane
-/// for a shared-factorization
-/// [`BatchSolver`](leakctl_thermal::BatchSolver) solve, and
-/// [`Server::finish_step`] advances the clock and polls telemetry —
-/// producing bit-identical trajectories to per-server stepping.
+/// A step has three phases. [`Server::begin_step`] applies fan/power
+/// dynamics and traces failsafe transitions, the thermal network is
+/// integrated — in place by [`Server::step`], or through
+/// [`Server::split_thermal`] lanes by a shared-factorization
+/// [`BatchSolver`](leakctl_thermal::BatchSolver) — and
+/// [`Server::finish_step`] advances the clock and polls telemetry. A
+/// fleet goes one step further for its packed-resident groups: it moves
+/// the server's dynamics record and temperatures into
+/// [`DynamicsLanes`](crate::DynamicsLanes) and steps them there with
+/// the same methods, writing them back whenever the server is read or
+/// its telemetry poll falls due. Every path produces the trajectory of
+/// [`Server::step`] bit for bit.
 ///
 /// See the [crate-level example](crate) for basic use.
 #[derive(Debug, Clone)]
 pub struct Server {
-    core: ServerCore,
+    pub(crate) core: ServerCore,
     // Telemetry: one sensor per CSTH channel, in registration order.
     csth: Csth,
     sensors: SensorBank,
@@ -40,8 +45,8 @@ pub struct Server {
     /// Per-module DIMM sensor offsets around the bank node.
     dimm_offsets: Vec<f64>,
     cpu_temps: Vec<ChannelId>, // 2 per socket
-    poll: Periodic,
-    trace: TraceRecorder,
+    pub(crate) poll: Periodic,
+    pub(crate) trace: TraceRecorder,
 }
 
 impl Server {
@@ -352,11 +357,34 @@ impl Server {
     /// overridden.
     pub fn command_fan_speed(&mut self, rpm: Rpm) {
         if !self.core.command_fan_speed(rpm) {
-            self.trace.record(
-                self.core.now(),
-                "server",
-                format!("fan command {rpm:.0} ignored: failsafe engaged"),
-            );
+            self.trace_ignored_command(self.core.now(), rpm);
+        }
+    }
+
+    /// Traces a fan command the engaged failsafe overrode, issued at
+    /// `at` (shared by this server's own command path and a fleet's
+    /// resident lanes).
+    pub(crate) fn trace_ignored_command(&mut self, at: SimInstant, rpm: Rpm) {
+        self.trace.record(
+            at,
+            "server",
+            format!("fan command {rpm:.0} ignored: failsafe engaged"),
+        );
+    }
+
+    /// Traces a failsafe transition observed at the start of a step
+    /// beginning at `at`.
+    pub(crate) fn trace_transition(&mut self, at: SimInstant, transition: SpTransition) {
+        match transition {
+            SpTransition::ForcedMaxCooling => {
+                self.trace
+                    .record(at, "service-processor", "failsafe: forcing maximum cooling");
+            }
+            SpTransition::Released => {
+                self.trace
+                    .record(at, "service-processor", "failsafe released");
+            }
+            SpTransition::None => {}
         }
     }
 
@@ -443,20 +471,8 @@ impl Server {
         dt: SimDuration,
         activity: Utilization,
     ) -> Result<(), PlatformError> {
-        match self.core.begin_step(dt, activity)? {
-            SpTransition::ForcedMaxCooling => {
-                self.trace.record(
-                    self.core.now(),
-                    "service-processor",
-                    "failsafe: forcing maximum cooling",
-                );
-            }
-            SpTransition::Released => {
-                self.trace
-                    .record(self.core.now(), "service-processor", "failsafe released");
-            }
-            SpTransition::None => {}
-        }
+        let transition = self.core.begin_step(dt, activity)?;
+        self.trace_transition(self.core.now(), transition);
         Ok(())
     }
 
@@ -487,16 +503,6 @@ impl Server {
         self.core.split_thermal()
     }
 
-    /// `true` when a step ending at `end` will poll CSTH telemetry —
-    /// i.e. when [`Server::finish_step`] will read the full thermal
-    /// state (die *and* DIMM nodes). Fleet engines that keep state
-    /// resident in packed batch storage use this to unpack a lane only
-    /// on the steps whose telemetry actually looks at it.
-    #[must_use]
-    pub fn telemetry_poll_pending(&self, end: SimInstant) -> bool {
-        self.poll.is_due(end)
-    }
-
     /// Phase 3 of a batch-integrated step: advances the clock and polls
     /// CSTH telemetry on its cadence.
     ///
@@ -508,9 +514,13 @@ impl Server {
             return Ok(());
         }
         self.core.finish_step(dt);
-        let end = self.core.now();
-        // CSTH polling.
-        while self.poll.is_due(end) {
+        self.poll_due()
+    }
+
+    /// Records every CSTH frame due at the current instant.
+    pub(crate) fn poll_due(&mut self) -> Result<(), PlatformError> {
+        let now = self.core.now();
+        while self.poll.is_due(now) {
             self.poll_telemetry()?;
             self.poll.advance();
         }
@@ -540,7 +550,9 @@ impl Server {
         // Per-core currents, then per-socket voltages.
         for (socket, nodes) in core.sockets.iter().zip(&core.socket_nodes) {
             let die = core.net.temperature(&core.state, nodes.die);
-            let i = socket.core_current(core.last_activity, die).value();
+            let i = socket
+                .core_current(core.dynamics.last_activity, die)
+                .value();
             truth.extend(std::iter::repeat_n(i, core.config.cores_per_socket));
         }
         truth.extend(core.sockets.iter().map(|s| s.core_voltage().value()));

@@ -195,21 +195,12 @@ impl PackedLanes {
         }
     }
 
-    /// Copies only the given state slots of one lane into `state` —
-    /// the cheap sync fleet engines use per step for the few slots
-    /// (CPU dies) that per-server dynamics read, deferring the full
-    /// unpack to telemetry boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` or a slot is out of range or `state` has the
-    /// wrong dimension.
-    pub fn copy_lane_slots_into(&self, lane: usize, slots: &[usize], state: &mut ThermalState) {
-        assert!(lane < self.batch, "lane out of range");
-        assert_eq!(state.temps.len(), self.n, "lane state dimension");
-        for &slot in slots {
-            state.temps[slot] = self.temps[slot * self.batch + lane];
-        }
+    /// The packed temperatures, slot-major (`[slot * batch + lane]`) —
+    /// the block fleet engines read per-lane die temperatures from
+    /// between solves, with no unpack.
+    #[must_use]
+    pub fn temperatures(&self) -> &[f64] {
+        &self.temps
     }
 
     /// One packed temperature, `(lane, slot)`.
@@ -385,6 +376,51 @@ impl PackedLanes {
             let lane = bad % batch;
             return Err(ThermalError::Diverged {
                 name: net_of(lane).slot_name(slot).to_owned(),
+            });
+        }
+        Ok(())
+    }
+
+    /// As [`Self::solve_be_block`], with the sources supplied by the
+    /// caller instead of refreshed from per-lane networks: `powers` is
+    /// the slot-major (`[slot * batch + lane]`) power injection of every
+    /// lane, and `bound` the boundary source every lane shares (lanes
+    /// with common flows and boundary temperatures). The source is
+    /// `power + bound`, the same operands in the same order as the
+    /// refreshed path, so results are bit-identical to it.
+    ///
+    /// The solve and the finiteness check repeat
+    /// [`Self::solve_be_block`]'s instead of sharing a helper: with the
+    /// helper split out, the packed kernel (`rack128_batch_dynamic`)
+    /// lost about a quarter of its throughput.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::solve_be_block`].
+    pub(crate) fn solve_be_block_with<B: SolverBackend>(
+        &mut self,
+        backend: &B,
+        c: &[f64],
+        h: f64,
+        powers: &[f64],
+        bound: &[f64],
+        names: &ThermalNetwork,
+    ) -> Result<(), ThermalError> {
+        let batch = self.batch;
+        assert_eq!(powers.len(), self.n * batch, "power block shape");
+        assert_eq!(bound.len(), self.n, "boundary source dimension");
+        for (slot, (&ci, &b)) in c.iter().zip(bound).enumerate() {
+            let row = slot * batch;
+            let temps = &self.temps[row..row + batch];
+            let p_row = &powers[row..row + batch];
+            for ((r, &t), &p) in self.rhs[row..row + batch].iter_mut().zip(temps).zip(p_row) {
+                *r = ci * t + h * (p + b);
+            }
+        }
+        backend.solve_be_block_into(&self.rhs, &mut self.temps, batch, &mut self.acc)?;
+        if let Some(bad) = self.temps.iter().position(|t| !t.is_finite()) {
+            return Err(ThermalError::Diverged {
+                name: names.slot_name(bad / batch).to_owned(),
             });
         }
         Ok(())

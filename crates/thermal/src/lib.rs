@@ -73,7 +73,7 @@ pub use network::{
 pub use plant::{ChilledWaterLoop, ChilledWaterSpec};
 pub use room::{RoomAirModel, RoomAirSpec};
 pub use shard::{
-    group_by_structure_hash, HeteroBatch, ShardPlan, ShardedBatchSolver, ShardedLanes, StepKernel,
+    group_by_structure_hash, ShardPlan, ShardedBatchSolver, ShardedLanes, SharedKernel, StepKernel,
     THREADS_ENV,
 };
 pub use solver::Integrator;

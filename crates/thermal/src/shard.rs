@@ -1,5 +1,4 @@
-//! Thread-sharded stepping of packed lane blocks, and hash-grouped
-//! batching of heterogeneous (mixed-topology) fleets.
+//! Thread-sharded stepping of packed lane blocks.
 //!
 //! After the shared `(C + h·G)` factorization, packed lanes are
 //! completely independent: the blocked substitution carries one
@@ -23,11 +22,12 @@
 //! small batches stay single-shard — and therefore inline, with zero
 //! spawn overhead — via a minimum shard width.
 //!
-//! [`HeteroBatch`] lifts the identical-topology restriction: lanes are
-//! partitioned by [`ThermalNetwork::structure_hash`] into per-SKU
-//! groups, each batching through its own sharded solver, so a room of
-//! mixed server SKUs still shares one factorization per (SKU, dt,
-//! flow) instead of falling back to scalar stepping.
+//! Two kernels share the factorization. [`StepKernel`] refreshes each
+//! lane's sources from its own network. [`SharedKernel`] serves lanes
+//! that share one template network's flows and boundary temperatures
+//! (a fleet's servers on a common inlet): the caller supplies each
+//! lane's power injection and the template supplies the one boundary
+//! source, so no lane network is read at all.
 
 use std::borrow::Borrow;
 use std::ops::Range;
@@ -242,17 +242,14 @@ impl ShardedLanes {
         self.shards[shard].unpack_lane_into(offset, state);
     }
 
-    /// Copies only the given state slots of one lane into `state` —
-    /// the cheap per-step sync for the few slots per-server dynamics
-    /// read (CPU dies), deferring full unpacks to telemetry
-    /// boundaries.
+    /// Shard `i`'s block (its lanes are [`Self::shard_range`]`(i)`).
     ///
     /// # Panics
     ///
-    /// Panics when `lane` or a slot is out of range.
-    pub fn copy_lane_slots_into(&self, lane: usize, slots: &[usize], state: &mut ThermalState) {
-        let (shard, offset) = self.locate(lane);
-        self.shards[shard].copy_lane_slots_into(offset, slots, state);
+    /// Panics when `i` is out of range.
+    #[must_use]
+    pub fn shard(&self, i: usize) -> &PackedLanes {
+        &self.shards[i]
     }
 
     /// One packed temperature, `(lane, slot)`.
@@ -337,6 +334,49 @@ impl<B: SolverBackend> StepKernel<'_, B> {
     }
 }
 
+/// The per-step solve context for lanes that share a template network's
+/// flows and boundary temperatures, from
+/// [`ShardedBatchSolver::prepare_shared`]: the shared factorization, the
+/// capacitances, the step size and the one boundary source of the
+/// group. Each lane's power injection comes from the caller.
+#[derive(Debug)]
+pub struct SharedKernel<'a, B: SolverBackend> {
+    backend: &'a B,
+    c: &'a [f64],
+    h: f64,
+    bound: &'a [f64],
+    template: &'a ThermalNetwork,
+}
+
+impl<B: SolverBackend> SharedKernel<'_, B> {
+    /// Advances one shard by the prepared step: builds the right-hand
+    /// side from the packed temperatures, the caller's `powers`
+    /// (slot-major, `[slot * shard.batch() + lane]`) and the shared
+    /// boundary source, then back-substitutes through the shared
+    /// factors. Bit-identical to [`StepKernel::step_shard`] over lane
+    /// networks holding the same powers, flows and boundaries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::SingularSystem`] when no valid factors
+    /// are held and [`ThermalError::Diverged`] on a non-finite
+    /// temperature.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `powers` does not match the shard's shape.
+    pub fn step_shard(&self, shard: &mut PackedLanes, powers: &[f64]) -> Result<(), ThermalError> {
+        shard.solve_be_block_with(
+            self.backend,
+            self.c,
+            self.h,
+            powers,
+            self.bound,
+            self.template,
+        )
+    }
+}
+
 /// Steps [`ShardedLanes`] through one shared backward-Euler
 /// factorization on a scoped worker pool — the parallel counterpart of
 /// [`BatchSolver::step_packed`], bit-identical to it (and to scalar
@@ -350,6 +390,8 @@ pub struct ShardedBatchSolver<B: SolverBackend = AutoBackend> {
     /// `true` while every lane is known to share the reference flow
     /// signature.
     homogeneous: bool,
+    /// The shared boundary source of [`Self::prepare_shared`].
+    bound: Vec<f64>,
 }
 
 impl ShardedBatchSolver<AutoBackend> {
@@ -376,6 +418,7 @@ impl<B: SolverBackend + Clone> ShardedBatchSolver<B> {
             plan,
             flow_gens: Vec::new(),
             homogeneous: false,
+            bound: Vec::new(),
         }
     }
 
@@ -417,7 +460,27 @@ impl<B: SolverBackend + Clone> ShardedBatchSolver<B> {
     where
         F: Fn(usize) -> &'n ThermalNetwork,
     {
+        if !self.lanes_homogeneous(&net_of, count) {
+            return Err(ThermalError::MixedBatchSignatures);
+        }
         let h = dt.as_secs_f64();
+        let group = self.inner.ensure_shared_group(net_of(0), h)?;
+        Ok(StepKernel {
+            backend: self.inner.group_backend(group),
+            c: self.inner.capacitances(),
+            h,
+            structure_hash: self.inner.template_structure_hash(),
+        })
+    }
+
+    /// `true` when the first `count` lane networks all carry the same
+    /// flow values — the shared-factorization precondition. The check
+    /// is change-driven: it re-compares signatures only after some
+    /// lane's flow generation moved.
+    pub fn lanes_homogeneous<'n, F>(&mut self, net_of: F, count: usize) -> bool
+    where
+        F: Fn(usize) -> &'n ThermalNetwork,
+    {
         if self.flow_gens.len() != count {
             self.flow_gens.clear();
             self.flow_gens.resize(count, 0);
@@ -432,18 +495,47 @@ impl<B: SolverBackend + Clone> ShardedBatchSolver<B> {
             }
         }
         if moved || !self.homogeneous {
-            if !self.inner.flows_homogeneous(&net_of, count) {
-                self.homogeneous = false;
-                return Err(ThermalError::MixedBatchSignatures);
-            }
-            self.homogeneous = true;
+            self.homogeneous = self.inner.flows_homogeneous(&net_of, count);
         }
-        let group = self.inner.ensure_shared_group(net_of(0), h)?;
-        Ok(StepKernel {
+        self.homogeneous
+    }
+
+    /// Serial phase of a step for lanes that all hold `template`'s
+    /// flows and boundary temperatures (the caller guarantees it, for
+    /// instance servers sharing one inlet and one delivered fan flow):
+    /// resolves the shared factorization from `template` and assembles
+    /// the one boundary source every lane shares. No lane network is
+    /// read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::SingularSystem`] when the factorization
+    /// fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `template` is not structurally identical to the
+    /// solver's template.
+    pub fn prepare_shared<'s>(
+        &'s mut self,
+        template: &'s ThermalNetwork,
+        dt: SimDuration,
+    ) -> Result<SharedKernel<'s, B>, ThermalError> {
+        assert_eq!(
+            template.structure_hash(),
+            self.inner.template_structure_hash(),
+            "template network is not structurally identical to the batch template"
+        );
+        let h = dt.as_secs_f64();
+        let group = self.inner.ensure_shared_group(template, h)?;
+        self.bound.resize(template.state_count(), 0.0);
+        template.assemble_boundary_source_into(&mut self.bound);
+        Ok(SharedKernel {
             backend: self.inner.group_backend(group),
             c: self.inner.capacitances(),
             h,
-            structure_hash: self.inner.template_structure_hash(),
+            bound: &self.bound,
+            template,
         })
     }
 }
@@ -599,8 +691,7 @@ fn join_shard_results(
 
 /// Partitions items by structure hash in first-seen order: returns the
 /// member lists of input *positions*, one list per distinct hash — the
-/// single grouping policy shared by [`HeteroBatch`] and the core
-/// fleet engine.
+/// grouping policy of the core fleet engine.
 #[must_use]
 pub fn group_by_structure_hash(hashes: impl Iterator<Item = u64>) -> Vec<Vec<usize>> {
     let mut seen: Vec<u64> = Vec::new();
@@ -615,139 +706,6 @@ pub fn group_by_structure_hash(hashes: impl Iterator<Item = u64>) -> Vec<Vec<usi
         }
     }
     groups
-}
-
-/// A heterogeneous (mixed-topology) batch: lanes partitioned by
-/// [`ThermalNetwork::structure_hash`] into per-SKU groups, each stepped
-/// through its own [`ShardedBatchSolver`] — so a room of several server
-/// SKUs batches within each SKU instead of falling back to scalar
-/// stepping.
-///
-/// Lane order is the caller's: `nets[i]` and `states[i]` stay lane `i`
-/// through [`HeteroBatch::step`] and [`HeteroBatch::unpack_into`],
-/// whatever group they land in.
-#[derive(Debug)]
-pub struct HeteroBatch<B: SolverBackend + Clone = AutoBackend> {
-    groups: Vec<HeteroGroup<B>>,
-}
-
-#[derive(Debug)]
-struct HeteroGroup<B: SolverBackend + Clone> {
-    /// Caller lane indices of this group's members, in caller order.
-    members: Vec<usize>,
-    solver: ShardedBatchSolver<B>,
-    lanes: ShardedLanes,
-}
-
-impl<B: SolverBackend + Clone> HeteroBatch<B> {
-    /// Packs a mixed fleet: lanes are grouped by structure hash
-    /// (first-seen order), each group packing its member states per
-    /// `plan`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nets` is empty or disagrees with `states` in count
-    /// or dimension.
-    #[must_use]
-    pub fn pack<N: Borrow<ThermalNetwork>>(
-        nets: &[N],
-        states: &[ThermalState],
-        plan: ShardPlan,
-    ) -> Self {
-        assert!(!nets.is_empty(), "heterogeneous batch needs lanes");
-        assert_eq!(nets.len(), states.len(), "one state per network");
-        let member_lists =
-            group_by_structure_hash(nets.iter().map(|n| n.borrow().structure_hash()));
-        let groups = member_lists
-            .into_iter()
-            .map(|members| {
-                let member_states: Vec<ThermalState> =
-                    members.iter().map(|&lane| states[lane].clone()).collect();
-                let solver = ShardedBatchSolver::with_backend_plan(nets[members[0]].borrow(), plan);
-                let lanes = ShardedLanes::pack(&member_states, &plan);
-                HeteroGroup {
-                    members,
-                    solver,
-                    lanes,
-                }
-            })
-            .collect();
-        Self { groups }
-    }
-
-    /// Number of structure-hash groups (distinct SKUs).
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Total live shared factorizations across all groups (1 per group
-    /// while each SKU runs one `(dt, flow)` operating point).
-    #[must_use]
-    pub fn shared_factorizations(&self) -> usize {
-        self.groups.iter().map(|g| g.solver.group_count()).sum()
-    }
-
-    /// Advances every lane by `dt`, each hash group batching through
-    /// its own shared factorization and shard workers.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedBatchSolver::step`], per group; the first failing
-    /// group (in first-seen hash order) reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nets` does not match the packed fleet (count,
-    /// per-lane topology).
-    pub fn step<N: Borrow<ThermalNetwork> + Sync>(
-        &mut self,
-        nets: &[N],
-        dt: SimDuration,
-    ) -> Result<(), ThermalError>
-    where
-        B: Sync,
-    {
-        let total: usize = self.groups.iter().map(|g| g.members.len()).sum();
-        assert_eq!(
-            nets.len(),
-            total,
-            "network count must match the packed fleet"
-        );
-        for group in &mut self.groups {
-            let members = &group.members;
-            group.solver.step_with(
-                |pos| nets[members[pos]].borrow(),
-                members.len(),
-                &mut group.lanes,
-                dt,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Writes every lane's packed temperatures back into `states`
-    /// (caller lane order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `states` does not match the packed fleet.
-    pub fn unpack_into(&self, states: &mut [ThermalState]) {
-        for group in &self.groups {
-            for (pos, &lane) in group.members.iter().enumerate() {
-                group.lanes.unpack_lane_into(pos, &mut states[lane]);
-            }
-        }
-    }
-
-    /// The hottest packed temperature across the whole fleet.
-    #[must_use]
-    pub fn max_temperature(&self) -> f64 {
-        self.groups
-            .iter()
-            .map(|g| g.lanes.max_temperature())
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -950,67 +908,7 @@ mod tests {
                     state.temperatures()[slot]
                 );
             }
-            let mut partial = nets[lane].uniform_state(Celsius::new(-1.0));
-            lanes.copy_lane_slots_into(lane, &[0, n - 1], &mut partial);
-            assert_eq!(partial.temperatures()[0], state.temperatures()[0]);
-            assert_eq!(partial.temperatures()[n - 1], state.temperatures()[n - 1]);
         }
-    }
-
-    #[test]
-    fn hetero_batch_groups_by_structure_and_matches_scalar() {
-        use crate::solver::Integrator;
-        use crate::stepper::TransientSolver;
-        // Interleaved SKUs: 1-, 2- and 3-socket topologies.
-        let sockets_of = |lane: usize| 1 + lane % 3;
-        let nets: Vec<ThermalNetwork> = (0..12)
-            .map(|lane| {
-                let (mut net, dies, _) = build_server_like(sockets_of(lane));
-                for (s, &die) in dies.iter().enumerate() {
-                    net.set_power(die, Watts::new(35.0 + 5.0 * lane as f64 + s as f64))
-                        .unwrap();
-                }
-                net
-            })
-            .collect();
-        let states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let plan = ShardPlan::new(2).with_min_lanes_per_shard(2);
-        let mut hetero = HeteroBatch::<DenseBackend>::pack(&nets, &states, plan);
-        assert_eq!(hetero.group_count(), 3, "three SKUs, three groups");
-
-        let mut reference: Vec<_> = nets
-            .iter()
-            .map(|n| {
-                (
-                    TransientSolver::<DenseBackend>::with_backend(n),
-                    n.uniform_state(Celsius::new(24.0)),
-                )
-            })
-            .collect();
-        let dt = SimDuration::from_secs(1);
-        for _ in 0..200 {
-            hetero.step(&nets, dt).unwrap();
-            for (net, (solver, state)) in nets.iter().zip(reference.iter_mut()) {
-                solver
-                    .step(net, state, dt, Integrator::BackwardEuler)
-                    .unwrap();
-            }
-        }
-        assert_eq!(hetero.shared_factorizations(), 3, "one per SKU");
-        let mut got: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(0.0)))
-            .collect();
-        hetero.unpack_into(&mut got);
-        for (lane, (a, (_, b))) in got.iter().zip(&reference).enumerate() {
-            for (i, (x, y)) in a.temperatures().iter().zip(b.temperatures()).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "lane {lane} slot {i}");
-            }
-        }
-        assert!(hetero.max_temperature() > 24.0);
     }
 
     #[test]

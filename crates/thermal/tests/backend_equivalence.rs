@@ -1,16 +1,16 @@
 //! Equivalence properties for the solver backends and the batch
 //! engine: whatever path steps the network — dense per-server, CSR
-//! sparse, per-lane batched, packed batched, thread-sharded packed or
-//! hash-grouped heterogeneous — the trajectory must match the dense
+//! sparse, per-lane batched, packed batched or thread-sharded packed —
+//! the trajectory must match the dense
 //! per-server reference to ≤ 1e-12 relative, or 1e-9 on random room
 //! air networks (and the sharded paths must be *bit-identical* across
 //! thread and shard counts), across randomized topologies, batch sizes
 //! and mid-run input changes.
 
 use leakctl_thermal::{
-    BatchLane, BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, HeteroBatch,
-    Integrator, PackedLanes, RoomAirModel, RoomAirSpec, ShardPlan, ShardedBatchSolver,
-    ShardedLanes, ThermalError, ThermalNetwork, ThermalNetworkBuilder,
+    BatchLane, BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, Integrator,
+    PackedLanes, RoomAirModel, RoomAirSpec, ShardPlan, ShardedBatchSolver, ShardedLanes,
+    ThermalError, ThermalNetwork, ThermalNetworkBuilder,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
@@ -456,75 +456,6 @@ proptest! {
                 "threads {} width {} diverged from packed reference",
                 threads,
                 min_width
-            );
-        }
-    }
-
-    /// Hash-grouped heterogeneous batches: a fleet mixing several
-    /// distinct topologies, partitioned by structure hash and batched
-    /// per group, must match independent dense per-server solvers to
-    /// ≤ 1e-12 on every lane.
-    #[test]
-    fn hetero_hash_groups_track_dense_reference(
-        lanes in 2usize..8,
-        caps in prop::collection::vec(20.0..900.0f64, 7),
-        conductances in prop::collection::vec(0.8..12.0f64, 7),
-        base_power in 20.0..120.0f64,
-        ambient in 15.0..35.0f64,
-        cfm in 60.0..500.0f64,
-        power_change_at in 5usize..25,
-    ) {
-        // Lane i gets 1 + i % 3 branches: at least two distinct
-        // topologies, interleaved in caller order.
-        let mut rigs: Vec<Rig> = (0..lanes)
-            .map(|lane| {
-                let branches = 1 + lane % 3;
-                let powers: Vec<f64> = (0..branches)
-                    .map(|i| base_power + 5.0 * lane as f64 + 2.0 * i as f64)
-                    .collect();
-                build_rig(branches, &caps, &conductances, &powers, ambient, cfm)
-            })
-            .collect();
-        let nets: Vec<ThermalNetwork> = rigs.iter().map(|r| r.net.clone()).collect();
-        let states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(ambient)))
-            .collect();
-        let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
-        let mut hetero = HeteroBatch::<leakctl_thermal::DenseBackend>::pack(&nets, &states, plan);
-        prop_assert!(hetero.group_count() >= 2, "mixed fleet must split");
-        let mut reference: Vec<_> = nets
-            .iter()
-            .map(|n| {
-                (
-                    DenseTransientSolver::with_backend(n),
-                    n.uniform_state(Celsius::new(ambient)),
-                )
-            })
-            .collect();
-        let dt = SimDuration::from_secs(1);
-        let mut nets = nets;
-        for step in 0..40 {
-            if step == power_change_at {
-                let die = rigs[0].dies[0];
-                nets[0].set_power(die, Watts::new(200.0)).unwrap();
-            }
-            hetero.step(&nets, dt).unwrap();
-            for (net, (solver, state)) in nets.iter().zip(reference.iter_mut()) {
-                solver.step(net, state, dt, Integrator::BackwardEuler).unwrap();
-            }
-        }
-        let _ = &mut rigs;
-        let mut got: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(0.0)))
-            .collect();
-        hetero.unpack_into(&mut got);
-        for (lane, (state, (_, ref_state))) in got.iter().zip(&reference).enumerate() {
-            assert_close(
-                state.temperatures(),
-                ref_state.temperatures(),
-                &format!("lane {lane} (hetero hash group)"),
             );
         }
     }
