@@ -52,11 +52,12 @@ fn main() {
         }
         println!(
             "  {:<10} peak die {:>6.2} C  final {:>6.2} C  over-cap {:>6.1} s  \
-             recovery {:>8}  overhead {:>10}  {}",
+             margin {:>6.1} s  recovery {:>8}  overhead {:>10}  {}",
             run.controller,
             run.outcome.stats.peak_die.degrees(),
             run.outcome.final_max_die.degrees(),
             run.outcome.stats.cap_violation_time.as_secs_f64(),
+            run.budget_margin_s(sweep.transient_budget),
             run.outcome
                 .stats
                 .recovery_time

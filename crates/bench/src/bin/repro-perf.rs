@@ -87,6 +87,73 @@ fn bench_server_step(steps: u64) -> PerfResult {
     }
 }
 
+/// A sensor bank shaped like a default server's CSTH poll: 4 CPU
+/// diodes, 32 DIMM sensors, 32 core currents, 2 ideal voltages and 3
+/// power/fan channels — 73 channels, 71 of them noisy.
+fn server_shaped_bank(rng: &mut SimRng) -> SensorBank {
+    let noisy = |noise_sigma, quantization| SensorSpec {
+        noise_sigma,
+        quantization,
+        ..SensorSpec::ideal()
+    };
+    let mut specs = vec![SensorSpec::cpu_thermal_diode(); 4];
+    specs.extend([SensorSpec::dimm_thermal(); 32]);
+    specs.extend([noisy(0.02, 0.001); 32]);
+    specs.extend([SensorSpec::ideal(); 2]);
+    specs.extend([
+        SensorSpec::system_power_meter(),
+        noisy(0.2, 0.1),
+        noisy(3.0, 1.0),
+    ]);
+    let mut bank = SensorBank::new();
+    for (c, spec) in specs.into_iter().enumerate() {
+        bank.push(spec, rng.fork(&format!("ch{c}")));
+    }
+    bank
+}
+
+/// Gaussian draws/sec of CSTH sensor-noise refills over 512
+/// server-shaped banks. A bank refills every 16th frame, so each block
+/// times the refilling frame of every bank and steps the other 15
+/// frames untimed; `steps` counts the draws (71 channels × 16 per
+/// refill). One untimed block first allocates every bank's buffer.
+fn bench_sensor_refill(blocks: u64) -> PerfResult {
+    const BANKS: usize = 512;
+    const BLOCK: usize = 16;
+    const NOISY: u64 = 71;
+    let mut rng = SimRng::seed(42);
+    let mut banks: Vec<SensorBank> = (0..BANKS).map(|_| server_shaped_bank(&mut rng)).collect();
+    let truth: Vec<f64> = (0..73).map(|c| 40.0 + f64::from(c)).collect();
+    let mut frame = vec![0.0; truth.len()];
+    let mut frames = |banks: &mut [SensorBank], count: usize| {
+        for bank in banks {
+            for _ in 0..count {
+                bank.measure_frame(&truth, &mut frame);
+            }
+        }
+        frame.iter().sum::<f64>()
+    };
+    frames(&mut banks, BLOCK);
+    let mut wall_s = 0.0;
+    let mut checksum = 0.0;
+    for _ in 0..blocks {
+        let start = Instant::now();
+        checksum += frames(&mut banks, 1);
+        wall_s += start.elapsed().as_secs_f64();
+        frames(&mut banks, BLOCK - 1);
+    }
+    let draws = blocks * BANKS as u64 * NOISY * BLOCK as u64;
+    PerfResult {
+        name: "sensor_refill",
+        steps: draws,
+        wall_s,
+        extra: vec![
+            ("ns_per_draw", format!("{:.2}", wall_s * 1e9 / draws as f64)),
+            ("checksum", format!("{checksum:.6}")),
+        ],
+    }
+}
+
 /// One full 80-minute Table-I-protocol run (Default controller on
 /// Test-3) — the paper's headline workload and the acceptance metric
 /// for stepping-engine optimizations. Energy is reported to 1e-12 kWh
@@ -156,6 +223,7 @@ fn main() {
         best_of(reps, || bench_network_cached(10 * step_count)),
         best_of(reps, || bench_server_step(step_count)),
         best_of(reps, || bench_run80min(quick)),
+        best_of(reps, || bench_sensor_refill(step_count / 2_000)),
     ];
     for r in &results {
         println!(

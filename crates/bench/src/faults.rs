@@ -343,6 +343,13 @@ pub struct FaultRun {
 }
 
 impl FaultRun {
+    /// Seconds of the transient budget this ride left unused: budget −
+    /// time over the cap (negative when the excursion overran it).
+    #[must_use]
+    pub fn budget_margin_s(&self, budget: SimDuration) -> f64 {
+        budget.as_secs_f64() - self.outcome.stats.cap_violation_time.as_secs_f64()
+    }
+
     /// `true` for the adaptive (gated) controllers.
     #[must_use]
     pub fn is_adaptive(&self) -> bool {
@@ -409,13 +416,14 @@ impl FaultSweep {
             .map(|r| {
                 format!(
                     "{{\"scenario\": \"{}\", \"controller\": \"{}\", \"peak_die_c\": {:.3}, \
-                     \"final_die_c\": {:.3}, \"cap_violation_s\": {:.1}, \"recovery_s\": {}, \
-                     \"energy_overhead_kwh\": {}, \"contained\": {}}}",
+                     \"final_die_c\": {:.3}, \"cap_violation_s\": {:.1}, \"budget_margin_s\": {:.1}, \
+                     \"recovery_s\": {}, \"energy_overhead_kwh\": {}, \"contained\": {}}}",
                     r.scenario,
                     r.controller,
                     r.outcome.stats.peak_die.degrees(),
                     r.outcome.final_max_die.degrees(),
                     r.outcome.stats.cap_violation_time.as_secs_f64(),
+                    r.budget_margin_s(self.transient_budget),
                     fmt_dur(r.outcome.stats.recovery_time),
                     r.outcome.stats.energy_overhead.map_or_else(
                         || "null".to_owned(),
@@ -567,6 +575,9 @@ mod tests {
         assert!(per_run.starts_with('['));
         assert!(per_run.contains("\"controller\": \"MPC\""));
         assert!(per_run.contains("\"energy_overhead_kwh\": 1.000000"));
+        // Budget margins: 300 − 30 for LUT, 300 − 0 for MPC.
+        assert!(per_run.contains("\"budget_margin_s\": 270.0"));
+        assert!(per_run.contains("\"budget_margin_s\": 300.0"));
         // Only MPC rides feed the throughput number.
         assert_eq!(result.steps, 1_000);
     }

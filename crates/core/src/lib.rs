@@ -106,7 +106,8 @@ pub mod prelude {
         BangBangController, FanController, FixedSpeedController, LookupTable, LutController,
         PidController,
     };
-    pub use leakctl_platform::{FanFault, Server, ServerConfig};
+    pub use leakctl_platform::{FanFault, SensorBank, SensorSpec, Server, ServerConfig};
+    pub use leakctl_sim::SimRng;
     pub use leakctl_units::{
         Celsius, Joules, KilowattHours, Rpm, SimDuration, SimInstant, Utilization, Watts,
     };

@@ -56,5 +56,7 @@ pub use engine::{Dynamics, ServerCore, SpTransition};
 pub use error::PlatformError;
 pub use fans::{FanBank, FanFault, FanSupply, FanUnit};
 pub use lanes::{DynamicsLanes, LaneTemplate};
+/// The sensor model a [`Server`]'s CSTH channels are measured through.
+pub use leakctl_telemetry::{SensorBank, SensorSpec};
 pub use server::Server;
 pub use service_processor::{ServiceProcessor, SpAction};

@@ -64,14 +64,19 @@ impl SensorSpec {
         }
     }
 
-    /// The reading of `true_value` given the standard-normal draw `z`:
-    /// `quantize(gain·true + offset + σ·z)`. The one measurement
-    /// function every sensor shares; `z` is ignored when σ = 0.
+    /// Whether the channel draws noise (σ > 0).
+    fn is_noisy(&self) -> bool {
+        self.noise_sigma > 0.0
+    }
+
+    /// The reading of `true_value`: `quantize(gain·true + offset + σ·z)`,
+    /// with `z` the next standard-normal value of `draws` — taken only
+    /// when σ > 0. The one measurement function every sensor shares.
     #[inline]
-    fn apply(&self, true_value: f64, z: f64) -> f64 {
+    fn apply(&self, true_value: f64, draws: &mut std::slice::Iter<'_, f64>) -> f64 {
         let mut v = self.gain * true_value + self.offset;
-        if self.noise_sigma > 0.0 {
-            v += self.noise_sigma * z;
+        if self.is_noisy() {
+            v += self.noise_sigma * draws.next().expect("one draw per noisy channel");
         }
         if self.quantization > 0.0 {
             v = (v / self.quantization).round() * self.quantization;
@@ -87,10 +92,12 @@ impl Default for SensorSpec {
     }
 }
 
-/// Gaussian draws precomputed per refill — one block serves that many
-/// polls, amortizing the Box–Muller transform (the dominant cost of a
-/// telemetry poll) without touching any channel's stream: the buffered
-/// values are exactly the next draws of that channel's RNG, in order.
+/// Gaussian draws precomputed per refill: one block serves that many
+/// frames. A refill draws every noisy channel's block in one
+/// [`SimRng::fill_gaussian_streams`] batch, whose cost is libm's `ln`
+/// and `cos` (see there for why it reorders the `cos` calls). No
+/// channel's stream moves: the buffered values are exactly the next
+/// draws of that channel's RNG, in order.
 const NOISE_BLOCK: usize = 16;
 
 /// A bank of sensors measured in lockstep: one reading per channel per
@@ -99,11 +106,11 @@ const NOISE_BLOCK: usize = 16;
 /// Each channel has its [`SensorSpec`] and its own forked RNG, so adding
 /// or removing one channel never changes the noise another sees — a
 /// requirement for reproducible experiments. Noise is drawn in blocks
-/// ([`SimRng::fill_gaussian`]) stored draw-major, `noise[k · channels +
-/// c]`, behind one shared cursor: every channel is measured once per
-/// frame, so all cursors would move together anyway. A refill draws only
-/// for channels with σ > 0, and the readings are byte-identical to one
-/// `next_gaussian` per noisy reading.
+/// for the channels with σ > 0 only, stored draw-major — row `k` holds
+/// the `k`-th draw of every noisy channel in channel order — behind one
+/// shared frame cursor: every channel is measured once per frame, so
+/// all cursors would move together anyway. The readings are
+/// byte-identical to one `next_gaussian` per noisy reading.
 ///
 /// # Example
 ///
@@ -124,9 +131,10 @@ const NOISE_BLOCK: usize = 16;
 pub struct SensorBank {
     specs: Vec<SensorSpec>,
     rngs: Vec<SimRng>,
+    /// `NOISE_BLOCK` rows of one draw per noisy channel.
     noise: Vec<f64>,
-    /// Draws left in the current block; 0 means the next frame refills.
-    left: usize,
+    /// Frames measured so far; a block starts every `NOISE_BLOCK`.
+    frames: usize,
 }
 
 impl SensorBank {
@@ -145,7 +153,7 @@ impl SensorBank {
     /// block cursor.
     pub fn push(&mut self, spec: SensorSpec, rng: SimRng) {
         assert!(
-            self.noise.is_empty(),
+            self.frames == 0,
             "sensors join a bank before its first frame"
         );
         self.specs.push(spec);
@@ -154,18 +162,13 @@ impl SensorBank {
 
     /// Draws the next block for every noisy channel.
     fn refill(&mut self) {
-        let n = self.specs.len();
-        self.noise.resize(NOISE_BLOCK * n, 0.0);
-        let mut block = [0.0; NOISE_BLOCK];
-        for (c, (spec, rng)) in self.specs.iter().zip(&mut self.rngs).enumerate() {
-            if spec.noise_sigma > 0.0 {
-                rng.fill_gaussian(&mut block);
-                for (k, &z) in block.iter().enumerate() {
-                    self.noise[k * n + c] = z;
-                }
-            }
-        }
-        self.left = NOISE_BLOCK;
+        let noisy = self.specs.iter().filter(|s| s.is_noisy()).count();
+        self.noise.resize(NOISE_BLOCK * noisy, 0.0);
+        let rngs = self.specs.iter().zip(&mut self.rngs);
+        SimRng::fill_gaussian_streams::<NOISE_BLOCK>(
+            rngs.filter(|(spec, _)| spec.is_noisy()).map(|(_, rng)| rng),
+            &mut self.noise,
+        );
     }
 
     /// Measures one frame: `out[c]` is channel `c`'s reading of
@@ -180,15 +183,16 @@ impl SensorBank {
             truth.len() == n && out.len() == n,
             "a frame holds one value per channel"
         );
-        if self.left == 0 {
+        let k = self.frames % NOISE_BLOCK;
+        if k == 0 {
             self.refill();
         }
-        let k = NOISE_BLOCK - self.left;
-        let draws = &self.noise[k * n..(k + 1) * n];
-        for (((o, &x), spec), &z) in out.iter_mut().zip(truth).zip(&self.specs).zip(draws) {
-            *o = spec.apply(x, z);
+        let row = self.noise.len() / NOISE_BLOCK;
+        let mut draws = self.noise[k * row..(k + 1) * row].iter();
+        for ((o, &x), spec) in out.iter_mut().zip(truth).zip(&self.specs) {
+            *o = spec.apply(x, &mut draws);
         }
-        self.left -= 1;
+        self.frames += 1;
     }
 }
 

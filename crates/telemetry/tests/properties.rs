@@ -86,14 +86,18 @@ proptest! {
 
     /// A lockstep bank reads bit-identically to per-call draws from each
     /// channel's own stream, for any mix of noisy, noise-free, quantized
-    /// and unquantized channels and any frame count across refills.
+    /// and unquantized channels up to a server's width, across at least
+    /// three refills. A clone taken mid-block (the checkpoint path) keeps
+    /// reading bit-identically beside the original.
     #[test]
     fn sensor_bank_matches_per_call_reference(
         channels in prop::collection::vec(
             (0.9..1.1f64, -2.0..2.0f64, 0usize..3, 0usize..3),
-            1..12,
+            1..81,
         ),
-        frames in 1usize..70,
+        frames in 48usize..100,
+        clone_block in 0usize..3,
+        clone_offset in 1usize..16,
         seed in 0u64..1_000,
     ) {
         let sigmas = [0.0, 0.25, 3.0];
@@ -115,10 +119,17 @@ proptest! {
             reference.push(rng.clone());
             bank.push(spec, rng);
         }
+        // Blocks hold 16 frames; the clone is taken inside one.
+        let clone_at = 16 * clone_block + clone_offset;
+        let mut clone = None;
         let mut truth_rng = SimRng::seed(seed ^ 0x5eed);
         let mut truth = vec![0.0; specs.len()];
         let mut out = vec![0.0; specs.len()];
+        let mut cloned_out = vec![0.0; specs.len()];
         for f in 0..frames {
+            if f == clone_at {
+                clone = Some(bank.clone());
+            }
             for t in &mut truth {
                 *t = truth_rng.next_f64() * 200.0 - 50.0;
             }
@@ -127,7 +138,14 @@ proptest! {
                 let want = reference_reading(spec, rng, truth[c]);
                 prop_assert_eq!(out[c].to_bits(), want.to_bits(), "frame {} channel {}", f, c);
             }
+            if let Some(clone) = clone.as_mut() {
+                clone.measure_frame(&truth, &mut cloned_out);
+                for (c, (got, want)) in cloned_out.iter().zip(&out).enumerate() {
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "clone, frame {} channel {}", f, c);
+                }
+            }
         }
+        prop_assert!(clone.is_some());
     }
 
     /// CSV round trip preserves any harness content with clean names.
