@@ -20,18 +20,13 @@
 //! ```
 
 use leakctl_bench::building::{run_building_sweep, BuildingSpec};
-use leakctl_bench::perf::{merge_into_json, render_json};
+use leakctl_bench::perf::{gate_main, GateRun};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
+    gate_main(env!("CARGO_BIN_NAME"), gate);
+}
 
+fn gate(quick: bool) -> GateRun {
     let spec = if quick {
         BuildingSpec::quick()
     } else {
@@ -83,34 +78,24 @@ fn main() {
         result.steps_per_sec()
     );
 
-    let results = vec![result];
-    let json = match std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|existing| merge_into_json(&existing, &results, quick))
-    {
-        Some(merged) => merged,
-        None => render_json(&results, quick),
-    };
-    std::fs::write(&out_path, &json).expect("perf JSON written");
-    println!("wrote {out_path}");
-
-    if !sweep.all_contained() {
-        eprintln!(
-            "FAIL: the supervised set-point controllers must contain every scripted building \
-             fault (cap excursions bounded by the transient budget, end state under the cap, \
-             zero invariant-monitor trips)"
-        );
-        std::process::exit(1);
+    GateRun {
+        results: vec![result],
+        checks: vec![
+            (
+                sweep.all_contained(),
+                "the supervised set-point controllers must contain every scripted building \
+                 fault (cap excursions bounded by the transient budget, end state under the cap, \
+                 zero invariant-monitor trips)",
+            ),
+            (
+                sweep.checkpoint_bit_identical,
+                "a mid-fault building checkpoint must restore to a bit-identical trajectory \
+                 on every thread plan",
+            ),
+        ],
+        pass: Some(
+            "supervised LUT and MPC contained every building fault; \
+             checkpoint/restore is bit-identical across thread plans",
+        ),
     }
-    if !sweep.checkpoint_bit_identical {
-        eprintln!(
-            "FAIL: a mid-fault building checkpoint must restore to a bit-identical trajectory \
-             on every thread plan"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "PASS: supervised LUT and MPC contained every building fault; \
-         checkpoint/restore is bit-identical across thread plans"
-    );
 }

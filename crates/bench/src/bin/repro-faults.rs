@@ -18,18 +18,13 @@
 //! ```
 
 use leakctl_bench::faults::{run_fault_sweep, FaultsScenario};
-use leakctl_bench::perf::{merge_into_json, render_json};
+use leakctl_bench::perf::{gate_main, GateRun};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
+    gate_main(env!("CARGO_BIN_NAME"), gate);
+}
 
+fn gate(quick: bool) -> GateRun {
     let spec = if quick {
         FaultsScenario::quick()
     } else {
@@ -89,27 +84,19 @@ fn main() {
         result.steps_per_sec()
     );
 
-    let results = vec![result];
-    let json = match std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|existing| merge_into_json(&existing, &results, quick))
-    {
-        Some(merged) => merged,
-        None => render_json(&results, quick),
-    };
-    std::fs::write(&out_path, &json).expect("perf JSON written");
-    println!("wrote {out_path}");
-
-    if !sweep.adaptives_contained() {
-        eprintln!(
-            "FAIL: the adaptive set-point controllers must contain every scripted fault \
-             (cap excursions bounded by the transient budget, end state under the cap)"
-        );
-        std::process::exit(1);
+    GateRun {
+        results: vec![result],
+        checks: vec![
+            (
+                sweep.adaptives_contained(),
+                "the adaptive set-point controllers must contain every scripted fault \
+                 (cap excursions bounded by the transient budget, end state under the cap)",
+            ),
+            (
+                sweep.checkpoint_bit_identical,
+                "a mid-fault checkpoint must restore to a bit-identical trajectory",
+            ),
+        ],
+        pass: Some("LUT and MPC contained every fault; checkpoint/restore is bit-identical"),
     }
-    if !sweep.checkpoint_bit_identical {
-        eprintln!("FAIL: a mid-fault checkpoint must restore to a bit-identical trajectory");
-        std::process::exit(1);
-    }
-    println!("PASS: LUT and MPC contained every fault; checkpoint/restore is bit-identical");
 }

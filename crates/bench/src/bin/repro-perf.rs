@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use leakctl::prelude::*;
 use leakctl::RunOptions;
-use leakctl_bench::perf::{best_of, render_json, PerfResult};
+use leakctl_bench::perf::{best_of, render_json, GateArgs, PerfResult};
 use leakctl_bench::SteppingKernel;
 use leakctl_control::FixedSpeedController;
 use leakctl_workload::suite;
@@ -206,15 +206,7 @@ fn bench_run80min(quick: bool) -> PerfResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
-
+    let GateArgs { quick, out } = GateArgs::from_env(env!("CARGO_BIN_NAME"));
     println!("== leakctl perf report ==");
     let step_count = if quick { 2_000 } else { 20_000 };
     let reps = if quick { 2 } else { 5 };
@@ -239,6 +231,6 @@ fn main() {
     }
 
     let json = render_json(&results, quick);
-    std::fs::write(&out_path, &json).expect("perf JSON written");
-    println!("\nwrote {out_path}:\n{json}");
+    std::fs::write(&out, &json).expect("perf JSON written");
+    println!("\nwrote {out}:\n{json}");
 }

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use leakctl::fleet::Fleet;
 use leakctl::prelude::*;
-use leakctl_bench::perf::{best_of, merge_into_json, render_json, PerfResult};
+use leakctl_bench::perf::{best_of, gate_main, GateRun, PerfResult};
 use leakctl_bench::{RackKernel, ShardedRackKernel};
 use leakctl_thermal::ShardPlan;
 
@@ -179,15 +179,10 @@ fn bench_fleet_step(steps: u64) -> PerfResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
+    gate_main(env!("CARGO_BIN_NAME"), gate);
+}
 
+fn gate(quick: bool) -> GateRun {
     println!("== leakctl rack-scale batching report ({RACK} servers) ==");
     let steps = if quick { 300 } else { 2_000 };
     let reps = if quick { 2 } else { 3 };
@@ -269,13 +264,9 @@ fn main() {
     println!("dynamic-input batch vs Server::step: {dyn_speedup:.1}x");
     println!("multi-thread vs single-thread sharded: {parallel_speedup:.2}x (up to {max_threads} threads)");
 
-    let json = match std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|existing| merge_into_json(&existing, &results, quick))
-    {
-        Some(merged) => merged,
-        None => render_json(&results, quick),
-    };
-    std::fs::write(&out_path, &json).expect("perf JSON written");
-    println!("wrote {out_path}");
+    GateRun {
+        results,
+        checks: Vec::new(),
+        pass: None,
+    }
 }

@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use leakctl_bench::perf::{best_of, merge_into_json, render_json, PerfResult};
+use leakctl_bench::perf::{best_of, gate_main, GateRun, PerfResult};
 use leakctl_bench::RoomKernel;
 
 /// Default floor: 2 rows × 4 racks × 32 servers = 256 servers.
@@ -92,15 +92,10 @@ fn bench_room(steps: u64) -> PerfResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
+    gate_main(env!("CARGO_BIN_NAME"), gate);
+}
 
+fn gate(quick: bool) -> GateRun {
     let servers = ROWS * RACKS_PER_ROW * SERVERS_PER_RACK;
     println!("== leakctl room-scale report ({ROWS}x{RACKS_PER_ROW} racks, {servers} servers) ==");
     let steps = if quick { 120 } else { 900 };
@@ -118,14 +113,9 @@ fn main() {
         println!("    {k} = {v}");
     }
 
-    let results = vec![result];
-    let json = match std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|existing| merge_into_json(&existing, &results, quick))
-    {
-        Some(merged) => merged,
-        None => render_json(&results, quick),
-    };
-    std::fs::write(&out_path, &json).expect("perf JSON written");
-    println!("wrote {out_path}");
+    GateRun {
+        results: vec![result],
+        checks: Vec::new(),
+        pass: None,
+    }
 }

@@ -16,19 +16,14 @@
 //! cargo run --release -p leakctl-bench --bin repro-sched [-- --quick] [--out PATH]
 //! ```
 
-use leakctl_bench::perf::{merge_into_json, render_json};
+use leakctl_bench::perf::{gate_main, GateRun};
 use leakctl_bench::sched::{run_sched_comparison, SchedScenario};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
+    gate_main(env!("CARGO_BIN_NAME"), gate);
+}
 
+fn gate(quick: bool) -> GateRun {
     let scenario = if quick {
         SchedScenario::quick()
     } else {
@@ -79,26 +74,16 @@ fn main() {
         result.steps_per_sec()
     );
 
-    let results = vec![result];
-    let json = match std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|existing| merge_into_json(&existing, &results, quick))
-    {
-        Some(merged) => merged,
-        None => render_json(&results, quick),
-    };
-    std::fs::write(&out_path, &json).expect("perf JSON written");
-    println!("wrote {out_path}");
-
-    if !comparison.strictly_wins() {
-        eprintln!(
-            "FAIL: thermal-greedy and local-search must strictly beat round-robin \
-             on total energy at equal-or-lower peak die temperature"
-        );
-        std::process::exit(1);
+    GateRun {
+        results: vec![result],
+        checks: vec![(
+            comparison.strictly_wins(),
+            "thermal-greedy and local-search must strictly beat round-robin \
+                 on total energy at equal-or-lower peak die temperature",
+        )],
+        pass: Some(
+            "thermal-aware placement strictly beats round-robin on energy \
+             at equal-or-lower peak die temperature",
+        ),
     }
-    println!(
-        "PASS: thermal-aware placement strictly beats round-robin on energy \
-         at equal-or-lower peak die temperature"
-    );
 }

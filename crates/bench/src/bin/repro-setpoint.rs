@@ -17,19 +17,14 @@
 //! cargo run --release -p leakctl-bench --bin repro-setpoint [-- --quick] [--out PATH]
 //! ```
 
-use leakctl_bench::perf::{merge_into_json, render_json};
+use leakctl_bench::perf::{gate_main, GateRun};
 use leakctl_bench::setpoint::{run_setpoint_sweep, SetPointScenario};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
+    gate_main(env!("CARGO_BIN_NAME"), gate);
+}
 
+fn gate(quick: bool) -> GateRun {
     let scenario = if quick {
         SetPointScenario::quick()
     } else {
@@ -92,23 +87,13 @@ fn main() {
             .map_or_else(|| "n/a".to_owned(), |s| format!("{s:.4}"))
     );
 
-    let results = vec![result];
-    let json = match std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|existing| merge_into_json(&existing, &results, quick))
-    {
-        Some(merged) => merged,
-        None => render_json(&results, quick),
-    };
-    std::fs::write(&out_path, &json).expect("perf JSON written");
-    println!("wrote {out_path}");
-
-    if !sweep.strictly_wins() {
-        eprintln!(
-            "FAIL: adaptive set-point control must strictly beat the best feasible \
-             fixed supply at every beta"
-        );
-        std::process::exit(1);
+    GateRun {
+        results: vec![result],
+        checks: vec![(
+            sweep.strictly_wins(),
+            "adaptive set-point control must strictly beat the best feasible \
+                 fixed supply at every beta",
+        )],
+        pass: Some("LUT and MPC strictly beat the best fixed supply at every beta"),
     }
-    println!("PASS: LUT and MPC strictly beat the best fixed supply at every beta");
 }

@@ -724,10 +724,11 @@ impl RoomAirKernel {
     }
 }
 
-/// Machine-readable perf reporting shared by `repro-perf` and
-/// `repro-rack`: one JSON schema (`leakctl-perf/v1`), rendered by hand
-/// so the vendored no-op serde shim suffices, plus a merge helper so
-/// several binaries can contribute to one `BENCH_perf.json` artifact.
+/// Machine-readable perf reporting shared by the `repro-*` gate
+/// binaries: one JSON schema (`leakctl-perf/v1`), rendered by hand so
+/// the vendored no-op serde shim suffices, a merge helper so several
+/// binaries can contribute to one `BENCH_perf.json` artifact, and the
+/// gates' shared command line and `main` ([`perf::gate_main`]).
 pub mod perf {
     use std::fmt::Write as _;
 
@@ -860,16 +861,100 @@ pub mod perf {
         Some(out)
     }
 
+    /// A gate binary's command line: `[--quick] [--out PATH]`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct GateArgs {
+        /// Run the reduced-size scenario.
+        pub quick: bool,
+        /// Report path (default `BENCH_perf.json`).
+        pub out: String,
+    }
+
+    impl GateArgs {
+        /// Parses the arguments after the program name.
+        ///
+        /// # Errors
+        ///
+        /// Returns a message naming the first unknown argument, or an
+        /// `--out` without a path.
+        pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+            let mut parsed = Self {
+                quick: false,
+                out: "BENCH_perf.json".to_owned(),
+            };
+            let mut args = args.into_iter();
+            while let Some(arg) = args.next() {
+                match arg.as_str() {
+                    "--quick" => parsed.quick = true,
+                    "--out" => match args.next() {
+                        Some(path) if !path.starts_with("--") => parsed.out = path,
+                        _ => return Err("--out needs a path".to_owned()),
+                    },
+                    _ => return Err(format!("unknown argument `{arg}`")),
+                }
+            }
+            Ok(parsed)
+        }
+
+        /// Parses this process's arguments; on a bad command line,
+        /// prints the problem and a usage line for `bin` and exits 2.
+        #[must_use]
+        pub fn from_env(bin: &str) -> Self {
+            Self::parse(std::env::args().skip(1)).unwrap_or_else(|problem| {
+                eprintln!("{bin}: {problem}\nusage: {bin} [--quick] [--out PATH]");
+                std::process::exit(2)
+            })
+        }
+    }
+
+    /// What a gate binary's run produced.
+    #[derive(Debug)]
+    pub struct GateRun {
+        /// Measurements merged into the report.
+        pub results: Vec<PerfResult>,
+        /// `(held, failure message)` for each check, in order.
+        pub checks: Vec<(bool, &'static str)>,
+        /// Printed when every check held (`None`: report only).
+        pub pass: Option<&'static str>,
+    }
+
+    /// The shared `main` of the gate binaries: parses `--quick` and
+    /// `--out PATH` (exit 2 on a bad command line), runs `gate` with
+    /// the quick flag, merges its results into the report at the out
+    /// path (a fresh report when none is there), then exits 1 after
+    /// printing every failed check, or prints the pass line.
+    pub fn gate_main(bin: &str, gate: impl FnOnce(bool) -> GateRun) {
+        let args = GateArgs::from_env(bin);
+        let run = gate(args.quick);
+        let json = std::fs::read_to_string(&args.out)
+            .ok()
+            .and_then(|existing| merge_into_json(&existing, &run.results, args.quick))
+            .unwrap_or_else(|| render_json(&run.results, args.quick));
+        std::fs::write(&args.out, &json).expect("perf JSON written");
+        println!("wrote {}", args.out);
+        let mut failed = false;
+        for (_, message) in run.checks.iter().filter(|(held, _)| !held) {
+            eprintln!("FAIL: {message}");
+            failed = true;
+        }
+        if failed {
+            std::process::exit(1);
+        }
+        if let Some(pass) = run.pass {
+            println!("PASS: {pass}");
+        }
+    }
+
     /// Outcome of comparing two perf reports.
     #[derive(Debug)]
     pub struct DiffReport {
         /// One human-readable line per measurement.
         pub lines: Vec<String>,
-        /// `true` when some *shared* measurement lost more than the
-        /// threshold. Measurements present in only one report — newly
-        /// added benches, renamed or dropped ones — are listed but
-        /// never fail the gate, so adding a measurement does not
-        /// require seeding history.
+        /// `true` when a shared measurement lost more than the
+        /// threshold, or a measurement of the old report is missing
+        /// from the new one. A measurement only in the new report is
+        /// listed and passes, so adding a measurement does not require
+        /// seeding history.
         pub failed: bool,
     }
 
@@ -1041,6 +1126,39 @@ mod tests {
         // A real regression on a shared name still fails.
         let bad = vec![("alpha".to_owned(), 500.0), ("beta".to_owned(), 5.0)];
         assert!(diff_reports(&old, &bad, 0.20).failed);
+    }
+
+    #[test]
+    fn gate_args_parse_flags_and_reject_bad_command_lines() {
+        use perf::GateArgs;
+        let parse = |args: &[&str]| GateArgs::parse(args.iter().map(|a| (*a).to_owned()));
+        assert_eq!(
+            parse(&[]),
+            Ok(GateArgs {
+                quick: false,
+                out: "BENCH_perf.json".to_owned()
+            })
+        );
+        assert_eq!(
+            parse(&["--out", "x.json", "--quick"]),
+            Ok(GateArgs {
+                quick: true,
+                out: "x.json".to_owned()
+            })
+        );
+        // `--out` with no path is an error, not the default path.
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--out", "--quick"]).is_err());
+        // Unknown or mistyped flags are rejected, not ignored.
+        for bad in [
+            &["--quik"][..],
+            &["-q"],
+            &["extra.json"],
+            &["--quick", "--help"],
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("unknown argument"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -30,11 +30,10 @@
 use leakctl_thermal::{ChilledWaterLoop, ChilledWaterSpec, ShardPlan};
 use leakctl_units::{Celsius, Joules, SimDuration, Utilization, Watts};
 
-use crate::control::{ControlAction, RoomController, RoomObservation};
+use crate::control::{ControlAction, RoomObservation};
 use crate::error::{BuildingError, CoreError};
 use crate::fleet::run_sharded;
 use crate::room::{Room, RoomCheckpoint, RoomConfig};
-use crate::schedule::PlacementAction;
 
 /// Scenario builder for a [`Building`]: per-room configurations, the
 /// shared chilled-water plant, and the CRAH air-side approach.
@@ -266,19 +265,6 @@ impl Building {
         Ok(())
     }
 
-    /// Consults `controller` for room `room` with the live air model as
-    /// its what-if oracle, returning the (unapplied) action — see
-    /// [`Room::decide`].
-    pub fn decide(
-        &mut self,
-        room: usize,
-        controller: &mut dyn RoomController,
-        obs: &mut RoomObservation,
-    ) -> Result<ControlAction, BuildingError> {
-        self.check_room(room)?;
-        Ok(self.rooms[room].decide(controller, obs))
-    }
-
     /// Validates and applies a control action to room `room` — the one
     /// write path building controllers and the supervisor drive. The
     /// commanded supply is recorded as the room's set-point and clamped
@@ -310,26 +296,6 @@ impl Building {
     pub fn commanded_supply(&self, room: usize) -> Result<Celsius, BuildingError> {
         self.check_room(room)?;
         Ok(self.commanded_supply[room])
-    }
-
-    /// Validates and commits a workload placement to room `room` — the
-    /// placement-side twin of [`apply`](Self::apply), so schedulers
-    /// drive rooms through the same all-or-nothing write path whether
-    /// the room stands alone or behind the plant. The resident
-    /// placement then drives [`step_placed`](Self::step_placed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildingError::RoomOutOfRange`] for a bad room index
-    /// and [`CoreError::Placement`] (room untouched) when the action
-    /// fails validation.
-    pub fn apply_placement(
-        &mut self,
-        room: usize,
-        action: &PlacementAction,
-    ) -> Result<(), CoreError> {
-        self.check_room(room)?;
-        self.rooms[room].apply_placement(action)
     }
 
     // ---- stepping --------------------------------------------------------
@@ -392,66 +358,6 @@ impl Building {
         run_sharded(&mut self.rooms, &ranges, |chunk, range| {
             for (room, &load) in chunk.iter_mut().zip(&eff_loads[range]) {
                 room.step(dt, load)?;
-            }
-            Ok::<(), CoreError>(())
-        })?;
-        self.accounted += dt;
-        Ok(())
-    }
-
-    /// Advances the building by `dt` with every room driven by its
-    /// resident placement (see [`Building::apply_placement`] and
-    /// [`Room::step_placed`]) instead of one uniform activity level.
-    ///
-    /// The phases are identical to [`step`](Self::step): a serial plant
-    /// phase, then the parallel room phase where each room re-runs its
-    /// resident per-rack placement clamped to the room's power cap.
-    /// Scheduler placements and supervision load shedding therefore
-    /// compose: the cap limits activity without disturbing the stored
-    /// placement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates room/solver failures.
-    pub fn step_placed(&mut self, dt: SimDuration) -> Result<(), CoreError> {
-        if dt.is_zero() {
-            return Ok(());
-        }
-
-        // ---- plant phase (serial, room index order).
-        let mut demand = Watts::ZERO;
-        let mut removed = Watts::ZERO;
-        for room in &self.rooms {
-            demand += room.total_power();
-            removed += Watts::new(room.air().crah_heat_removed().value().max(0.0));
-        }
-        self.plant.update(demand, removed, dt);
-        let fraction = self.plant.delivered_fraction();
-        let floor = self.supply_floor();
-        for (r, room) in self.rooms.iter_mut().enumerate() {
-            let capacity = (self.room_crah_health[r] * fraction).clamp(0.0, 1.0);
-            if capacity != room.crah_capacity() {
-                room.set_crah_capacity(capacity)
-                    .map_err(|source| BuildingError::Room { room: r, source })?;
-            }
-            let effective = self.commanded_supply[r].max(floor);
-            if effective != room.air().supply_temperature() {
-                room.apply(&ControlAction::hold().with_supply(effective))?;
-            }
-        }
-
-        // ---- room phase (parallel), as in `step`.
-        self.eff_loads.clear();
-        self.eff_loads.extend(
-            self.power_caps
-                .iter()
-                .map(|&cap| Utilization::saturating_from_fraction(cap)),
-        );
-        let ranges = self.plan.ranges(self.rooms.len());
-        let caps = &self.eff_loads;
-        run_sharded(&mut self.rooms, &ranges, |chunk, range| {
-            for (room, &cap) in chunk.iter_mut().zip(&caps[range]) {
-                room.step_placed_limited(dt, cap)?;
             }
             Ok::<(), CoreError>(())
         })?;

@@ -48,6 +48,7 @@ pub mod building;
 mod characterize;
 pub mod control;
 pub mod derating;
+mod drive;
 mod error;
 mod experiment;
 mod figures;

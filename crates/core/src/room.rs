@@ -32,6 +32,7 @@ use leakctl_thermal::{RoomAirModel, RoomAirSpec, ShardPlan};
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, Utilization, Watts};
 
 use crate::control::{ControlAction, RoomController, RoomObservation, SupplyPreview};
+use crate::drive::{Drive, Stages};
 use crate::error::{CoreError, PlacementError, RoomError};
 use crate::fleet::{run_sharded, Fleet, FleetCheckpoint};
 use crate::schedule::PlacementAction;
@@ -751,11 +752,17 @@ impl Room {
     }
 
     /// Runs the closed control loop for `steps` steps of `dt`: every
-    /// [`RoomController::decision_period`] (and at time zero) the
+    /// [`RoomController::decision_period`] (and at the first step) the
     /// controller observes a fresh snapshot — with the live air model
     /// as its what-if oracle — and its action is applied atomically
-    /// before the room advances. `schedule` maps the step index to the
-    /// room-wide activity level.
+    /// before the room advances. `schedule` maps the step index of this
+    /// call to the room-wide activity level.
+    ///
+    /// Every call starts a fresh run: the controller decides at its
+    /// first step and the returned stats cover this call only, so
+    /// chunked calls re-decide at each chunk boundary. A
+    /// [`ScenarioRunner`](crate::scenario::ScenarioRunner) carries its
+    /// cadence across chunks instead.
     ///
     /// The trajectory is bit-identical for any thread plan: decisions
     /// happen in the serial section between steps, and previews never
@@ -767,43 +774,28 @@ impl Room {
     /// apply/step failures.
     pub fn run_controlled(
         &mut self,
-        controller: &mut dyn RoomController,
+        mut controller: &mut dyn RoomController,
         dt: SimDuration,
         steps: u64,
-        mut schedule: impl FnMut(u64) -> Utilization,
+        schedule: impl FnMut(u64) -> Utilization,
     ) -> Result<ControlStats, CoreError> {
-        if dt.is_zero() {
-            return Err(CoreError::Invalid {
-                what: "controlled runs need a positive step".to_owned(),
-            });
-        }
-        let period = controller.decision_period();
-        let mut stats = ControlStats::default();
-        let mut obs = RoomObservation::new();
-        let mut since = period; // decide immediately at t = 0
-        for step in 0..steps {
-            if since >= period {
-                since = SimDuration::ZERO;
-                let action = self.decide(controller, &mut obs);
-                stats.decisions += 1;
-                if !action.is_hold() {
-                    stats.applied += 1;
-                    self.apply(&action)?;
-                }
-            }
-            self.step(dt, schedule(step))?;
-            since += dt;
-            stats.peak_die = stats.peak_die.max(self.max_die_temperature());
-        }
-        Ok(stats)
+        let mut drive = Drive::new(1, Celsius::new(f64::INFINITY));
+        drive.run(
+            self,
+            std::slice::from_mut(&mut controller),
+            &mut Uniform(schedule),
+            &mut RoomObservation::new(),
+            dt,
+            steps,
+        )?;
+        Ok(drive.stats())
     }
 
     /// Observes the room into `obs` and consults `controller` with the
     /// live air model as its what-if oracle, returning the (unapplied)
-    /// action — the building block [`Room::run_controlled`] is made of,
-    /// exposed so scenario runners can keep a decision cadence of their
-    /// own (e.g. across checkpoint/restore boundaries) while deciding
-    /// exactly like the built-in loop.
+    /// action — the control stage of every closed-loop run
+    /// ([`Room::run_controlled`], the scenario runners and the
+    /// scheduled loop).
     pub fn decide(
         &mut self,
         controller: &mut dyn RoomController,
@@ -920,21 +912,6 @@ impl Room {
     ///
     /// Propagates platform and solver failures.
     pub fn step_placed(&mut self, dt: SimDuration) -> Result<(), CoreError> {
-        self.step_placed_limited(dt, Utilization::FULL)
-    }
-
-    /// As [`Room::step_placed`] with every rack's activity additionally
-    /// clamped to `limit` — the hook a building-level power cap uses to
-    /// shed a whole room without disturbing its resident placement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform and solver failures.
-    pub fn step_placed_limited(
-        &mut self,
-        dt: SimDuration,
-        limit: Utilization,
-    ) -> Result<(), CoreError> {
         let mut activities = std::mem::take(&mut self.activities);
         activities.clear();
         activities.extend(
@@ -942,21 +919,18 @@ impl Room {
                 .iter()
                 .zip(&self.budgets)
                 .zip(&self.fleets)
-                .map(|((&commanded, budget), fleet)| {
-                    let commanded = commanded.min(limit);
-                    match budget {
-                        Some(budget) => {
-                            let power = fleet.total_power().value();
-                            if power > budget.value() && power > 0.0 {
-                                Utilization::saturating_from_fraction(
-                                    commanded.as_fraction() * budget.value() / power,
-                                )
-                            } else {
-                                commanded
-                            }
+                .map(|((&commanded, budget), fleet)| match budget {
+                    Some(budget) => {
+                        let power = fleet.total_power().value();
+                        if power > budget.value() && power > 0.0 {
+                            Utilization::saturating_from_fraction(
+                                commanded.as_fraction() * budget.value() / power,
+                            )
+                        } else {
+                            commanded
                         }
-                        None => commanded,
                     }
+                    None => commanded,
                 }),
         );
         let result = self.advance(dt, &activities);
@@ -1189,7 +1163,7 @@ impl Default for ControlStats {
 }
 
 /// [`SupplyPreview`] over the live room air model — the what-if oracle
-/// [`Room::run_controlled`] hands its controller. Previews solve into a
+/// [`Room::decide`] hands its controller. Previews solve into a
 /// scratch state and restore the boundary afterwards, so the live
 /// trajectory is untouched bit-for-bit.
 struct RoomSupplyPreview<'a> {
@@ -1205,6 +1179,16 @@ impl SupplyPreview for RoomSupplyPreview<'_> {
         self.air
             .preview_supply(supply, cold_aisles)
             .map_err(|e| CoreError::Platform(e.into()))
+    }
+}
+
+/// The stages of [`Room::run_controlled`]: a uniform activity level
+/// per step index.
+struct Uniform<F>(F);
+
+impl<F: FnMut(u64) -> Utilization> Stages<Room> for Uniform<F> {
+    fn step(&mut self, room: &mut Room, dt: SimDuration, step: u64) -> Result<(), CoreError> {
+        room.step(dt, (self.0)(step))
     }
 }
 

@@ -6,15 +6,17 @@
 //! (CRAH derating/outage, tile blockage, fan faults, load moves) over a
 //! fixed duration and step size, plus the thermal cap the run is judged
 //! against. A [`ScenarioRunner`] drives a [`Room`] and a
-//! [`RoomController`] through the script with exactly
-//! [`Room::run_controlled`]'s decision cadence, while sampling the
-//! hottest die every step to account cap violations and recovery (the
-//! fields [`ControlStats`] grew for this module).
+//! [`RoomController`] through the script on the same loop as
+//! [`Room::run_controlled`] — decide at the first step, then every
+//! period — while sampling the hottest die every step to account cap
+//! violations and recovery (the fields [`ControlStats`] grew for this
+//! module). [`BuildingScenario`] and [`BuildingScenarioRunner`] do the
+//! same for a supervised [`Building`].
 //!
 //! The runner is resumable: [`ScenarioRunner::checkpoint`] captures the
 //! room ([`Room::checkpoint`]), the controller
 //! ([`RoomController::checkpoint_state`]) and the runner's own cursor
-//! (event index, decision phase, accumulated stats), and
+//! (event index, loads, decision phase, accumulated stats), and
 //! [`ScenarioRunner::restore`] resumes the trajectory **bit-identically**
 //! to an uninterrupted run, for any thread plan — the property the
 //! `checkpoint_restore` integration proptest pins.
@@ -39,14 +41,19 @@
 //! # }
 //! ```
 
+use std::ops::DerefMut;
+
 use leakctl_platform::FanFault;
 use leakctl_units::{Celsius, Joules, SimDuration, Utilization};
 
 use crate::building::{Building, BuildingCheckpoint};
 use crate::control::{RoomController, RoomObservation};
+use crate::drive::{Drive, Site, Stages};
 use crate::error::{BuildingError, CoreError, RoomError};
 use crate::room::{ControlStats, Room, RoomCheckpoint};
 use crate::supervise::{Supervisor, TripCounts};
+
+pub use crate::drive::Script;
 
 /// One timed move in a [`Scenario`] script.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,104 +82,8 @@ pub enum ScenarioEvent {
     Load(Utilization),
 }
 
-/// A deterministic fault/recovery/load script: timed events over a
-/// fixed duration and step size, judged against a thermal cap.
-///
-/// Events fire at the *start* of the step whose time they name (so an
-/// event at a decision instant is visible to that very decision), in
-/// time order; ties fire in insertion order.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    name: String,
-    events: Vec<(SimDuration, ScenarioEvent)>,
-    duration: SimDuration,
-    dt: SimDuration,
-    die_cap: Celsius,
-    initial_load: Utilization,
-}
-
-impl Scenario {
-    /// A script of `duration` in steps of `dt` with no events yet, an
-    /// 85 °C cap and full initial load.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero `dt`.
-    #[must_use]
-    pub fn new(name: impl Into<String>, duration: SimDuration, dt: SimDuration) -> Self {
-        assert!(!dt.is_zero(), "scenarios need a positive step");
-        Self {
-            name: name.into(),
-            events: Vec::new(),
-            duration,
-            dt,
-            die_cap: Celsius::new(85.0),
-            initial_load: Utilization::FULL,
-        }
-    }
-
-    /// Schedules `event` at simulated time `at` (from the start of the
-    /// run).
-    #[must_use]
-    pub fn at(mut self, at: SimDuration, event: ScenarioEvent) -> Self {
-        self.events.push((at, event));
-        // Stable sort: same-time events keep their insertion order.
-        self.events.sort_by_key(|&(t, _)| t);
-        self
-    }
-
-    /// Overrides the thermal cap the run is judged against (default
-    /// 85 °C, the paper's red-line die temperature).
-    #[must_use]
-    pub fn with_die_cap(mut self, cap: Celsius) -> Self {
-        self.die_cap = cap;
-        self
-    }
-
-    /// Overrides the activity level the run starts at (default full).
-    #[must_use]
-    pub fn with_initial_load(mut self, load: Utilization) -> Self {
-        self.initial_load = load;
-        self
-    }
-
-    /// The script's name (used in sweep reports).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total steps the script runs for.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.duration.as_millis() / self.dt.as_millis()
-    }
-
-    /// The step size.
-    #[must_use]
-    pub fn dt(&self) -> SimDuration {
-        self.dt
-    }
-
-    /// The thermal cap the run is judged against.
-    #[must_use]
-    pub fn die_cap(&self) -> Celsius {
-        self.die_cap
-    }
-
-    /// The activity level the run starts at (until a
-    /// [`ScenarioEvent::Load`] moves it).
-    #[must_use]
-    pub fn initial_load(&self) -> Utilization {
-        self.initial_load
-    }
-
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn events(&self) -> usize {
-        self.events.len()
-    }
-}
+/// A fault/recovery/load [`Script`] for one room.
+pub type Scenario = Script<ScenarioEvent>;
 
 /// What a scenario run produced: the extended loop counters and the
 /// room's energy/thermal bottom line.
@@ -211,122 +122,158 @@ impl ScenarioOutcome {
     }
 }
 
-/// Everything needed to resume a scenario mid-flight: the room
-/// snapshot, the controller's opaque state and the runner's cursor.
+/// Everything needed to resume a script run mid-flight: the site
+/// snapshot, every controller's opaque state, the supervisor's state
+/// (buildings only) and the runner's cursor.
 #[derive(Debug, Clone)]
-pub struct ScenarioCheckpoint {
-    room: RoomCheckpoint,
-    controller: Vec<f64>,
+pub struct ScriptCheckpoint<K> {
+    site: K,
+    controllers: Vec<Vec<f64>>,
+    supervisor: Vec<f64>,
     cursor: Cursor,
 }
 
-impl ScenarioCheckpoint {
+impl<K> ScriptCheckpoint<K> {
     /// The step the run was captured at.
     #[must_use]
     pub fn step(&self) -> u64 {
-        self.cursor.step
+        self.cursor.drive.step()
     }
 }
 
-/// Recovery accounting over the hottest-die samples a runner takes
-/// after every step: when the last cap excursion began, and when the
-/// die came back under the cap for good.
-#[derive(Debug, Clone, Copy, Default)]
-struct CapExcursions {
-    /// Sample time of the first over-cap sample of the last excursion.
-    onset: Option<SimDuration>,
-    /// Sample time of the first under-cap sample after it (`None`
-    /// while the excursion lasts).
-    recovered_at: Option<SimDuration>,
-}
+/// A [`ScenarioRunner`] checkpoint.
+pub type ScenarioCheckpoint = ScriptCheckpoint<RoomCheckpoint>;
 
-impl CapExcursions {
-    /// Judges the sample taken at `at`: `over` when the hottest die was
-    /// above the cap. An over-cap sample after a recovery starts a new
-    /// excursion.
-    fn judge(&mut self, over: bool, at: SimDuration) {
-        if over {
-            if self.onset.is_none() || self.recovered_at.is_some() {
-                self.onset = Some(at);
-            }
-            self.recovered_at = None;
-        } else if self.onset.is_some() && self.recovered_at.is_none() {
-            self.recovered_at = Some(at);
-        }
-    }
-
-    /// Onset of the last excursion to its sustained return under the
-    /// cap; `None` without an excursion or while one lasts.
-    fn recovery_time(&self) -> Option<SimDuration> {
-        Some(self.recovered_at? - self.onset?)
-    }
-}
-
-/// The runner's progress state (everything outside the room and the
-/// controller), captured verbatim in a [`ScenarioCheckpoint`].
+/// A script run's progress outside the site and its actors.
 #[derive(Debug, Clone)]
 struct Cursor {
-    step: u64,
+    drive: Drive,
+    /// Index of the next script event, which is also the number fired.
     next_event: usize,
-    since: SimDuration,
-    load: Utilization,
-    stats: ControlStats,
-    events_applied: usize,
-    /// Cap-excursion tracking (see [`CapExcursions`]).
-    excursions: CapExcursions,
+    /// Per-room activity level.
+    loads: Vec<Utilization>,
 }
 
-/// Drives a [`Room`] and a [`RoomController`] through a [`Scenario`],
-/// step by step, with checkpoint/restore at any step boundary.
-///
-/// Per step: due events are applied first, then (every decision
-/// period, and at `t = 0`) the controller decides against the
-/// post-event room — so a CRAH outage is visible to the very decision
-/// made at the instant it strikes — then the room advances and the
-/// hottest die is sampled against the cap.
+/// Drives a site through a [`Script`], step by step, with
+/// checkpoint/restore at any step boundary: a [`Room`] and its
+/// controller ([`ScenarioRunner`]), or a supervised [`Building`] with
+/// one controller per room ([`BuildingScenarioRunner`]). Every cadence
+/// carries across `run_steps` chunks and checkpoints, so any chunking
+/// of a script runs the same trajectory.
 #[derive(Debug)]
-pub struct ScenarioRunner {
-    scenario: Scenario,
+pub struct ScriptRunner<E> {
+    scenario: Script<E>,
     cursor: Cursor,
     obs: RoomObservation,
 }
 
-impl ScenarioRunner {
-    /// A runner positioned at the start of `scenario`.
-    #[must_use]
-    pub fn new(scenario: Scenario) -> Self {
-        let load = scenario.initial_load;
+impl<E> ScriptRunner<E> {
+    fn with_rooms(scenario: Script<E>, rooms: usize) -> Self {
+        let cursor = Cursor {
+            drive: Drive::new(rooms, scenario.die_cap()),
+            next_event: 0,
+            loads: vec![scenario.initial_load(); rooms],
+        };
         Self {
             scenario,
-            cursor: Cursor {
-                step: 0,
-                next_event: 0,
-                since: SimDuration::ZERO,
-                load,
-                stats: ControlStats::default(),
-                events_applied: 0,
-                excursions: CapExcursions::default(),
-            },
+            cursor,
             obs: RoomObservation::new(),
         }
     }
 
     /// The script being driven.
     #[must_use]
-    pub fn scenario(&self) -> &Scenario {
+    pub fn scenario(&self) -> &Script<E> {
         &self.scenario
     }
 
     /// `true` once every scripted step has run.
     #[must_use]
     pub fn finished(&self) -> bool {
-        self.cursor.step >= self.scenario.steps()
+        self.step() >= self.scenario.steps()
     }
 
     /// The current step index (steps completed so far).
     #[must_use]
     pub fn step(&self) -> u64 {
-        self.cursor.step
+        self.cursor.drive.step()
+    }
+
+    /// Runs up to `steps` further steps, stopping at the script's end.
+    fn drive<'c, S, C>(
+        &mut self,
+        site: &mut S,
+        controllers: &mut [C],
+        supervisor: Option<&mut Supervisor>,
+        steps: u64,
+    ) -> Result<(), CoreError>
+    where
+        S: Site,
+        C: DerefMut<Target = dyn RoomController + 'c>,
+        for<'a> Scripted<'a, E>: Stages<S>,
+    {
+        let steps = self.scenario.steps().saturating_sub(self.step()).min(steps);
+        let cursor = &mut self.cursor;
+        let mut stages = Scripted {
+            script: &self.scenario,
+            next_event: &mut cursor.next_event,
+            loads: &mut cursor.loads,
+            supervisor,
+        };
+        let dt = self.scenario.dt();
+        cursor
+            .drive
+            .run(site, controllers, &mut stages, &mut self.obs, dt, steps)
+    }
+}
+
+/// The scripted stages; the supervisor is for buildings only.
+struct Scripted<'a, E> {
+    script: &'a Script<E>,
+    next_event: &'a mut usize,
+    loads: &'a mut [Utilization],
+    supervisor: Option<&'a mut Supervisor>,
+}
+
+impl Stages<Room> for Scripted<'_, ScenarioEvent> {
+    fn events(&mut self, room: &mut Room, now: SimDuration) -> Result<(), CoreError> {
+        let load = &mut self.loads[0];
+        self.script.fire(self.next_event, now, |event| {
+            match *event {
+                ScenarioEvent::CrahCapacity(capacity) => room.set_crah_capacity(capacity)?,
+                ScenarioEvent::TileBlockage { rack, blockage } => {
+                    room.set_tile_blockage(rack, blockage)?;
+                }
+                ScenarioEvent::FanFault {
+                    rack,
+                    server,
+                    fault,
+                } => room.inject_fan_fault(rack, server, fault)?,
+                ScenarioEvent::Load(to) => *load = to,
+            }
+            Ok(())
+        })
+    }
+
+    fn step(&mut self, room: &mut Room, dt: SimDuration, _step: u64) -> Result<(), CoreError> {
+        room.step(dt, self.loads[0])
+    }
+}
+
+/// Drives a [`Room`] and a [`RoomController`] through a [`Scenario`].
+///
+/// Per step: due events are applied first, then (every decision
+/// period, and at `t = 0`) the controller decides against the
+/// post-event room — so a CRAH outage is visible to the very decision
+/// made at the instant it strikes — then the room advances and the
+/// hottest die is sampled against the cap.
+pub type ScenarioRunner = ScriptRunner<ScenarioEvent>;
+
+impl ScriptRunner<ScenarioEvent> {
+    /// A runner positioned at the start of `scenario`.
+    #[must_use]
+    pub fn new(scenario: Scenario) -> Self {
+        Self::with_rooms(scenario, 1)
     }
 
     /// Runs the remainder of the script and reports the outcome.
@@ -340,8 +287,7 @@ impl ScenarioRunner {
         room: &mut Room,
         controller: &mut dyn RoomController,
     ) -> Result<ScenarioOutcome, CoreError> {
-        let remaining = self.scenario.steps() - self.cursor.step;
-        self.run_steps(room, controller, remaining)?;
+        self.run_steps(room, controller, u64::MAX)?;
         Ok(self.outcome(room))
     }
 
@@ -354,82 +300,27 @@ impl ScenarioRunner {
     pub fn run_steps(
         &mut self,
         room: &mut Room,
-        controller: &mut dyn RoomController,
+        mut controller: &mut dyn RoomController,
         steps: u64,
     ) -> Result<(), CoreError> {
-        let dt = self.scenario.dt;
-        let period = controller.decision_period();
-        let end = (self.cursor.step + steps).min(self.scenario.steps());
-        while self.cursor.step < end {
-            let now = dt * self.cursor.step;
-            // ---- due events fire at the start of their step.
-            while let Some((at, event)) = self.scenario.events.get(self.cursor.next_event) {
-                if *at > now {
-                    break;
-                }
-                self.apply_event(room, event.clone())?;
-                self.cursor.next_event += 1;
-                self.cursor.events_applied += 1;
-            }
-            // ---- decision cadence: exactly `Room::run_controlled`'s
-            // (decide at t = 0, then every period).
-            if self.cursor.step == 0 || self.cursor.since >= period {
-                self.cursor.since = SimDuration::ZERO;
-                let action = room.decide(controller, &mut self.obs);
-                self.cursor.stats.decisions += 1;
-                if !action.is_hold() {
-                    self.cursor.stats.applied += 1;
-                    room.apply(&action)?;
-                }
-            }
-            // ---- advance and judge against the cap.
-            room.step(dt, self.cursor.load)?;
-            self.cursor.step += 1;
-            self.cursor.since += dt;
-            let die = room.max_die_temperature();
-            self.cursor.stats.peak_die = self.cursor.stats.peak_die.max(die);
-            if die > self.scenario.die_cap {
-                self.cursor.stats.cap_violation_time += dt;
-            }
-            self.cursor
-                .excursions
-                .judge(die > self.scenario.die_cap, dt * self.cursor.step);
-        }
-        Ok(())
+        self.drive(room, std::slice::from_mut(&mut controller), None, steps)
     }
 
-    fn apply_event(&mut self, room: &mut Room, event: ScenarioEvent) -> Result<(), CoreError> {
-        match event {
-            ScenarioEvent::CrahCapacity(capacity) => room.set_crah_capacity(capacity)?,
-            ScenarioEvent::TileBlockage { rack, blockage } => {
-                room.set_tile_blockage(rack, blockage)?;
-            }
-            ScenarioEvent::FanFault {
-                rack,
-                server,
-                fault,
-            } => room.inject_fan_fault(rack, server, fault)?,
-            ScenarioEvent::Load(load) => self.cursor.load = load,
-        }
-        Ok(())
-    }
-
-    /// The outcome so far (complete once [`ScenarioRunner::finished`]).
+    /// The outcome so far (complete once the runner has
+    /// [`finished`](ScriptRunner::finished)).
     /// Recovery time runs from the onset of the last cap excursion to
     /// the step after which the hottest die stays under the cap (see
     /// [`ControlStats::recovery_time`]).
     #[must_use]
     pub fn outcome(&self, room: &Room) -> ScenarioOutcome {
-        let mut stats = self.cursor.stats;
-        stats.recovery_time = self.cursor.excursions.recovery_time();
         ScenarioOutcome {
-            name: self.scenario.name.clone(),
-            stats,
+            name: self.scenario.name().to_owned(),
+            stats: self.cursor.drive.stats(),
             total_energy: room.total_energy(),
             it_energy: room.it_energy(),
             cooling_energy: room.cooling_energy(),
             final_max_die: room.max_die_temperature(),
-            events_applied: self.cursor.events_applied,
+            events_applied: self.cursor.next_event,
         }
     }
 
@@ -441,9 +332,10 @@ impl ScenarioRunner {
         room: &mut Room,
         controller: &dyn RoomController,
     ) -> ScenarioCheckpoint {
-        ScenarioCheckpoint {
-            room: room.checkpoint(),
-            controller: controller.checkpoint_state(),
+        ScriptCheckpoint {
+            site: room.checkpoint(),
+            controllers: vec![controller.checkpoint_state()],
+            supervisor: Vec::new(),
             cursor: self.cursor.clone(),
         }
     }
@@ -463,9 +355,9 @@ impl ScenarioRunner {
         controller: &mut dyn RoomController,
         checkpoint: &ScenarioCheckpoint,
     ) -> Result<(), RoomError> {
-        room.restore(&checkpoint.room)?;
+        room.restore(&checkpoint.site)?;
         controller.reset();
-        controller.restore_state(&checkpoint.controller);
+        controller.restore_state(&checkpoint.controllers[0]);
         self.cursor = checkpoint.cursor.clone();
         self.obs = RoomObservation::new();
         Ok(())
@@ -512,99 +404,9 @@ pub enum BuildingEvent {
     },
 }
 
-/// A deterministic building-scale fault/recovery/load script — the
-/// [`Scenario`] shape one level up, sharing its timing contract: events
-/// fire at the *start* of the step whose time they name, in time order;
-/// ties fire in insertion order.
-#[derive(Debug, Clone)]
-pub struct BuildingScenario {
-    name: String,
-    events: Vec<(SimDuration, BuildingEvent)>,
-    duration: SimDuration,
-    dt: SimDuration,
-    die_cap: Celsius,
-    initial_load: Utilization,
-}
-
-impl BuildingScenario {
-    /// A script of `duration` in steps of `dt` with no events yet, an
-    /// 85 °C cap and full initial load in every room.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero `dt`.
-    #[must_use]
-    pub fn new(name: impl Into<String>, duration: SimDuration, dt: SimDuration) -> Self {
-        assert!(!dt.is_zero(), "scenarios need a positive step");
-        Self {
-            name: name.into(),
-            events: Vec::new(),
-            duration,
-            dt,
-            die_cap: Celsius::new(85.0),
-            initial_load: Utilization::FULL,
-        }
-    }
-
-    /// Schedules `event` at simulated time `at`.
-    #[must_use]
-    pub fn at(mut self, at: SimDuration, event: BuildingEvent) -> Self {
-        self.events.push((at, event));
-        // Stable sort: same-time events keep their insertion order.
-        self.events.sort_by_key(|&(t, _)| t);
-        self
-    }
-
-    /// Overrides the thermal cap the run is judged against.
-    #[must_use]
-    pub fn with_die_cap(mut self, cap: Celsius) -> Self {
-        self.die_cap = cap;
-        self
-    }
-
-    /// Overrides the activity level every room starts at.
-    #[must_use]
-    pub fn with_initial_load(mut self, load: Utilization) -> Self {
-        self.initial_load = load;
-        self
-    }
-
-    /// The script's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total steps the script runs for.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.duration.as_millis() / self.dt.as_millis()
-    }
-
-    /// The step size.
-    #[must_use]
-    pub fn dt(&self) -> SimDuration {
-        self.dt
-    }
-
-    /// The thermal cap the run is judged against.
-    #[must_use]
-    pub fn die_cap(&self) -> Celsius {
-        self.die_cap
-    }
-
-    /// The activity level rooms start at.
-    #[must_use]
-    pub fn initial_load(&self) -> Utilization {
-        self.initial_load
-    }
-
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn events(&self) -> usize {
-        self.events.len()
-    }
-}
+/// A fault/recovery/load [`Script`] for a building; the initial load
+/// applies to every room.
+pub type BuildingScenario = Script<BuildingEvent>;
 
 /// What a building scenario run produced: aggregated loop counters, the
 /// building's energy bottom line, and the supervision record.
@@ -650,40 +452,77 @@ impl BuildingOutcome {
     }
 }
 
-/// Everything needed to resume a building scenario mid-flight: the
-/// building snapshot, every controller's opaque state, the supervisor's
-/// state, and the runner's cursor.
-#[derive(Debug, Clone)]
-pub struct BuildingScenarioCheckpoint {
-    building: BuildingCheckpoint,
-    controllers: Vec<Vec<f64>>,
-    supervisor: Vec<f64>,
-    cursor: BuildingCursor,
-}
+/// A [`BuildingScenarioRunner`] checkpoint.
+pub type BuildingScenarioCheckpoint = ScriptCheckpoint<BuildingCheckpoint>;
 
-impl BuildingScenarioCheckpoint {
-    /// The step the run was captured at.
-    #[must_use]
-    pub fn step(&self) -> u64 {
-        self.cursor.step
+impl Stages<Building> for Scripted<'_, BuildingEvent> {
+    fn events(&mut self, building: &mut Building, now: SimDuration) -> Result<(), CoreError> {
+        let loads = &mut *self.loads;
+        self.script.fire(self.next_event, now, |event| {
+            match *event {
+                BuildingEvent::Chiller(fraction) => building.set_chiller_availability(fraction)?,
+                BuildingEvent::ChwExcursion(excursion) => building.set_chw_excursion(excursion)?,
+                BuildingEvent::Outdoor(outdoor) => building.set_outdoor(outdoor)?,
+                BuildingEvent::RoomLoad { room, load }
+                | BuildingEvent::Room {
+                    room,
+                    event: ScenarioEvent::Load(load),
+                } => {
+                    let rooms = loads.len();
+                    *loads
+                        .get_mut(room)
+                        .ok_or(BuildingError::RoomOutOfRange { room, rooms })? = load;
+                }
+                BuildingEvent::LoadSurge(load) => loads.fill(load),
+                BuildingEvent::Room {
+                    room,
+                    event: ScenarioEvent::CrahCapacity(health),
+                } => building.set_room_crah_health(room, health)?,
+                BuildingEvent::Room {
+                    room,
+                    event: ScenarioEvent::TileBlockage { rack, blockage },
+                } => building
+                    .room_mut(room)?
+                    .set_tile_blockage(rack, blockage)
+                    .map_err(|source| BuildingError::Room { room, source })?,
+                BuildingEvent::Room {
+                    room,
+                    event:
+                        ScenarioEvent::FanFault {
+                            rack,
+                            server,
+                            fault,
+                        },
+                } => building
+                    .room_mut(room)?
+                    .inject_fan_fault(rack, server, fault)
+                    .map_err(|source| BuildingError::Room { room, source })?,
+            }
+            Ok(())
+        })
     }
-}
 
-/// The building runner's progress state, captured verbatim in a
-/// [`BuildingScenarioCheckpoint`].
-#[derive(Debug, Clone)]
-struct BuildingCursor {
-    step: u64,
-    next_event: usize,
-    /// Per-room decision phase.
-    since: Vec<SimDuration>,
-    since_supervise: SimDuration,
-    /// Per-room activity level.
-    loads: Vec<Utilization>,
-    stats: ControlStats,
-    events_applied: usize,
-    /// Cap-excursion tracking (see [`CapExcursions`]).
-    excursions: CapExcursions,
+    fn supervise_period(&self) -> Option<SimDuration> {
+        self.supervisor
+            .as_ref()
+            .map(|supervisor| supervisor.period())
+    }
+
+    fn supervise(&mut self, building: &mut Building) -> Result<(), CoreError> {
+        match &mut self.supervisor {
+            Some(supervisor) => supervisor.supervise(building),
+            None => Ok(()),
+        }
+    }
+
+    fn step(
+        &mut self,
+        building: &mut Building,
+        dt: SimDuration,
+        _step: u64,
+    ) -> Result<(), CoreError> {
+        building.step(dt, self.loads)
+    }
 }
 
 /// Drives a [`Building`], one [`RoomController`] per room, and a
@@ -696,67 +535,14 @@ struct BuildingCursor {
 /// advances and the hottest die across all rooms is judged against the
 /// cap. All of it happens in room index order within the serial
 /// section, so supervised runs are bit-identical for any thread plan.
-#[derive(Debug)]
-pub struct BuildingScenarioRunner {
-    scenario: BuildingScenario,
-    cursor: BuildingCursor,
-    obs: RoomObservation,
-}
+pub type BuildingScenarioRunner = ScriptRunner<BuildingEvent>;
 
-impl BuildingScenarioRunner {
+impl ScriptRunner<BuildingEvent> {
     /// A runner positioned at the start of `scenario`, for a building
     /// of `rooms` rooms.
     #[must_use]
     pub fn new(scenario: BuildingScenario, rooms: usize) -> Self {
-        let load = scenario.initial_load;
-        Self {
-            scenario,
-            cursor: BuildingCursor {
-                step: 0,
-                next_event: 0,
-                since: vec![SimDuration::ZERO; rooms],
-                since_supervise: SimDuration::ZERO,
-                loads: vec![load; rooms],
-                stats: ControlStats::default(),
-                events_applied: 0,
-                excursions: CapExcursions::default(),
-            },
-            obs: RoomObservation::new(),
-        }
-    }
-
-    /// The script being driven.
-    #[must_use]
-    pub fn scenario(&self) -> &BuildingScenario {
-        &self.scenario
-    }
-
-    /// `true` once every scripted step has run.
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.cursor.step >= self.scenario.steps()
-    }
-
-    /// The current step index.
-    #[must_use]
-    pub fn step(&self) -> u64 {
-        self.cursor.step
-    }
-
-    fn check_shape(
-        &self,
-        building: &Building,
-        controllers: &[Box<dyn RoomController>],
-    ) -> Result<(), BuildingError> {
-        if building.rooms() != self.cursor.since.len()
-            || controllers.len() != self.cursor.since.len()
-        {
-            return Err(BuildingError::InvalidFault {
-                what:
-                    "one controller per room required (runner/building/controller count mismatch)",
-            });
-        }
-        Ok(())
+        Self::with_rooms(scenario, rooms)
     }
 
     /// Runs the remainder of the script and reports the outcome.
@@ -771,8 +557,7 @@ impl BuildingScenarioRunner {
         controllers: &mut [Box<dyn RoomController>],
         supervisor: &mut Supervisor,
     ) -> Result<BuildingOutcome, CoreError> {
-        let remaining = self.scenario.steps() - self.cursor.step;
-        self.run_steps(building, controllers, supervisor, remaining)?;
+        self.run_steps(building, controllers, supervisor, u64::MAX)?;
         Ok(self.outcome(building, supervisor))
     }
 
@@ -789,125 +574,21 @@ impl BuildingScenarioRunner {
         supervisor: &mut Supervisor,
         steps: u64,
     ) -> Result<(), CoreError> {
-        self.check_shape(building, controllers)?;
-        let dt = self.scenario.dt;
-        let end = (self.cursor.step + steps).min(self.scenario.steps());
-        while self.cursor.step < end {
-            let now = dt * self.cursor.step;
-            // ---- due events fire at the start of their step.
-            while let Some((at, event)) = self.scenario.events.get(self.cursor.next_event) {
-                if *at > now {
-                    break;
-                }
-                let event = event.clone();
-                self.apply_event(building, event)?;
-                self.cursor.next_event += 1;
-                self.cursor.events_applied += 1;
-            }
-            // ---- per-room decision cadence (room index order).
-            for (r, controller) in controllers.iter_mut().enumerate() {
-                if self.cursor.step == 0 || self.cursor.since[r] >= controller.decision_period() {
-                    self.cursor.since[r] = SimDuration::ZERO;
-                    let action = building.decide(r, controller.as_mut(), &mut self.obs)?;
-                    self.cursor.stats.decisions += 1;
-                    if !action.is_hold() {
-                        self.cursor.stats.applied += 1;
-                        building.apply(r, &action)?;
-                    }
-                }
-            }
-            // ---- supervision, after the controllers so watchdog
-            // actions win.
-            if self.cursor.step == 0 || self.cursor.since_supervise >= supervisor.period() {
-                self.cursor.since_supervise = SimDuration::ZERO;
-                supervisor.supervise(building)?;
-            }
-            // ---- advance and judge against the cap.
-            building.step(dt, &self.cursor.loads)?;
-            self.cursor.step += 1;
-            for since in &mut self.cursor.since {
-                *since += dt;
-            }
-            self.cursor.since_supervise += dt;
-            let die = building.max_die_temperature();
-            self.cursor.stats.peak_die = self.cursor.stats.peak_die.max(die);
-            if die > self.scenario.die_cap {
-                self.cursor.stats.cap_violation_time += dt;
-            }
-            self.cursor
-                .excursions
-                .judge(die > self.scenario.die_cap, dt * self.cursor.step);
-        }
-        Ok(())
+        self.drive(building, controllers, Some(supervisor), steps)
     }
 
-    fn apply_event(
-        &mut self,
-        building: &mut Building,
-        event: BuildingEvent,
-    ) -> Result<(), CoreError> {
-        match event {
-            BuildingEvent::Chiller(fraction) => building.set_chiller_availability(fraction)?,
-            BuildingEvent::ChwExcursion(excursion) => building.set_chw_excursion(excursion)?,
-            BuildingEvent::Outdoor(outdoor) => building.set_outdoor(outdoor)?,
-            BuildingEvent::RoomLoad { room, load } => {
-                if room >= self.cursor.loads.len() {
-                    return Err(BuildingError::RoomOutOfRange {
-                        room,
-                        rooms: self.cursor.loads.len(),
-                    }
-                    .into());
-                }
-                self.cursor.loads[room] = load;
-            }
-            BuildingEvent::LoadSurge(load) => {
-                self.cursor.loads.fill(load);
-            }
-            BuildingEvent::Room { room, event } => match event {
-                ScenarioEvent::CrahCapacity(health) => {
-                    building.set_room_crah_health(room, health)?;
-                }
-                ScenarioEvent::TileBlockage { rack, blockage } => building
-                    .room_mut(room)?
-                    .set_tile_blockage(rack, blockage)
-                    .map_err(|source| BuildingError::Room { room, source })?,
-                ScenarioEvent::FanFault {
-                    rack,
-                    server,
-                    fault,
-                } => building
-                    .room_mut(room)?
-                    .inject_fan_fault(rack, server, fault)
-                    .map_err(|source| BuildingError::Room { room, source })?,
-                ScenarioEvent::Load(load) => {
-                    if room >= self.cursor.loads.len() {
-                        return Err(BuildingError::RoomOutOfRange {
-                            room,
-                            rooms: self.cursor.loads.len(),
-                        }
-                        .into());
-                    }
-                    self.cursor.loads[room] = load;
-                }
-            },
-        }
-        Ok(())
-    }
-
-    /// The outcome so far (complete once
-    /// [`BuildingScenarioRunner::finished`]).
+    /// The outcome so far (complete once the runner has
+    /// [`finished`](ScriptRunner::finished)).
     #[must_use]
     pub fn outcome(&self, building: &Building, supervisor: &Supervisor) -> BuildingOutcome {
-        let mut stats = self.cursor.stats;
-        stats.recovery_time = self.cursor.excursions.recovery_time();
         BuildingOutcome {
-            name: self.scenario.name.clone(),
-            stats,
+            name: self.scenario.name().to_owned(),
+            stats: self.cursor.drive.stats(),
             total_energy: building.total_energy(),
             it_energy: building.it_energy(),
             plant_energy: building.plant_energy(),
             final_max_die: building.max_die_temperature(),
-            events_applied: self.cursor.events_applied,
+            events_applied: self.cursor.next_event,
             trips: supervisor.counts(),
             sheds: supervisor.sheds(),
             escalations: supervisor.escalations(),
@@ -924,8 +605,8 @@ impl BuildingScenarioRunner {
         controllers: &[Box<dyn RoomController>],
         supervisor: &Supervisor,
     ) -> BuildingScenarioCheckpoint {
-        BuildingScenarioCheckpoint {
-            building: building.checkpoint(),
+        ScriptCheckpoint {
+            site: building.checkpoint(),
             controllers: controllers.iter().map(|c| c.checkpoint_state()).collect(),
             supervisor: supervisor.checkpoint_state(),
             cursor: self.cursor.clone(),
@@ -957,7 +638,7 @@ impl BuildingScenarioRunner {
                 ),
             });
         }
-        building.restore(&checkpoint.building)?;
+        building.restore(&checkpoint.site)?;
         for (controller, state) in controllers.iter_mut().zip(&checkpoint.controllers) {
             controller.reset();
             controller.restore_state(state);

@@ -64,6 +64,7 @@ use leakctl_sim::SimRng;
 use leakctl_units::{Celsius, SimDuration, Utilization, Watts};
 
 use crate::control::{RoomController, RoomObservation};
+use crate::drive::{Drive, Stages};
 use crate::error::CoreError;
 use crate::room::Room;
 
@@ -893,27 +894,139 @@ struct ActiveJob {
 /// decision period (assignments are re-validated and committed
 /// all-or-nothing per job), the refreshed placement is applied through
 /// [`Room::apply_placement`], the controller decides on *its* period
-/// exactly as in [`Room::run_controlled`], and the room advances with
+/// through [`Room::decide`], and the room advances with
 /// [`Room::step_placed`]. All decisions happen in the serial section
 /// between steps, so the trajectory is bit-identical for any
 /// `LEAKCTL_THREADS` plan.
 ///
-/// State (queue, resident jobs, clock, stats) persists across
-/// [`run`](Self::run) calls, so a warm-up chunk and a measured chunk
-/// compose like chunked [`Room::run_controlled`] calls.
+/// State (queue, resident jobs, clock, both decision cadences, stats)
+/// persists across [`run`](Self::run) calls, so `run(a)` followed by
+/// `run(b)` is exactly `run(a + b)`. Chunked [`Room::run_controlled`]
+/// calls differ: each call re-decides at its first step.
 #[derive(Debug)]
 pub struct ScheduledLoop {
+    queue: JobQueue,
+    loads: Option<RackLoads>,
+    drive: Drive,
+    obs: RoomObservation,
+}
+
+/// The scheduled loop's job-side state.
+#[derive(Debug)]
+struct JobQueue {
     stream: JobStream,
-    admission: FairShareRack,
     pending: Vec<Job>,
     active: Vec<ActiveJob>,
-    loads: Option<RackLoads>,
-    now: SimDuration,
-    since_sched: Option<SimDuration>,
-    since_ctrl: Option<SimDuration>,
     stats: ScheduleStats,
-    obs: RoomObservation,
     action: PlacementAction,
+}
+
+/// The scheduling stages over one room: retirement and admission, the
+/// scheduler, and the fair-share placement refresh.
+struct Scheduling<'a> {
+    queue: &'a mut JobQueue,
+    loads: &'a mut RackLoads,
+    scheduler: &'a mut dyn RoomScheduler,
+}
+
+impl Stages<Room> for Scheduling<'_> {
+    fn events(&mut self, _room: &mut Room, now: SimDuration) -> Result<(), CoreError> {
+        // Finished jobs retire (their demand leaves the floor).
+        let queue = &mut *self.queue;
+        let loads = &mut *self.loads;
+        let mut completed = 0;
+        queue.active.retain(|job| {
+            if job.end <= now {
+                loads.finish(job.rack, job.utilization);
+                completed += 1;
+                false
+            } else {
+                true
+            }
+        });
+        queue.stats.completed += completed;
+
+        // Arrivals join the queue.
+        let before = queue.pending.len();
+        queue.stream.pop_arrived(now, &mut queue.pending);
+        queue.stats.submitted += (queue.pending.len() - before) as u64;
+        Ok(())
+    }
+
+    fn schedule_period(&self) -> Option<SimDuration> {
+        Some(self.scheduler.decision_period())
+    }
+
+    fn schedule(
+        &mut self,
+        room: &mut Room,
+        now: SimDuration,
+        obs: &mut RoomObservation,
+    ) -> Result<(), CoreError> {
+        let queue = &mut *self.queue;
+        let loads = &mut *self.loads;
+        queue.stats.sched_decisions += 1;
+        room.observe_into(obs);
+        let assignments = self.scheduler.place(obs, &queue.pending, loads);
+        if assignments.len() != queue.pending.len() {
+            return Err(CoreError::Invalid {
+                what: format!(
+                    "scheduler `{}` returned {} assignments for {} pending jobs",
+                    self.scheduler.name(),
+                    assignments.len(),
+                    queue.pending.len()
+                ),
+            });
+        }
+        // Commit feasible assignments; infeasible ones are rejected
+        // deterministically and the job stays queued.
+        let mut kept = 0;
+        for (i, assignment) in assignments.iter().enumerate() {
+            let job = queue.pending[i];
+            match *assignment {
+                Some(rack) if rack < loads.racks() && loads.free_slots(rack) > 0 => {
+                    queue.stats.sched_assignments += 1;
+                    queue.stats.placed += 1;
+                    loads.start(rack, &job);
+                    queue.active.push(ActiveJob {
+                        end: now + job.duration,
+                        rack,
+                        utilization: job.utilization.as_fraction(),
+                    });
+                }
+                Some(_) => {
+                    queue.stats.sched_assignments += 1;
+                    queue.stats.rejected += 1;
+                    queue.pending[kept] = job;
+                    kept += 1;
+                }
+                None => {
+                    queue.pending[kept] = job;
+                    kept += 1;
+                }
+            }
+        }
+        queue.pending.truncate(kept);
+        queue.stats.peak_pending = queue.stats.peak_pending.max(queue.pending.len());
+        Ok(())
+    }
+
+    fn place(&mut self, room: &mut Room) -> Result<(), CoreError> {
+        // Churn between decisions shows up here, not as decisions.
+        let loads = &*self.loads;
+        let spr = loads.servers_per_rack();
+        let utilizations = &mut self.queue.action.utilizations;
+        utilizations.clear();
+        utilizations.extend(
+            (0..loads.racks())
+                .map(|r| FairShareRack.activity(loads.demand(r), spr).clamp(0.0, 1.0)),
+        );
+        room.apply_placement(&self.queue.action)
+    }
+
+    fn step(&mut self, room: &mut Room, dt: SimDuration, _step: u64) -> Result<(), CoreError> {
+        room.step_placed(dt)
+    }
 }
 
 impl ScheduledLoop {
@@ -921,24 +1034,23 @@ impl ScheduledLoop {
     #[must_use]
     pub fn new(stream: JobStream) -> Self {
         Self {
-            stream,
-            admission: FairShareRack,
-            pending: Vec::new(),
-            active: Vec::new(),
+            queue: JobQueue {
+                stream,
+                pending: Vec::new(),
+                active: Vec::new(),
+                stats: ScheduleStats::default(),
+                action: PlacementAction::from_fractions(Vec::new()),
+            },
             loads: None,
-            now: SimDuration::ZERO,
-            since_sched: None,
-            since_ctrl: None,
-            stats: ScheduleStats::default(),
+            drive: Drive::new(1, Celsius::new(f64::INFINITY)),
             obs: RoomObservation::new(),
-            action: PlacementAction::from_fractions(Vec::new()),
         }
     }
 
     /// Cumulative counters so far.
     #[must_use]
     pub fn stats(&self) -> &ScheduleStats {
-        &self.stats
+        &self.queue.stats
     }
 
     /// The loop's clock: simulated time scheduled so far (independent
@@ -946,13 +1058,13 @@ impl ScheduledLoop {
     /// across warm-up/measurement chunking).
     #[must_use]
     pub fn now(&self) -> SimDuration {
-        self.now
+        self.drive.now()
     }
 
     /// Jobs currently waiting for a feasible rack.
     #[must_use]
     pub fn pending_jobs(&self) -> usize {
-        self.pending.len()
+        self.queue.pending.len()
     }
 
     /// Restarts peak tracking (hottest die, deepest queue) without
@@ -961,14 +1073,15 @@ impl ScheduledLoop {
     /// peaks cover exactly the measured phase, the scheduling
     /// counterpart of [`Room::reset_accounting`].
     pub fn reset_peaks(&mut self) {
-        self.stats.peak_die = Celsius::new(f64::NEG_INFINITY);
-        self.stats.peak_pending = 0;
+        self.drive.reset_peak();
+        self.queue.stats.peak_die = Celsius::new(f64::NEG_INFINITY);
+        self.queue.stats.peak_pending = 0;
     }
 
     /// Jobs currently resident on racks.
     #[must_use]
     pub fn running_jobs(&self) -> usize {
-        self.active.len()
+        self.queue.active.len()
     }
 
     /// Advances `room` by `steps` steps of `dt` under `scheduler` and
@@ -983,15 +1096,10 @@ impl ScheduledLoop {
         &mut self,
         room: &mut Room,
         scheduler: &mut dyn RoomScheduler,
-        controller: &mut dyn RoomController,
+        mut controller: &mut dyn RoomController,
         dt: SimDuration,
         steps: u64,
     ) -> Result<ScheduleStats, CoreError> {
-        if dt.is_zero() {
-            return Err(CoreError::Invalid {
-                what: "scheduled runs need a positive step".to_owned(),
-            });
-        }
         let racks = room.racks();
         let loads = self
             .loads
@@ -1001,111 +1109,25 @@ impl ScheduledLoop {
                 what: "scheduled loop reused across rooms of different size".to_owned(),
             });
         }
-        let sched_period = scheduler.decision_period();
-        let ctrl_period = controller.decision_period();
-        for _ in 0..steps {
-            // ---- retire finished jobs (their demand leaves the floor).
-            let now = self.now;
-            let loads = self.loads.as_mut().unwrap_or_else(|| unreachable!());
-            let mut completed = 0;
-            self.active.retain(|job| {
-                if job.end <= now {
-                    loads.finish(job.rack, job.utilization);
-                    completed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            self.stats.completed += completed;
-
-            // ---- pull arrivals into the queue.
-            let before = self.pending.len();
-            self.stream.pop_arrived(now, &mut self.pending);
-            self.stats.submitted += (self.pending.len() - before) as u64;
-
-            // ---- scheduler decision on its own cadence (and at t=0).
-            if self.since_sched.is_none_or(|s| s >= sched_period) {
-                self.since_sched = Some(SimDuration::ZERO);
-                self.stats.sched_decisions += 1;
-                room.observe_into(&mut self.obs);
-                let assignments = scheduler.place(&self.obs, &self.pending, loads);
-                if assignments.len() != self.pending.len() {
-                    return Err(CoreError::Invalid {
-                        what: format!(
-                            "scheduler `{}` returned {} assignments for {} pending jobs",
-                            scheduler.name(),
-                            assignments.len(),
-                            self.pending.len()
-                        ),
-                    });
-                }
-                // Commit feasible assignments; infeasible ones are
-                // rejected deterministically and the job stays queued.
-                let mut kept = 0;
-                for (i, assignment) in assignments.iter().enumerate() {
-                    let job = self.pending[i];
-                    match *assignment {
-                        Some(rack) if rack < racks && loads.free_slots(rack) > 0 => {
-                            self.stats.sched_assignments += 1;
-                            self.stats.placed += 1;
-                            loads.start(rack, &job);
-                            self.active.push(ActiveJob {
-                                end: now + job.duration,
-                                rack,
-                                utilization: job.utilization.as_fraction(),
-                            });
-                        }
-                        Some(_) => {
-                            self.stats.sched_assignments += 1;
-                            self.stats.rejected += 1;
-                            self.pending[kept] = job;
-                            kept += 1;
-                        }
-                        None => {
-                            self.pending[kept] = job;
-                            kept += 1;
-                        }
-                    }
-                }
-                self.pending.truncate(kept);
-                self.stats.peak_pending = self.stats.peak_pending.max(self.pending.len());
-            }
-
-            // ---- refresh the resident placement from the occupancy
-            // (churn between decisions shows up here, not as decisions).
-            self.action.utilizations.clear();
-            let spr = loads.servers_per_rack();
-            self.action.utilizations.extend((0..racks).map(|r| {
-                self.admission
-                    .activity(loads.demand(r), spr)
-                    .clamp(0.0, 1.0)
-            }));
-            room.apply_placement(&self.action)?;
-
-            // ---- cooling decision on the controller's own cadence.
-            if self.since_ctrl.is_none_or(|s| s >= ctrl_period) {
-                self.since_ctrl = Some(SimDuration::ZERO);
-                self.stats.ctrl_decisions += 1;
-                let action = room.decide(controller, &mut self.obs);
-                if !action.is_hold() {
-                    self.stats.ctrl_applied += 1;
-                    room.apply(&action)?;
-                }
-            }
-
-            // ---- advance.
-            room.step_placed(dt)?;
-            self.now += dt;
-            if let Some(s) = self.since_sched.as_mut() {
-                *s += dt;
-            }
-            if let Some(s) = self.since_ctrl.as_mut() {
-                *s += dt;
-            }
-            self.stats.peak_die = self.stats.peak_die.max(room.max_die_temperature());
-        }
-        Ok(self.stats)
+        let mut stages = Scheduling {
+            queue: &mut self.queue,
+            loads,
+            scheduler,
+        };
+        let result = self.drive.run(
+            room,
+            std::slice::from_mut(&mut controller),
+            &mut stages,
+            &mut self.obs,
+            dt,
+            steps,
+        );
+        let control = self.drive.stats();
+        let stats = &mut self.queue.stats;
+        stats.ctrl_decisions = control.decisions;
+        stats.ctrl_applied = control.applied;
+        stats.peak_die = control.peak_die;
+        result.map(|()| *stats)
     }
 }
 

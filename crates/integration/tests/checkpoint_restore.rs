@@ -136,6 +136,47 @@ proptest! {
             );
         }
     }
+
+    /// Driving a script one step per `run_steps(1)` call, as the
+    /// benchmark does, finishes exactly like one `run`: the same
+    /// outcome (decisions, cap accounting, energies) and the same
+    /// trajectory, bit for bit.
+    #[test]
+    fn single_step_chunks_match_one_run(
+        rows in 1usize..3,
+        cols in 1usize..3,
+        spr in 2usize..5,
+        recirc in 0.0..0.4f64,
+        steps in 60u64..120,
+        seed in 0u64..1_000,
+        kind in 0u8..3,
+    ) {
+        let make_room = || {
+            let mut config = RoomConfig::new(rows, cols, spr);
+            config.recirculation_fraction = recirc;
+            config.seed = seed;
+            let mut room = Room::with_plan(config, ShardPlan::new(1)).unwrap();
+            room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(2400.0)))
+                .unwrap();
+            room
+        };
+
+        let mut room = make_room();
+        let mut ctl = controller(kind);
+        let reference = ScenarioRunner::new(script(steps, spr))
+            .run(&mut room, ctl.as_mut())
+            .unwrap();
+
+        let mut chunked = make_room();
+        let mut ctl = controller(kind);
+        let mut runner = ScenarioRunner::new(script(steps, spr));
+        for _ in 0..steps {
+            runner.run_steps(&mut chunked, ctl.as_mut(), 1).unwrap();
+        }
+        prop_assert!(runner.finished());
+        prop_assert_eq!(runner.outcome(&chunked), reference);
+        prop_assert_eq!(fingerprint(&chunked), fingerprint(&room));
+    }
 }
 
 /// A checkpoint refuses to restore into a room of a different shape,

@@ -8,6 +8,7 @@ use leakctl::control::{
     TileFlowBalancer,
 };
 use leakctl::room::{Room, RoomConfig};
+use leakctl::scenario::{Scenario, ScenarioRunner};
 use leakctl_bench::setpoint::{run_setpoint_sweep, SetPointScenario};
 use leakctl_thermal::ShardPlan;
 use leakctl_units::{Celsius, Rpm, SimDuration, Utilization};
@@ -84,6 +85,53 @@ proptest! {
         for threads in [2usize, 8] {
             prop_assert_eq!(run(threads), reference.clone(), "threads {}", threads);
         }
+    }
+
+    /// A `ScenarioRunner` over an event-free script at constant load
+    /// is `Room::run_controlled` at that load: the same decisions,
+    /// applied actions and peak die, and the same trajectory, bit for
+    /// bit.
+    #[test]
+    fn event_free_scenario_matches_run_controlled(
+        rows in 1usize..3,
+        cols in 1usize..3,
+        spr in 2usize..5,
+        recirc in 0.0..0.4f64,
+        load in 0.1..1.0f64,
+        steps in 40u64..90,
+        seed in 0u64..1_000,
+        use_mpc in proptest::any::<bool>(),
+    ) {
+        let make_room = || {
+            let mut config = RoomConfig::new(rows, cols, spr);
+            config.recirculation_fraction = recirc;
+            config.seed = seed;
+            let mut room = Room::with_plan(config, ShardPlan::new(1)).unwrap();
+            room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(2400.0)))
+                .unwrap();
+            room
+        };
+        let load = Utilization::saturating_from_fraction(load);
+        let dt = SimDuration::from_secs(1);
+
+        let mut room = make_room();
+        let mut ctl = controller(use_mpc);
+        let stats = room.run_controlled(ctl.as_mut(), dt, steps, |_| load).unwrap();
+
+        let mut scripted = make_room();
+        let mut ctl = controller(use_mpc);
+        let script = Scenario::new("constant", dt * steps, dt).with_initial_load(load);
+        let outcome = ScenarioRunner::new(script)
+            .run(&mut scripted, ctl.as_mut())
+            .unwrap();
+
+        prop_assert_eq!(outcome.stats.decisions, stats.decisions);
+        prop_assert_eq!(outcome.stats.applied, stats.applied);
+        prop_assert_eq!(
+            outcome.stats.peak_die.degrees().to_bits(),
+            stats.peak_die.degrees().to_bits()
+        );
+        prop_assert_eq!(fingerprint(&scripted), fingerprint(&room));
     }
 }
 

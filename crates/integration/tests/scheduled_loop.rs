@@ -91,6 +91,57 @@ proptest! {
             prop_assert_eq!(run(threads), reference.clone(), "threads {}", threads);
         }
     }
+
+    /// Chunked runs compose: `run(a)` followed by `run(b)` is `run(a +
+    /// b)` — queue, resident jobs, clock, both decision cadences and
+    /// every counter carry across the chunk boundary.
+    #[test]
+    fn chunked_scheduled_runs_match_one_run(
+        rows in 1usize..3,
+        cols in 1usize..3,
+        spr in 2usize..5,
+        rate in 0.05..0.5f64,
+        steps in 40u64..90,
+        split in 0.0..1.0f64,
+        seed in 0u64..1_000,
+    ) {
+        let run = |chunks: &[u64]| {
+            let mut config = RoomConfig::new(rows, cols, spr);
+            config.seed = seed;
+            let mut room = Room::with_plan(config, ShardPlan::new(1)).unwrap();
+            room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(1800.0)))
+                .unwrap();
+            let mut cfg = ThermalGreedyConfig::paper_default();
+            cfg.period = SimDuration::from_secs(10);
+            let mut scheduler = ThermalGreedyScheduler::new(cfg);
+            let mut controller =
+                LutSetPointController::paper_default().with_period(SimDuration::from_secs(30));
+            let mut jobs = JobStreamConfig::new(rate, seed);
+            jobs.mean_duration = SimDuration::from_secs(45);
+            jobs.min_duration = SimDuration::from_secs(10);
+            let mut the_loop = ScheduledLoop::new(JobStream::generate(jobs).unwrap());
+            for &steps in chunks {
+                the_loop
+                    .run(
+                        &mut room,
+                        &mut scheduler,
+                        &mut controller,
+                        SimDuration::from_secs(1),
+                        steps,
+                    )
+                    .unwrap();
+            }
+            (
+                fingerprint(&room),
+                *the_loop.stats(),
+                the_loop.now(),
+                the_loop.pending_jobs(),
+                the_loop.running_jobs(),
+            )
+        };
+        let a = (steps as f64 * split) as u64;
+        prop_assert_eq!(run(&[a, steps - a]), run(&[steps]), "split at {}", a);
+    }
 }
 
 /// A rejected placement is atomic: after any malformed action errors
