@@ -1,7 +1,7 @@
-//! Ablation benches for the design choices called out in `DESIGN.md`:
+//! Ablation benches for the model's design choices:
 //!
-//! - **Solver** — integrator choice and step size for the thermal
-//!   network (accuracy report + timing),
+//! - **Solver** — backward-Euler step size for the thermal network
+//!   (accuracy report + timing),
 //! - **Rate limit** — the LUT's 1-minute change lockout versus
 //!   alternatives (fan-change count / energy report + timing),
 //! - **LUT resolution** — number of utilization bins,
@@ -9,9 +9,8 @@
 //! - **Bang-bang band** — the paper's 65–75 °C band versus narrower and
 //!   wider bands.
 //!
-//! Each ablation prints its findings once (so bench logs double as the
-//! ablation tables in EXPERIMENTS.md) and then times the representative
-//! configuration.
+//! Each ablation prints its findings once (so bench logs double as
+//! ablation tables) and then times the representative configuration.
 //!
 //! Run with `cargo bench -p leakctl-bench --bench ablations`.
 
@@ -19,7 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use leakctl::prelude::*;
 use leakctl::{RunMetrics, RunOptions};
 use leakctl_control::{BangBangController, LutController};
-use leakctl_thermal::{Coupling, Integrator, ThermalNetworkBuilder};
+use leakctl_thermal::{Coupling, ThermalNetworkBuilder, TransientSolver};
 use leakctl_units::{Celsius, ThermalCapacitance, ThermalConductance, Watts};
 use leakctl_workload::suite;
 
@@ -50,50 +49,41 @@ fn reference_network() -> (leakctl_thermal::ThermalNetwork, leakctl_thermal::Nod
 }
 
 fn ablate_solver(c: &mut Criterion) {
-    // Accuracy after 300 s at dt = 1 s versus the analytic solution.
+    // Backward-Euler accuracy after 300 s versus the analytic solution,
+    // across step sizes up to a tenth of the time constant.
     let analytic = 74.0 + (24.0 - 74.0) * (-3.0f64).exp();
-    eprintln!("[ablate_solver] error vs analytic after 300 s, dt = 1 s:");
-    for method in [
-        Integrator::ForwardEuler,
-        Integrator::Rk4,
-        Integrator::ExponentialEuler,
-        Integrator::BackwardEuler,
-    ] {
+    eprintln!("[ablate_solver] backward-Euler error vs analytic after 300 s:");
+    for dt_ms in [100, 500, 1_000, 5_000, 10_000] {
         let (net, die) = reference_network();
         let mut st = net.uniform_state(Celsius::new(24.0));
-        net.run(
-            &mut st,
-            SimDuration::from_secs(300),
-            SimDuration::from_secs(1),
-            method,
-        )
-        .expect("integration succeeds");
+        TransientSolver::new(&net)
+            .run(
+                &net,
+                &mut st,
+                SimDuration::from_secs(300),
+                SimDuration::from_millis(dt_ms),
+            )
+            .expect("integration succeeds");
         let err = (net.temperature(&st, die).degrees() - analytic).abs();
-        eprintln!("  {method:?}: |err| = {err:.2e} K");
+        eprintln!("  dt = {dt_ms:>6} ms: |err| = {err:.2e} K");
     }
 
     let mut group = c.benchmark_group("ablate_solver");
-    for method in [
-        Integrator::ForwardEuler,
-        Integrator::Rk4,
-        Integrator::ExponentialEuler,
-        Integrator::BackwardEuler,
-    ] {
-        group.bench_function(format!("{method:?}_300steps"), |b| {
-            let (net, _) = reference_network();
-            b.iter(|| {
-                let mut st = net.uniform_state(Celsius::new(24.0));
-                net.run(
+    group.bench_function("BackwardEuler_300steps", |b| {
+        let (net, _) = reference_network();
+        b.iter(|| {
+            let mut st = net.uniform_state(Celsius::new(24.0));
+            TransientSolver::new(&net)
+                .run(
+                    &net,
                     &mut st,
                     SimDuration::from_secs(300),
                     SimDuration::from_secs(1),
-                    method,
                 )
                 .expect("integration succeeds");
-                st
-            })
-        });
-    }
+            st
+        })
+    });
     group.finish();
 }
 

@@ -7,9 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use leakctl_bench::{room_network, RackKernel, ShardedRackKernel};
-use leakctl_thermal::{
-    CsrTransientSolver, DenseTransientSolver, Integrator, ShardPlan, TransientSolver,
-};
+use leakctl_thermal::{CsrTransientSolver, DenseTransientSolver, ShardPlan, TransientSolver};
 use leakctl_units::{AirFlow, Celsius, SimDuration, Watts};
 
 fn bench_rack_scale(c: &mut Criterion) {
@@ -62,9 +60,7 @@ fn bench_rack_scale(c: &mut Criterion) {
         b.iter(|| {
             for _ in 0..BLOCK {
                 for (net, state, solver) in &mut solvers {
-                    solver
-                        .step(net, state, dt, Integrator::BackwardEuler)
-                        .unwrap();
+                    solver.step(net, state, dt).unwrap();
                 }
             }
             solvers[0].1.max_temperature()
@@ -116,9 +112,7 @@ fn bench_rack_scale(c: &mut Criterion) {
                 let mut solver = CsrTransientSolver::with_backend(&net);
                 b.iter(|| {
                     for _ in 0..50 {
-                        solver
-                            .step(&net, &mut state, dt, Integrator::BackwardEuler)
-                            .unwrap();
+                        solver.step(&net, &mut state, dt).unwrap();
                     }
                     state.max_temperature()
                 })
@@ -126,9 +120,7 @@ fn bench_rack_scale(c: &mut Criterion) {
                 let mut solver = DenseTransientSolver::with_backend(&net);
                 b.iter(|| {
                     for _ in 0..50 {
-                        solver
-                            .step(&net, &mut state, dt, Integrator::BackwardEuler)
-                            .unwrap();
+                        solver.step(&net, &mut state, dt).unwrap();
                     }
                     state.max_temperature()
                 })

@@ -22,8 +22,8 @@ use leakctl_control::FixedSpeedController;
 use leakctl_workload::suite;
 
 /// Steps/sec of the raw thermal-network stepping kernel at constant
-/// inputs (stateless `ThermalNetwork::step`, which reassembles and
-/// refactors every call).
+/// inputs with a throwaway `TransientSolver` per step, which
+/// reassembles and refactors every call.
 fn bench_network_stateless(steps: u64) -> PerfResult {
     let mut kernel = SteppingKernel::new();
     let start = Instant::now();

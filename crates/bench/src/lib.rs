@@ -60,7 +60,7 @@ fn pipeline(options: &CharacterizeOptions, seed: u64) -> Pipeline {
 }
 
 /// The seed used by every reproduction binary, so their outputs agree
-/// with each other and with EXPERIMENTS.md.
+/// with each other.
 pub const REPRO_SEED: u64 = 42;
 
 /// A server-shaped thermal network with a configurable socket count:
@@ -314,36 +314,26 @@ impl SteppingKernel {
     ///
     /// Panics when a step fails (the kernel network is regular).
     pub fn step_cached(&mut self, steps: u64) {
-        use leakctl_thermal::Integrator;
         use leakctl_units::SimDuration;
         for _ in 0..steps {
             self.solver
-                .step(
-                    &self.net,
-                    &mut self.state,
-                    SimDuration::from_secs(1),
-                    Integrator::BackwardEuler,
-                )
+                .step(&self.net, &mut self.state, SimDuration::from_secs(1))
                 .expect("step succeeds");
         }
     }
 
-    /// Advances `steps` seconds through the stateless per-call-assembly
-    /// wrapper.
+    /// Advances `steps` seconds, building a throwaway solver per step so
+    /// every step pays the full assembly and factorization.
     ///
     /// # Panics
     ///
     /// Panics when a step fails (the kernel network is regular).
     pub fn step_stateless(&mut self, steps: u64) {
-        use leakctl_thermal::Integrator;
+        use leakctl_thermal::TransientSolver;
         use leakctl_units::SimDuration;
         for _ in 0..steps {
-            self.net
-                .step(
-                    &mut self.state,
-                    SimDuration::from_secs(1),
-                    Integrator::BackwardEuler,
-                )
+            TransientSolver::new(&self.net)
+                .step(&self.net, &mut self.state, SimDuration::from_secs(1))
                 .expect("step succeeds");
         }
     }

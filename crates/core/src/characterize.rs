@@ -102,7 +102,7 @@ pub struct CharacterizationPoint {
     /// Mean measured fan power over the window.
     pub fan_power: Watts,
     /// Ground-truth mean CPU leakage over the window (for validating
-    /// the fit in EXPERIMENTS.md; the fitting pipeline never reads it).
+    /// the leakage fit; the fitting pipeline never reads it).
     pub true_leakage: Watts,
 }
 

@@ -37,6 +37,7 @@
 //! [`Room::run_controlled`]: crate::room::Room::run_controlled
 
 use leakctl_power::EmpiricalLeakage;
+use leakctl_thermal::RoomAirModel;
 use leakctl_units::{AirFlow, Celsius, Rpm, SimDuration, Utilization, Watts};
 
 use crate::error::{ControlError, CoreError};
@@ -105,13 +106,7 @@ pub struct RoomObservation {
     /// Per-rack activity that actually ran over the most recent step
     /// (power-budget throttling included); idle before the first step.
     pub rack_activity: Vec<Utilization>,
-    /// Per-rack hottest-die margin below the room's thermal cap
-    /// ([`die_limit`](Self::die_limit) minus
-    /// [`rack_die_max`](Self::rack_die_max)) — the leakage headroom a
-    /// thermal-aware scheduler spends. Negative when a rack is over
-    /// the cap.
-    pub rack_die_margin: Vec<Celsius>,
-    /// The room's thermal cap the margins are measured against.
+    /// The room's thermal cap on die temperature.
     pub die_limit: Celsius,
 }
 
@@ -136,7 +131,6 @@ impl RoomObservation {
             tile_flows: Vec::new(),
             rack_it_power: Vec::new(),
             rack_activity: Vec::new(),
-            rack_die_margin: Vec::new(),
             die_limit: Celsius::new(f64::INFINITY),
         }
     }
@@ -179,31 +173,6 @@ impl RoomObservation {
             .iter()
             .map(|t| t.degrees() - self.supply.degrees())
             .fold(0.0, f64::max)
-    }
-
-    /// The rack with the coldest cold-aisle (inlet) temperature — the
-    /// first pick of an inlet-greedy placement policy (0 for an
-    /// unfilled snapshot). Total order, so a non-finite inlet under an
-    /// injected fault still picks a rack instead of panicking.
-    #[must_use]
-    pub fn coldest_rack(&self) -> usize {
-        self.cold_aisles
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.degrees().total_cmp(&b.degrees()))
-            .map_or(0, |(r, _)| r)
-    }
-
-    /// The smallest per-rack hottest-die margin below the cap — the
-    /// room-wide thermal headroom a scheduler can still spend
-    /// (infinite for an unfilled snapshot, negative once any rack is
-    /// over the cap).
-    #[must_use]
-    pub fn min_die_margin(&self) -> Celsius {
-        self.rack_die_margin
-            .iter()
-            .copied()
-            .fold(Celsius::new(f64::INFINITY), Celsius::min)
     }
 
     /// Total under-floor tile flow `Σq_r`.
@@ -324,6 +293,21 @@ pub trait SupplyPreview {
         supply: Celsius,
         cold_aisles: &mut Vec<Celsius>,
     ) -> Result<Celsius, CoreError>;
+}
+
+/// The live room air network as a what-if oracle — what
+/// [`Room::decide`](crate::room::Room::decide) hands its controller.
+/// Previews solve into a scratch state and restore the boundary
+/// afterwards, so the live trajectory is untouched bit-for-bit.
+impl SupplyPreview for RoomAirModel {
+    fn preview_supply(
+        &mut self,
+        supply: Celsius,
+        cold_aisles: &mut Vec<Celsius>,
+    ) -> Result<Celsius, CoreError> {
+        RoomAirModel::preview_supply(self, supply, cold_aisles)
+            .map_err(|e| CoreError::Platform(e.into()))
+    }
 }
 
 /// Linear-response [`SupplyPreview`]: a supply move passes 1:1 into

@@ -11,8 +11,8 @@
 //! Each run drives `Server::step`, which integrates the thermal network
 //! through a cached `TransientSolver`: fan flows are constant for long
 //! stretches of the protocol, so most steps reduce to an O(n²)
-//! back-substitution on a reused factorization. Pick the integrator
-//! through [`RunOptions::config`] (`ServerConfig::integrator`).
+//! back-substitution on a reused factorization. The machine itself is
+//! chosen through [`RunOptions::config`].
 
 use leakctl_control::{ControlInputs, FanController};
 use leakctl_platform::{Server, ServerConfig};

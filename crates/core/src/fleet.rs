@@ -55,8 +55,8 @@ use leakctl_platform::{
     DynamicsLanes, FanFault, LaneTemplate, PlatformError, Server, ServerConfig,
 };
 use leakctl_thermal::{
-    group_by_structure_hash, BatchLane, Integrator, PackedLanes, ShardPlan, ShardedBatchSolver,
-    ShardedLanes, ThermalState,
+    group_by_structure_hash, BatchLane, PackedLanes, ShardPlan, ShardedBatchSolver, ShardedLanes,
+    ThermalState,
 };
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, TempDelta, Utilization, Watts};
 
@@ -186,10 +186,9 @@ fn same_flow(a: Option<AirFlow>, b: Option<AirFlow>) -> Option<AirFlow> {
 /// recirculates to the inlet (0 for perfect containment; a few mK/W for
 /// a poorly sealed aisle).
 ///
-/// With the default backward-Euler integrator, every step batches each
-/// hash group's thermal solves through shared factorizations on the
-/// packed sharded engine; other integrators fall back to per-server
-/// stepping (there is no factorization to share).
+/// Every server belongs to exactly one structure-hash group, and every
+/// step batches each group's backward-Euler solves through shared
+/// factorizations on the packed sharded engine.
 ///
 /// # Example
 ///
@@ -210,21 +209,17 @@ fn same_flow(a: Option<AirFlow>, b: Option<AirFlow>) -> Option<AirFlow> {
 /// ```
 #[derive(Debug)]
 pub struct Fleet {
-    /// Servers in storage order: hash groups first (each contiguous),
-    /// then scalar-integrated servers.
+    /// Servers in storage order: hash groups, each contiguous.
     servers: Vec<Server>,
     /// `index_map[original] = storage` — public indices are original
     /// construction order.
     index_map: Vec<usize>,
     /// `lanes[storage]`: the server's place in its group's resident
-    /// blocks (`None` for scalar-integrated servers).
-    lanes: Vec<Option<LaneRef>>,
+    /// blocks.
+    lanes: Vec<LaneRef>,
     room: Celsius,
     recirculation_k_per_w: f64,
     groups: Vec<FleetGroup>,
-    /// Storage indices stepped per-server (non-backward-Euler
-    /// integrators: no factorization to share).
-    scalar_members: Range<usize>,
 }
 
 impl Fleet {
@@ -304,21 +299,12 @@ impl Fleet {
             .collect::<Result<Vec<Server>, PlatformError>>()?;
         let room = configs[0].ambient;
 
-        // Partition original indices: batched servers by first-seen
-        // structure hash (the shared `group_by_structure_hash` policy),
-        // explicit-integrator servers to the scalar tail. Storage order
-        // = concatenated groups, then scalars, so every group is one
-        // contiguous, shardable server run.
-        let (batched_list, scalar_list): (Vec<usize>, Vec<usize>) = (0..built.len())
-            .partition(|&i| built[i].config().integrator == Integrator::BackwardEuler);
-        let member_lists: Vec<Vec<usize>> = group_by_structure_hash(
-            batched_list
-                .iter()
-                .map(|&i| built[i].thermal_network().structure_hash()),
-        )
-        .into_iter()
-        .map(|positions| positions.into_iter().map(|p| batched_list[p]).collect())
-        .collect();
+        // Group original indices by first-seen structure hash (the
+        // shared `group_by_structure_hash` policy). Storage order =
+        // concatenated groups, so every group is one contiguous,
+        // shardable server run.
+        let member_lists =
+            group_by_structure_hash(built.iter().map(|s| s.thermal_network().structure_hash()));
         let mut index_map = vec![0usize; built.len()];
         let mut order: Vec<usize> = Vec::with_capacity(built.len());
         let mut groups = Vec::with_capacity(member_lists.len());
@@ -327,8 +313,6 @@ impl Fleet {
             order.extend_from_slice(members);
             groups.push((start..order.len(), members[0]));
         }
-        let scalar_start = order.len();
-        order.extend_from_slice(&scalar_list);
         for (storage, &original) in order.iter().enumerate() {
             index_map[original] = storage;
         }
@@ -342,16 +326,16 @@ impl Fleet {
             };
             servers.push(server);
         }
-        let mut lanes = vec![None; servers.len()];
+        // Groups are contiguous in storage order and a plan's shard
+        // ranges tile their group, so lanes come out in storage order.
+        let mut lanes = Vec::with_capacity(servers.len());
         for (g, (range, _)) in groups.iter().enumerate() {
             for (shard, lane_range) in plan.ranges(range.len()).into_iter().enumerate() {
-                for lane in lane_range.clone() {
-                    lanes[range.start + lane] = Some(LaneRef {
-                        group: g,
-                        shard,
-                        offset: lane - lane_range.start,
-                    });
-                }
+                lanes.extend((0..lane_range.len()).map(|offset| LaneRef {
+                    group: g,
+                    shard,
+                    offset,
+                }));
             }
         }
         let groups = groups
@@ -373,7 +357,6 @@ impl Fleet {
             room,
             recirculation_k_per_w,
             groups,
-            scalar_members: scalar_start..order.len(),
         })
     }
 
@@ -407,9 +390,6 @@ impl Fleet {
                 None => servers.iter_mut().for_each(|s| s.command_fan_speed(rpm)),
             }
         }
-        for server in &mut self.servers[self.scalar_members.clone()] {
-            server.command_fan_speed(rpm);
-        }
     }
 
     /// Access to an individual server (e.g. to read per-server
@@ -420,10 +400,9 @@ impl Fleet {
     #[must_use]
     pub fn server(&mut self, index: usize) -> Option<&Server> {
         let &storage = self.index_map.get(index)?;
-        if let Some(lane) = self.lanes[storage] {
-            if let Some(resident) = self.groups[lane.group].resident.as_ref() {
-                resident.store_lane(lane, &mut self.servers[storage]);
-            }
+        let lane = self.lanes[storage];
+        if let Some(resident) = self.groups[lane.group].resident.as_ref() {
+            resident.store_lane(lane, &mut self.servers[storage]);
         }
         Some(&self.servers[storage])
     }
@@ -436,11 +415,9 @@ impl Fleet {
     #[must_use]
     pub fn server_mut(&mut self, index: usize) -> Option<&mut Server> {
         let &storage = self.index_map.get(index)?;
-        if let Some(lane) = self.lanes[storage] {
-            let group = &mut self.groups[lane.group];
-            if let Some(resident) = group.resident.take() {
-                resident.store(&mut self.servers[group.range.clone()]);
-            }
+        let group = &mut self.groups[self.lanes[storage].group];
+        if let Some(resident) = group.resident.take() {
+            resident.store(&mut self.servers[group.range.clone()]);
         }
         Some(&mut self.servers[storage])
     }
@@ -458,7 +435,7 @@ impl Fleet {
     /// A storage index's resident group and lane, when its group is
     /// resident.
     fn resident_lane(&self, storage: usize) -> Option<(&Resident, LaneRef)> {
-        let lane = self.lanes[storage]?;
+        let lane = self.lanes[storage];
         let resident = self.groups[lane.group].resident.as_ref()?;
         Some((resident, lane))
     }
@@ -609,11 +586,6 @@ impl Fleet {
         activity: Utilization,
         inlet: Celsius,
     ) -> Result<(), CoreError> {
-        // Explicit integrators have no factorization to share.
-        for server in &mut self.servers[self.scalar_members.clone()] {
-            server.set_ambient(inlet)?;
-            server.step(dt, activity)?;
-        }
         for g in 0..self.groups.len() {
             self.step_group(g, dt, activity, inlet)?;
         }
@@ -1199,23 +1171,6 @@ mod tests {
         let hot = fleet.server(1).unwrap().max_die_temperature();
         let cold = fleet.server(3).unwrap().max_die_temperature();
         assert!(hot.degrees() - cold.degrees() > 10.0, "fans diverged");
-    }
-
-    #[test]
-    fn explicit_integrator_falls_back_to_scalar_path() {
-        let config = ServerConfig {
-            integrator: Integrator::ExponentialEuler,
-            ..ServerConfig::default()
-        };
-        let mut fleet = Fleet::new(config, 2, 0.0, 9).unwrap();
-        for _ in 0..120 {
-            fleet
-                .step(SimDuration::from_secs(1), Utilization::FULL)
-                .unwrap();
-        }
-        assert_eq!(fleet.batch_group_count(), 0, "batch engine unused");
-        assert_eq!(fleet.hash_group_count(), 0, "no batched groups");
-        assert!(fleet.max_die_temperature().degrees() > 25.0);
     }
 
     #[test]

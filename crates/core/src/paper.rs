@@ -1,5 +1,5 @@
 //! Reference values reported by the paper, for side-by-side comparison
-//! in EXPERIMENTS.md and the reproduction binaries.
+//! in the reproduction binaries.
 
 /// Fitted active-power slope, W/%.
 pub const K1: f64 = 0.4452;

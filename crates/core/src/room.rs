@@ -31,7 +31,7 @@ use leakctl_platform::{FanFault, ServerConfig};
 use leakctl_thermal::{RoomAirModel, RoomAirSpec, ShardPlan};
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, Utilization, Watts};
 
-use crate::control::{ControlAction, RoomController, RoomObservation, SupplyPreview};
+use crate::control::{ControlAction, RoomController, RoomObservation};
 use crate::drive::{Drive, Stages};
 use crate::error::{CoreError, PlacementError, RoomError};
 use crate::fleet::{run_sharded, Fleet, FleetCheckpoint};
@@ -379,17 +379,6 @@ impl Room {
         &self.fleets[rack]
     }
 
-    /// Mutable access to rack `rack`'s fleet (e.g. to attach
-    /// controllers or read synced per-server state).
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range rack.
-    #[must_use]
-    pub fn fleet_mut(&mut self, rack: usize) -> &mut Fleet {
-        &mut self.fleets[rack]
-    }
-
     /// The room air network (read side).
     #[must_use]
     pub fn air(&self) -> &RoomAirModel {
@@ -715,12 +704,6 @@ impl Room {
         obs.rack_activity
             .extend_from_slice(&self.last_rack_activity);
         obs.die_limit = self.die_limit;
-        obs.rack_die_margin.clear();
-        obs.rack_die_margin.extend(
-            obs.rack_die_max
-                .iter()
-                .map(|&die| Celsius::new(self.die_limit.degrees() - die.degrees())),
-        );
     }
 
     /// A freshly allocated room snapshot (see [`Room::observe_into`]
@@ -730,25 +713,6 @@ impl Room {
         let mut obs = RoomObservation::new();
         self.observe_into(&mut obs);
         obs
-    }
-
-    /// Previews the steady per-rack cold-aisle temperatures under a
-    /// candidate supply set-point without disturbing the live
-    /// trajectory (see
-    /// [`RoomAirModel::preview_supply`]); returns the previewed CRAH
-    /// return temperature.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] for a non-finite candidate.
-    pub fn preview_supply(
-        &mut self,
-        supply: Celsius,
-        cold_aisles: &mut Vec<Celsius>,
-    ) -> Result<Celsius, CoreError> {
-        self.air
-            .preview_supply(supply, cold_aisles)
-            .map_err(|e| CoreError::Platform(e.into()))
     }
 
     /// Runs the closed control loop for `steps` steps of `dt`: every
@@ -802,8 +766,7 @@ impl Room {
         obs: &mut RoomObservation,
     ) -> ControlAction {
         self.observe_into(obs);
-        let mut preview = RoomSupplyPreview { air: &mut self.air };
-        controller.observe(obs, &mut preview)
+        controller.observe(obs, &mut self.air)
     }
 
     /// Validates and atomically applies a typed workload placement —
@@ -1159,26 +1122,6 @@ impl Default for ControlStats {
             recovery_time: None,
             energy_overhead: None,
         }
-    }
-}
-
-/// [`SupplyPreview`] over the live room air model — the what-if oracle
-/// [`Room::decide`] hands its controller. Previews solve into a
-/// scratch state and restore the boundary afterwards, so the live
-/// trajectory is untouched bit-for-bit.
-struct RoomSupplyPreview<'a> {
-    air: &'a mut RoomAirModel,
-}
-
-impl SupplyPreview for RoomSupplyPreview<'_> {
-    fn preview_supply(
-        &mut self,
-        supply: Celsius,
-        cold_aisles: &mut Vec<Celsius>,
-    ) -> Result<Celsius, CoreError> {
-        self.air
-            .preview_supply(supply, cold_aisles)
-            .map_err(|e| CoreError::Platform(e.into()))
     }
 }
 

@@ -365,12 +365,6 @@ impl RackLoads {
         self.servers_per_rack.saturating_sub(self.slots[rack])
     }
 
-    /// Occupied slots on rack `rack`.
-    #[must_use]
-    pub fn used_slots(&self, rack: usize) -> usize {
-        self.slots[rack]
-    }
-
     /// Resident demand on rack `rack`, in server-equivalents.
     #[must_use]
     pub fn demand(&self, rack: usize) -> f64 {
@@ -739,7 +733,7 @@ impl RoomScheduler for ThermalGreedyScheduler {
 /// each round evaluates moving every newly placed job to every other
 /// feasible rack under the projected-leakage cost and applies the
 /// single best strictly-improving move, until no move improves or
-/// [`max_rounds`](Self::with_max_rounds) is hit.
+/// 32 rounds have run.
 ///
 /// The greedy pass is myopic (each job priced at placement time, in
 /// queue order); relocation repairs the order-dependence, so the
@@ -749,25 +743,18 @@ impl RoomScheduler for ThermalGreedyScheduler {
 #[derive(Debug, Clone)]
 pub struct LocalSearchScheduler {
     config: ThermalGreedyConfig,
-    max_rounds: usize,
 }
+
+/// Improvement rounds [`LocalSearchScheduler`] runs per decision at
+/// most.
+const MAX_ROUNDS: usize = 32;
 
 impl LocalSearchScheduler {
     /// A local-search policy refining the greedy seed under `config`,
     /// with at most 32 improvement rounds per decision.
     #[must_use]
     pub fn new(config: ThermalGreedyConfig) -> Self {
-        Self {
-            config,
-            max_rounds: 32,
-        }
-    }
-
-    /// Caps the improvement rounds per decision.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
+        Self { config }
     }
 
     /// The config in force.
@@ -794,7 +781,7 @@ impl RoomScheduler for LocalSearchScheduler {
     ) -> Vec<Option<usize>> {
         let cfg = &self.config;
         let (mut assignments, mut proj) = greedy_place(cfg, obs, pending, loads);
-        for _ in 0..self.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             // Best-improvement scan: the single (job, rack) relocation
             // with the largest projected-leakage drop this round.
             let mut best: Option<(usize, usize, f64)> = None;

@@ -6,13 +6,12 @@
 
 use leakctl::fleet::Fleet;
 use leakctl_platform::{FanFault, ServerConfig};
-use leakctl_thermal::{Integrator, ShardPlan};
-use leakctl_units::{Celsius, Rpm, SimDuration, Utilization, Watts};
+use leakctl_thermal::ShardPlan;
+use leakctl_units::{Celsius, Rpm, SimDuration, ThermalCapacitance, Utilization, Watts};
 use proptest::prelude::*;
 
-/// Server `i`'s SKU: two batched topologies plus an explicit-integrator
-/// server on the fleet's scalar path, so storage order differs from
-/// index order.
+/// Server `i`'s SKU: three thermal topologies, so the fleet forms up to
+/// three hash groups and storage order differs from index order.
 fn config(kind: usize) -> ServerConfig {
     match kind % 3 {
         0 => ServerConfig::default(),
@@ -21,8 +20,10 @@ fn config(kind: usize) -> ServerConfig {
             process_sigma: vec![1.0],
             ..ServerConfig::default()
         },
+        // Half the DIMMs: lighter memory banks.
         _ => ServerConfig {
-            integrator: Integrator::ExponentialEuler,
+            dimm_count: 16,
+            dimm_bank_capacitance: ThermalCapacitance::new(450.0),
             ..ServerConfig::default()
         },
     }
@@ -52,6 +53,10 @@ proptest! {
         for threads in [1usize, 2] {
             let plan = ShardPlan::new(threads).with_min_lanes_per_shard(1);
             let mut fleet = Fleet::with_plan(&configs, 0.002, seed, plan).unwrap();
+            let mut distinct = kinds.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            prop_assert_eq!(fleet.hash_group_count(), distinct.len());
             let mut snap = None;
             let dt = SimDuration::from_secs(1);
             for &(op, pick, x) in &ops {

@@ -31,7 +31,7 @@ mod resolves {
     };
     pub use leakctl_sim::{Clock, EventQueue, Periodic, SimRng, TraceRecorder};
     pub use leakctl_telemetry::{ChannelId, Csth, SensorBank, SensorSpec, SeriesView, TimeSeries};
-    pub use leakctl_thermal::{ConvectionModel, Integrator, ThermalError};
+    pub use leakctl_thermal::{ConvectionModel, ThermalError};
     pub use leakctl_units::{
         AirFlow, Amps, Celsius, Joules, Kelvin, KilowattHours, QuantityError, Rpm, SimDuration,
         SimInstant, TempDelta, ThermalCapacitance, ThermalConductance, ThermalResistance,

@@ -1,15 +1,13 @@
 //! Calibrated machine description.
 //!
-//! Defaults reproduce the observable behaviour of the paper's server —
-//! see `DESIGN.md` §5 for the calibration derivation. The headline
-//! anchors: 100 %-utilization steady die temperatures of ≈86/70/63/59/56 °C
-//! at 1800/2400/3000/3600/4200 RPM, thermal settle times of ≈12 min at
-//! 1800 RPM vs ≈6 min at 4200 RPM, server-level dynamic slope
-//! `k1 ≈ 0.445 W/%`, and a leakage curve matching
-//! `C + 0.3231·e^(0.04749·T)`.
+//! Defaults reproduce the observable behaviour of the paper's server.
+//! The headline calibration anchors: 100 %-utilization steady die
+//! temperatures of ≈86/70/63/59/56 °C at 1800/2400/3000/3600/4200 RPM,
+//! thermal settle times of ≈12 min at 1800 RPM vs ≈6 min at 4200 RPM,
+//! server-level dynamic slope `k1 ≈ 0.445 W/%`, and a leakage curve
+//! matching `C + 0.3231·e^(0.04749·T)`.
 
 use leakctl_power::{FanPowerModel, PsuModel};
-use leakctl_thermal::Integrator;
 use leakctl_units::{Celsius, Rpm, ThermalCapacitance, ThermalConductance, Watts};
 
 use crate::error::PlatformError;
@@ -83,9 +81,6 @@ pub struct ServerConfig {
     pub dimm_conv_g_ref: ThermalConductance,
     /// Air-volume thermal capacitance (per air node).
     pub air_capacitance: ThermalCapacitance,
-    /// Time-integration method for the thermal transient (default
-    /// backward Euler — the network is stiff at 1-second steps).
-    pub integrator: Integrator,
 
     // ---- fan subsystem -------------------------------------------
     /// Fan slew rate, RPM per second.
@@ -139,7 +134,6 @@ impl Default for ServerConfig {
             dimm_bank_capacitance: ThermalCapacitance::new(900.0),
             dimm_conv_g_ref: ThermalConductance::new(12.0),
             air_capacitance: ThermalCapacitance::new(15.0),
-            integrator: Integrator::BackwardEuler,
 
             fan_slew_rpm_per_s: 600.0,
             supply_latency_ms: 100,

@@ -547,8 +547,8 @@ impl ServerCore {
             .sum()
     }
 
-    /// Ground-truth total CPU leakage right now (for analysis and
-    /// EXPERIMENTS.md ground-truth columns; controllers never see this).
+    /// Ground-truth total CPU leakage right now (for analysis and for
+    /// validating the leakage fit; controllers never see this).
     #[must_use]
     pub fn leakage_power(&self) -> Watts {
         self.sockets
@@ -759,8 +759,7 @@ impl ServerCore {
     ///
     /// Propagates thermal-solver failures.
     pub fn integrate(&mut self, dt: SimDuration) -> Result<(), PlatformError> {
-        self.stepper
-            .step(&self.net, &mut self.state, dt, self.config.integrator)?;
+        self.stepper.step(&self.net, &mut self.state, dt)?;
         Ok(())
     }
 

@@ -257,8 +257,8 @@ impl Server {
         self.core.dc_power()
     }
 
-    /// Ground-truth total CPU leakage right now (for analysis and
-    /// EXPERIMENTS.md ground-truth columns; controllers never see this).
+    /// Ground-truth total CPU leakage right now (for analysis and for
+    /// validating the leakage fit; controllers never see this).
     #[must_use]
     pub fn leakage_power(&self) -> Watts {
         self.core.leakage_power()
@@ -605,7 +605,8 @@ mod tests {
 
     #[test]
     fn calibration_steady_temperatures_at_full_load() {
-        // DESIGN.md §5 anchors, reproducing Fig. 1a's steady states.
+        // The calibration anchors of `ServerConfig`'s module doc,
+        // reproducing Fig. 1a's steady states.
         let cases = [
             (1800.0, 80.0, 90.0),
             (2400.0, 67.0, 75.0),

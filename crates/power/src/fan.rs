@@ -74,7 +74,7 @@ impl FanPowerModel {
 
     /// The calibrated bank for the paper's server: 6 fans in 3 rows of
     /// 2, ~33 W total at the 4200 RPM maximum, ~95 CFM per fan at
-    /// 4200 RPM (see `DESIGN.md` §5).
+    /// 4200 RPM.
     #[must_use]
     pub fn paper_server() -> Self {
         Self::new(

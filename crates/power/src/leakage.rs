@@ -49,7 +49,7 @@ impl EmpiricalLeakage {
     }
 
     /// The paper's fitted constants (`k2 = 0.3231`, `k3 = 0.04749`) with
-    /// the calibration offset from `DESIGN.md` §5.
+    /// the calibration offset [`DEFAULT_LEAK_OFFSET`](crate::DEFAULT_LEAK_OFFSET).
     #[must_use]
     pub fn paper_fit() -> Self {
         Self::new(DEFAULT_LEAK_OFFSET, PAPER_K2, PAPER_K3)

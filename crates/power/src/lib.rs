@@ -68,5 +68,5 @@ pub const PAPER_K3: f64 = 0.04749;
 pub const PAPER_FIT_RMSE: f64 = 2.243;
 
 /// Temperature-independent leakage offset (the paper's `C`, not reported
-/// numerically; chosen during calibration — see `DESIGN.md` §5).
+/// numerically; chosen while calibrating the platform twin).
 pub const DEFAULT_LEAK_OFFSET: f64 = 9.0;

@@ -45,8 +45,7 @@ pub struct ServerPowerModel {
 }
 
 impl ServerPowerModel {
-    /// Idle baseline used for the calibrated twin, watts (see
-    /// `DESIGN.md` §5).
+    /// Idle baseline used for the calibrated twin, watts.
     pub const DEFAULT_IDLE_WATTS: f64 = 430.0;
 
     /// Creates a composite model.

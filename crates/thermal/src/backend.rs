@@ -47,16 +47,6 @@ pub trait SolverBackend {
     /// current flows and boundary temperatures.
     fn assemble_conductance(&mut self, net: &ThermalNetwork, s_bound: &mut [f64]);
 
-    /// Dense or sparse product `y = G·x`.
-    fn mul_g_into(&self, x: &[f64], y: &mut [f64]);
-
-    /// Diagonal entry `G[i][i]`.
-    fn g_diag(&self, i: usize) -> f64;
-
-    /// Visits the structural off-diagonal entries of row `i` of `G` in
-    /// ascending column order.
-    fn g_offdiag_row<F: FnMut(usize, f64)>(&self, i: usize, visit: F);
-
     /// Factors the backward-Euler operator `(C + h·G)` from the current
     /// `G` assembly.
     ///
@@ -122,52 +112,21 @@ pub struct DenseBackend {
     be_m: Matrix,
     be_lu: Option<LuFactors>,
     ss_lu: Option<LuFactors>,
-    /// Structural off-diagonal sparsity (per-slot neighbour lists),
-    /// fixed at build — lets the exponential integrator skip
-    /// structurally-zero couplings in dense storage.
-    nbr_offsets: Vec<usize>,
-    nbr_cols: Vec<usize>,
 }
 
 impl SolverBackend for DenseBackend {
     fn build(net: &ThermalNetwork) -> Self {
         let n = net.state_count();
-        let nbrs = net.slot_adjacency();
-        let mut nbr_offsets = Vec::with_capacity(n + 1);
-        let mut nbr_cols = Vec::new();
-        nbr_offsets.push(0);
-        for row in &nbrs {
-            nbr_cols.extend_from_slice(row);
-            nbr_offsets.push(nbr_cols.len());
-        }
         Self {
             g: Matrix::zeros(n, n),
             be_m: Matrix::zeros(n, n),
             be_lu: None,
             ss_lu: None,
-            nbr_offsets,
-            nbr_cols,
         }
     }
 
     fn assemble_conductance(&mut self, net: &ThermalNetwork, s_bound: &mut [f64]) {
         net.assemble_conductance_into(&mut self.g, s_bound);
-    }
-
-    fn mul_g_into(&self, x: &[f64], y: &mut [f64]) {
-        if let Err(e) = self.g.mul_vec_into(x, y) {
-            unreachable!("assembly produces consistent dimensions: {e}");
-        }
-    }
-
-    fn g_diag(&self, i: usize) -> f64 {
-        self.g.get(i, i)
-    }
-
-    fn g_offdiag_row<F: FnMut(usize, f64)>(&self, i: usize, mut visit: F) {
-        for &j in &self.nbr_cols[self.nbr_offsets[i]..self.nbr_offsets[i + 1]] {
-            visit(j, self.g.get(i, j));
-        }
     }
 
     fn factor_be(&mut self, c: &[f64], h: f64) -> Result<(), ThermalError> {
@@ -278,22 +237,6 @@ impl SolverBackend for CsrBackend {
         net.assemble_conductance_with(&mut |r, c, v| g.add_to(r, c, v), s_bound);
     }
 
-    fn mul_g_into(&self, x: &[f64], y: &mut [f64]) {
-        self.g.mul_vec_into(x, y);
-    }
-
-    fn g_diag(&self, i: usize) -> f64 {
-        self.g.get(i, i)
-    }
-
-    fn g_offdiag_row<F: FnMut(usize, f64)>(&self, i: usize, mut visit: F) {
-        for (&j, &v) in self.g.row_cols(i).iter().zip(self.g.row_vals(i)) {
-            if j != i {
-                visit(j, v);
-            }
-        }
-    }
-
     fn factor_be(&mut self, c: &[f64], h: f64) -> Result<(), ThermalError> {
         self.be_m.assign_be_operator(&self.g, h, c);
         self.be_lu
@@ -345,8 +288,9 @@ impl SolverBackend for CsrBackend {
 pub enum AutoBackend {
     /// Dense storage (small networks).
     Dense(DenseBackend),
-    /// CSR storage (rack/room-scale networks).
-    Csr(CsrBackend),
+    /// CSR storage (rack/room-scale networks), boxed so the common
+    /// dense variant does not pay for the larger CSR record.
+    Csr(Box<CsrBackend>),
 }
 
 macro_rules! auto_dispatch {
@@ -361,7 +305,7 @@ macro_rules! auto_dispatch {
 impl SolverBackend for AutoBackend {
     fn build(net: &ThermalNetwork) -> Self {
         if net.state_count() >= CSR_NODE_THRESHOLD {
-            Self::Csr(CsrBackend::build(net))
+            Self::Csr(Box::new(CsrBackend::build(net)))
         } else {
             Self::Dense(DenseBackend::build(net))
         }
@@ -369,18 +313,6 @@ impl SolverBackend for AutoBackend {
 
     fn assemble_conductance(&mut self, net: &ThermalNetwork, s_bound: &mut [f64]) {
         auto_dispatch!(self, b => b.assemble_conductance(net, s_bound));
-    }
-
-    fn mul_g_into(&self, x: &[f64], y: &mut [f64]) {
-        auto_dispatch!(self, b => b.mul_g_into(x, y));
-    }
-
-    fn g_diag(&self, i: usize) -> f64 {
-        auto_dispatch!(self, b => b.g_diag(i))
-    }
-
-    fn g_offdiag_row<F: FnMut(usize, f64)>(&self, i: usize, visit: F) {
-        auto_dispatch!(self, b => b.g_offdiag_row(i, visit));
     }
 
     fn factor_be(&mut self, c: &[f64], h: f64) -> Result<(), ThermalError> {

@@ -22,11 +22,6 @@
 //! factorization and the per-lane accumulation order of the block
 //! substitution all match the scalar path exactly. A fleet of one
 //! therefore reproduces the single-server trajectory to the last bit.
-//!
-//! Batching is defined for the implicit backward-Euler method only —
-//! the integrator where a shared factorization exists. Explicit
-//! integrators have no factorization to share; step those lanes
-//! individually.
 
 use std::borrow::Borrow;
 
@@ -1009,7 +1004,6 @@ mod tests {
     use super::*;
     use crate::backend::DenseBackend;
     use crate::network::{Coupling, ThermalNetworkBuilder};
-    use crate::solver::Integrator;
     use crate::stepper::TransientSolver;
     use leakctl_units::{AirFlow, Celsius, ThermalCapacitance, ThermalConductance, Watts};
 
@@ -1092,9 +1086,7 @@ mod tests {
                 .zip(&nets)
                 .zip(scalar_states.iter_mut())
             {
-                solver
-                    .step(net, state, dt, Integrator::BackwardEuler)
-                    .unwrap();
+                solver.step(net, state, dt).unwrap();
             }
         }
         assert_eq!(batch.group_count(), 2, "flow divergence splits groups");
@@ -1321,9 +1313,7 @@ mod tests {
                 .collect();
             batch.step(&mut lanes, dt).unwrap();
             for (net, (solver, state)) in nets.iter().zip(scalar.iter_mut()) {
-                solver
-                    .step(net, state, dt, Integrator::BackwardEuler)
-                    .unwrap();
+                solver.step(net, state, dt).unwrap();
             }
         }
         assert!(batch.group_count() >= count, "no current-step eviction");

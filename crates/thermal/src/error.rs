@@ -30,8 +30,7 @@ pub enum ThermalError {
         /// Node name.
         name: String,
     },
-    /// Integration produced a non-finite temperature (step too large for
-    /// the chosen explicit method).
+    /// Integration produced a non-finite temperature.
     Diverged {
         /// Name of the first offending node.
         name: String,

@@ -15,15 +15,16 @@
 //!   upstream temperature, reproducing the paper's airflow order where
 //!   inlet air crosses the DIMMs before it reaches the CPUs.
 //!
-//! Transients integrate with a choice of [`Integrator`]s; the air nodes
-//! make the system stiff, so the default is the unconditionally stable
-//! backward-Euler method. Steady states solve directly through the
+//! The air nodes make the system stiff, so every transient steps with
+//! the unconditionally stable backward-Euler method through a
+//! [`TransientSolver`], which caches the assembly and the factorization
+//! of `(C + h·G)` across steps. Steady states solve directly through the
 //! bundled dense [`linalg`] module.
 //!
 //! # Example
 //!
 //! ```
-//! use leakctl_thermal::{Coupling, Integrator, ThermalNetworkBuilder};
+//! use leakctl_thermal::{Coupling, ThermalNetworkBuilder, TransientSolver};
 //! use leakctl_units::{
 //!     Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts,
 //! };
@@ -36,9 +37,10 @@
 //! let mut net = b.build()?;
 //!
 //! net.set_power(die, Watts::new(100.0));
+//! let mut solver = TransientSolver::new(&net);
 //! let mut state = net.uniform_state(Celsius::new(24.0));
 //! for _ in 0..600 {
-//!     net.step(&mut state, SimDuration::from_secs(1), Integrator::BackwardEuler)?;
+//!     solver.step(&net, &mut state, SimDuration::from_secs(1))?;
 //! }
 //! // Steady state: 24 °C + 100 W / 2 W/K = 74 °C.
 //! assert!((net.temperature(&state, die).degrees() - 74.0).abs() < 0.5);
@@ -59,6 +61,7 @@ mod network;
 mod plant;
 mod room;
 mod shard;
+#[cfg(test)]
 mod solver;
 pub mod sparse;
 mod stepper;
@@ -76,7 +79,6 @@ pub use shard::{
     group_by_structure_hash, ShardPlan, ShardedBatchSolver, ShardedLanes, SharedKernel, StepKernel,
     THREADS_ENV,
 };
-pub use solver::Integrator;
 pub use stepper::TransientSolver;
 
 /// A [`TransientSolver`] pinned to the dense backend (explicit choice;

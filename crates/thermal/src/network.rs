@@ -845,9 +845,8 @@ impl ThermalNetwork {
     }
 
     /// Per-slot capacitive neighbour lists (sorted, deduplicated): the
-    /// structural sparsity of `G`'s off-diagonal, fixed at build time.
-    /// Lets integrators skip structurally-zero couplings instead of
-    /// scanning dense rows.
+    /// structural sparsity of `G`'s off-diagonal, fixed at build time —
+    /// the pattern the CSR backend stores.
     pub(crate) fn slot_adjacency(&self) -> Vec<Vec<usize>> {
         let n = self.slot_to_node.len();
         let mut nbrs: Vec<Vec<usize>> = vec![Vec::new(); n];

@@ -41,7 +41,6 @@ use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, Watts};
 
 use crate::error::ThermalError;
 use crate::network::{Coupling, FlowChannelId, NodeId, ThermalNetwork, ThermalNetworkBuilder};
-use crate::solver::Integrator;
 use crate::stepper::TransientSolver;
 use crate::{ThermalState, AIR_DENSITY, AIR_SPECIFIC_HEAT};
 
@@ -557,8 +556,7 @@ impl RoomAirModel {
     ///
     /// Propagates solver failures.
     pub fn step(&mut self, dt: SimDuration) -> Result<(), ThermalError> {
-        self.solver
-            .step(&self.net, &mut self.state, dt, Integrator::BackwardEuler)
+        self.solver.step(&self.net, &mut self.state, dt)
     }
 
     /// Replaces the state with the steady-state solution for the

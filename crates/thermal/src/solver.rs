@@ -1,88 +1,11 @@
-//! Transient integration of the thermal ODE `C·dT/dt = −G·T + s`.
+//! Accuracy and stability checks of the backward-Euler transient in
+//! [`TransientSolver`](crate::TransientSolver) against the analytic
+//! single-RC solution. Test-only: the solver itself lives in `stepper`.
 
-use leakctl_units::SimDuration;
-
-use crate::error::ThermalError;
-use crate::network::{ThermalNetwork, ThermalState};
-use crate::stepper::TransientSolver;
-
-/// Time-integration method for [`ThermalNetwork::step`].
-///
-/// The server model mixes slow solid nodes (minutes) with fast air nodes
-/// (sub-second), making the ODE stiff. Guidance:
-///
-/// - [`Integrator::BackwardEuler`] (default) — implicit, unconditionally
-///   stable; accurate at the 0.1–1 s steps the platform uses.
-/// - [`Integrator::ExponentialEuler`] — per-node exact diagonal decay
-///   with frozen couplings; stable and cheap, small splitting error.
-/// - [`Integrator::Rk4`] — classic 4th order; accurate but requires
-///   steps below the fastest time constant.
-/// - [`Integrator::ForwardEuler`] — reference method; diverges for
-///   steps above twice the fastest time constant. Kept for the solver
-///   ablation benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum Integrator {
-    /// Explicit first-order Euler.
-    ForwardEuler,
-    /// Classic explicit fourth-order Runge–Kutta.
-    Rk4,
-    /// Per-node exponential decay toward a frozen local equilibrium.
-    ExponentialEuler,
-    /// Implicit first-order Euler (LU solve per step).
-    #[default]
-    BackwardEuler,
-}
-
-impl ThermalNetwork {
-    /// Advances `state` by `dt` with the chosen integrator, holding
-    /// powers, boundary temperatures and flows constant over the step.
-    ///
-    /// Thin wrapper over [`TransientSolver`] that builds a throwaway
-    /// solver per call — convenient for one-off steps. Long transients
-    /// should hold a [`TransientSolver`] instead so assembly and LU
-    /// factorizations are cached across steps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Diverged`] when the step produced a
-    /// non-finite temperature (explicit method with too large a step)
-    /// and [`ThermalError::SingularSystem`] when the implicit solve
-    /// fails.
-    pub fn step(
-        &self,
-        state: &mut ThermalState,
-        dt: SimDuration,
-        method: Integrator,
-    ) -> Result<(), ThermalError> {
-        TransientSolver::new(self).step(self, state, dt, method)
-    }
-
-    /// Advances `state` by `total`, internally substepping at `max_dt`.
-    ///
-    /// Convenience wrapper used by characterization sweeps where inputs
-    /// are constant for long stretches; one [`TransientSolver`] backs
-    /// the whole run, so every substep after the first reuses the
-    /// cached factorization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`ThermalNetwork::step`].
-    pub fn run(
-        &self,
-        state: &mut ThermalState,
-        total: SimDuration,
-        max_dt: SimDuration,
-        method: Integrator,
-    ) -> Result<(), ThermalError> {
-        TransientSolver::new(self).run(self, state, total, max_dt, method)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::network::{Coupling, ThermalNetworkBuilder};
-    use leakctl_units::{Celsius, ThermalCapacitance, ThermalConductance, Watts};
+    use crate::stepper::TransientSolver;
+    use leakctl_units::{Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 
     /// Single RC: C = 200 J/K, g = 2 W/K → τ = 100 s; P = 100 W,
     /// ambient 24 °C → final 74 °C.
@@ -106,87 +29,40 @@ mod tests {
     }
 
     #[test]
-    fn all_methods_match_analytic_solution() {
-        for method in [
-            Integrator::ForwardEuler,
-            Integrator::Rk4,
-            Integrator::ExponentialEuler,
-            Integrator::BackwardEuler,
-        ] {
-            let (net, die) = single_rc();
-            let mut st = net.uniform_state(Celsius::new(24.0));
-            let dt = SimDuration::from_millis(500);
-            for _ in 0..600 {
-                net.step(&mut st, dt, method).unwrap();
-            }
-            let expect = analytic(300.0);
-            let got = net.temperature(&st, die).degrees();
-            assert!(
-                (got - expect).abs() < 0.5,
-                "{method:?}: {got} vs analytic {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn rk4_is_more_accurate_than_euler() {
-        let dt = SimDuration::from_secs(5);
-        let mut errs = vec![];
-        for method in [Integrator::ForwardEuler, Integrator::Rk4] {
-            let (net, die) = single_rc();
-            let mut st = net.uniform_state(Celsius::new(24.0));
-            for _ in 0..60 {
-                net.step(&mut st, dt, method).unwrap();
-            }
-            errs.push((net.temperature(&st, die).degrees() - analytic(300.0)).abs());
-        }
-        assert!(errs[1] < errs[0] / 10.0, "RK4 {errs:?} not \u{226a} Euler");
-    }
-
-    #[test]
-    fn implicit_methods_stable_at_huge_steps() {
-        for method in [Integrator::BackwardEuler, Integrator::ExponentialEuler] {
-            let (net, die) = single_rc();
-            let mut st = net.uniform_state(Celsius::new(24.0));
-            // dt = 10·τ — forward Euler would explode.
-            for _ in 0..20 {
-                net.step(&mut st, SimDuration::from_secs(1_000), method)
-                    .unwrap();
-            }
-            let got = net.temperature(&st, die).degrees();
-            assert!((got - 74.0).abs() < 0.5, "{method:?} settled at {got}");
-        }
-    }
-
-    #[test]
-    fn forward_euler_diverges_beyond_stability_limit() {
-        let (net, _) = single_rc();
+    fn backward_euler_matches_analytic_solution() {
+        let (net, die) = single_rc();
+        let mut solver = TransientSolver::new(&net);
         let mut st = net.uniform_state(Celsius::new(24.0));
-        // Stability limit is dt < 2τ = 200 s; push way past it. The
-        // amplification factor is ~3.5 per step, so ~600 steps overflow
-        // f64 and trip the non-finite check.
-        let mut diverged = false;
-        for _ in 0..1_000 {
-            if net
-                .step(
-                    &mut st,
-                    SimDuration::from_secs(450),
-                    Integrator::ForwardEuler,
-                )
-                .is_err()
-            {
-                diverged = true;
-                break;
-            }
+        let dt = SimDuration::from_millis(500);
+        for _ in 0..600 {
+            solver.step(&net, &mut st, dt).unwrap();
         }
-        assert!(diverged, "expected divergence error");
+        let expect = analytic(300.0);
+        let got = net.temperature(&st, die).degrees();
+        assert!((got - expect).abs() < 0.5, "{got} vs analytic {expect}");
+    }
+
+    #[test]
+    fn backward_euler_stable_at_huge_steps() {
+        let (net, die) = single_rc();
+        let mut solver = TransientSolver::new(&net);
+        let mut st = net.uniform_state(Celsius::new(24.0));
+        // dt = 10·τ — an explicit method would explode.
+        for _ in 0..20 {
+            solver
+                .step(&net, &mut st, SimDuration::from_secs(1_000))
+                .unwrap();
+        }
+        let got = net.temperature(&st, die).degrees();
+        assert!((got - 74.0).abs() < 0.5, "settled at {got}");
     }
 
     #[test]
     fn zero_step_is_noop() {
         let (net, die) = single_rc();
         let mut st = net.uniform_state(Celsius::new(24.0));
-        net.step(&mut st, SimDuration::ZERO, Integrator::BackwardEuler)
+        TransientSolver::new(&net)
+            .step(&net, &mut st, SimDuration::ZERO)
             .unwrap();
         assert_eq!(net.temperature(&st, die), Celsius::new(24.0));
     }
@@ -195,13 +71,14 @@ mod tests {
     fn run_substeps_to_target() {
         let (net, die) = single_rc();
         let mut st = net.uniform_state(Celsius::new(24.0));
-        net.run(
-            &mut st,
-            SimDuration::from_secs(300),
-            SimDuration::from_secs(1),
-            Integrator::BackwardEuler,
-        )
-        .unwrap();
+        TransientSolver::new(&net)
+            .run(
+                &net,
+                &mut st,
+                SimDuration::from_secs(300),
+                SimDuration::from_secs(1),
+            )
+            .unwrap();
         assert!((net.temperature(&st, die).degrees() - analytic(300.0)).abs() < 0.3);
     }
 
@@ -210,13 +87,14 @@ mod tests {
         let (net, die) = single_rc();
         let ss = net.steady_state().unwrap();
         let mut st = net.uniform_state(Celsius::new(24.0));
-        net.run(
-            &mut st,
-            SimDuration::from_secs(2_000),
-            SimDuration::from_secs(1),
-            Integrator::BackwardEuler,
-        )
-        .unwrap();
+        TransientSolver::new(&net)
+            .run(
+                &net,
+                &mut st,
+                SimDuration::from_secs(2_000),
+                SimDuration::from_secs(1),
+            )
+            .unwrap();
         let diff =
             (net.temperature(&st, die).degrees() - net.temperature(&ss, die).degrees()).abs();
         assert!(diff < 1e-3, "transient end {diff} K from steady state");

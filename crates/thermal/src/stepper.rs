@@ -1,9 +1,14 @@
 //! Zero-allocation transient stepping engine, generic over a solver
 //! backend.
 //!
-//! The stateless [`ThermalNetwork::step`] reassembles the linear system
-//! and (for the implicit method) runs a full factorization on every
-//! call. Long transient integrations — the paper's 80-minute runs at
+//! The server model mixes slow solid nodes (minutes) with fast air nodes
+//! (sub-second), so the thermal ODE `C·dT/dt = −G·T + s` is stiff. Every
+//! transient steps it with backward Euler, `(C + h·G)·T' = C·T + h·s`:
+//! unconditionally stable, first-order accurate at the 0.1–1 s steps the
+//! platform uses, and — unlike an explicit method — able to share one
+//! factorization across every step with the same `(h, flows)`.
+//!
+//! Long transient integrations — the paper's 80-minute runs at
 //! 1-second steps, and the dense characterization sweeps behind the
 //! LUT — spend almost all of their time in stretches where *nothing*
 //! about the system changes: fans hold a constant flow, powers update
@@ -31,17 +36,12 @@
 //! default [`AutoBackend`] picks by node count, so existing call sites
 //! transparently go sparse at scale while small networks keep the
 //! historical bit-exact dense path.
-//!
-//! The stateless `step()`/`run()` API remains available as a thin
-//! wrapper that builds a throwaway solver, so one code path produces
-//! both answers.
 
 use leakctl_units::SimDuration;
 
 use crate::backend::{AutoBackend, SolverBackend};
 use crate::error::ThermalError;
 use crate::network::{ThermalNetwork, ThermalState};
-use crate::solver::Integrator;
 
 /// Reusable stepping engine bound to one [`ThermalNetwork`]'s topology.
 ///
@@ -56,9 +56,7 @@ use crate::solver::Integrator;
 /// # Example
 ///
 /// ```
-/// use leakctl_thermal::{
-///     Coupling, Integrator, ThermalNetworkBuilder, TransientSolver,
-/// };
+/// use leakctl_thermal::{Coupling, ThermalNetworkBuilder, TransientSolver};
 /// use leakctl_units::{
 ///     Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts,
 /// };
@@ -76,7 +74,7 @@ use crate::solver::Integrator;
 /// for _ in 0..600 {
 ///     // After the first step this is allocation-free: cached assembly
 ///     // plus one back-substitution.
-///     solver.step(&net, &mut state, SimDuration::from_secs(1), Integrator::BackwardEuler)?;
+///     solver.step(&net, &mut state, SimDuration::from_secs(1))?;
 /// }
 /// assert!((net.temperature(&state, die).degrees() - 74.0).abs() < 0.5);
 /// # Ok(())
@@ -110,11 +108,6 @@ pub struct TransientSolver<B: SolverBackend = AutoBackend> {
     // ---- step workspaces -------------------------------------------
     rhs: Vec<f64>,
     x: Vec<f64>,
-    gt: Vec<f64>,
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    tmp: Vec<f64>,
 }
 
 impl TransientSolver<AutoBackend> {
@@ -152,11 +145,6 @@ impl<B: SolverBackend> TransientSolver<B> {
             ss_key: None,
             rhs: vec![0.0; n],
             x: vec![0.0; n],
-            gt: vec![0.0; n],
-            k1: vec![0.0; n],
-            k2: vec![0.0; n],
-            k3: vec![0.0; n],
-            tmp: vec![0.0; n],
         }
     }
 
@@ -210,19 +198,17 @@ impl<B: SolverBackend> TransientSolver<B> {
         }
     }
 
-    /// Advances `state` by `dt` with the chosen integrator, holding
+    /// Advances `state` by `dt` with one backward-Euler step, holding
     /// powers, boundary temperatures and flows constant over the step.
     ///
-    /// Identical semantics to [`ThermalNetwork::step`]; after warm-up
-    /// the call is allocation-free, and with unchanged `(dt, flows)`
-    /// the implicit method reuses the cached factorization.
+    /// After warm-up the call is allocation-free, and with unchanged
+    /// `(dt, flows)` it reuses the cached factorization of `(C + h·G)`.
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::Diverged`] when the step produced a
-    /// non-finite temperature (explicit method with too large a step)
-    /// and [`ThermalError::SingularSystem`] when the implicit solve
-    /// fails.
+    /// Returns [`ThermalError::SingularSystem`] when the implicit solve
+    /// fails and [`ThermalError::Diverged`] when the step produced a
+    /// non-finite temperature.
     ///
     /// # Panics
     ///
@@ -234,90 +220,38 @@ impl<B: SolverBackend> TransientSolver<B> {
         net: &ThermalNetwork,
         state: &mut ThermalState,
         dt: SimDuration,
-        method: Integrator,
     ) -> Result<(), ThermalError> {
         if dt.is_zero() {
             return Ok(());
         }
-        let n = self.n;
         self.check_topology(net);
         assert_eq!(
             state.temps.len(),
-            n,
+            self.n,
             "state does not match the solver's dimension"
         );
         self.refresh(net);
         let h = dt.as_secs_f64();
-        match method {
-            Integrator::ForwardEuler => {
-                derivative_into(&self.backend, &self.s, &self.c, &state.temps, &mut self.gt);
-                for (t, d) in state.temps.iter_mut().zip(&self.gt) {
-                    *t += h * d;
-                }
+        // (C + h·G)·T' = C·T + h·s
+        let key = (h.to_bits(), net.flow_generation());
+        if self.be_key != Some(key) {
+            if let Err(err) = self.backend.factor_be(&self.c, h) {
+                self.be_key = None;
+                return Err(err);
             }
-            Integrator::Rk4 => {
-                derivative_into(&self.backend, &self.s, &self.c, &state.temps, &mut self.k1);
-                for i in 0..n {
-                    self.tmp[i] = state.temps[i] + 0.5 * h * self.k1[i];
-                }
-                derivative_into(&self.backend, &self.s, &self.c, &self.tmp, &mut self.k2);
-                for i in 0..n {
-                    self.tmp[i] = state.temps[i] + 0.5 * h * self.k2[i];
-                }
-                derivative_into(&self.backend, &self.s, &self.c, &self.tmp, &mut self.k3);
-                for i in 0..n {
-                    self.tmp[i] = state.temps[i] + h * self.k3[i];
-                }
-                // k4 lands in `x`, reusing the solve workspace.
-                derivative_into(&self.backend, &self.s, &self.c, &self.tmp, &mut self.x);
-                for i in 0..n {
-                    state.temps[i] +=
-                        h / 6.0 * (self.k1[i] + 2.0 * self.k2[i] + 2.0 * self.k3[i] + self.x[i]);
-                }
-            }
-            Integrator::ExponentialEuler => {
-                for i in 0..n {
-                    let a = self.backend.g_diag(i) / self.c[i];
-                    // Off-diagonal inflow frozen at start-of-step
-                    // values; only structurally coupled slots
-                    // contribute, so the scan is sparse.
-                    let mut inflow = self.s[i];
-                    self.backend.g_offdiag_row(i, |j, g| {
-                        inflow -= g * state.temps[j];
-                    });
-                    let r = inflow / self.c[i];
-                    self.x[i] = if a.abs() < 1e-300 {
-                        state.temps[i] + r * h
-                    } else {
-                        let t_inf = r / a;
-                        t_inf + (state.temps[i] - t_inf) * (-a * h).exp()
-                    };
-                }
-                std::mem::swap(&mut state.temps, &mut self.x);
-            }
-            Integrator::BackwardEuler => {
-                // (C + h·G)·T' = C·T + h·s
-                let key = (h.to_bits(), net.flow_generation());
-                if self.be_key != Some(key) {
-                    if let Err(err) = self.backend.factor_be(&self.c, h) {
-                        self.be_key = None;
-                        return Err(err);
-                    }
-                    self.be_key = Some(key);
-                }
-                for (((rhs, &ci), &ti), &si) in self
-                    .rhs
-                    .iter_mut()
-                    .zip(&self.c)
-                    .zip(&state.temps)
-                    .zip(&self.s)
-                {
-                    *rhs = ci * ti + h * si;
-                }
-                self.backend.solve_be_into(&self.rhs, &mut self.x)?;
-                std::mem::swap(&mut state.temps, &mut self.x);
-            }
+            self.be_key = Some(key);
         }
+        for (((rhs, &ci), &ti), &si) in self
+            .rhs
+            .iter_mut()
+            .zip(&self.c)
+            .zip(&state.temps)
+            .zip(&self.s)
+        {
+            *rhs = ci * ti + h * si;
+        }
+        self.backend.solve_be_into(&self.rhs, &mut self.x)?;
+        std::mem::swap(&mut state.temps, &mut self.x);
         if let Some(bad) = state.temps.iter().position(|t| !t.is_finite()) {
             return Err(ThermalError::Diverged {
                 name: net.slot_name(bad).to_owned(),
@@ -326,8 +260,9 @@ impl<B: SolverBackend> TransientSolver<B> {
         Ok(())
     }
 
-    /// Advances `state` by `total`, internally substepping at `max_dt`
-    /// — the cached counterpart of [`ThermalNetwork::run`].
+    /// Advances `state` by `total`, internally substepping at `max_dt`.
+    /// Every substep after the first reuses the cached factorization
+    /// while inputs hold.
     ///
     /// # Errors
     ///
@@ -342,13 +277,12 @@ impl<B: SolverBackend> TransientSolver<B> {
         state: &mut ThermalState,
         total: SimDuration,
         max_dt: SimDuration,
-        method: Integrator,
     ) -> Result<(), ThermalError> {
         assert!(!max_dt.is_zero(), "max_dt must be non-zero");
         let mut remaining = total;
         while !remaining.is_zero() {
             let dt = remaining.min(max_dt);
-            self.step(net, state, dt, method)?;
+            self.step(net, state, dt)?;
             remaining = remaining.saturating_sub(dt);
         }
         Ok(())
@@ -395,20 +329,6 @@ impl<B: SolverBackend> TransientSolver<B> {
     }
 }
 
-/// `dT/dt = C⁻¹·(s − G·T)`, written into `out` without allocating.
-fn derivative_into<B: SolverBackend>(
-    backend: &B,
-    s: &[f64],
-    c: &[f64],
-    temps: &[f64],
-    out: &mut [f64],
-) {
-    backend.mul_g_into(temps, out);
-    for i in 0..out.len() {
-        out[i] = (s[i] - out[i]) / c[i];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,76 +367,62 @@ mod tests {
 
     #[test]
     fn cached_trajectory_matches_stateless_wrapper() {
-        for method in [
-            Integrator::ForwardEuler,
-            Integrator::Rk4,
-            Integrator::ExponentialEuler,
-            Integrator::BackwardEuler,
-        ] {
-            let (mut net, die, amb, ch) = two_node();
-            let mut solver = TransientSolver::new(&net);
-            let mut cached = net.uniform_state(Celsius::new(24.0));
-            let mut stateless = net.uniform_state(Celsius::new(24.0));
-            let dt = SimDuration::from_millis(500);
-            for step in 0..400 {
-                // Exercise every invalidation path mid-run: a flow, a
-                // power, then a boundary moving every step (the stencil
-                // replay, `G` kept) with one more flow change on top.
-                if step == 100 || step == 320 {
-                    net.set_flow(ch, AirFlow::from_cfm(200.0 + step as f64))
-                        .unwrap();
-                }
-                if step == 200 {
-                    net.set_power(die, Watts::new(120.0)).unwrap();
-                }
-                if step >= 250 {
-                    let inlet = Celsius::new(24.0 + 0.01 * f64::from(step - 250));
-                    net.set_boundary(amb, inlet).unwrap();
-                }
-                solver.step(&net, &mut cached, dt, method).unwrap();
-                net.step(&mut stateless, dt, method).unwrap();
+        let (mut net, die, amb, ch) = two_node();
+        let mut solver = TransientSolver::new(&net);
+        let mut cached = net.uniform_state(Celsius::new(24.0));
+        let mut stateless = net.uniform_state(Celsius::new(24.0));
+        let dt = SimDuration::from_millis(500);
+        for step in 0..400 {
+            // Exercise every invalidation path mid-run: a flow, a
+            // power, then a boundary moving every step (the stencil
+            // replay, `G` kept) with one more flow change on top.
+            if step == 100 || step == 320 {
+                net.set_flow(ch, AirFlow::from_cfm(200.0 + step as f64))
+                    .unwrap();
             }
-            for (a, b) in cached.temps.iter().zip(&stateless.temps) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{method:?}: cached {a} vs stateless {b}"
-                );
+            if step == 200 {
+                net.set_power(die, Watts::new(120.0)).unwrap();
             }
+            if step >= 250 {
+                let inlet = Celsius::new(24.0 + 0.01 * f64::from(step - 250));
+                net.set_boundary(amb, inlet).unwrap();
+            }
+            solver.step(&net, &mut cached, dt).unwrap();
+            // Reference: a throwaway solver that assembles and factors
+            // from scratch.
+            TransientSolver::new(&net)
+                .step(&net, &mut stateless, dt)
+                .unwrap();
+        }
+        for (a, b) in cached.temps.iter().zip(&stateless.temps) {
+            assert_eq!(a.to_bits(), b.to_bits(), "cached {a} vs stateless {b}");
         }
     }
 
     #[test]
     fn csr_backend_matches_dense_backend() {
-        for method in [
-            Integrator::ForwardEuler,
-            Integrator::Rk4,
-            Integrator::ExponentialEuler,
-            Integrator::BackwardEuler,
-        ] {
-            let (mut net, die, _, ch) = two_node();
-            let mut dense = TransientSolver::<DenseBackend>::with_backend(&net);
-            let mut csr = TransientSolver::<CsrBackend>::with_backend(&net);
-            assert!(!dense.is_sparse() && csr.is_sparse());
-            let mut sd = net.uniform_state(Celsius::new(24.0));
-            let mut sc = net.uniform_state(Celsius::new(24.0));
-            let dt = SimDuration::from_millis(500);
-            for step in 0..300 {
-                if step == 80 {
-                    net.set_flow(ch, AirFlow::from_cfm(440.0)).unwrap();
-                }
-                if step == 160 {
-                    net.set_power(die, Watts::new(95.0)).unwrap();
-                }
-                dense.step(&net, &mut sd, dt, method).unwrap();
-                csr.step(&net, &mut sc, dt, method).unwrap();
+        let (mut net, die, _, ch) = two_node();
+        let mut dense = TransientSolver::<DenseBackend>::with_backend(&net);
+        let mut csr = TransientSolver::<CsrBackend>::with_backend(&net);
+        assert!(!dense.is_sparse() && csr.is_sparse());
+        let mut sd = net.uniform_state(Celsius::new(24.0));
+        let mut sc = net.uniform_state(Celsius::new(24.0));
+        let dt = SimDuration::from_millis(500);
+        for step in 0..300 {
+            if step == 80 {
+                net.set_flow(ch, AirFlow::from_cfm(440.0)).unwrap();
             }
-            for (a, b) in sd.temps.iter().zip(&sc.temps) {
-                assert!(
-                    (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                    "{method:?}: dense {a} vs csr {b}"
-                );
+            if step == 160 {
+                net.set_power(die, Watts::new(95.0)).unwrap();
             }
+            dense.step(&net, &mut sd, dt).unwrap();
+            csr.step(&net, &mut sc, dt).unwrap();
+        }
+        for (a, b) in sd.temps.iter().zip(&sc.temps) {
+            assert!(
+                (a - b).abs() <= 1e-12 * a.abs().max(1.0),
+                "dense {a} vs csr {b}"
+            );
         }
     }
 
@@ -564,12 +470,7 @@ mod tests {
         // And it steps/solves sanely.
         let mut state = big.uniform_state(Celsius::new(24.0));
         solver
-            .step(
-                &big,
-                &mut state,
-                SimDuration::from_secs(1),
-                Integrator::BackwardEuler,
-            )
+            .step(&big, &mut state, SimDuration::from_secs(1))
             .unwrap();
         assert!(state.is_finite());
     }
@@ -615,12 +516,7 @@ mod tests {
         ));
         // Backward Euler stays solvable: (C + h·G) = C is regular.
         solver
-            .step(
-                &net,
-                &mut state,
-                SimDuration::from_secs(1),
-                Integrator::BackwardEuler,
-            )
+            .step(&net, &mut state, SimDuration::from_secs(1))
             .unwrap();
     }
 
@@ -636,16 +532,14 @@ mod tests {
         // Alternate between the original and the mutated clone; caches
         // must track whichever network each call sees.
         for _ in 0..50 {
-            solver
-                .step(&net, &mut a, dt, Integrator::BackwardEuler)
-                .unwrap();
-            solver
-                .step(&clone, &mut b, dt, Integrator::BackwardEuler)
-                .unwrap();
+            solver.step(&net, &mut a, dt).unwrap();
+            solver.step(&clone, &mut b, dt).unwrap();
         }
         let mut fresh = net.uniform_state(Celsius::new(24.0));
         for _ in 0..50 {
-            net.step(&mut fresh, dt, Integrator::BackwardEuler).unwrap();
+            TransientSolver::new(&net)
+                .step(&net, &mut fresh, dt)
+                .unwrap();
         }
         for (x, y) in a.temps.iter().zip(&fresh.temps) {
             assert!((x - y).abs() <= 1e-12 * x.abs().max(1.0));

@@ -8,19 +8,12 @@
 //! and mid-run input changes.
 
 use leakctl_thermal::{
-    BatchLane, BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, Integrator,
-    PackedLanes, RoomAirModel, RoomAirSpec, ShardPlan, ShardedBatchSolver, ShardedLanes,
-    ThermalError, ThermalNetwork, ThermalNetworkBuilder,
+    BatchLane, BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, PackedLanes,
+    RoomAirModel, RoomAirSpec, ShardPlan, ShardedBatchSolver, ShardedLanes, ThermalError,
+    ThermalNetwork, ThermalNetworkBuilder,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
-
-const ALL_INTEGRATORS: [Integrator; 4] = [
-    Integrator::ForwardEuler,
-    Integrator::Rk4,
-    Integrator::ExponentialEuler,
-    Integrator::BackwardEuler,
-];
 
 /// Handles into a randomized multi-branch network.
 struct Rig {
@@ -113,7 +106,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The CSR backend must track the dense backend to ≤ 1e-12 on the
-    /// same randomized network, for every integrator, across mid-run
+    /// same randomized network, across mid-run
     /// flow, power and boundary changes that invalidate each cache
     /// layer and force sparse refactorizations.
     #[test]
@@ -129,46 +122,26 @@ proptest! {
         boundary_change_at in 10usize..40,
         dt_ms in 200u64..1500,
     ) {
-        for method in ALL_INTEGRATORS {
-            let mut rig = build_rig(branches, &caps, &conductances, &powers, ambient, cfm);
-            let mut dense = DenseTransientSolver::with_backend(&rig.net);
-            let mut csr = CsrTransientSolver::with_backend(&rig.net);
-            let mut sd = rig.net.uniform_state(Celsius::new(ambient));
-            let mut sc = rig.net.uniform_state(Celsius::new(ambient));
-            let dt = SimDuration::from_millis(dt_ms);
-            let mut diverged = false;
-            for step in 0..60 {
-                if step == flow_change_at {
-                    rig.net.set_flow(rig.channel, AirFlow::from_cfm(cfm * 1.7)).unwrap();
-                }
-                if step == power_change_at {
-                    rig.net.set_power(rig.dies[0], Watts::new(180.0)).unwrap();
-                }
-                if step == boundary_change_at {
-                    rig.net.set_boundary(rig.boundary, Celsius::new(ambient + 4.0)).unwrap();
-                }
-                // An explicit method may legitimately diverge on a
-                // stiff draw — both backends must then diverge
-                // together.
-                let dense_result = dense.step(&rig.net, &mut sd, dt, method);
-                let csr_result = csr.step(&rig.net, &mut sc, dt, method);
-                prop_assert_eq!(
-                    dense_result.is_err(),
-                    csr_result.is_err(),
-                    "{:?}: dense {:?} vs csr {:?}",
-                    method,
-                    dense_result,
-                    csr_result
-                );
-                if dense_result.is_err() {
-                    diverged = true;
-                    break;
-                }
+        let mut rig = build_rig(branches, &caps, &conductances, &powers, ambient, cfm);
+        let mut dense = DenseTransientSolver::with_backend(&rig.net);
+        let mut csr = CsrTransientSolver::with_backend(&rig.net);
+        let mut sd = rig.net.uniform_state(Celsius::new(ambient));
+        let mut sc = rig.net.uniform_state(Celsius::new(ambient));
+        let dt = SimDuration::from_millis(dt_ms);
+        for step in 0..60 {
+            if step == flow_change_at {
+                rig.net.set_flow(rig.channel, AirFlow::from_cfm(cfm * 1.7)).unwrap();
             }
-            if !diverged {
-                assert_close(sc.temperatures(), sd.temperatures(), &format!("{method:?}"));
+            if step == power_change_at {
+                rig.net.set_power(rig.dies[0], Watts::new(180.0)).unwrap();
             }
+            if step == boundary_change_at {
+                rig.net.set_boundary(rig.boundary, Celsius::new(ambient + 4.0)).unwrap();
+            }
+            dense.step(&rig.net, &mut sd, dt).unwrap();
+            csr.step(&rig.net, &mut sc, dt).unwrap();
         }
+        assert_close(sc.temperatures(), sd.temperatures(), "csr");
     }
 
     /// Batched stepping — per-lane lanes and the packed fast path —
@@ -233,7 +206,7 @@ proptest! {
                 rig.net.set_flow(rig.channel, AirFlow::from_cfm(cfm * 2.1)).unwrap();
             }
             for (rig, (solver, state)) in rigs.iter().zip(reference.iter_mut()) {
-                solver.step(&rig.net, state, dt, Integrator::BackwardEuler).unwrap();
+                solver.step(&rig.net, state, dt).unwrap();
             }
             let mut lanes: Vec<BatchLane<'_>> = rigs
                 .iter()
@@ -361,8 +334,8 @@ proptest! {
             if step == flow_change_at {
                 net.set_flow(channel, AirFlow::from_cfm(cfm * 1.6)).unwrap();
             }
-            dense.step(&net, &mut sd, dt, Integrator::BackwardEuler).unwrap();
-            csr.step(&net, &mut sc, dt, Integrator::BackwardEuler).unwrap();
+            dense.step(&net, &mut sd, dt).unwrap();
+            csr.step(&net, &mut sc, dt).unwrap();
         }
         assert_close(sc.temperatures(), sd.temperatures(), "rack-scale chain");
         // Steady states agree too (G factorization path).
@@ -503,8 +476,8 @@ proptest! {
         let mut sc = net.uniform_state(Celsius::new(supply));
         let dt = SimDuration::from_secs(5);
         for _ in 0..12 {
-            dense.step(net, &mut sd, dt, Integrator::BackwardEuler).unwrap();
-            csr.step(net, &mut sc, dt, Integrator::BackwardEuler).unwrap();
+            dense.step(net, &mut sd, dt).unwrap();
+            csr.step(net, &mut sc, dt).unwrap();
         }
         assert_within(sc.temperatures(), sd.temperatures(), 1e-9, "room transient");
         let mut ssd = net.uniform_state(Celsius::new(0.0));
@@ -518,8 +491,8 @@ proptest! {
         room.set_crah_capacity(0.0).unwrap();
         let net = room.network();
         for _ in 0..4 {
-            dense.step(net, &mut sd, dt, Integrator::BackwardEuler).unwrap();
-            csr.step(net, &mut sc, dt, Integrator::BackwardEuler).unwrap();
+            dense.step(net, &mut sd, dt).unwrap();
+            csr.step(net, &mut sc, dt).unwrap();
         }
         assert_within(sc.temperatures(), sd.temperatures(), 1e-9, "room outage transient");
         // The raw backends cannot be asked: `G` is singular only in

@@ -1,23 +1,15 @@
 //! Invalidation-correctness properties for the cached
 //! [`TransientSolver`]: a persistent solver whose caches survive across
 //! steps must produce the same trajectory as the per-step
-//! reassemble-and-refactor path (`ThermalNetwork::step`, which builds a
-//! throwaway solver and therefore re-reads every input each call),
-//! across randomized networks, mid-run input changes and all four
-//! integrators.
+//! reassemble-and-refactor path (a fresh [`TransientSolver`] per step,
+//! which therefore re-reads every input each call), across randomized
+//! networks and mid-run input changes.
 
 use leakctl_thermal::{
-    ConvectionModel, Coupling, Integrator, ThermalNetwork, ThermalNetworkBuilder, TransientSolver,
+    ConvectionModel, Coupling, ThermalNetwork, ThermalNetworkBuilder, TransientSolver,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
-
-const ALL_INTEGRATORS: [Integrator; 4] = [
-    Integrator::ForwardEuler,
-    Integrator::Rk4,
-    Integrator::ExponentialEuler,
-    Integrator::BackwardEuler,
-];
 
 /// Handles into a randomized chain network.
 struct Rig {
@@ -91,11 +83,11 @@ fn build_rig(
     }
 }
 
-fn assert_trajectories_match(a: &[f64], b: &[f64], what: &str) {
+fn assert_trajectories_match(a: &[f64], b: &[f64]) {
     for (x, y) in a.iter().zip(b) {
         assert!(
             (x - y).abs() <= 1e-12 * x.abs().max(1.0),
-            "{what}: cached {x} vs reference {y}"
+            "cached {x} vs reference {y}"
         );
     }
 }
@@ -105,7 +97,7 @@ proptest! {
 
     /// A persistent cached solver must match the per-step assemble path
     /// exactly, including across mid-run flow, power and boundary
-    /// changes that invalidate each cache layer, for every integrator.
+    /// changes that invalidate each cache layer.
     #[test]
     fn cached_stepper_equals_per_step_assembly(
         branches in 1usize..4,
@@ -119,52 +111,32 @@ proptest! {
         boundary_change_at in 10usize..40,
         dt_ms in 200u64..1500,
     ) {
-        for method in ALL_INTEGRATORS {
-            let Rig { mut net, dies, boundary, channel } =
-                build_rig(branches, &caps, &conductances, &powers, ambient, cfm);
-            let mut solver = TransientSolver::new(&net);
-            let mut cached = net.uniform_state(Celsius::new(ambient));
-            let mut reference = net.uniform_state(Celsius::new(ambient));
-            let dt = SimDuration::from_millis(dt_ms);
-            let mut diverged = false;
-            for step in 0..50 {
-                if step == flow_change_at {
-                    net.set_flow(channel, AirFlow::from_cfm(cfm * 1.7 + 20.0)).unwrap();
-                }
-                if step == power_change_at {
-                    net.set_power(dies[0], Watts::new(powers[0] * 0.5 + 10.0)).unwrap();
-                }
-                if step == boundary_change_at {
-                    net.set_boundary(boundary, Celsius::new(ambient + 4.0)).unwrap();
-                }
-                // Persistent solver: caches carry over from previous
-                // steps and must self-invalidate. Reference: stateless
-                // path re-reads everything. An explicit method may
-                // legitimately diverge on a stiff draw — both paths
-                // must then diverge together.
-                let cached_result = solver.step(&net, &mut cached, dt, method);
-                let reference_result = net.step(&mut reference, dt, method);
-                prop_assert_eq!(
-                    cached_result.is_err(),
-                    reference_result.is_err(),
-                    "{:?}: cached {:?} vs reference {:?}",
-                    method,
-                    cached_result,
-                    reference_result
-                );
-                if cached_result.is_err() {
-                    diverged = true;
-                    break;
-                }
+        let Rig { mut net, dies, boundary, channel } =
+            build_rig(branches, &caps, &conductances, &powers, ambient, cfm);
+        let mut solver = TransientSolver::new(&net);
+        let mut cached = net.uniform_state(Celsius::new(ambient));
+        let mut reference = net.uniform_state(Celsius::new(ambient));
+        let dt = SimDuration::from_millis(dt_ms);
+        for step in 0..50 {
+            if step == flow_change_at {
+                net.set_flow(channel, AirFlow::from_cfm(cfm * 1.7 + 20.0)).unwrap();
             }
-            if !diverged {
-                let got: Vec<f64> =
-                    dies.iter().map(|&d| net.temperature(&cached, d).degrees()).collect();
-                let want: Vec<f64> =
-                    dies.iter().map(|&d| net.temperature(&reference, d).degrees()).collect();
-                assert_trajectories_match(&got, &want, &format!("{method:?}"));
+            if step == power_change_at {
+                net.set_power(dies[0], Watts::new(powers[0] * 0.5 + 10.0)).unwrap();
             }
+            if step == boundary_change_at {
+                net.set_boundary(boundary, Celsius::new(ambient + 4.0)).unwrap();
+            }
+            // Persistent solver: caches carry over from previous steps
+            // and must self-invalidate. Reference: a throwaway solver
+            // re-reads everything.
+            solver.step(&net, &mut cached, dt).unwrap();
+            TransientSolver::new(&net).step(&net, &mut reference, dt).unwrap();
         }
+        let got: Vec<f64> = dies.iter().map(|&d| net.temperature(&cached, d).degrees()).collect();
+        let want: Vec<f64> =
+            dies.iter().map(|&d| net.temperature(&reference, d).degrees()).collect();
+        assert_trajectories_match(&got, &want);
     }
 
     /// Redundant writes (same value) must not disturb the trajectory
@@ -185,12 +157,12 @@ proptest! {
             // Re-set identical values every step.
             net.set_flow(channel, AirFlow::from_cfm(cfm)).unwrap();
             net.set_power(dies[0], Watts::new(p)).unwrap();
-            solver.step(&net, &mut noisy, dt, Integrator::BackwardEuler).unwrap();
+            solver.step(&net, &mut noisy, dt).unwrap();
         }
         let mut quiet_solver = TransientSolver::new(&net);
         let mut quiet = net.uniform_state(Celsius::new(24.0));
         for _ in 0..30 {
-            quiet_solver.step(&net, &mut quiet, dt, Integrator::BackwardEuler).unwrap();
+            quiet_solver.step(&net, &mut quiet, dt).unwrap();
         }
         for (&die, _) in dies.iter().zip(0..) {
             let a = net.temperature(&noisy, die).degrees();

@@ -103,13 +103,6 @@ impl SimDuration {
         self.0 as f64 / 60_000.0
     }
 
-    /// Hours as a float.
-    #[inline]
-    #[must_use]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3_600_000.0
-    }
-
     /// `true` when the duration is zero.
     #[inline]
     #[must_use]

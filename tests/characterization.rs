@@ -56,7 +56,8 @@ fn steady_temperatures_match_paper_anchor_points() {
     // Fig. 1(a) anchors at 100 % utilization (±5 °C tolerance: our
     // substrate is calibrated, not identical). Values are 4-sensor
     // averages, a couple of degrees below the hottest-die anchors in
-    // DESIGN.md §5 because the cooler socket pulls the mean down.
+    // `ServerConfig`'s module doc because the cooler socket pulls the
+    // mean down.
     let d = data();
     let anchors = [
         (1800.0, 82.0),

@@ -1,4 +1,4 @@
-//! The "shape" assertions from DESIGN.md §4: the qualitative results
+//! The "shape" assertions: the qualitative results
 //! the reproduction must preserve even though absolute watts differ
 //! from the authors' testbed. This is the closest thing to an automated
 //! referee for the reproduction.
