@@ -14,6 +14,7 @@
 
 use std::time::Instant;
 
+use leakctl::fleet::Fleet;
 use leakctl::prelude::*;
 use leakctl::RunOptions;
 use leakctl_bench::perf::{best_of, render_json, GateArgs, PerfResult};
@@ -154,6 +155,46 @@ fn bench_sensor_refill(blocks: u64) -> PerfResult {
     }
 }
 
+/// A 128-server fleet (as in `repro-rack`) after 2400 simulated seconds
+/// at full load: 241 CSTH frames per server.
+fn fleet_with_history() -> Fleet {
+    let mut fleet = Fleet::new(ServerConfig::default(), 128, 0.0002, 42).expect("fleet builds");
+    for _ in 0..2_400 {
+        fleet
+            .step(SimDuration::from_secs(1), Utilization::FULL)
+            .expect("fleet step succeeds");
+    }
+    fleet
+}
+
+/// Server snapshots/sec of `Fleet::checkpoint` on a fleet with
+/// history. Each checkpoint replaces and drops the previous one, as a
+/// building run's periodic checkpoint does; `steps` counts servers
+/// snapshotted.
+fn bench_fleet_checkpoint(fleet: &mut Fleet, checkpoints: u64) -> PerfResult {
+    let frames = fleet.server(0).expect("server 0").csth().frame_count();
+    let mut kept = fleet.checkpoint();
+    let mut servers = 0;
+    let start = Instant::now();
+    for _ in 0..checkpoints {
+        servers += kept.len() as u64;
+        kept = fleet.checkpoint();
+    }
+    let wall_s = start.elapsed().as_secs_f64();
+    PerfResult {
+        name: "fleet_checkpoint",
+        steps: servers,
+        wall_s,
+        extra: vec![
+            (
+                "us_per_server",
+                format!("{:.2}", wall_s * 1e6 / servers as f64),
+            ),
+            ("csth_frames", frames.to_string()),
+        ],
+    }
+}
+
 /// One full 80-minute Table-I-protocol run (Default controller on
 /// Test-3) — the paper's headline workload and the acceptance metric
 /// for stepping-engine optimizations. Energy is reported to 1e-12 kWh
@@ -210,12 +251,16 @@ fn main() {
     println!("== leakctl perf report ==");
     let step_count = if quick { 2_000 } else { 20_000 };
     let reps = if quick { 2 } else { 5 };
+    let mut fleet = fleet_with_history();
     let results = vec![
         best_of(reps, || bench_network_stateless(10 * step_count)),
         best_of(reps, || bench_network_cached(10 * step_count)),
         best_of(reps, || bench_server_step(step_count)),
         best_of(reps, || bench_run80min(quick)),
         best_of(reps, || bench_sensor_refill(step_count / 2_000)),
+        best_of(reps, || {
+            bench_fleet_checkpoint(&mut fleet, step_count / 400)
+        }),
     ];
     for r in &results {
         println!(

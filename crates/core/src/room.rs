@@ -27,7 +27,7 @@
 //! raising the supply set-point trades leakage against cooling energy —
 //! the room-scale version of the paper's Fig. 3 trade-off.
 
-use leakctl_platform::{FanFault, ServerConfig};
+use leakctl_platform::{FanFault, Server, ServerConfig};
 use leakctl_thermal::{RoomAirModel, RoomAirSpec, ShardPlan};
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, Utilization, Watts};
 
@@ -377,6 +377,13 @@ impl Room {
     #[must_use]
     pub fn fleet(&self, rack: usize) -> &Fleet {
         &self.fleets[rack]
+    }
+
+    /// Server `index` of rack `rack`, for its per-server telemetry and
+    /// ground truth (see [`Fleet::server`]); `None` when out of range.
+    #[must_use]
+    pub fn server(&mut self, rack: usize, index: usize) -> Option<&Server> {
+        self.fleets.get_mut(rack)?.server(index)
     }
 
     /// The room air network (read side).

@@ -2,7 +2,8 @@
 //! and restored into a fresh room and controller — under a *different*
 //! worker-thread plan — finishes bit-identically to a run that was
 //! never interrupted, for every controller kind and any mid-scenario
-//! checkpoint point (including mid-fault).
+//! checkpoint point (including mid-fault). Every server's CSTH capture
+//! resumes exactly too.
 
 use leakctl::control::{
     ControlAction, FixedSupplyController, LutSetPointController, MpcConfig, MpcSetPointController,
@@ -177,6 +178,78 @@ proptest! {
         prop_assert_eq!(runner.outcome(&chunked), reference);
         prop_assert_eq!(fingerprint(&chunked), fingerprint(&room));
     }
+}
+
+/// Per server, in rack order: CSTH frame count and an FNV-1a hash of
+/// the capture's CSV export.
+fn capture_signature(room: &mut Room) -> Vec<(usize, u64)> {
+    let per_rack = room.servers() / room.racks();
+    let mut out = Vec::new();
+    for rack in 0..room.racks() {
+        for i in 0..per_rack {
+            let csth = room.server(rack, i).expect("server in range").csth();
+            let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+            for byte in csth.to_csv().expect("clean channel names").bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            out.push((csth.frame_count(), hash));
+        }
+    }
+    out
+}
+
+/// The CSTH history rides a room checkpoint exactly. The checkpoint is
+/// taken past two full 16-frame blocks and mid-block; restored into the
+/// same room or into a room on another thread plan, every server's
+/// capture ends as in an uninterrupted run, and a checkpoint taken and
+/// dropped leaves the live capture untouched.
+#[test]
+fn csth_capture_resumes_exactly_after_restore() {
+    const MID: u64 = 395;
+    const END: u64 = 600;
+    let make_room = |threads: usize| {
+        let mut room = Room::with_plan(RoomConfig::new(1, 2, 3), ShardPlan::new(threads)).unwrap();
+        room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(2400.0)))
+            .unwrap();
+        room
+    };
+    let run = |room: &mut Room, from: u64, to: u64| {
+        for s in from..to {
+            let load = if (s / 120).is_multiple_of(2) {
+                0.9
+            } else {
+                0.3
+            };
+            room.step(
+                SimDuration::from_secs(1),
+                Utilization::saturating_from_fraction(load),
+            )
+            .unwrap();
+        }
+    };
+
+    let mut reference = make_room(1);
+    run(&mut reference, 0, END);
+    let reference = capture_signature(&mut reference);
+
+    let mut room = make_room(1);
+    run(&mut room, 0, MID);
+    let snap = room.checkpoint();
+    drop(room.checkpoint());
+    let frames = capture_signature(&mut room)[0].0;
+    assert!(frames > 32 && !frames.is_multiple_of(16), "{frames} frames");
+    run(&mut room, MID, END);
+    assert_eq!(capture_signature(&mut room), reference, "live capture");
+
+    room.restore(&snap).unwrap();
+    run(&mut room, MID, END);
+    assert_eq!(capture_signature(&mut room), reference, "same room");
+
+    let mut other = make_room(2);
+    run(&mut other, 0, 100);
+    other.restore(&snap).unwrap();
+    run(&mut other, MID, END);
+    assert_eq!(capture_signature(&mut other), reference, "other plan");
 }
 
 /// A checkpoint refuses to restore into a room of a different shape,

@@ -1,10 +1,11 @@
-//! The telemetry harness: named channels over frame-major storage.
+//! The telemetry harness: named channels over frame-major blocks.
 
 use core::fmt;
+use std::sync::Arc;
 
 use leakctl_units::{SimDuration, SimInstant};
 
-use crate::series::SeriesView;
+use crate::series::{SeriesView, BLOCK_FRAMES};
 
 /// Identifier of a channel registered with a [`Csth`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -75,11 +76,14 @@ pub(crate) struct Channel {
 /// The platform registers one channel per physical sensor (4 CPU
 /// temperatures, 32 DIMM temperatures, per-core V/I, system power) and
 /// records one *frame* — a value for every channel — per 10-second
-/// poll. Storage is frame-major: one timestamp per frame and one
-/// row-major `frame × channel` value array, so a poll is one append and
-/// [`Csth::series`] reads a channel as a strided [`SeriesView`].
-/// Controllers and the characterization pipeline read from here, never
-/// from simulator internals.
+/// poll. Storage is frame-major: one timestamp per frame, and the values
+/// in row-major `frame × channel` blocks of 16 frames. Full blocks are
+/// sealed, immutable and shared behind [`Arc`], so a clone (a server
+/// checkpoint) copies the timestamps, the open block and one pointer per
+/// sealed block rather than the whole history. A poll is one append and
+/// [`Csth::series`] reads a channel across the blocks as a
+/// [`SeriesView`]. Controllers and the characterization pipeline read
+/// from here, never from simulator internals.
 ///
 /// # Example
 ///
@@ -96,10 +100,14 @@ pub(crate) struct Channel {
 /// ```
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Csth {
-    channels: Vec<Channel>,
+    channels: Arc<Vec<Channel>>,
     times: Vec<SimInstant>,
-    /// `values[frame · channels + channel]`.
-    values: Vec<f64>,
+    /// Full blocks, `block[row · channels + channel]` for frame
+    /// `b · BLOCK_FRAMES + row`; shared with every clone.
+    sealed: Vec<Arc<Vec<f64>>>,
+    /// The 1..=`BLOCK_FRAMES` frames after the sealed ones (none before
+    /// the first frame).
+    open: Vec<f64>,
     poll_period: SimDuration,
 }
 
@@ -110,9 +118,10 @@ impl Csth {
     #[must_use]
     pub fn new(poll_period: SimDuration) -> Self {
         Self {
-            channels: Vec::new(),
+            channels: Arc::default(),
             times: Vec::new(),
-            values: Vec::new(),
+            sealed: Vec::new(),
+            open: Vec::new(),
             poll_period,
         }
     }
@@ -125,12 +134,13 @@ impl Csth {
         values: Vec<f64>,
     ) -> Self {
         assert_eq!(values.len(), times.len() * channels.len(), "whole frames");
-        Self {
-            channels,
-            times,
-            values,
-            poll_period,
+        let n = channels.len();
+        let mut csth = Self::new(poll_period);
+        csth.channels = Arc::new(channels);
+        for (f, &at) in times.iter().enumerate() {
+            csth.push_frame(at, &values[f * n..(f + 1) * n]);
         }
+        csth
     }
 
     /// Registers a channel and returns its id.
@@ -145,7 +155,7 @@ impl Csth {
                 channel: name.to_owned(),
             });
         }
-        self.channels.push(Channel {
+        Arc::make_mut(&mut self.channels).push(Channel {
             name: name.to_owned(),
             unit: unit.to_owned(),
         });
@@ -180,9 +190,20 @@ impl Csth {
                 at,
             });
         }
-        self.times.push(at);
-        self.values.extend_from_slice(frame);
+        self.push_frame(at, frame);
         Ok(())
+    }
+
+    /// Appends a validated frame, first sealing the open block when it
+    /// is full. A new open block grows by doubling, so its allocations
+    /// spread over the polls that fill it rather than all landing on
+    /// the one that starts it, which also refills the sensor noise.
+    fn push_frame(&mut self, at: SimInstant, frame: &[f64]) {
+        if self.times.len() == (self.sealed.len() + 1) * BLOCK_FRAMES {
+            self.sealed.push(Arc::new(std::mem::take(&mut self.open)));
+        }
+        self.times.push(at);
+        self.open.extend_from_slice(frame);
     }
 
     /// The samples recorded on `channel`, as a borrowed view.
@@ -197,8 +218,13 @@ impl Csth {
             "unknown channel id {}",
             channel.0
         );
-        let values = self.values.get(channel.0..).unwrap_or(&[]);
-        SeriesView::strided(&self.times, values, self.channels.len())
+        SeriesView::new(
+            &self.times,
+            &self.sealed,
+            &self.open,
+            self.channels.len(),
+            channel.0,
+        )
     }
 
     /// The latest sample on `channel`, in `O(1)`; `None` before the
@@ -211,7 +237,7 @@ impl Csth {
         let at = *self.times.last()?;
         Some((
             at,
-            self.values[self.values.len() - self.channels.len() + channel.0],
+            self.open[self.open.len() - self.channels.len() + channel.0],
         ))
     }
 
@@ -270,7 +296,7 @@ impl Csth {
     /// Total samples across all channels.
     #[must_use]
     pub fn sample_count(&self) -> usize {
-        self.values.len()
+        self.times.len() * self.channels.len()
     }
 }
 
@@ -349,5 +375,24 @@ mod tests {
         let b = csth.add_channel("b", "y").unwrap();
         let ids: Vec<ChannelId> = csth.channels().collect();
         assert_eq!(ids, vec![a, b]);
+    }
+
+    #[test]
+    fn clone_shares_sealed_blocks_not_the_open_one() {
+        let (mut csth, cpu0, _) = two_channels();
+        for f in 0..2 * BLOCK_FRAMES as u64 + 3 {
+            csth.record_frame(at(10 * f), &[f as f64, 0.0]).unwrap();
+        }
+        assert_eq!(csth.sealed.len(), 2);
+        assert_eq!(csth.open.len(), 3 * 2);
+        let mut copy = csth.clone();
+        assert!(Arc::ptr_eq(&csth.channels, &copy.channels));
+        for (a, b) in csth.sealed.iter().zip(&copy.sealed) {
+            assert!(Arc::ptr_eq(a, b), "sealed blocks are shared");
+        }
+        assert_ne!(csth.open.as_ptr(), copy.open.as_ptr(), "open block is not");
+        copy.record_frame(at(1_000), &[-1.0, 0.0]).unwrap();
+        assert_eq!(csth.last(cpu0), Some((at(340), 34.0)));
+        assert_eq!(copy.last(cpu0), Some((at(1_000), -1.0)));
     }
 }

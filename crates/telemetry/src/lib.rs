@@ -10,9 +10,13 @@
 //!   Gaussian noise, quantization) sampled in lockstep, so controllers
 //!   see realistic telemetry, not the simulator's exact state,
 //! - [`Csth`] — the harness: named channels with units recorded one
-//!   frame per poll into frame-major storage, CSV export/import,
-//! - [`SeriesView`] — one channel read out of a capture, with summary
-//!   statistics and windowed queries; [`TimeSeries`] is its owned form.
+//!   frame per poll into frame-major blocks of 16 frames, CSV
+//!   export/import. Full blocks are sealed and shared behind `Arc`, so
+//!   cloning a capture (every server checkpoint does) copies the
+//!   timestamps and the newest block, not the history,
+//! - [`SeriesView`] — one channel read across a capture's blocks, with
+//!   summary statistics and windowed queries; [`TimeSeries`] is its
+//!   owned form.
 //!
 //! # Example
 //!

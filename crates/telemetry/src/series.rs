@@ -1,41 +1,69 @@
-//! Timestamped sample series: a borrowed strided view with the summary
-//! statistics, and its owned form.
+//! Timestamped sample series: a borrowed view of one channel with the
+//! summary statistics, and its owned form.
+
+use std::sync::Arc;
 
 use leakctl_units::{SimDuration, SimInstant};
 
+/// Frames per sealed block of a [`Csth`](crate::Csth) capture.
+pub(crate) const BLOCK_FRAMES: usize = 16;
+
 /// A read-only view of one channel's `(time, value)` samples.
 ///
-/// Sample `i` is at `times[i]` with value `values[i · stride]`, so the
-/// same view reads a channel straight out of a frame-major
-/// [`Csth`](crate::Csth) capture (stride = channel count) or out of a
-/// [`TimeSeries`] (stride 1) without copying. Times are non-decreasing,
-/// which keeps windowed queries `O(log n)`. This is the one home of the
-/// series statistics.
+/// The view reads one channel across the blocks of a frame-major
+/// [`Csth`](crate::Csth) capture without copying, and reads a
+/// [`TimeSeries`] as a single block. Times are non-decreasing, which
+/// keeps windowed queries `O(log n)`. This is the one home of the series
+/// statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesView<'a> {
     times: &'a [SimInstant],
-    values: &'a [f64],
+    // Sample `i` is frame `first + i` of `sealed` (full blocks of
+    // `BLOCK_FRAMES` frames) followed by `open`; each frame is `stride`
+    // values wide with this channel at `column`.
+    sealed: &'a [Arc<Vec<f64>>],
+    open: &'a [f64],
+    first: usize,
     stride: usize,
+    column: usize,
 }
 
 impl<'a> SeriesView<'a> {
-    /// A view of `times.len()` samples whose values sit `stride` apart
-    /// starting at `values[0]`.
-    pub(crate) fn strided(times: &'a [SimInstant], values: &'a [f64], stride: usize) -> Self {
-        debug_assert!(stride > 0, "a series view needs a non-zero stride");
-        let span = match times.len() {
-            0 => 0,
-            n => (n - 1) * stride + 1,
-        };
+    /// A view of every frame in `sealed` then `open`, one time per frame,
+    /// reading value `column` of each `stride`-wide frame.
+    pub(crate) fn new(
+        times: &'a [SimInstant],
+        sealed: &'a [Arc<Vec<f64>>],
+        open: &'a [f64],
+        stride: usize,
+        column: usize,
+    ) -> Self {
+        debug_assert!(column < stride, "a series view reads inside the frame");
+        debug_assert_eq!(
+            times.len() * stride,
+            sealed.len() * BLOCK_FRAMES * stride + open.len(),
+            "one time per frame"
+        );
         Self {
             times,
-            values: &values[..span],
+            sealed,
+            open,
+            first: 0,
             stride,
+            column,
         }
     }
 
     fn value(&self, i: usize) -> f64 {
-        self.values[i * self.stride]
+        let frame = self.first + i;
+        let (block, row) = (frame / BLOCK_FRAMES, frame % BLOCK_FRAMES);
+        match self.sealed.get(block) {
+            Some(values) => values[row * self.stride + self.column],
+            None => {
+                let row = frame - self.sealed.len() * BLOCK_FRAMES;
+                self.open[row * self.stride + self.column]
+            }
+        }
     }
 
     /// Number of samples.
@@ -58,7 +86,8 @@ impl<'a> SeriesView<'a> {
 
     /// Sample values, in time order.
     pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + Clone + 'a {
-        self.values.iter().step_by(self.stride).copied()
+        let view = *self;
+        (0..view.len()).map(move |i| view.value(i))
     }
 
     /// Iterates `(time, value)` pairs.
@@ -69,7 +98,8 @@ impl<'a> SeriesView<'a> {
     /// The most recent sample.
     #[must_use]
     pub fn last(&self) -> Option<(SimInstant, f64)> {
-        Some((*self.times.last()?, *self.values.last()?))
+        let i = self.len().checked_sub(1)?;
+        Some((self.times[i], self.value(i)))
     }
 
     /// Arithmetic mean of all values.
@@ -121,8 +151,11 @@ impl<'a> SeriesView<'a> {
     pub fn window(&self, from: SimInstant, to: SimInstant) -> SeriesView<'a> {
         let start = self.times.partition_point(|&t| t < from);
         let end = self.times.partition_point(|&t| t < to).max(start);
-        let values = self.values.get(start * self.stride..).unwrap_or(&[]);
-        Self::strided(&self.times[start..end], values, self.stride)
+        Self {
+            times: &self.times[start..end],
+            first: self.first + start,
+            ..*self
+        }
     }
 
     /// The value at or immediately before `at` (sample-and-hold read).
@@ -235,7 +268,7 @@ impl TimeSeries {
     /// The statistics view over every sample.
     #[must_use]
     pub fn view(&self) -> SeriesView<'_> {
-        SeriesView::strided(&self.times, &self.values, 1)
+        SeriesView::new(&self.times, &[], &self.values, 1, 0)
     }
 }
 
@@ -361,19 +394,24 @@ mod tests {
 
     #[test]
     fn strided_view_reads_one_column() {
-        // Two interleaved channels, three frames: column 1 is 10, 11, 12.
-        let times = [at(0), at(10), at(20)];
-        let values = [0.0, 10.0, 1.0, 11.0, 2.0, 12.0];
-        let v = SeriesView::strided(&times, &values[1..], 2);
-        assert_eq!(v.values().len(), 3);
-        assert_eq!(v.values().collect::<Vec<_>>(), [10.0, 11.0, 12.0]);
-        assert_eq!(v.last(), Some((at(20), 12.0)));
-        assert_eq!(v.at_or_before(at(15)), Some(11.0));
-        let w = v.window(at(10), at(30));
+        // Two interleaved channels over one sealed block and two open
+        // frames: column 1 of frame f is 100 + f.
+        let frames = BLOCK_FRAMES + 2;
+        let times: Vec<SimInstant> = (0..frames as u64).map(|f| at(10 * f)).collect();
+        let frame = |f: usize| [f as f64, 100.0 + f as f64];
+        let sealed = [Arc::new((0..BLOCK_FRAMES).flat_map(frame).collect())];
+        let open: Vec<f64> = (BLOCK_FRAMES..frames).flat_map(frame).collect();
+        let v = SeriesView::new(&times, &sealed, &open, 2, 1);
+        assert_eq!(v.values().len(), frames);
+        assert!(v.values().eq((0..frames).map(|f| 100.0 + f as f64)));
+        assert_eq!(v.last(), Some((at(170), 117.0)));
+        assert_eq!(v.at_or_before(at(155)), Some(115.0));
+        let w = v.window(at(150), at(170));
         assert_eq!(
             w.iter().collect::<Vec<_>>(),
-            [(at(10), 11.0), (at(20), 12.0)]
+            [(at(150), 115.0), (at(160), 116.0)]
         );
-        assert_eq!(w.mean(), Some(11.5));
+        assert_eq!(w.mean(), Some(115.5));
+        assert_eq!(w.window(at(160), at(999)).last(), Some((at(160), 116.0)));
     }
 }

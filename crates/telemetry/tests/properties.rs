@@ -5,6 +5,108 @@ use leakctl_telemetry::{Csth, SensorBank, SensorSpec, TimeSeries, CSTH_POLL_PERI
 use leakctl_units::SimInstant;
 use proptest::prelude::*;
 
+/// A flat, frame-major reference capture: `values[frame · n + channel]`.
+#[derive(Clone)]
+struct FlatCapture {
+    n: usize,
+    times: Vec<SimInstant>,
+    values: Vec<f64>,
+}
+
+impl FlatCapture {
+    fn record(&mut self, csth: &mut Csth, at: SimInstant, frame: &[f64]) {
+        csth.record_frame(at, frame).expect("valid frame");
+        self.times.push(at);
+        self.values.extend_from_slice(frame);
+    }
+
+    fn column(&self, c: usize, frames: core::ops::Range<usize>) -> Vec<f64> {
+        frames.map(|f| self.values[f * self.n + c]).collect()
+    }
+
+    /// The channel as a [`TimeSeries`]: one flat block of stride 1.
+    fn series(&self, c: usize) -> TimeSeries {
+        let mut s = TimeSeries::new();
+        for (f, &at) in self.times.iter().enumerate() {
+            s.push(at, self.values[f * self.n + c]).expect("push");
+        }
+        s
+    }
+
+    /// Checks that `csth` reads back exactly this capture. `probe`
+    /// picks window bounds and a sample-and-hold instant.
+    fn check(&self, csth: &Csth, probe: (usize, usize, u64)) -> Result<(), TestCaseError> {
+        let frames = self.times.len();
+        prop_assert_eq!(csth.frame_count(), frames);
+        prop_assert_eq!(csth.sample_count(), frames * self.n);
+        let (lo, hi) = (probe.0 % (frames + 1), probe.1 % (frames + 1));
+        let (lo, hi) = (lo.min(hi), lo.max(hi));
+        let bound = |f: usize| {
+            self.times
+                .get(f)
+                .copied()
+                .unwrap_or(SimInstant::from_millis(u64::MAX))
+        };
+        // Repeated timestamps can widen the window's frame range.
+        let (from, to) = (bound(lo), bound(hi));
+        let first = self.times.partition_point(|&t| t < from);
+        let end = self.times.partition_point(|&t| t < to).max(first);
+        let probe_at = SimInstant::from_millis(probe.2);
+        let held = self.times.partition_point(|&t| t <= probe_at);
+        for (c, id) in csth.channels().enumerate() {
+            let series = csth.series(id);
+            let flat = self.series(c);
+            let flat = flat.view();
+            prop_assert_eq!(series.times(), &self.times[..]);
+            prop_assert!(
+                series.values().eq(self.column(c, 0..frames)),
+                "channel {}",
+                c
+            );
+            prop_assert_eq!(series.values().len(), frames);
+            let last = self
+                .times
+                .last()
+                .map(|&t| (t, self.values[(frames - 1) * self.n + c]));
+            prop_assert_eq!(csth.last(id), last);
+            prop_assert_eq!(series.last(), last);
+            let window = series.window(from, to);
+            prop_assert!(
+                window.values().eq(self.column(c, first..end)),
+                "window {}..{}",
+                first,
+                end
+            );
+            prop_assert_eq!(window.times(), &self.times[first..end]);
+            prop_assert_eq!(window.last(), flat.window(from, to).last());
+            let expect_held = held.checked_sub(1).map(|f| self.values[f * self.n + c]);
+            prop_assert_eq!(series.at_or_before(probe_at), expect_held);
+            if frames > 0 {
+                let p = (probe.2 % 101) as f64;
+                prop_assert_eq!(
+                    series.percentile(p).map(f64::to_bits),
+                    flat.percentile(p).map(f64::to_bits)
+                );
+            }
+            prop_assert_eq!(
+                series.time_weighted_mean().map(f64::to_bits),
+                flat.time_weighted_mean().map(f64::to_bits)
+            );
+        }
+        let csv = csth.to_csv().expect("export");
+        let parsed = Csth::from_csv(&csv, CSTH_POLL_PERIOD).expect("parse");
+        if frames > 0 {
+            prop_assert_eq!(parsed.channel_count(), self.n);
+            for (c, id) in parsed.channels().enumerate() {
+                prop_assert!(parsed.series(id).values().eq(self.column(c, 0..frames)));
+            }
+        }
+        prop_assert_eq!(parsed.frame_count(), frames);
+        prop_assert_eq!(parsed.to_csv().expect("re-export"), csv);
+        Ok(())
+    }
+}
+
 /// The per-call reference for one reading: one `next_gaussian` per noisy
 /// reading, no buffering.
 fn reference_reading(spec: SensorSpec, rng: &mut SimRng, true_value: f64) -> f64 {
@@ -146,6 +248,56 @@ proptest! {
             }
         }
         prop_assert!(clone.is_some());
+    }
+
+    /// Block storage reads back exactly what was recorded, across the
+    /// 16-frame block boundaries. A clone taken at any frame (the
+    /// checkpoint path) and its original then record different frames,
+    /// and each reads back only its own.
+    #[test]
+    fn block_storage_matches_flat_reference(
+        n in 1usize..81,
+        frames in 0usize..71,
+        clone_at in 0usize..71,
+        gaps in prop::collection::vec(0u64..3, 70),
+        seed in 0u64..1_000,
+        probe in (0usize..71, 0usize..71, 0u64..800_000),
+    ) {
+        let clone_at = clone_at.min(frames);
+        let mut csth = Csth::new(CSTH_POLL_PERIOD);
+        for c in 0..n {
+            csth.add_channel(&format!("ch{c}"), "C").expect("before the first frame");
+        }
+        let value = |side: u64, f: usize, c: usize| {
+            let h = (seed ^ side).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add((f * 131 + c * 7) as u64)
+                .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (h >> 40) as f64 * 0.125 - 50.0
+        };
+        let fill = |frame: &mut [f64], side: u64, f: usize| {
+            frame.iter_mut().enumerate().for_each(|(c, v)| *v = value(side, f, c));
+        };
+        let mut flat = FlatCapture { n, times: Vec::new(), values: Vec::new() };
+        let mut frame = vec![0.0; n];
+        // Gaps of 0 repeat a timestamp, which frames may do; the clone's
+        // frames land 1 s later per frame than the original's.
+        let mut clock = 0;
+        for (f, gap) in gaps.iter().enumerate().take(clone_at) {
+            clock += gap * 10_000;
+            fill(&mut frame, 0, f);
+            flat.record(&mut csth, SimInstant::from_millis(clock), &frame);
+        }
+        let (mut copy, mut copy_flat, mut copy_clock) = (csth.clone(), flat.clone(), clock);
+        for (f, gap) in gaps.iter().enumerate().take(frames).skip(clone_at) {
+            clock += gap * 10_000;
+            fill(&mut frame, 0, f);
+            flat.record(&mut csth, SimInstant::from_millis(clock), &frame);
+            copy_clock += gap * 10_000 + 1_000;
+            fill(&mut frame, 1, f);
+            copy_flat.record(&mut copy, SimInstant::from_millis(copy_clock), &frame);
+        }
+        flat.check(&csth, probe)?;
+        copy_flat.check(&copy, probe)?;
     }
 
     /// CSV round trip preserves any harness content with clean names.

@@ -147,35 +147,6 @@ impl Matrix {
         self.data.fill(value);
     }
 
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `x.len() != cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let mut y = vec![0.0; self.rows];
-        self.mul_vec_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Matrix–vector product `A·x` written into `y` — the
-    /// allocation-free variant for per-step hot paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `x.len() != cols`
-    /// or `y.len() != rows`.
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch);
-        }
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            *yr = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-        Ok(())
-    }
-
     /// Factors the matrix as `P·A = L·U` with partial pivoting.
     ///
     /// # Errors
@@ -416,6 +387,13 @@ impl LuFactors {
 mod tests {
     use super::*;
 
+    /// `A·x`, for right-hand sides with a known solution.
+    fn mul(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..a.rows)
+            .map(|r| (0..a.cols).map(|c| a.get(r, c) * x[c]).sum())
+            .collect()
+    }
+
     #[test]
     fn identity_solve_returns_rhs() {
         let a = Matrix::identity(4);
@@ -457,10 +435,6 @@ mod tests {
             sq.solve(&[1.0, 2.0]).unwrap_err(),
             LinalgError::DimensionMismatch
         );
-        assert_eq!(
-            sq.mul_vec(&[1.0]).unwrap_err(),
-            LinalgError::DimensionMismatch
-        );
     }
 
     #[test]
@@ -476,7 +450,7 @@ mod tests {
         let a =
             Matrix::from_rows(&[&[4.0, -1.0, 0.5], &[-1.0, 5.0, -2.0], &[0.5, -2.0, 6.0]]).unwrap();
         let x_true = [0.3, -1.2, 2.5];
-        let b = a.mul_vec(&x_true).unwrap();
+        let b = mul(&a, &x_true);
         let x = a.solve(&b).unwrap();
         for (xs, xt) in x.iter().zip(&x_true) {
             assert!((xs - xt).abs() < 1e-10);
@@ -567,7 +541,7 @@ mod tests {
                 }
             }
             let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - 1.5).collect();
-            let b = a.mul_vec(&x_true).unwrap();
+            let b = mul(&a, &x_true);
             let x = a.solve(&b).unwrap();
             for (xs, xt) in x.iter().zip(&x_true) {
                 assert!((xs - xt).abs() < 1e-8, "n={n}: {xs} vs {xt}");
