@@ -1,18 +1,19 @@
 //! Criterion bench for **rack-scale** stepping: the shared-factorization
-//! batch engine against independent per-server solves, thread-sharded
-//! stepping, and the CSR sparse backend against dense at room-scale
-//! node counts.
+//! kernel a resident fleet group runs (`BatchSolver::prepare_shared` +
+//! `SharedKernel::step_shard`, through `RackKernel`) against
+//! independent per-server solves, the same kernel thread-sharded, and
+//! the CSR sparse backend against dense at room-scale node counts.
 //!
 //! Run with `cargo bench -p leakctl-bench --bench rack_scale`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use leakctl_bench::{room_network, RackKernel, ShardedRackKernel};
+use leakctl_bench::{room_network, RackKernel};
 use leakctl_thermal::{CsrTransientSolver, DenseTransientSolver, ShardPlan, TransientSolver};
 use leakctl_units::{AirFlow, Celsius, SimDuration, Watts};
 
 fn bench_rack_scale(c: &mut Criterion) {
     // One-shot shape report: the batched kernel must warm its dies.
-    let mut probe = RackKernel::new(16);
+    let mut probe = RackKernel::new(16, 1);
     probe.step_batched(300);
     let t = probe.max_temperature().degrees();
     eprintln!("[rack_scale] 16-lane kernel after 300 s: max {t:.1} C");
@@ -25,7 +26,7 @@ fn bench_rack_scale(c: &mut Criterion) {
     const BLOCK: u64 = 200;
     for servers in [32usize, 128] {
         group.bench_function(format!("batch{servers}_200steps"), |b| {
-            let mut kernel = RackKernel::new(servers);
+            let mut kernel = RackKernel::new(servers, 1);
             kernel.step_batched(1);
             b.iter(|| {
                 kernel.step_batched(BLOCK);
@@ -34,7 +35,7 @@ fn bench_rack_scale(c: &mut Criterion) {
         });
     }
     group.bench_function("batch128_dynamic_200steps", |b| {
-        let mut kernel = RackKernel::new(128);
+        let mut kernel = RackKernel::new(128, 1);
         kernel.step_batched_dynamic(1);
         b.iter(|| {
             kernel.step_batched_dynamic(BLOCK);
@@ -68,15 +69,16 @@ fn bench_rack_scale(c: &mut Criterion) {
     });
     group.finish();
 
-    // Thread-sharded packed stepping: single worker vs the
-    // environment's plan (LEAKCTL_THREADS / machine parallelism).
-    // Results are bit-identical; only wall-clock moves.
+    // Thread-sharded stepping (one prepare, then each shard's run on
+    // its own worker): single worker vs the environment's plan
+    // (LEAKCTL_THREADS / machine parallelism). Results are
+    // bit-identical; only wall-clock moves.
     let mut group = c.benchmark_group("rack_sharded");
     group.sample_size(10);
     let env_threads = ShardPlan::from_env().threads();
     for threads in [1usize, env_threads] {
         group.bench_function(format!("shard128_t{threads}_200steps"), |b| {
-            let mut kernel = ShardedRackKernel::new(128, threads);
+            let mut kernel = RackKernel::new(128, threads);
             kernel.step_many(1);
             b.iter(|| {
                 kernel.step_many(BLOCK);

@@ -1,6 +1,9 @@
 //! Rack-scale batching report: servers-stepped/sec through the
-//! shared-factorization [`BatchSolver`](leakctl_thermal::BatchSolver)
-//! versus independent full `Server::step` calls, merged into the
+//! shared-factorization kernel a resident `Fleet` group runs
+//! ([`BatchSolver::prepare_shared`](leakctl_thermal::BatchSolver::prepare_shared)
+//! then [`SharedKernel::step_shard`](leakctl_thermal::SharedKernel::step_shard),
+//! driven by [`RackKernel`]) versus independent full `Server::step`
+//! calls, merged into the
 //! `BENCH_perf.json` perf artifact (appending to an existing report
 //! from `repro-perf`, or writing a fresh one).
 //!
@@ -9,24 +12,28 @@
 //! - `rack128_server_loop` — 128 independent `Server::step` calls per
 //!   simulated second: the full scalar machine including telemetry,
 //!   power models and the per-server cached thermal solve.
-//! - `rack128_batch_thermal` — the same 128 server-topology thermal
-//!   networks advanced through one shared `(dt, flow)` factorization
-//!   with a blocked multi-RHS substitution over packed slot-major
-//!   states, inputs held constant (the counterpart of
-//!   `server_step_1s_constant`). This is the batch stepping engine the
-//!   `Fleet` integrates through.
+//! - `rack128_batch_thermal` — 128 server-topology thermal lanes
+//!   advanced through one shared `(dt, flow)` factorization with a
+//!   blocked multi-RHS substitution over packed slot-major
+//!   temperatures and power injections, one prepare per step, inputs
+//!   held constant (the counterpart of `server_step_1s_constant`).
+//!   This is the solve a resident `Fleet` group runs.
 //! - `rack128_batch_dynamic` — the same, with every lane's die powers
-//!   perturbed every step (as leakage feedback does in a live fleet),
-//!   so per-lane source refresh is part of the measurement.
+//!   rewritten every step (as leakage feedback does in a live fleet).
 //! - `rack128_fleet_step` — the full `Fleet::step` (batched thermal
 //!   solve *plus* per-server dynamics and telemetry), for context on
 //!   end-to-end rack throughput.
-//! - `rack128_shard1` / `rack128_parallel` — the thread-sharded packed
-//!   engine at one worker and at the best multi-worker count of a
-//!   sweep up to `LEAKCTL_THREADS` (or the machine's parallelism);
-//!   `rack128_parallel` carries `parallel_speedup_x`, the
-//!   multi-thread-over-single-thread ratio. Results are bit-identical
-//!   across the sweep.
+//! - `rack128_shard1` / `rack128_parallel` — the same kernel with
+//!   constant inputs, one prepare and then each shard's whole run on
+//!   its own worker, at one worker and at the best multi-worker count
+//!   of a sweep up to `LEAKCTL_THREADS` (or the machine's
+//!   parallelism); `rack128_parallel` carries `parallel_speedup_x`,
+//!   the multi-thread-over-single-thread ratio.
+//!
+//! Results are bit-identical across the kernels: the gate fails unless
+//! every repetition of `rack128_batch_thermal`, `rack128_shard1` and
+//! each swept thread count ends on the same hottest temperature, bit
+//! for bit (the value printed as `max_temp_c`).
 //!
 //! The headline `batch_speedup_x` extra on `rack128_batch_thermal` is
 //! its ratio to `rack128_server_loop` in servers-stepped/sec;
@@ -42,7 +49,7 @@ use std::time::Instant;
 use leakctl::fleet::Fleet;
 use leakctl::prelude::*;
 use leakctl_bench::perf::{best_of, gate_main, GateRun, PerfResult};
-use leakctl_bench::{RackKernel, ShardedRackKernel};
+use leakctl_bench::RackKernel;
 use leakctl_thermal::ShardPlan;
 
 /// Rack size for the headline measurements.
@@ -84,14 +91,16 @@ fn bench_server_loop(steps: u64) -> PerfResult {
 }
 
 /// Batched thermal stepping: `RACK` identical server-topology networks
-/// through one shared factorization (constant inputs).
-fn bench_batch_thermal(steps: u64) -> PerfResult {
-    let mut kernel = RackKernel::new(RACK);
-    // Warm-up step so the shared factorization and lane caches exist.
+/// through one shared factorization (constant inputs). Pushes the bits
+/// of the final hottest temperature onto `end_bits`.
+fn bench_batch_thermal(steps: u64, end_bits: &mut Vec<u64>) -> PerfResult {
+    let mut kernel = RackKernel::new(RACK, 1);
+    // Warm-up step so the shared factorization exists.
     kernel.step_batched(1);
     let start = Instant::now();
     kernel.step_batched(steps);
     let wall_s = start.elapsed().as_secs_f64();
+    end_bits.push(kernel.max_temperature().degrees().to_bits());
     PerfResult {
         name: "rack128_batch_thermal",
         steps: steps * RACK as u64,
@@ -105,7 +114,7 @@ fn bench_batch_thermal(steps: u64) -> PerfResult {
 
 /// Batched thermal stepping with per-step per-lane power updates.
 fn bench_batch_dynamic(steps: u64) -> PerfResult {
-    let mut kernel = RackKernel::new(RACK);
+    let mut kernel = RackKernel::new(RACK, 1);
     kernel.step_batched_dynamic(1);
     let start = Instant::now();
     kernel.step_batched_dynamic(steps);
@@ -123,13 +132,20 @@ fn bench_batch_dynamic(steps: u64) -> PerfResult {
 
 /// Thread-sharded batch stepping at a fixed worker count (constant
 /// inputs; one serial prepare, then every worker runs its shard's full
-/// step sequence with zero cross-thread synchronization).
-fn bench_sharded(steps: u64, threads: usize, name: &'static str) -> PerfResult {
-    let mut kernel = ShardedRackKernel::new(RACK, threads);
+/// step sequence with zero cross-thread synchronization). Pushes the
+/// bits of the final hottest temperature onto `end_bits`.
+fn bench_sharded(
+    steps: u64,
+    threads: usize,
+    name: &'static str,
+    end_bits: &mut Vec<u64>,
+) -> PerfResult {
+    let mut kernel = RackKernel::new(RACK, threads);
     kernel.step_many(1);
     let start = Instant::now();
     kernel.step_many(steps);
     let wall_s = start.elapsed().as_secs_f64();
+    end_bits.push(kernel.max_temperature().degrees().to_bits());
     PerfResult {
         name,
         steps: steps * RACK as u64,
@@ -191,7 +207,8 @@ fn gate(quick: bool) -> GateRun {
     // region is tens of milliseconds and the CI regression gate stays
     // meaningful.
     let scalar = best_of(reps, || bench_server_loop(steps));
-    let mut batched = best_of(reps, || bench_batch_thermal(steps * 20));
+    let mut batch_bits = Vec::new();
+    let mut batched = best_of(reps, || bench_batch_thermal(steps * 20, &mut batch_bits));
     let mut dynamic = best_of(reps, || bench_batch_dynamic(steps * 20));
     let fleet = best_of(reps, || bench_fleet_step(steps));
 
@@ -202,22 +219,38 @@ fn gate(quick: bool) -> GateRun {
     // results are bit-identical across the sweep, only wall-clock
     // moves.
     let max_threads = ShardPlan::from_env().threads();
-    let single = best_of(reps, || bench_sharded(steps * 20, 1, "rack128_shard1"));
+    let mut shard1_bits = Vec::new();
+    let single = best_of(reps, || {
+        bench_sharded(steps * 20, 1, "rack128_shard1", &mut shard1_bits)
+    });
     let mut candidates: Vec<usize> = [2usize, 4, 8, 16]
         .into_iter()
         .filter(|&t| t < max_threads)
         .collect();
     candidates.push(max_threads.max(1));
     candidates.dedup();
-    let mut parallel = candidates
+    let mut swept_bits = Vec::new();
+    let swept: Vec<PerfResult> = candidates
         .into_iter()
         .filter(|&t| t > 1)
         .map(|t| {
             println!("  sweeping {t} worker threads...");
-            best_of(reps, move || {
-                bench_sharded(steps * 20, t, "rack128_parallel")
+            best_of(reps, || {
+                bench_sharded(steps * 20, t, "rack128_parallel", &mut swept_bits)
             })
         })
+        .collect();
+    // The kernels are bit-identical: every repetition of the single
+    // worker and of each swept thread count must end on the
+    // constant-input batch's exact temperature. (The printed
+    // `max_temp_c` rounds away the last digits, and a steady-state
+    // lane hides a divergence there.)
+    let reference = batch_bits[0];
+    let agree = |bits: &[u64]| bits.iter().all(|&b| b == reference);
+    let shard1_agrees = agree(&batch_bits) && agree(&shard1_bits);
+    let sweep_agrees = agree(&swept_bits);
+    let mut parallel = swept
+        .into_iter()
         .max_by(|a, b| {
             a.steps_per_sec()
                 .partial_cmp(&b.steps_per_sec())
@@ -265,8 +298,17 @@ fn gate(quick: bool) -> GateRun {
     println!("multi-thread vs single-thread sharded: {parallel_speedup:.2}x (up to {max_threads} threads)");
 
     GateRun {
+        checks: vec![
+            (
+                shard1_agrees,
+                "rack128_shard1 max_temp_c differs from rack128_batch_thermal",
+            ),
+            (
+                sweep_agrees,
+                "a swept rack128_parallel thread count's max_temp_c differs from rack128_batch_thermal",
+            ),
+        ],
         results,
-        checks: Vec::new(),
         pass: None,
     }
 }

@@ -352,162 +352,37 @@ impl Default for SteppingKernel {
     }
 }
 
-/// A rack of identical server-topology thermal networks stepped
-/// through one shared-factorization
-/// [`BatchSolver`](leakctl_thermal::BatchSolver) — the measurement
-/// kernel behind the `rack_scale` criterion group and the `repro-rack`
-/// servers-stepped/sec report.
+/// A rack of identical server-topology thermal lanes stepped through
+/// the kernel a resident `Fleet` group runs:
+/// [`BatchSolver::prepare_shared`](leakctl_thermal::BatchSolver::prepare_shared)
+/// on one template network, then
+/// [`SharedKernel::step_shard`](leakctl_thermal::SharedKernel::step_shard)
+/// over each shard's packed temperatures and power block — the
+/// measurement kernel behind the `rack_scale` criterion groups and the
+/// `repro-rack` servers-stepped/sec report.
 ///
-/// Each lane is a separately built 2-socket server network (matching
-/// the default `ServerConfig` topology: 9 capacitive nodes, one chassis
-/// flow channel) at the canonical 250 CFM operating point. Every step
-/// perturbs each lane's die powers — as a real fleet does through the
-/// leakage–temperature feedback — so the per-lane source refresh is
-/// included in the measurement, then advances all lanes by one
-/// backward-Euler second through the batch engine.
+/// The template is a 2-socket server network (matching the default
+/// `ServerConfig` topology: 9 capacitive nodes, one chassis flow
+/// channel) at the canonical 250 CFM and 24 °C operating point; it
+/// supplies the shared factorization and boundary source. Each lane
+/// starts at 24 °C with its own die powers in a slot-major power block
+/// per shard. Results are bit-identical for any thread count; only
+/// wall-clock changes.
 #[derive(Debug)]
 pub struct RackKernel {
-    nets: Vec<leakctl_thermal::ThermalNetwork>,
-    packed: leakctl_thermal::PackedLanes,
-    dies: Vec<Vec<leakctl_thermal::NodeId>>,
+    template: leakctl_thermal::ThermalNetwork,
+    /// State slots of the dies, in socket order.
+    die_slots: Vec<usize>,
+    lanes: leakctl_thermal::ShardedLanes,
+    /// Per shard, its lanes' power injections (`[slot * width + lane]`).
+    powers: Vec<Vec<f64>>,
     solver: leakctl_thermal::BatchSolver,
     tick: u64,
 }
 
 impl RackKernel {
-    /// Builds a kernel of `servers` lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when construction fails (static topology, known to
-    /// build).
-    #[must_use]
-    pub fn new(servers: usize) -> Self {
-        use leakctl_units::{AirFlow, Celsius, Watts};
-        let mut nets = Vec::with_capacity(servers);
-        let mut states = Vec::with_capacity(servers);
-        let mut dies = Vec::with_capacity(servers);
-        for lane in 0..servers {
-            let (mut net, lane_dies, flow) = server_like_network(2);
-            net.set_flow(flow, AirFlow::from_cfm(250.0)).expect("flow");
-            for (s, &die) in lane_dies.iter().enumerate() {
-                net.set_power(die, Watts::new(80.0 + lane as f64 * 0.1 + s as f64))
-                    .expect("power");
-            }
-            states.push(net.uniform_state(Celsius::new(24.0)));
-            dies.push(lane_dies);
-            nets.push(net);
-        }
-        let solver = leakctl_thermal::BatchSolver::new(&nets[0]);
-        let packed = leakctl_thermal::PackedLanes::pack(&states);
-        Self {
-            nets,
-            packed,
-            dies,
-            solver,
-            tick: 0,
-        }
-    }
-
-    /// Number of lanes.
-    #[must_use]
-    pub fn servers(&self) -> usize {
-        self.nets.len()
-    }
-
-    /// Advances every lane by `steps` backward-Euler seconds through
-    /// the shared factorization with inputs held constant — the packed
-    /// fast path in its steady operating regime (the counterpart of the
-    /// `server_step_1s_constant` measurement).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a step fails (the kernel networks are regular).
-    pub fn step_batched(&mut self, steps: u64) {
-        use leakctl_units::SimDuration;
-        let dt = SimDuration::from_secs(1);
-        for _ in 0..steps {
-            self.solver
-                .step_packed(&self.nets, &mut self.packed, dt)
-                .expect("batch step succeeds");
-        }
-    }
-
-    /// As [`RackKernel::step_batched`], but every lane's die powers are
-    /// perturbed every step (as the leakage–temperature feedback does in
-    /// a live fleet), so per-lane source refresh is part of the
-    /// measurement.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a step fails (the kernel networks are regular).
-    pub fn step_batched_dynamic(&mut self, steps: u64) {
-        use leakctl_units::SimDuration;
-        let dt = SimDuration::from_secs(1);
-        for _ in 0..steps {
-            self.wobble_powers();
-            self.solver
-                .step_packed(&self.nets, &mut self.packed, dt)
-                .expect("batch step succeeds");
-        }
-    }
-
-    /// One tick of the dynamic workload driver: perturbs every lane's
-    /// die powers with a cheap per-(step, lane, die) wobble (mask
-    /// instead of modulo so the driver loop stays out of the measured
-    /// engine's way). Shared by the dynamic benchmark and the
-    /// `mutate_only` profiling breakdown so they always drive the same
-    /// mutation stream.
-    fn wobble_powers(&mut self) {
-        use leakctl_units::Watts;
-        self.tick += 1;
-        for (lane, (net, lane_dies)) in self.nets.iter_mut().zip(&self.dies).enumerate() {
-            for (s, &die) in lane_dies.iter().enumerate() {
-                let wobble = f64::from(
-                    (self.tick as u32)
-                        .wrapping_mul(7)
-                        .wrapping_add(lane as u32 * 13 + s as u32)
-                        & 127,
-                );
-                net.set_power(die, Watts::new(80.0 + 0.01 * wobble))
-                    .expect("power");
-            }
-        }
-    }
-
-    /// Profiling helper: runs the dynamic mutation loop without
-    /// stepping (measures driver-side `set_power` cost alone, over the
-    /// exact mutation stream `step_batched_dynamic` drives).
-    pub fn mutate_only(&mut self, steps: u64) {
-        for _ in 0..steps {
-            self.wobble_powers();
-        }
-    }
-
-    /// The hottest node temperature across all lanes (consume the
-    /// result so benchmark loops are not optimized away).
-    #[must_use]
-    pub fn max_temperature(&self) -> leakctl_units::Celsius {
-        leakctl_units::Celsius::new(self.packed.max_temperature())
-    }
-}
-
-/// A rack of identical server-topology lanes stepped through the
-/// thread-sharded packed engine
-/// ([`ShardedBatchSolver`](leakctl_thermal::ShardedBatchSolver)) — the
-/// kernel behind the `repro-rack` thread sweep and the `rack_sharded`
-/// criterion group. Results are bit-identical to [`RackKernel`] for
-/// any thread count; only wall-clock changes.
-#[derive(Debug)]
-pub struct ShardedRackKernel {
-    nets: Vec<leakctl_thermal::ThermalNetwork>,
-    lanes: leakctl_thermal::ShardedLanes,
-    solver: leakctl_thermal::ShardedBatchSolver,
-}
-
-impl ShardedRackKernel {
     /// Builds a kernel of `servers` lanes sharded across `threads`
-    /// workers (same lane construction as [`RackKernel`]).
+    /// workers.
     ///
     /// # Panics
     ///
@@ -515,54 +390,142 @@ impl ShardedRackKernel {
     /// build).
     #[must_use]
     pub fn new(servers: usize, threads: usize) -> Self {
-        use leakctl_thermal::{ShardPlan, ShardedBatchSolver, ShardedLanes};
-        use leakctl_units::{AirFlow, Celsius, Watts};
-        let mut nets = Vec::with_capacity(servers);
-        let mut states = Vec::with_capacity(servers);
-        for lane in 0..servers {
-            let (mut net, lane_dies, flow) = server_like_network(2);
-            net.set_flow(flow, AirFlow::from_cfm(250.0)).expect("flow");
-            for (s, &die) in lane_dies.iter().enumerate() {
-                net.set_power(die, Watts::new(80.0 + lane as f64 * 0.1 + s as f64))
-                    .expect("power");
-            }
-            states.push(net.uniform_state(Celsius::new(24.0)));
-            nets.push(net);
-        }
-        let plan = ShardPlan::new(threads);
-        let solver = ShardedBatchSolver::with_plan(&nets[0], plan);
-        let lanes = ShardedLanes::pack(&states, &plan);
-        Self {
-            nets,
+        use leakctl_thermal::{BatchSolver, ShardPlan, ShardedLanes};
+        use leakctl_units::{AirFlow, Celsius};
+        let (mut template, dies, flow) = server_like_network(2);
+        template
+            .set_flow(flow, AirFlow::from_cfm(250.0))
+            .expect("flow");
+        let die_slots = dies
+            .iter()
+            .map(|&die| template.state_slot(die).expect("dies are capacitive"))
+            .collect();
+        let states = vec![template.uniform_state(Celsius::new(24.0)); servers];
+        let lanes = ShardedLanes::pack(&states, &ShardPlan::new(threads));
+        let n = template.state_count();
+        let powers = (0..lanes.shard_count())
+            .map(|i| vec![0.0; n * lanes.shard_range(i).len()])
+            .collect();
+        let mut kernel = Self {
+            solver: BatchSolver::new(&template),
+            template,
+            die_slots,
             lanes,
-            solver,
-        }
+            powers,
+            tick: 0,
+        };
+        kernel.set_die_powers(|lane, s| 80.0 + lane as f64 * 0.1 + s as f64);
+        kernel
     }
 
-    /// Number of shards the lane block splits into.
+    /// Number of lanes.
+    #[must_use]
+    pub fn servers(&self) -> usize {
+        (0..self.shard_count())
+            .map(|i| self.lanes.shard_range(i).len())
+            .sum()
+    }
+
+    /// Number of shards the lanes split into.
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.lanes.shard_count()
     }
 
+    /// Writes `power(lane, socket)` into every lane's die slots, lane
+    /// by lane.
+    fn set_die_powers(&mut self, power: impl Fn(usize, usize) -> f64) {
+        for (i, block) in self.powers.iter_mut().enumerate() {
+            let range = self.lanes.shard_range(i);
+            let width = range.len();
+            for (offset, lane) in range.enumerate() {
+                for (s, &slot) in self.die_slots.iter().enumerate() {
+                    block[slot * width + offset] = power(lane, s);
+                }
+            }
+        }
+    }
+
     /// Advances every lane by `steps` backward-Euler seconds with
-    /// inputs frozen: one serial prepare, then every worker runs its
-    /// shard's full step sequence with zero cross-thread
-    /// synchronization — the measurement behind `parallel_speedup_x`.
+    /// inputs held constant, one prepare per step and the shards in
+    /// turn on the calling thread — a resident fleet group's solve in
+    /// its steady operating regime (the counterpart of the
+    /// `server_step_1s_constant` measurement).
     ///
     /// # Panics
     ///
-    /// Panics when a step fails (the kernel networks are regular).
+    /// Panics when a step fails (the kernel network is regular).
+    pub fn step_batched(&mut self, steps: u64) {
+        for _ in 0..steps {
+            self.step_once();
+        }
+    }
+
+    /// As [`RackKernel::step_batched`], but every lane's die powers are
+    /// rewritten before every step (as the leakage–temperature feedback
+    /// does in a live fleet) with a cheap per-(step, lane, die) wobble.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a step fails (the kernel network is regular).
+    pub fn step_batched_dynamic(&mut self, steps: u64) {
+        for _ in 0..steps {
+            self.tick += 1;
+            // Mask instead of modulo so the driver loop stays out of
+            // the measured kernel's way.
+            let tick = self.tick as u32;
+            self.set_die_powers(|lane, s| {
+                let wobble = f64::from(
+                    tick.wrapping_mul(7)
+                        .wrapping_add(lane as u32 * 13 + s as u32)
+                        & 127,
+                );
+                80.0 + 0.01 * wobble
+            });
+            self.step_once();
+        }
+    }
+
+    fn step_once(&mut self) {
+        let kernel = self
+            .solver
+            .prepare_shared(&self.template, leakctl_units::SimDuration::from_secs(1))
+            .expect("shared factorization");
+        for ((_, shard), powers) in self.lanes.shards_mut().zip(&self.powers) {
+            kernel.step_shard(shard, powers).expect("step succeeds");
+        }
+    }
+
+    /// Advances every lane by `steps` backward-Euler seconds with
+    /// inputs held constant: one prepare, then one scoped worker per
+    /// shard runs that shard's full step sequence with no cross-thread
+    /// synchronization (inline when there is one shard) — the
+    /// measurement behind `parallel_speedup_x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a step fails (the kernel network is regular).
     pub fn step_many(&mut self, steps: u64) {
-        use leakctl_units::SimDuration;
-        self.solver
-            .step_many(
-                &self.nets,
-                &mut self.lanes,
-                steps,
-                SimDuration::from_secs(1),
-            )
-            .expect("sharded step succeeds");
+        let kernel = self
+            .solver
+            .prepare_shared(&self.template, leakctl_units::SimDuration::from_secs(1))
+            .expect("shared factorization");
+        let run = |shard: &mut leakctl_thermal::PackedLanes, powers: &[f64]| {
+            for _ in 0..steps {
+                kernel.step_shard(shard, powers).expect("step succeeds");
+            }
+        };
+        let single = self.powers.len() == 1;
+        std::thread::scope(|scope| {
+            for ((_, shard), powers) in self.lanes.shards_mut().zip(&self.powers) {
+                if single {
+                    run(shard, powers);
+                } else {
+                    let run = &run;
+                    scope.spawn(move || run(shard, powers));
+                }
+            }
+        });
     }
 
     /// The hottest lane temperature (consume the result so benchmark
@@ -1040,7 +1003,7 @@ mod tests {
 
     #[test]
     fn rack_kernel_lanes_share_structure_and_warm_up() {
-        let mut kernel = RackKernel::new(4);
+        let mut kernel = RackKernel::new(4, 1);
         assert_eq!(kernel.servers(), 4);
         kernel.step_batched(120);
         let max = kernel.max_temperature().degrees();
@@ -1062,15 +1025,23 @@ mod tests {
 
     #[test]
     fn sharded_kernel_bit_identical_to_packed_kernel() {
-        let mut packed = RackKernel::new(36);
+        let mut packed = RackKernel::new(36, 1);
         packed.step_batched(200);
         for threads in [1usize, 4] {
-            let mut sharded = ShardedRackKernel::new(36, threads);
+            let mut sharded = RackKernel::new(36, threads);
             sharded.step_many(200);
             assert_eq!(
                 sharded.max_temperature().degrees().to_bits(),
                 packed.max_temperature().degrees().to_bits(),
                 "threads {threads}"
+            );
+            // Stepped one prepare per step, the shards agree too.
+            let mut stepped = RackKernel::new(36, threads);
+            stepped.step_batched(200);
+            assert_eq!(
+                stepped.max_temperature().degrees().to_bits(),
+                packed.max_temperature().degrees().to_bits(),
+                "threads {threads}, stepwise"
             );
         }
     }
@@ -1192,39 +1163,5 @@ mod tests {
         // A quick contribution flips the document flag.
         assert!(remerged.contains("\"quick\": true"));
         assert!(merge_into_json("not a perf report", &[a], false).is_none());
-    }
-}
-
-#[cfg(test)]
-mod profiling {
-    use super::*;
-    use std::time::Instant;
-
-    #[test]
-    #[ignore = "manual profiling harness"]
-    fn dynamic_vs_constant_breakdown() {
-        let mut kernel = RackKernel::new(128);
-        kernel.step_batched_dynamic(1);
-        let t = Instant::now();
-        kernel.step_batched_dynamic(5000);
-        println!(
-            "dynamic  : {:>9.1} ns/step",
-            t.elapsed().as_nanos() as f64 / 5000.0
-        );
-        let t = Instant::now();
-        kernel.step_batched(5000);
-        println!(
-            "constant : {:>9.1} ns/step",
-            t.elapsed().as_nanos() as f64 / 5000.0
-        );
-        // set_power cost alone: drive the same mutation loop without stepping.
-        let mut kernel2 = RackKernel::new(128);
-        let t = Instant::now();
-        kernel2.mutate_only(5000);
-        println!(
-            "set_power: {:>9.1} ns/step",
-            t.elapsed().as_nanos() as f64 / 5000.0
-        );
-        assert!(kernel.max_temperature().degrees() > 0.0);
     }
 }

@@ -55,7 +55,7 @@ use leakctl_platform::{
     DynamicsLanes, FanFault, LaneTemplate, PlatformError, Server, ServerConfig,
 };
 use leakctl_thermal::{
-    group_by_structure_hash, BatchLane, PackedLanes, ShardPlan, ShardedBatchSolver, ShardedLanes,
+    group_by_structure_hash, BatchLane, BatchSolver, PackedLanes, ShardPlan, ShardedLanes,
     ThermalState,
 };
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, TempDelta, Utilization, Watts};
@@ -63,12 +63,12 @@ use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, TempDelta, Utili
 use crate::error::CoreError;
 
 /// One structure-hash group: a contiguous run of (storage-ordered)
-/// servers sharing a topology, batched through one sharded solver.
+/// servers sharing a topology, batched through one solver.
 #[derive(Debug)]
 struct FleetGroup {
     /// Contiguous storage range of this group's servers.
     range: Range<usize>,
-    solver: ShardedBatchSolver,
+    solver: BatchSolver,
     /// The group's representative network, carrying the common flow and
     /// inlet of resident steps (made at the first one).
     template: Option<LaneTemplate>,
@@ -219,6 +219,8 @@ pub struct Fleet {
     lanes: Vec<LaneRef>,
     room: Celsius,
     recirculation_k_per_w: f64,
+    /// The shard partition of every resident group.
+    plan: ShardPlan,
     groups: Vec<FleetGroup>,
 }
 
@@ -344,7 +346,7 @@ impl Fleet {
                 let template = &servers[index_map[template_original]];
                 FleetGroup {
                     range,
-                    solver: ShardedBatchSolver::with_plan(template.thermal_network(), plan),
+                    solver: BatchSolver::new(template.thermal_network()),
                     template: None,
                     resident: None,
                 }
@@ -356,6 +358,7 @@ impl Fleet {
             lanes,
             room,
             recirculation_k_per_w,
+            plan,
             groups,
         })
     }
@@ -613,7 +616,7 @@ impl Fleet {
                 .solver
                 .lanes_homogeneous(|i| servers[i].thermal_network(), count)
         {
-            group.resident = Some(Resident::load(servers, group.solver.plan(), inlet));
+            group.resident = Some(Resident::load(servers, &self.plan, inlet));
         }
         let mut begun = false;
         if let Some(resident) = group.resident.as_mut() {
@@ -676,7 +679,6 @@ impl Fleet {
                 .collect();
             group
                 .solver
-                .lane_solver_mut()
                 .step(&mut lanes, dt)
                 .map_err(PlatformError::from)?;
         }

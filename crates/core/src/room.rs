@@ -15,9 +15,9 @@
 //!    backward-Euler solver (sparse CSR once the room is large enough).
 //! 2. **Rack phase (parallel).** Each rack reads its cold-aisle
 //!    temperature as the inlet boundary and its [`Fleet`] advances by
-//!    `dt` — racks are sharded across scoped workers exactly like
-//!    [`ShardedBatchSolver`](leakctl_thermal::ShardedBatchSolver)
-//!    shards lanes within one rack, and since racks only interact
+//!    `dt` — racks are sharded across scoped workers exactly like a
+//!    [`Fleet`] shards its lanes within one rack
+//!    ([`ShardPlan`]), and since racks only interact
 //!    through the (serial) air phase, the room trajectory is
 //!    **bit-identical for any thread count** (`LEAKCTL_THREADS`).
 //!

@@ -8,22 +8,30 @@
 //! *same* matrix — same topology, same conductances, same `(dt, flow)`
 //! key ⇒ bit-identical `(C + h·G)`.
 //!
-//! [`BatchSolver`] shares that work. Lanes (network/state pairs) are
-//! grouped by their `(dt, flow-values)` signature; each group factors
-//! `(C + h·G)` once and back-substitutes all members as one slot-major
-//! blocked multi-RHS solve whose inner loops run over contiguous lanes
-//! and vectorize. Per-lane inputs that live in the right-hand side —
-//! power injections and boundary (inlet) temperatures — stay fully
-//! independent, cached per lane on the network's invalidation
-//! generations.
+//! [`BatchSolver`] shares that work. Each distinct `(dt, flow-values)`
+//! signature factors `(C + h·G)` once and back-substitutes all its
+//! lanes as one slot-major blocked multi-RHS solve whose inner loops
+//! run over contiguous lanes and vectorize. Lanes reach the factors in
+//! one of two ways:
+//!
+//! - [`BatchSolver::step`] takes per-lane network/state pairs, groups
+//!   them by signature and reads each lane's power injections and
+//!   boundary temperatures from its own network, cached per lane on
+//!   the network's invalidation generations. Flows may diverge freely.
+//! - [`BatchSolver::prepare_shared`] serves lanes that all hold one
+//!   template network's flows and boundary temperatures (a fleet's
+//!   servers on a common inlet and fan flow): it returns a
+//!   [`SharedKernel`] that steps [`PackedLanes`] blocks — temperatures
+//!   resident slot-major between steps — from caller-supplied power
+//!   blocks and the template's one boundary source, reading no lane
+//!   network. [`BatchSolver::lanes_homogeneous`] tells when a group's
+//!   flows agree.
 //!
 //! Every lane's arithmetic is bit-identical to stepping it alone
 //! through a `TransientSolver` with the same backend: assembly,
 //! factorization and the per-lane accumulation order of the block
 //! substitution all match the scalar path exactly. A fleet of one
 //! therefore reproduces the single-server trajectory to the last bit.
-
-use std::borrow::Borrow;
 
 use leakctl_units::SimDuration;
 
@@ -42,62 +50,22 @@ pub struct BatchLane<'a> {
     pub state: &'a mut ThermalState,
 }
 
-/// Slot-major packed lane states for [`BatchSolver::step_packed`], the
-/// homogeneous-flow fast path: temperatures and cached sources live as
-/// `n × batch` blocks (`[slot * batch + lane]`) that persist across
+/// Slot-major packed lane temperatures for [`SharedKernel::step_shard`]:
+/// an `n × batch` block (`[slot * batch + lane]`) that persists across
 /// steps, so the per-step right-hand-side build, solve and divergence
 /// check all run over contiguous memory with no per-lane gather or
 /// scatter. Trajectories are bit-identical to the per-lane
 /// [`BatchSolver::step`] API (and therefore to scalar stepping).
 ///
 /// Pack once with [`PackedLanes::pack`], step many times, and
-/// [`PackedLanes::unpack_into`] whenever per-lane [`ThermalState`]s are
-/// needed again.
+/// [`PackedLanes::unpack_lane_into`] whenever a lane's
+/// [`ThermalState`] is needed again.
 #[derive(Debug, Clone)]
 pub struct PackedLanes {
     n: usize,
     batch: usize,
     /// Temperatures, `temps[slot * batch + lane]`.
     temps: Vec<f64>,
-    /// Combined per-lane sources `s = s_power + s_bound`,
-    /// `s[slot * batch + lane]` — the layout the per-step RHS build
-    /// streams over.
-    s: Vec<f64>,
-    /// *Lane-major* staging halves of `s`
-    /// (`stage_power[lane * n + slot]`): a lane's source assembly
-    /// writes one contiguous `n`-slice instead of `n` stride-`batch`
-    /// scatters, and a dense refresh (every lane changed, the dynamic
-    /// fleet regime) recombines into `s` with one cache-friendly
-    /// transpose pass over an L1-resident staging block. Cached halves
-    /// are kept separate so a power-only change refreshes without
-    /// re-walking the boundary edges and vice versa.
-    stage_power: Vec<f64>,
-    stage_bound: Vec<f64>,
-    /// Lanes whose staging changed this refresh and still need their
-    /// `s` column recombined.
-    dirty: Vec<bool>,
-    /// `false` while `s` lags the staging buffers (a dense refresh
-    /// defers the recombine: the RHS build reads the staging directly
-    /// that step, and `s` is rebuilt lazily on the next sparse/clean
-    /// step).
-    s_valid: bool,
-    /// Slot → node index map of the (shared) topology, captured at the
-    /// first refresh and keyed on the structure hash it was captured
-    /// under (re-captured if a different-topology solver ever drives
-    /// this block): power staging then reads each lane's raw power
-    /// array directly instead of re-deriving the mapping per lane.
-    slot_map: Vec<usize>,
-    slot_map_key: Option<u64>,
-    // Per-lane source-cache keys (same invalidation protocol as the
-    // scalar solver).
-    cond_keys: Vec<Option<(u64, u64)>>,
-    power_keys: Vec<Option<u64>>,
-    /// Flow generation seen per lane at the last signature check; any
-    /// change forces a homogeneity recheck.
-    flow_gens: Vec<u64>,
-    /// `true` while every lane is known to share the reference flow
-    /// signature.
-    homogeneous: bool,
     // Per-shard solve workspaces (each packed block owns its own, so
     // shards solve concurrently without touching the solver).
     rhs: Vec<f64>,
@@ -127,17 +95,6 @@ impl PackedLanes {
             n,
             batch,
             temps,
-            s: vec![0.0; n * batch],
-            stage_power: vec![0.0; n * batch],
-            stage_bound: vec![0.0; n * batch],
-            dirty: vec![false; batch],
-            s_valid: true,
-            slot_map: Vec::new(),
-            slot_map_key: None,
-            cond_keys: vec![None; batch],
-            power_keys: vec![None; batch],
-            flow_gens: vec![0; batch],
-            homogeneous: false,
             rhs: vec![0.0; n * batch],
             acc: vec![0.0; batch],
         }
@@ -147,27 +104,6 @@ impl PackedLanes {
     #[must_use]
     pub fn batch(&self) -> usize {
         self.batch
-    }
-
-    /// State dimension per lane.
-    #[must_use]
-    pub fn dimension(&self) -> usize {
-        self.n
-    }
-
-    /// Writes the packed temperatures back into per-lane states.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `states` does not match the packed batch shape.
-    pub fn unpack_into(&self, states: &mut [ThermalState]) {
-        assert_eq!(states.len(), self.batch, "state count must match batch");
-        for (lane, state) in states.iter_mut().enumerate() {
-            assert_eq!(state.temps.len(), self.n, "lane state dimension");
-            for (slot, t) in state.temps.iter_mut().enumerate() {
-                *t = self.temps[slot * self.batch + lane];
-            }
-        }
     }
 
     /// The hottest packed temperature across all lanes.
@@ -198,201 +134,21 @@ impl PackedLanes {
         &self.temps
     }
 
-    /// One packed temperature, `(lane, slot)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` or `slot` is out of range.
-    #[must_use]
-    pub fn lane_temperature(&self, lane: usize, slot: usize) -> f64 {
-        assert!(lane < self.batch && slot < self.n, "lane/slot out of range");
-        self.temps[slot * self.batch + lane]
-    }
-
-    /// Refreshes the packed source block from each lane's network,
-    /// change-driven on the networks' invalidation generations.
-    /// Returns `true` when any lane's flow generation moved (the caller
-    /// must then recheck flow homogeneity).
-    ///
-    /// A stale lane assembles into its contiguous *lane-major* staging
-    /// slice; afterwards the dirty columns of the slot-major `s` block
-    /// are recombined — one dense transpose pass over the L1-resident
-    /// staging block when most lanes changed (the dynamic fleet
-    /// regime), or per-lane strided column updates when changes are
-    /// sparse. Values and addition order match the scalar solver's
-    /// `s = s_power + s_bound` exactly, so trajectories stay
-    /// bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a lane's network does not match `structure_hash` or
-    /// the packed dimension.
-    pub(crate) fn refresh_sources<'n, F>(&mut self, net_of: F, structure_hash: u64) -> bool
-    where
-        F: Fn(usize) -> &'n ThermalNetwork,
-    {
-        let n = self.n;
-        let batch = self.batch;
-        if self.slot_map_key != Some(structure_hash) {
-            self.slot_map.clear();
-            self.slot_map.extend_from_slice(net_of(0).slot_to_node());
-            self.slot_map_key = Some(structure_hash);
-        }
-        let mut flows_moved = false;
-        let mut dirty_count = 0usize;
-        for lane in 0..batch {
-            let net = net_of(lane);
-            assert_eq!(
-                net.structure_hash(),
-                structure_hash,
-                "lane network is not structurally identical to the batch template"
-            );
-            assert_eq!(net.state_count(), n, "lane network dimension");
-            let flow_gen = net.flow_generation();
-            if self.flow_gens[lane] != flow_gen {
-                self.flow_gens[lane] = flow_gen;
-                flows_moved = true;
-            }
-            let cond_key = (flow_gen, net.boundary_generation());
-            let power_key = net.power_generation();
-            let mut stale = false;
-            if self.cond_keys[lane] != Some(cond_key) {
-                net.assemble_boundary_source_into(&mut self.stage_bound[lane * n..(lane + 1) * n]);
-                self.cond_keys[lane] = Some(cond_key);
-                stale = true;
-            }
-            if self.power_keys[lane] != Some(power_key) {
-                let powers = net.powers_raw();
-                for (stage, &node) in self.stage_power[lane * n..(lane + 1) * n]
-                    .iter_mut()
-                    .zip(&self.slot_map)
-                {
-                    *stage = powers[node];
-                }
-                self.power_keys[lane] = Some(power_key);
-                stale = true;
-            }
-            if stale && !self.dirty[lane] {
-                self.dirty[lane] = true;
-                dirty_count += 1;
-            }
-        }
-        if dirty_count == 0 && self.s_valid {
-            return flows_moved;
-        }
-        if dirty_count * 2 >= batch {
-            // Dense refresh (the dynamic fleet regime: most lanes
-            // changed): defer the recombine entirely — the RHS build
-            // reads the staging block directly this step, skipping one
-            // full write+read pass over `s`.
-            self.s_valid = false;
-        } else if !self.s_valid || dirty_count * 4 >= batch {
-            // Recombine every column in one transpose pass —
-            // contiguous writes per slot row, gather reads from a
-            // staging block small enough to stay cache-resident. Clean
-            // columns are rewritten with their (identical) staged
-            // values, which is exact.
-            for slot in 0..n {
-                let row = slot * batch;
-                let s_row = &mut self.s[row..row + batch];
-                for (lane, s) in s_row.iter_mut().enumerate() {
-                    let at = lane * n + slot;
-                    *s = self.stage_power[at] + self.stage_bound[at];
-                }
-            }
-            self.s_valid = true;
-        } else {
-            for lane in 0..batch {
-                if !self.dirty[lane] {
-                    continue;
-                }
-                for slot in 0..n {
-                    let at = lane * n + slot;
-                    self.s[slot * batch + lane] = self.stage_power[at] + self.stage_bound[at];
-                }
-            }
-        }
-        self.dirty[..batch].fill(false);
-        flows_moved
-    }
-
-    /// Builds the backward-Euler right-hand side `C·T + h·s` for every
-    /// lane and solves the block through `backend`'s cached `(C + h·G)`
-    /// factors, advancing the packed temperatures in place. The whole
-    /// step streams over contiguous slot-major rows; per-lane
-    /// arithmetic is bit-identical to a scalar solve.
+    /// Builds the backward-Euler right-hand side `C·T + h·(p + b)` for
+    /// every lane — `powers` is the slot-major (`[slot * batch + lane]`)
+    /// power injection of every lane and `bound` the boundary source
+    /// every lane shares — and solves the block through `backend`'s
+    /// cached `(C + h·G)` factors, advancing the packed temperatures in
+    /// place. The source is `power + bound`, the operands of a scalar
+    /// solve's `s = s_power + s_bound` in the same order, so per-lane
+    /// arithmetic is bit-identical to it.
     ///
     /// # Errors
     ///
     /// Returns [`ThermalError::SingularSystem`] when the backend holds
     /// no valid factors and [`ThermalError::Diverged`] (named through
-    /// `net_of`) on a non-finite result.
-    pub(crate) fn solve_be_block<'n, B, F>(
-        &mut self,
-        backend: &B,
-        c: &[f64],
-        h: f64,
-        net_of: F,
-    ) -> Result<(), ThermalError>
-    where
-        B: SolverBackend,
-        F: Fn(usize) -> &'n ThermalNetwork,
-    {
-        let n = self.n;
-        let batch = self.batch;
-        if self.s_valid {
-            for (slot, &ci) in c.iter().enumerate() {
-                let row = slot * batch;
-                let temps = &self.temps[row..row + batch];
-                let s_row = &self.s[row..row + batch];
-                for ((r, &t), &si) in self.rhs[row..row + batch].iter_mut().zip(temps).zip(s_row) {
-                    *r = ci * t + h * si;
-                }
-            }
-        } else {
-            // Deferred recombine: fold `s = s_power + s_bound` into the
-            // RHS build straight from the lane-major staging (same
-            // operand order as the recombine pass, so values are
-            // bit-identical).
-            for (slot, &ci) in c.iter().enumerate() {
-                let row = slot * batch;
-                let temps = &self.temps[row..row + batch];
-                for (lane, (r, &t)) in self.rhs[row..row + batch].iter_mut().zip(temps).enumerate()
-                {
-                    let at = lane * n + slot;
-                    let si = self.stage_power[at] + self.stage_bound[at];
-                    *r = ci * t + h * si;
-                }
-            }
-        }
-        backend.solve_be_block_into(&self.rhs, &mut self.temps, batch, &mut self.acc)?;
-        if let Some(bad) = self.temps.iter().position(|t| !t.is_finite()) {
-            let slot = bad / batch;
-            let lane = bad % batch;
-            return Err(ThermalError::Diverged {
-                name: net_of(lane).slot_name(slot).to_owned(),
-            });
-        }
-        Ok(())
-    }
-
-    /// As [`Self::solve_be_block`], with the sources supplied by the
-    /// caller instead of refreshed from per-lane networks: `powers` is
-    /// the slot-major (`[slot * batch + lane]`) power injection of every
-    /// lane, and `bound` the boundary source every lane shares (lanes
-    /// with common flows and boundary temperatures). The source is
-    /// `power + bound`, the same operands in the same order as the
-    /// refreshed path, so results are bit-identical to it.
-    ///
-    /// The solve and the finiteness check repeat
-    /// [`Self::solve_be_block`]'s instead of sharing a helper: with the
-    /// helper split out, the packed kernel (`rack128_batch_dynamic`)
-    /// lost about a quarter of its throughput.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::solve_be_block`].
-    pub(crate) fn solve_be_block_with<B: SolverBackend>(
+    /// `names`) on a non-finite result.
+    fn solve_be_block<B: SolverBackend>(
         &mut self,
         backend: &B,
         c: &[f64],
@@ -419,6 +175,52 @@ impl PackedLanes {
             });
         }
         Ok(())
+    }
+}
+
+/// The per-step solve context for lanes that share a template network's
+/// flows and boundary temperatures, from
+/// [`BatchSolver::prepare_shared`]: the shared factorization, the
+/// capacitances, the step size and the one boundary source of the
+/// group. Each lane's power injection comes from the caller.
+///
+/// The context is read-only, so shard workers step their
+/// [`PackedLanes`] blocks through it concurrently.
+#[derive(Debug)]
+pub struct SharedKernel<'a, B: SolverBackend> {
+    backend: &'a B,
+    c: &'a [f64],
+    h: f64,
+    bound: &'a [f64],
+    template: &'a ThermalNetwork,
+}
+
+impl<B: SolverBackend> SharedKernel<'_, B> {
+    /// Advances one shard by the prepared step: builds the right-hand
+    /// side from the packed temperatures, the caller's `powers`
+    /// (slot-major, `[slot * shard.batch() + lane]`) and the shared
+    /// boundary source, then back-substitutes through the shared
+    /// factors. Bit-identical to [`BatchSolver::step`] over lane
+    /// networks holding the same powers, flows and boundaries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::SingularSystem`] when no valid factors
+    /// are held and [`ThermalError::Diverged`] on a non-finite
+    /// temperature.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `powers` does not match the shard's shape.
+    pub fn step_shard(&self, shard: &mut PackedLanes, powers: &[f64]) -> Result<(), ThermalError> {
+        shard.solve_be_block(
+            self.backend,
+            self.c,
+            self.h,
+            powers,
+            self.bound,
+            self.template,
+        )
     }
 }
 
@@ -481,7 +283,9 @@ const MAX_GROUPS: usize = 32;
 /// the fleet's lanes each step. Lanes may diverge freely in powers and
 /// boundary temperatures (right-hand side, always per-lane) and even in
 /// flows (the batch splits into per-signature groups, each with its own
-/// shared factorization).
+/// shared factorization). While the lanes' flows agree,
+/// [`BatchSolver::prepare_shared`] steps them from packed blocks
+/// instead, through the same factorization cache.
 ///
 /// # Example
 ///
@@ -536,11 +340,19 @@ pub struct BatchSolver<B: SolverBackend = AutoBackend> {
     /// Bumped whenever a group slot is recycled; invalidates every
     /// lane's sticky group index (indices stay stable on append).
     groups_epoch: u64,
-    /// Sticky shared-group assignment for the packed fast path:
-    /// `(group index, groups_epoch, h_bits, lane-0 flow generation)`.
-    packed_group: Option<(usize, u64, u64, u64)>,
+    /// Sticky group of [`Self::prepare_shared`]:
+    /// `(group index, groups_epoch, h_bits, template flow generation)`.
+    shared_group: Option<(usize, u64, u64, u64)>,
+    /// Flow generation seen per lane at the last
+    /// [`Self::lanes_homogeneous`] check.
+    flow_gens: Vec<u64>,
+    /// `true` while every lane is known to share the reference flow
+    /// signature.
+    homogeneous: bool,
     // ---- reusable workspaces ---------------------------------------
     sig_scratch: Vec<u64>,
+    /// Boundary-source workspace: group creation assembles into it, and
+    /// [`Self::prepare_shared`] hands its kernel the template's.
     s_bound_scratch: Vec<f64>,
     rhs_block: Vec<f64>,
     x_block: Vec<f64>,
@@ -580,7 +392,9 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
             groups: Vec::new(),
             step_counter: 0,
             groups_epoch: 0,
-            packed_group: None,
+            shared_group: None,
+            flow_gens: Vec::new(),
+            homogeneous: false,
             sig_scratch: Vec::new(),
             s_bound_scratch: vec![0.0; n],
             rhs_block: Vec::new(),
@@ -778,91 +592,82 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
         Ok(())
     }
 
-    /// Advances every packed lane by `dt` with the implicit
-    /// backward-Euler method through one shared factorization — the
-    /// homogeneous-flow fast path.
-    ///
-    /// `nets[lane]` provides each lane's inputs (powers, boundary
-    /// temperatures, generations); all lanes must currently hold the
-    /// same flow values (identical fan commands — the common fleet
-    /// regime). Temperatures advance inside `packed`'s slot-major
-    /// block, so the whole step — right-hand-side build, blocked
-    /// substitution, divergence check — runs over contiguous memory
-    /// with no per-lane gather/scatter. Results are bit-identical to
-    /// [`BatchSolver::step`] on the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::MixedBatchSignatures`] when lane flows
-    /// have diverged (step such fleets through the per-lane API),
-    /// [`ThermalError::SingularSystem`] when the factorization fails
-    /// and [`ThermalError::Diverged`] on a non-finite temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nets` does not match the packed batch shape or a
-    /// network is not structurally identical to the template.
-    pub fn step_packed<N: Borrow<ThermalNetwork>>(
-        &mut self,
-        nets: &[N],
-        packed: &mut PackedLanes,
-        dt: SimDuration,
-    ) -> Result<(), ThermalError> {
-        if dt.is_zero() || nets.is_empty() {
-            return Ok(());
-        }
-        let n = self.n;
-        let batch = packed.batch;
-        assert_eq!(
-            nets.len(),
-            batch,
-            "network count must match the packed batch"
-        );
-        assert_eq!(packed.n, n, "packed dimension must match the template");
-        let h = dt.as_secs_f64();
-
-        // ---- per-lane source refresh (lane-major, change-driven) ----
-        let flows_moved = packed.refresh_sources(|lane| nets[lane].borrow(), self.structure_hash);
-
-        // ---- homogeneity + shared factorization ---------------------
-        if flows_moved || !packed.homogeneous {
-            if !self.flows_homogeneous(|lane| nets[lane].borrow(), batch) {
-                packed.homogeneous = false;
-                return Err(ThermalError::MixedBatchSignatures);
-            }
-            packed.homogeneous = true;
-            self.packed_group = None;
-        }
-        let group_idx = self.ensure_shared_group(nets[0].borrow(), h)?;
-
-        // ---- contiguous rhs build + blocked solve -------------------
-        packed.solve_be_block(&self.groups[group_idx].backend, &self.c, h, |lane| {
-            nets[lane].borrow()
-        })
-    }
-
-    /// `true` when the first `count` lanes all carry the same flow
-    /// values (the shared-factorization precondition of the packed
-    /// paths). A network with no flow channels has an empty signature:
-    /// trivially homogeneous.
-    pub(crate) fn flows_homogeneous<'n, F>(&mut self, net_of: F, count: usize) -> bool
+    /// `true` when the first `count` lane networks all carry the same
+    /// flow values — the precondition of [`Self::prepare_shared`]. A
+    /// network with no flow channels has an empty signature: trivially
+    /// homogeneous. The check is change-driven: it re-compares
+    /// signatures only after some lane's flow generation moved.
+    pub fn lanes_homogeneous<'n, F>(&mut self, net_of: F, count: usize) -> bool
     where
         F: Fn(usize) -> &'n ThermalNetwork,
     {
-        self.sig_scratch.clear();
-        net_of(0).flow_signature_into(&mut self.sig_scratch);
-        let reference_len = self.sig_scratch.len();
-        if reference_len == 0 {
-            return true;
+        if self.flow_gens.len() != count {
+            self.flow_gens.clear();
+            self.flow_gens.resize(count, 0);
+            self.homogeneous = false;
         }
-        for lane in 1..count {
-            net_of(lane).flow_signature_into(&mut self.sig_scratch);
+        let mut moved = false;
+        for (lane, gen) in self.flow_gens.iter_mut().enumerate() {
+            let g = net_of(lane).flow_generation();
+            if *gen != g {
+                *gen = g;
+                moved = true;
+            }
         }
-        let (reference, rest) = self.sig_scratch.split_at(reference_len);
-        rest.chunks(reference_len).all(|sig| sig == reference)
+        if moved || !self.homogeneous {
+            self.sig_scratch.clear();
+            net_of(0).flow_signature_into(&mut self.sig_scratch);
+            let reference_len = self.sig_scratch.len();
+            for lane in 1..count {
+                net_of(lane).flow_signature_into(&mut self.sig_scratch);
+            }
+            let (reference, rest) = self.sig_scratch.split_at(reference_len);
+            self.homogeneous =
+                reference_len == 0 || rest.chunks(reference_len).all(|sig| sig == reference);
+        }
+        self.homogeneous
     }
 
-    /// Resolves the one shared factorization every homogeneous lane
+    /// Serial phase of a step for lanes that all hold `template`'s
+    /// flows and boundary temperatures (the caller guarantees it, for
+    /// instance servers sharing one inlet and one delivered fan flow):
+    /// resolves the shared factorization from `template` and assembles
+    /// the one boundary source every lane shares. No lane network is
+    /// read. The returned [`SharedKernel`] then steps each shard's
+    /// [`PackedLanes`] block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::SingularSystem`] when the factorization
+    /// fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `template` is not structurally identical to the
+    /// solver's template.
+    pub fn prepare_shared<'s>(
+        &'s mut self,
+        template: &'s ThermalNetwork,
+        dt: SimDuration,
+    ) -> Result<SharedKernel<'s, B>, ThermalError> {
+        assert_eq!(
+            template.structure_hash(),
+            self.structure_hash,
+            "template network is not structurally identical to the batch template"
+        );
+        let h = dt.as_secs_f64();
+        let group = self.ensure_shared_group(template, h)?;
+        template.assemble_boundary_source_into(&mut self.s_bound_scratch);
+        Ok(SharedKernel {
+            backend: &self.groups[group].backend,
+            c: &self.c,
+            h,
+            bound: &self.s_bound_scratch,
+            template,
+        })
+    }
+
+    /// Resolves the one shared factorization [`Self::prepare_shared`]
     /// steps through: sticky while `(dt, representative flow
     /// generation, group table epoch)` are unchanged, otherwise a
     /// signature lookup and — on miss — a fresh factorization from the
@@ -873,14 +678,14 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
     ///
     /// Returns [`ThermalError::SingularSystem`] when the factorization
     /// fails.
-    pub(crate) fn ensure_shared_group(
+    fn ensure_shared_group(
         &mut self,
         representative: &ThermalNetwork,
         h: f64,
     ) -> Result<usize, ThermalError> {
         let h_bits = h.to_bits();
         self.step_counter += 1;
-        let sticky = self.packed_group.and_then(|(idx, epoch, hb, fg)| {
+        let sticky = self.shared_group.and_then(|(idx, epoch, hb, fg)| {
             (epoch == self.groups_epoch
                 && hb == h_bits
                 && fg == representative.flow_generation()
@@ -910,7 +715,7 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
                         self.step_counter,
                     )?,
                 };
-                self.packed_group = Some((
+                self.shared_group = Some((
                     idx,
                     self.groups_epoch,
                     h_bits,
@@ -921,25 +726,6 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
         };
         self.groups[group_idx].last_used = self.step_counter;
         Ok(group_idx)
-    }
-
-    /// The backend (with its cached `(C + h·G)` factors) behind a group
-    /// index from [`Self::ensure_shared_group`] — read-only, so shard
-    /// workers can solve through it concurrently.
-    pub(crate) fn group_backend(&self, idx: usize) -> &B {
-        &self.groups[idx].backend
-    }
-
-    /// The per-slot capacitances of the template topology.
-    pub(crate) fn capacitances(&self) -> &[f64] {
-        &self.c
-    }
-
-    /// The template's structural fingerprint
-    /// ([`ThermalNetwork::structure_hash`]); every lane must match it.
-    #[must_use]
-    pub fn template_structure_hash(&self) -> u64 {
-        self.structure_hash
     }
 
     /// Creates (or recycles, past [`MAX_GROUPS`]) a group: clones the
@@ -1000,7 +786,7 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::DenseBackend;
     use crate::network::{Coupling, ThermalNetworkBuilder};
@@ -1168,6 +954,21 @@ mod tests {
         assert_eq!(solver.group_count(), 0);
     }
 
+    /// The lanes' power injections as one slot-major block
+    /// (`[slot * lanes + lane]`), the layout [`SharedKernel`] reads.
+    pub(crate) fn power_block(nets: &[ThermalNetwork]) -> Vec<f64> {
+        let n = nets[0].state_count();
+        let mut lane_powers = vec![0.0; n];
+        let mut block = vec![0.0; n * nets.len()];
+        for (lane, net) in nets.iter().enumerate() {
+            net.assemble_power_into(&mut lane_powers);
+            for (slot, &p) in lane_powers.iter().enumerate() {
+                block[slot * nets.len() + lane] = p;
+            }
+        }
+        block
+    }
+
     #[test]
     fn packed_path_bit_identical_to_lane_api() {
         let count = 6;
@@ -1188,7 +989,6 @@ mod tests {
         let mut packed_solver = BatchSolver::new(&nets[0]);
         let mut packed = PackedLanes::pack(&lane_states);
         assert_eq!(packed.batch(), count);
-        assert_eq!(packed.dimension(), nets[0].state_count());
         let dt = SimDuration::from_secs(1);
         for step in 0..150 {
             if step == 50 {
@@ -1201,19 +1001,24 @@ mod tests {
                 .map(|(net, state)| BatchLane { net, state })
                 .collect();
             lane_solver.step(&mut lanes, dt).unwrap();
-            packed_solver.step_packed(&nets, &mut packed, dt).unwrap();
+            assert!(packed_solver.lanes_homogeneous(|i| &nets[i], count));
+            let powers = power_block(&nets);
+            let kernel = packed_solver.prepare_shared(&nets[0], dt).unwrap();
+            kernel.step_shard(&mut packed, &powers).unwrap();
         }
-        let mut unpacked: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(0.0)))
-            .collect();
-        packed.unpack_into(&mut unpacked);
-        for (lane, (a, b)) in unpacked.iter().zip(&lane_states).enumerate() {
-            for (i, (x, y)) in a.temps.iter().zip(&b.temps).enumerate() {
+        assert_eq!(packed_solver.group_count(), 1);
+        let mut unpacked = nets[0].uniform_state(Celsius::new(0.0));
+        for (lane, want) in lane_states.iter().enumerate() {
+            packed.unpack_lane_into(lane, &mut unpacked);
+            for (i, (x, y)) in unpacked.temps.iter().zip(&want.temps).enumerate() {
                 assert_eq!(
                     x.to_bits(),
                     y.to_bits(),
                     "lane {lane} slot {i}: packed {x} vs lane-api {y}"
+                );
+                assert_eq!(
+                    packed.temperatures()[i * count + lane].to_bits(),
+                    x.to_bits()
                 );
             }
         }
@@ -1247,10 +1052,13 @@ mod tests {
         let mut packed = PackedLanes::pack(&states);
         let mut solver = BatchSolver::new(&a);
         let nets = vec![a, b];
+        assert!(solver.lanes_homogeneous(|i| &nets[i], nets.len()));
+        let powers = power_block(&nets);
         for _ in 0..600 {
-            solver
-                .step_packed(&nets, &mut packed, SimDuration::from_secs(1))
+            let kernel = solver
+                .prepare_shared(&nets[0], SimDuration::from_secs(1))
                 .unwrap();
+            kernel.step_shard(&mut packed, &powers).unwrap();
         }
         // Powered lane heads to 74 °C, unpowered stays ambient.
         assert!((packed.max_temperature() - 74.0).abs() < 0.5);
@@ -1261,17 +1069,11 @@ mod tests {
         let (net_a, _, _, _) = build_instance();
         let (mut net_b, _, _, ch_b) = build_instance();
         net_b.set_flow(ch_b, AirFlow::from_cfm(500.0)).unwrap();
-        let states = [
-            net_a.uniform_state(Celsius::new(24.0)),
-            net_b.uniform_state(Celsius::new(24.0)),
-        ];
-        let mut packed = PackedLanes::pack(&states);
         let mut solver = BatchSolver::new(&net_a);
-        let nets = vec![net_a, net_b];
-        assert_eq!(
-            solver.step_packed(&nets, &mut packed, SimDuration::from_secs(1)),
-            Err(ThermalError::MixedBatchSignatures)
-        );
+        let nets = [net_a, net_b];
+        assert!(!solver.lanes_homogeneous(|i| &nets[i], 2));
+        // One lane on its own agrees with itself.
+        assert!(solver.lanes_homogeneous(|i| &nets[i], 1));
     }
 
     #[test]

@@ -35,10 +35,6 @@ pub enum ThermalError {
         /// Name of the first offending node.
         name: String,
     },
-    /// A packed batch step requires every lane to share one flow
-    /// signature (use the per-lane `BatchSolver::step` API for fleets
-    /// with diverged fan speeds).
-    MixedBatchSignatures,
     /// A room air-model spec was inconsistent (rack counts, tile
     /// flows, recirculation fraction out of range).
     InvalidRoom {
@@ -69,10 +65,6 @@ impl fmt::Display for ThermalError {
             Self::Diverged { name } => write!(
                 f,
                 "integration diverged at node {name} (reduce the step or use an implicit method)"
-            ),
-            Self::MixedBatchSignatures => write!(
-                f,
-                "packed batch step requires all lanes to share one flow signature"
             ),
             Self::InvalidRoom { what } => write!(f, "invalid room spec: {what}"),
             Self::InvalidPlant { what } => write!(f, "invalid chilled-water plant: {what}"),

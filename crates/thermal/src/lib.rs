@@ -67,7 +67,7 @@ pub mod sparse;
 mod stepper;
 
 pub use backend::{AutoBackend, CsrBackend, DenseBackend, SolverBackend, CSR_NODE_THRESHOLD};
-pub use batch::{BatchLane, BatchSolver, PackedLanes};
+pub use batch::{BatchLane, BatchSolver, PackedLanes, SharedKernel};
 pub use convection::ConvectionModel;
 pub use error::ThermalError;
 pub use network::{
@@ -75,10 +75,7 @@ pub use network::{
 };
 pub use plant::{ChilledWaterLoop, ChilledWaterSpec};
 pub use room::{RoomAirModel, RoomAirSpec};
-pub use shard::{
-    group_by_structure_hash, ShardPlan, ShardedBatchSolver, ShardedLanes, SharedKernel, StepKernel,
-    THREADS_ENV,
-};
+pub use shard::{group_by_structure_hash, ShardPlan, ShardedLanes, THREADS_ENV};
 pub use stepper::TransientSolver;
 
 /// A [`TransientSolver`] pinned to the dense backend (explicit choice;

@@ -704,20 +704,6 @@ impl ThermalNetwork {
         self.boundary_gen
     }
 
-    /// The per-node power injections, indexed by node (not slot) — with
-    /// [`Self::slot_to_node`] this lets a batch refresh read a lane's
-    /// powers without the per-call indirection of
-    /// [`Self::assemble_power_into`].
-    pub(crate) fn powers_raw(&self) -> &[f64] {
-        &self.powers
-    }
-
-    /// The slot → node index map (fixed after build; identical across
-    /// identically built networks).
-    pub(crate) fn slot_to_node(&self) -> &[usize] {
-        &self.slot_to_node
-    }
-
     /// Writes the per-slot capacitances into `c` (fixed after build).
     pub(crate) fn capacitances_into(&self, c: &mut [f64]) {
         for (&node_idx, cs) in self.slot_to_node.iter().zip(c.iter_mut()) {

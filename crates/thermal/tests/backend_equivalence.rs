@@ -1,6 +1,7 @@
 //! Equivalence properties for the solver backends and the batch
 //! engine: whatever path steps the network — dense per-server, CSR
-//! sparse, per-lane batched, packed batched or thread-sharded packed —
+//! sparse, per-lane batched, or the shared kernel over packed or
+//! thread-sharded lanes —
 //! the trajectory must match the dense
 //! per-server reference to ≤ 1e-12 relative, or 1e-9 on random room
 //! air networks (and the sharded paths must be *bit-identical* across
@@ -9,8 +10,8 @@
 
 use leakctl_thermal::{
     BatchLane, BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, PackedLanes,
-    RoomAirModel, RoomAirSpec, ShardPlan, ShardedBatchSolver, ShardedLanes, ThermalError,
-    ThermalNetwork, ThermalNetworkBuilder,
+    RoomAirModel, RoomAirSpec, ShardPlan, ShardedLanes, ThermalError, ThermalNetwork,
+    ThermalNetworkBuilder, ThermalState,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
@@ -89,6 +90,21 @@ fn build_rig(
     }
 }
 
+/// The rigs' power injections as one slot-major block
+/// (`[slot * rigs + lane]`), the layout `SharedKernel` reads. Only a
+/// rig's dies carry power.
+fn power_block(rigs: &[Rig]) -> Vec<f64> {
+    let n = rigs[0].net.state_count();
+    let mut block = vec![0.0; n * rigs.len()];
+    for (lane, rig) in rigs.iter().enumerate() {
+        for &die in &rig.dies {
+            let slot = rig.net.state_slot(die).unwrap();
+            block[slot * rigs.len() + lane] = rig.net.power(die).value();
+        }
+    }
+    block
+}
+
 fn assert_close(a: &[f64], b: &[f64], what: &str) {
     assert_within(a, b, 1e-12, what);
 }
@@ -144,9 +160,10 @@ proptest! {
         assert_close(sc.temperatures(), sd.temperatures(), "csr");
     }
 
-    /// Batched stepping — per-lane lanes and the packed fast path —
-    /// must track independent dense per-server solvers to ≤ 1e-12
-    /// across batch sizes and mid-run per-lane flow/power divergence.
+    /// Batched stepping — per-lane lanes, and the shared kernel over
+    /// packed lanes while their flows agree — must track independent
+    /// dense per-server solvers to ≤ 1e-12 across batch sizes and
+    /// mid-run per-lane flow/power divergence.
     /// (The per-lane path additionally guarantees bit-identity; this
     /// property pins the public ≤ 1e-12 contract.)
     #[test]
@@ -189,7 +206,7 @@ proptest! {
             .iter()
             .map(|r| r.net.uniform_state(Celsius::new(ambient)))
             .collect();
-        // Packed path runs while flows stay homogeneous.
+        // The shared kernel runs while the lanes' flows agree.
         let mut packed_solver = BatchSolver::new(&rigs[0].net);
         let mut packed = PackedLanes::pack(&batch_states);
         let mut packed_live = true;
@@ -201,7 +218,7 @@ proptest! {
             }
             if step == flow_change_at && batch > 1 {
                 // Split the batch into two flow groups mid-run; the
-                // packed fast path refuses exactly then.
+                // lanes stop agreeing exactly then.
                 let rig = &mut rigs[1];
                 rig.net.set_flow(rig.channel, AirFlow::from_cfm(cfm * 2.1)).unwrap();
             }
@@ -215,14 +232,13 @@ proptest! {
                 .collect();
             batch_solver.step(&mut lanes, dt).unwrap();
             if packed_live {
-                let nets: Vec<ThermalNetwork> = rigs.iter().map(|r| r.net.clone()).collect();
-                match packed_solver.step_packed(&nets, &mut packed, dt) {
-                    Ok(()) => {}
-                    Err(leakctl_thermal::ThermalError::MixedBatchSignatures) => {
-                        assert!(step == flow_change_at && batch > 1, "only on divergence");
-                        packed_live = false;
-                    }
-                    Err(other) => panic!("unexpected packed error: {other}"),
+                if packed_solver.lanes_homogeneous(|i| &rigs[i].net, batch) {
+                    let powers = power_block(&rigs);
+                    let kernel = packed_solver.prepare_shared(&rigs[0].net, dt).unwrap();
+                    kernel.step_shard(&mut packed, &powers).unwrap();
+                } else {
+                    assert!(step == flow_change_at && batch > 1, "only on divergence");
+                    packed_live = false;
                 }
             }
         }
@@ -236,14 +252,9 @@ proptest! {
             );
         }
         if packed_live {
-            let mut unpacked: Vec<_> = rigs
-                .iter()
-                .map(|r| r.net.uniform_state(Celsius::new(0.0)))
-                .collect();
-            packed.unpack_into(&mut unpacked);
-            for (lane, ((_, ref_state), state)) in
-                reference.iter().zip(&unpacked).enumerate()
-            {
+            let mut state = rigs[0].net.uniform_state(Celsius::new(0.0));
+            for (lane, (_, ref_state)) in reference.iter().enumerate() {
+                packed.unpack_lane_into(lane, &mut state);
                 assert_close(
                     state.temperatures(),
                     ref_state.temperatures(),
@@ -346,11 +357,11 @@ proptest! {
         assert_close(ssc.temperatures(), ssd.temperatures(), "rack-scale steady state");
     }
 
-    /// Packed sharded stepping is *bit-identical* across thread counts
-    /// {1, 2, 8} and arbitrary shard widths: the work partition is a
-    /// pure performance knob. The reference is the single-block
-    /// `step_packed` path (itself bit-identical to scalar stepping),
-    /// with a mid-run power change exercising the lane-major refresh.
+    /// The shared kernel over sharded lanes is *bit-identical* across
+    /// thread counts {1, 2, 8} and arbitrary shard widths: the work
+    /// partition is a pure performance knob. The reference is the
+    /// per-lane `BatchSolver::step` path (itself bit-identical to
+    /// scalar stepping), with a mid-run power change.
     #[test]
     fn sharded_stepping_bit_identical_across_thread_and_shard_counts(
         batch in 1usize..10,
@@ -364,56 +375,7 @@ proptest! {
         power_change_at in 5usize..25,
     ) {
         let powers: Vec<f64> = (0..branches).map(|i| base_power + 7.0 * i as f64).collect();
-        let mut rigs: Vec<Rig> = (0..batch)
-            .map(|_| build_rig(branches, &caps, &conductances, &powers, ambient, cfm))
-            .collect();
-        for (lane, rig) in rigs.iter_mut().enumerate() {
-            rig.net
-                .set_power(rig.dies[0], Watts::new(base_power + 9.0 * lane as f64))
-                .unwrap();
-        }
-        let dt = SimDuration::from_secs(1);
-        let run = |rigs: &mut [Rig], threads: Option<usize>, min_width: usize| -> Vec<Vec<u64>> {
-            let states: Vec<_> = rigs
-                .iter()
-                .map(|r| r.net.uniform_state(Celsius::new(ambient)))
-                .collect();
-            let mut packed_solver = BatchSolver::new(&rigs[0].net);
-            let mut packed = PackedLanes::pack(&states);
-            let mut sharded = threads.map(|t| {
-                let plan = ShardPlan::new(t).with_min_lanes_per_shard(min_width);
-                (
-                    ShardedBatchSolver::with_plan(&rigs[0].net, plan),
-                    ShardedLanes::pack(&states, &plan),
-                )
-            });
-            for step in 0..30 {
-                if step == power_change_at {
-                    let rig = &mut rigs[0];
-                    rig.net.set_power(rig.dies[0], Watts::new(190.0)).unwrap();
-                }
-                let nets: Vec<ThermalNetwork> = rigs.iter().map(|r| r.net.clone()).collect();
-                match sharded.as_mut() {
-                    Some((solver, lanes)) => solver.step(&nets, lanes, dt).unwrap(),
-                    None => packed_solver.step_packed(&nets, &mut packed, dt).unwrap(),
-                }
-            }
-            let mut out: Vec<_> = rigs
-                .iter()
-                .map(|r| r.net.uniform_state(Celsius::new(0.0)))
-                .collect();
-            match sharded.as_ref() {
-                Some((_, lanes)) => lanes.unpack_into(&mut out),
-                None => packed.unpack_into(&mut out),
-            }
-            out.iter()
-                .map(|s| s.temperatures().iter().map(|t| t.to_bits()).collect())
-                .collect()
-        };
-        // Reset the power change between runs by re-deriving rigs each
-        // time: run() mutates rig 0 at power_change_at, so rebuild.
-        let reference = run(&mut rigs, None, 1);
-        for threads in [1usize, 2, 8] {
+        let build_rigs = || -> Vec<Rig> {
             let mut rigs: Vec<Rig> = (0..batch)
                 .map(|_| build_rig(branches, &caps, &conductances, &powers, ambient, cfm))
                 .collect();
@@ -422,11 +384,69 @@ proptest! {
                     .set_power(rig.dies[0], Watts::new(base_power + 9.0 * lane as f64))
                     .unwrap();
             }
-            let got = run(&mut rigs, Some(threads), min_width);
+            rigs
+        };
+        let dt = SimDuration::from_secs(1);
+        let bits = |states: &[ThermalState]| -> Vec<Vec<u64>> {
+            states
+                .iter()
+                .map(|s| s.temperatures().iter().map(|t| t.to_bits()).collect())
+                .collect()
+        };
+
+        // Reference: the per-lane API.
+        let mut rigs = build_rigs();
+        let mut solver = BatchSolver::new(&rigs[0].net);
+        let mut want: Vec<_> = rigs
+            .iter()
+            .map(|r| r.net.uniform_state(Celsius::new(ambient)))
+            .collect();
+        for step in 0..30 {
+            if step == power_change_at {
+                let rig = &mut rigs[0];
+                rig.net.set_power(rig.dies[0], Watts::new(190.0)).unwrap();
+            }
+            let mut lanes: Vec<BatchLane<'_>> = rigs
+                .iter()
+                .zip(want.iter_mut())
+                .map(|(rig, state)| BatchLane { net: &rig.net, state })
+                .collect();
+            solver.step(&mut lanes, dt).unwrap();
+        }
+        let reference = bits(&want);
+
+        for threads in [1usize, 2, 8] {
+            let mut rigs = build_rigs();
+            let plan = ShardPlan::new(threads).with_min_lanes_per_shard(min_width);
+            let states: Vec<_> = rigs
+                .iter()
+                .map(|r| r.net.uniform_state(Celsius::new(ambient)))
+                .collect();
+            let mut solver = BatchSolver::new(&rigs[0].net);
+            let mut lanes = ShardedLanes::pack(&states, &plan);
+            for step in 0..30 {
+                if step == power_change_at {
+                    let rig = &mut rigs[0];
+                    rig.net.set_power(rig.dies[0], Watts::new(190.0)).unwrap();
+                }
+                let kernel = solver.prepare_shared(&rigs[0].net, dt).unwrap();
+                std::thread::scope(|scope| {
+                    for (range, shard) in lanes.shards_mut() {
+                        let (kernel, powers) = (&kernel, power_block(&rigs[range]));
+                        scope.spawn(move || kernel.step_shard(shard, &powers).unwrap());
+                    }
+                });
+            }
+            let mut got = states;
+            for i in 0..lanes.shard_count() {
+                for (offset, lane) in lanes.shard_range(i).enumerate() {
+                    lanes.shard(i).unpack_lane_into(offset, &mut got[lane]);
+                }
+            }
             prop_assert_eq!(
-                &got,
+                &bits(&got),
                 &reference,
-                "threads {} width {} diverged from packed reference",
+                "threads {} width {} diverged from the per-lane reference",
                 threads,
                 min_width
             );
