@@ -210,7 +210,12 @@ fn gate(quick: bool) -> GateRun {
     let mut batch_bits = Vec::new();
     let mut batched = best_of(reps, || bench_batch_thermal(steps * 20, &mut batch_bits));
     let mut dynamic = best_of(reps, || bench_batch_dynamic(steps * 20));
-    let fleet = best_of(reps, || bench_fleet_step(steps));
+    // The fleet row is the only one timing `Fleet::step`, whose
+    // per-step thread spawns make short repetitions swing with host
+    // load (a best-of over 0.3 s regions picks up rare quiet windows):
+    // time 8× the steps, 1.5–3 s per repetition, so each one averages
+    // over short load swings.
+    let fleet = best_of(reps, || bench_fleet_step(steps * 8));
 
     // Thread sweep over the sharded engine: single-worker baseline plus
     // every power-of-two worker count up to the environment's plan

@@ -96,7 +96,7 @@ pub struct RoomObservation {
     /// Per-rack hot-aisle temperatures.
     pub hot_aisles: Vec<Celsius>,
     /// Per-rack hottest die temperatures (packed-block read path — no
-    /// state unpacks, no residency eviction).
+    /// state unpacks).
     pub rack_die_max: Vec<Celsius>,
     /// Per-rack under-floor tile flows.
     pub tile_flows: Vec<AirFlow>,

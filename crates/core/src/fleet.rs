@@ -14,32 +14,29 @@
 //! - **Hash groups.** Servers are partitioned by their thermal
 //!   network's [`structure_hash`](leakctl_thermal::ThermalNetwork::structure_hash)
 //!   (mixed-SKU fleets via [`Fleet::from_configs`]); each group batches
-//!   through its own shared `(dt, flow)` factorization instead of
-//!   falling back to scalar stepping.
-//! - **Resident temperatures and dynamics.** At the start of a step in
-//!   which a group's fan flows agree (the common fleet regime), the
-//!   group turns packed-resident: its thermal state moves into slot-major
-//!   [`ShardedLanes`] blocks and its per-step dynamics — fan banks,
-//!   failsafes, clocks, accounting, power parameters — into
-//!   [`DynamicsLanes`] arrays beside them. A plain step is then begin →
-//!   solve → finish over those arrays: the
-//!   [`SharedKernel`](leakctl_thermal::SharedKernel) takes each lane's
-//!   power injection plus the one boundary source the group's common
-//!   inlet and flow give, and no `Server` is touched. Fleet accessors
-//!   (energy, power, die temperatures, faults, commands, accounting)
-//!   read and write the resident arrays. The servers are written back
-//!   when something reads them — [`Fleet::server`],
-//!   [`Fleet::server_mut`], [`Fleet::checkpoint`], [`Fleet::sync_states`]
-//!   — and, for the lanes concerned, on every step whose CSTH poll
-//!   falls due. [`Fleet::server_mut`] and [`Fleet::restore`] drop
-//!   residency, and so does a step over which the lanes' flows diverge
-//!   (a per-server fan command, a fan fault, a failsafe trip): the
-//!   group then steps through the per-lane batch API until its flows
-//!   agree again.
+//!   through its own shared `(dt, flow)` factorizations.
+//! - **Resident temperatures and dynamics.** From construction on, a
+//!   group's thermal state lives in slot-major [`ShardedLanes`] blocks
+//!   and its per-step dynamics — fan banks, failsafes, clocks,
+//!   accounting, power parameters — in [`DynamicsLanes`] arrays beside
+//!   them. Every step is begin → solve → finish over those arrays, and
+//!   no `Server` is touched. When every lane delivers the same chassis
+//!   flow (the common fleet regime) the solve is one
+//!   [`SharedKernel`](leakctl_thermal::SharedKernel) pass per shard,
+//!   fused with finish, from each lane's power injection and the one
+//!   boundary source the group's inlet and flow give. When a fan fault
+//!   or a failsafe trip makes the flows diverge, the lanes solve one
+//!   flow class at a time: each class (bit-equal flow) prepares its own
+//!   factorization and boundary source and steps only its lanes of each
+//!   shard. Fleet accessors (energy, power, die temperatures, faults,
+//!   commands, accounting) read and write the lane arrays. A server
+//!   object is written back from its lane when something reads it —
+//!   [`Fleet::server`], [`Fleet::checkpoint`] — and, for the lanes
+//!   concerned, on every step whose CSTH poll falls due.
 //! - **Shard workers.** Large groups split into per-shard lane blocks
 //!   ([`ShardPlan`], thread count from `LEAKCTL_THREADS` or the
-//!   machine) and each resident step's two parallel phases — begin
-//!   (fans, failsafe, powers, accounting) and solve+finish — run one
+//!   machine) and each step's two parallel phases — begin (fans,
+//!   failsafe, powers, accounting) and solve+finish — run one
 //!   [`std::thread::scope`] worker per shard. Results are bit-identical
 //!   for any thread or shard count.
 //!
@@ -55,8 +52,7 @@ use leakctl_platform::{
     DynamicsLanes, FanFault, LaneTemplate, PlatformError, Server, ServerConfig,
 };
 use leakctl_thermal::{
-    group_by_structure_hash, BatchLane, BatchSolver, PackedLanes, ShardPlan, ShardedLanes,
-    ThermalState,
+    group_by_structure_hash, BatchSolver, PackedLanes, ShardPlan, ShardedLanes, ThermalState,
 };
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, TempDelta, Utilization, Watts};
 
@@ -69,17 +65,15 @@ struct FleetGroup {
     /// Contiguous storage range of this group's servers.
     range: Range<usize>,
     solver: BatchSolver,
-    /// The group's representative network, carrying the common flow and
-    /// inlet of resident steps (made at the first one).
-    template: Option<LaneTemplate>,
-    /// Authoritative over the servers' copies while `Some`; `None`
-    /// before the first step, after [`Fleet::server_mut`] or
-    /// [`Fleet::restore`], and while the group's flows disagree.
-    resident: Option<Resident>,
+    /// The group's representative network, set to each solve's flow
+    /// and inlet.
+    template: LaneTemplate,
+    /// The group's state, authoritative over the servers' copies.
+    resident: Resident,
 }
 
-/// Where a batched server lives inside its group's resident blocks
-/// (fixed: the plan's partition depends only on the group size).
+/// Where a server lives inside its group's resident blocks (fixed: the
+/// plan's partition depends only on the group size).
 #[derive(Debug, Clone, Copy)]
 struct LaneRef {
     group: usize,
@@ -87,20 +81,21 @@ struct LaneRef {
     offset: usize,
 }
 
-/// A packed-resident group between steps.
+/// A group's lanes: packed temperatures and dynamics records.
 #[derive(Debug)]
 struct Resident {
     temps: ShardedLanes,
     /// One block per shard of `temps`, over the same lanes.
     dynamics: Vec<DynamicsLanes>,
-    /// The inlet of the last step: every lane's ambient boundary.
-    inlet: Celsius,
+    /// The inlet of the last step: every lane's ambient boundary
+    /// (`None` before the first step, when each server keeps its own).
+    inlet: Option<Celsius>,
 }
 
 impl Resident {
-    /// Moves a group's servers into resident blocks on `plan`'s
+    /// Loads a group's servers into resident blocks on `plan`'s
     /// partition.
-    fn load(servers: &[Server], plan: &ShardPlan, inlet: Celsius) -> Self {
+    fn load(servers: &[Server], plan: &ShardPlan) -> Self {
         let states: Vec<ThermalState> = servers.iter().map(|s| s.thermal_state().clone()).collect();
         let temps = ShardedLanes::pack(&states, plan);
         let dynamics = (0..temps.shard_count())
@@ -109,11 +104,11 @@ impl Resident {
         Self {
             temps,
             dynamics,
-            inlet,
+            inlet: None,
         }
     }
 
-    /// Writes every lane back into its server; residency is kept.
+    /// Writes every lane back into its server.
     fn store(&self, servers: &mut [Server]) {
         for (i, dynamics) in self.dynamics.iter().enumerate() {
             let range = self.temps.shard_range(i);
@@ -121,7 +116,7 @@ impl Resident {
         }
     }
 
-    /// Writes one lane back into its server; residency is kept.
+    /// Writes one lane back into its server.
     fn store_lane(&self, lane: LaneRef, server: &mut Server) {
         self.dynamics[lane.shard].store_lane(
             lane.offset,
@@ -167,11 +162,55 @@ impl Resident {
     }
 }
 
+impl FleetGroup {
+    /// The solve of a step whose lanes' flows diverged, one flow class
+    /// at a time: each class — the lanes delivering one chassis flow,
+    /// bit for bit, in first-seen order — sets the template to its flow,
+    /// prepares its factorization and boundary source, and solves only
+    /// its lanes of each shard.
+    fn solve_flow_classes(&mut self, dt: SimDuration, inlet: Celsius) -> Result<(), CoreError> {
+        let resident = &mut self.resident;
+        let mut classes: Vec<AirFlow> = Vec::new();
+        for flow in resident.dynamics.iter().flat_map(DynamicsLanes::flows) {
+            if !classes.iter().any(|&class| same_bits(class, flow)) {
+                classes.push(flow);
+            }
+        }
+        let mut members = Vec::new();
+        for class in classes {
+            self.template.set_inputs(class, inlet)?;
+            let kernel = self
+                .solver
+                .prepare_shared(self.template.network(), dt)
+                .map_err(PlatformError::from)?;
+            for ((_, temps), dynamics) in resident.temps.shards_mut().zip(&resident.dynamics) {
+                members.clear();
+                members.extend(
+                    dynamics
+                        .flows()
+                        .enumerate()
+                        .filter(|&(_, flow)| same_bits(flow, class))
+                        .map(|(lane, _)| lane),
+                );
+                kernel
+                    .step_lanes(temps, dynamics.sources(), &members)
+                    .map_err(PlatformError::from)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `true` when two flows are equal bit for bit.
+fn same_bits(a: AirFlow, b: AirFlow) -> bool {
+    a.value().to_bits() == b.value().to_bits()
+}
+
 /// The common flow of two shards, or `None` when either diverged or
 /// they differ.
 fn same_flow(a: Option<AirFlow>, b: Option<AirFlow>) -> Option<AirFlow> {
     match (a, b) {
-        (Some(x), Some(y)) if x.value().to_bits() == y.value().to_bits() => Some(x),
+        (Some(x), Some(y)) if same_bits(x, y) => Some(x),
         _ => None,
     }
 }
@@ -219,7 +258,7 @@ pub struct Fleet {
     lanes: Vec<LaneRef>,
     room: Celsius,
     recirculation_k_per_w: f64,
-    /// The shard partition of every resident group.
+    /// The shard partition of every group.
     plan: ShardPlan,
     groups: Vec<FleetGroup>,
 }
@@ -262,7 +301,7 @@ impl Fleet {
     }
 
     /// The environment's thread plan, widened for fleet stepping: a
-    /// resident step spawns its scoped workers twice (begin phase, then
+    /// step spawns its scoped workers twice (begin phase, then
     /// solve+finish), so shards need enough per-server dynamics work to
     /// amortize the spawns — a wider floor than the thermal-only
     /// kernels use. [`Fleet::with_plan`] honors a caller's plan
@@ -284,7 +323,30 @@ impl Fleet {
         seed: u64,
         plan: ShardPlan,
     ) -> Result<Self, CoreError> {
-        if configs.is_empty() {
+        let built = configs
+            .iter()
+            .enumerate()
+            .map(|(i, config)| Server::new(config.clone(), seed.wrapping_add(i as u64)))
+            .collect::<Result<Vec<Server>, PlatformError>>()?;
+        Self::from_servers(built, recirculation_k_per_w, plan)
+    }
+
+    /// Assembles a fleet from freshly built servers (server `i` keeps
+    /// index `i`; the room temperature is server 0's ambient) and loads
+    /// every group's lanes. A [`Room`](crate::room::Room) builds all its
+    /// racks' servers first and then assembles each rack, so every
+    /// rack's step data — lanes, template and solver — is allocated
+    /// together instead of between the racks' servers.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fleet::new`].
+    pub(crate) fn from_servers(
+        built: Vec<Server>,
+        recirculation_k_per_w: f64,
+        plan: ShardPlan,
+    ) -> Result<Self, CoreError> {
+        if built.is_empty() {
             return Err(CoreError::Invalid {
                 what: "fleet needs at least one server".to_owned(),
             });
@@ -294,12 +356,7 @@ impl Fleet {
                 what: "recirculation coefficient must be non-negative".to_owned(),
             });
         }
-        let built = configs
-            .iter()
-            .enumerate()
-            .map(|(i, config)| Server::new(config.clone(), seed.wrapping_add(i as u64)))
-            .collect::<Result<Vec<Server>, PlatformError>>()?;
-        let room = configs[0].ambient;
+        let room = built[0].config().ambient;
 
         // Group original indices by first-seen structure hash (the
         // shared `group_by_structure_hash` policy). Storage order =
@@ -309,11 +366,11 @@ impl Fleet {
             group_by_structure_hash(built.iter().map(|s| s.thermal_network().structure_hash()));
         let mut index_map = vec![0usize; built.len()];
         let mut order: Vec<usize> = Vec::with_capacity(built.len());
-        let mut groups = Vec::with_capacity(member_lists.len());
+        let mut ranges = Vec::with_capacity(member_lists.len());
         for members in &member_lists {
             let start = order.len();
             order.extend_from_slice(members);
-            groups.push((start..order.len(), members[0]));
+            ranges.push(start..order.len());
         }
         for (storage, &original) in order.iter().enumerate() {
             index_map[original] = storage;
@@ -331,7 +388,7 @@ impl Fleet {
         // Groups are contiguous in storage order and a plan's shard
         // ranges tile their group, so lanes come out in storage order.
         let mut lanes = Vec::with_capacity(servers.len());
-        for (g, (range, _)) in groups.iter().enumerate() {
+        for (g, range) in ranges.iter().enumerate() {
             for (shard, lane_range) in plan.ranges(range.len()).into_iter().enumerate() {
                 lanes.extend((0..lane_range.len()).map(|offset| LaneRef {
                     group: g,
@@ -340,15 +397,15 @@ impl Fleet {
                 }));
             }
         }
-        let groups = groups
+        let groups = ranges
             .into_iter()
-            .map(|(range, template_original)| {
-                let template = &servers[index_map[template_original]];
+            .map(|range| {
+                let members = &servers[range.clone()];
                 FleetGroup {
+                    solver: BatchSolver::new(members[0].thermal_network()),
+                    template: LaneTemplate::of(&members[0]),
+                    resident: Resident::load(members, &plan),
                     range,
-                    solver: BatchSolver::new(template.thermal_network()),
-                    template: None,
-                    resident: None,
                 }
             })
             .collect();
@@ -383,82 +440,57 @@ impl Fleet {
     }
 
     /// Commands every server's fans (a command takes effect from the
-    /// next step: command latency, then slew). Resident servers take it
-    /// in their resident records.
+    /// next step: command latency, then slew). A server whose failsafe
+    /// is engaged ignores it and traces that.
     pub fn command_all(&mut self, rpm: Rpm) {
         for group in &mut self.groups {
             let servers = &mut self.servers[group.range.clone()];
-            match group.resident.as_mut() {
-                Some(resident) => resident.command_all(rpm, servers),
-                None => servers.iter_mut().for_each(|s| s.command_fan_speed(rpm)),
-            }
+            group.resident.command_all(rpm, servers);
         }
     }
 
     /// Access to an individual server (e.g. to read per-server
-    /// telemetry or ground truth). Takes `&mut self` because a
-    /// resident group's state lives in the fleet's blocks between
-    /// steps: this writes the server's lane back first (residency is
-    /// kept).
+    /// telemetry or ground truth). Takes `&mut self` because the
+    /// server's state lives in its group's lanes between steps: this
+    /// writes the server's lane back first.
     #[must_use]
     pub fn server(&mut self, index: usize) -> Option<&Server> {
         let &storage = self.index_map.get(index)?;
         let lane = self.lanes[storage];
-        if let Some(resident) = self.groups[lane.group].resident.as_ref() {
-            resident.store_lane(lane, &mut self.servers[storage]);
-        }
+        self.groups[lane.group]
+            .resident
+            .store_lane(lane, &mut self.servers[storage]);
         Some(&self.servers[storage])
     }
 
-    /// Mutable access to an individual server (e.g. to attach
-    /// per-server controllers). Writes the owning group back and drops
-    /// its residency (the caller may mutate state the resident copy
-    /// would shadow); the group turns resident again at the next step
-    /// that starts with its flows in agreement.
-    #[must_use]
-    pub fn server_mut(&mut self, index: usize) -> Option<&mut Server> {
-        let &storage = self.index_map.get(index)?;
-        let group = &mut self.groups[self.lanes[storage].group];
-        if let Some(resident) = group.resident.take() {
-            resident.store(&mut self.servers[group.range.clone()]);
-        }
-        Some(&mut self.servers[storage])
-    }
-
-    /// Writes every resident group back into its servers (residency is
-    /// kept; reads stay cheap until the next divergence).
-    pub fn sync_states(&mut self) {
+    /// Writes every group's lanes back into its servers.
+    fn sync_states(&mut self) {
         for group in &self.groups {
-            if let Some(resident) = group.resident.as_ref() {
-                resident.store(&mut self.servers[group.range.clone()]);
-            }
+            group.resident.store(&mut self.servers[group.range.clone()]);
         }
     }
 
-    /// A storage index's resident group and lane, when its group is
-    /// resident.
-    fn resident_lane(&self, storage: usize) -> Option<(&Resident, LaneRef)> {
+    /// A storage index's dynamics block and offset in it.
+    fn dynamics_at(&self, storage: usize) -> (&DynamicsLanes, usize) {
         let lane = self.lanes[storage];
-        let resident = self.groups[lane.group].resident.as_ref()?;
-        Some((resident, lane))
+        let dynamics = &self.groups[lane.group].resident.dynamics[lane.shard];
+        (dynamics, lane.offset)
     }
 
     /// Number of shared factorizations currently live across the batch
     /// engines (1 while a homogeneous fleet runs one `(dt, flow)`
-    /// operating point; one per distinct per-server fan speed — and
-    /// per SKU — otherwise).
+    /// operating point; one per flow class — and per SKU — once fan
+    /// flows diverge, up to each solver's cache bound).
     #[must_use]
     pub fn batch_group_count(&self) -> usize {
         self.groups.iter().map(|g| g.solver.group_count()).sum()
     }
 
     /// Injects (or clears, with [`FanFault::None`]) a fan-bank fault
-    /// on server `index`. Routed through [`Fleet::server_mut`], so the
-    /// owning group's residency is dropped; from the next step the
-    /// faulted server's chassis flow diverges from its neighbours, its
-    /// group steps through the per-lane fallback, and every cached
-    /// factorization invalidates through the ordinary flow-generation
-    /// counters.
+    /// on server `index`, in its lane's record. From the next step the
+    /// faulted server's chassis flow diverges from its neighbours, and
+    /// its group solves one flow class at a time until the flows agree
+    /// again.
     ///
     /// # Errors
     ///
@@ -472,33 +504,35 @@ impl Fleet {
                 });
             }
         }
-        self.server_mut(index)
+        let &storage = self
+            .index_map
+            .get(index)
             .ok_or_else(|| CoreError::Invalid {
                 what: format!("server index {index} out of range"),
-            })?
-            .inject_fan_fault(fault);
+            })?;
+        let lane = self.lanes[storage];
+        self.groups[lane.group].resident.dynamics[lane.shard].inject_fan_fault(
+            lane.offset,
+            fault,
+            &mut self.servers[storage],
+        );
         Ok(())
     }
 
     /// Server `index`'s currently injected fan fault (`None` for an
-    /// out-of-range index), read from the resident record when its
-    /// group is resident.
+    /// out-of-range index).
     #[must_use]
     pub fn fan_fault(&self, index: usize) -> Option<FanFault> {
         let &storage = self.index_map.get(index)?;
-        Some(match self.resident_lane(storage) {
-            Some((resident, lane)) => resident.dynamics[lane.shard]
-                .record(lane.offset)
-                .fan_fault(),
-            None => self.servers[storage].fan_fault(),
-        })
+        let (dynamics, offset) = self.dynamics_at(storage);
+        Some(dynamics.record(offset).fan_fault())
     }
 
     /// Snapshots the full fleet — every server's thermal state, fan
     /// bank (faults included), service processor, clock, accounting
-    /// and sensor RNG streams — in original index order. Resident
-    /// groups are written back into the servers first, so the snapshot
-    /// is exact regardless of residency or thread plan.
+    /// and sensor RNG streams — in original index order. The lanes are
+    /// written back into the servers first, so the snapshot is exact
+    /// under any thread plan.
     pub fn checkpoint(&mut self) -> FleetCheckpoint {
         self.sync_states();
         FleetCheckpoint {
@@ -511,10 +545,9 @@ impl Fleet {
     }
 
     /// Restores a [`Fleet::checkpoint`] — into this fleet or any fleet
-    /// built from the same configs (any thread/shard plan). Residency
-    /// is dropped, so the next step starts from the restored servers
-    /// and re-derives factorizations from them: the resumed trajectory
-    /// is bit-identical to the uninterrupted one.
+    /// built from the same configs (any thread/shard plan) — and
+    /// reloads every group's lanes from the restored servers, so the
+    /// resumed trajectory is bit-identical to the uninterrupted one.
     ///
     /// # Errors
     ///
@@ -526,7 +559,7 @@ impl Fleet {
             self.servers[self.index_map[original]] = snap.clone();
         }
         for group in &mut self.groups {
-            group.resident = None;
+            group.resident = Resident::load(&self.servers[group.range.clone()], &self.plan);
         }
         Ok(())
     }
@@ -595,12 +628,12 @@ impl Fleet {
         Ok(())
     }
 
-    /// One hash group's step. A group whose servers' flows agree turns
-    /// resident first. A resident group runs begin (sharded), then the
-    /// shared factorization (serial), then solve+finish (sharded) over
-    /// its resident blocks. A group that is not resident — or whose
-    /// flows diverged over this step's begin — steps its servers
-    /// through the per-lane batch API.
+    /// One hash group's step over its lanes: begin (sharded), then the
+    /// solve, then finish (sharded) and the CSTH polls that fell due.
+    /// When every lane delivers one flow the solve is one shared
+    /// factorization fused with finish over each whole shard; otherwise
+    /// it runs one flow class at a time
+    /// ([`FleetGroup::solve_flow_classes`]) before finish.
     fn step_group(
         &mut self,
         g: usize,
@@ -610,80 +643,43 @@ impl Fleet {
     ) -> Result<(), CoreError> {
         let group = &mut self.groups[g];
         let servers = &mut self.servers[group.range.clone()];
-        let count = servers.len();
-        if group.resident.is_none()
-            && group
-                .solver
-                .lanes_homogeneous(|i| servers[i].thermal_network(), count)
-        {
-            group.resident = Some(Resident::load(servers, &self.plan, inlet));
-        }
-        let mut begun = false;
-        if let Some(resident) = group.resident.as_mut() {
-            resident.inlet = inlet;
-            if dt.is_zero() {
-                return Ok(());
-            }
-            let flow = resident.fold_shards(
-                |temps, dynamics| dynamics.begin(temps, dt, activity),
-                same_flow,
-            );
-            for (i, dynamics) in resident.dynamics.iter_mut().enumerate() {
-                dynamics.flush_events(&mut servers[resident.temps.shard_range(i)]);
-            }
-            if let Some(flow) = flow {
-                let template = group
-                    .template
-                    .get_or_insert_with(|| LaneTemplate::of(&servers[0]));
-                template.set_inputs(flow, inlet)?;
-                let kernel = group
-                    .solver
-                    .prepare_shared(template.network(), dt)
-                    .map_err(PlatformError::from)?;
-                let poll_due = resident.fold_shards(
-                    |temps, dynamics| {
-                        kernel.step_shard(temps, dynamics.sources())?;
-                        Ok::<bool, PlatformError>(dynamics.finish(temps, dt))
-                    },
-                    |a, b| Ok(a? | b?),
-                )?;
-                if poll_due {
-                    for (i, dynamics) in resident.dynamics.iter_mut().enumerate() {
-                        let range = resident.temps.shard_range(i);
-                        dynamics.poll(resident.temps.shard(i), &mut servers[range])?;
-                    }
-                }
-                return Ok(());
-            }
-            // The lanes' flows diverged over this step: hand the begun
-            // step to the servers and finish it per lane.
-            resident.store(servers);
-            group.resident = None;
-            begun = true;
-        }
-        if !begun {
-            for server in servers.iter_mut() {
-                server.begin_step_with_inlet(dt, activity, inlet)?;
-            }
-        }
+        group.resident.inlet = Some(inlet);
         if dt.is_zero() {
             return Ok(());
         }
-        {
-            let mut lanes: Vec<BatchLane<'_>> = servers
-                .iter_mut()
-                .map(|server| {
-                    let (net, state) = server.split_thermal();
-                    BatchLane { net, state }
-                })
-                .collect();
-            group
-                .solver
-                .step(&mut lanes, dt)
-                .map_err(PlatformError::from)?;
+        let resident = &mut group.resident;
+        let flow = resident.fold_shards(
+            |temps, dynamics| dynamics.begin(temps, dt, activity),
+            same_flow,
+        );
+        for (i, dynamics) in resident.dynamics.iter_mut().enumerate() {
+            dynamics.flush_events(&mut servers[resident.temps.shard_range(i)]);
         }
-        for server in servers.iter_mut() {
-            server.finish_step(dt)?;
+        let poll_due = if let Some(flow) = flow {
+            group.template.set_inputs(flow, inlet)?;
+            let kernel = group
+                .solver
+                .prepare_shared(group.template.network(), dt)
+                .map_err(PlatformError::from)?;
+            group.resident.fold_shards(
+                |temps, dynamics| {
+                    kernel.step_shard(temps, dynamics.sources())?;
+                    Ok::<bool, PlatformError>(dynamics.finish(temps, dt))
+                },
+                |a, b| Ok(a? | b?),
+            )?
+        } else {
+            group.solve_flow_classes(dt, inlet)?;
+            group
+                .resident
+                .fold_shards(|temps, dynamics| dynamics.finish(temps, dt), |a, b| a | b)
+        };
+        if poll_due {
+            let resident = &mut group.resident;
+            for (i, dynamics) in resident.dynamics.iter_mut().enumerate() {
+                let range = resident.temps.shard_range(i);
+                dynamics.poll(resident.temps.shard(i), &mut servers[range])?;
+            }
         }
         Ok(())
     }
@@ -699,20 +695,17 @@ impl Fleet {
     /// *original* server order: storage order groups servers by hash,
     /// and float addition is order-sensitive, so summing storage-order
     /// would bitwise-diverge a mixed-SKU fleet from the scalar
-    /// reference loop the bit-identity tests compare against. A
-    /// resident server contributes the end-of-step power its last step
-    /// recorded (nothing changes it between steps); any other server is
-    /// asked afresh.
+    /// reference loop the bit-identity tests compare against. Each
+    /// server contributes the end-of-step power its last step recorded
+    /// (nothing changes it between steps).
     #[must_use]
     pub fn total_power(&self) -> Watts {
         Watts::new(
             self.index_map
                 .iter()
-                .map(|&storage| match self.resident_lane(storage) {
-                    Some((resident, lane)) => {
-                        resident.dynamics[lane.shard].power(lane.offset).value()
-                    }
-                    None => self.servers[storage].total_power().value(),
+                .map(|&storage| {
+                    let (dynamics, offset) = self.dynamics_at(storage);
+                    dynamics.power(offset).value()
                 })
                 .sum(),
         )
@@ -724,24 +717,19 @@ impl Fleet {
     pub fn total_energy(&self) -> Joules {
         self.index_map
             .iter()
-            .map(|&storage| match self.resident_lane(storage) {
-                Some((resident, lane)) => resident.dynamics[lane.shard]
-                    .record(lane.offset)
-                    .total_energy(),
-                None => self.servers[storage].total_energy(),
+            .map(|&storage| {
+                let (dynamics, offset) = self.dynamics_at(storage);
+                dynamics.record(offset).total_energy()
             })
             .sum()
     }
 
     /// Resets every server's energy, peak-power and timing
-    /// accumulators (e.g. after a warm-up phase). Thermal state and
-    /// residency are untouched.
+    /// accumulators (e.g. after a warm-up phase). Thermal state is
+    /// untouched.
     pub fn reset_accounting(&mut self) {
-        for server in &mut self.servers {
-            server.reset_accounting();
-        }
-        for resident in self.groups.iter_mut().filter_map(|g| g.resident.as_mut()) {
-            for dynamics in &mut resident.dynamics {
+        for group in &mut self.groups {
+            for dynamics in &mut group.resident.dynamics {
                 dynamics.reset_accounting();
             }
         }
@@ -758,11 +746,9 @@ impl Fleet {
     /// Every server's hottest die temperature, in original index
     /// order, appended into `out` (cleared first).
     ///
-    /// Reads straight from the packed blocks while a group is resident
-    /// — no write-back (which [`Fleet::server`] forces) and no
-    /// residency eviction (which [`Fleet::server_mut`] costs) — so
-    /// rack- and room-level controller loops can poll die temperatures
-    /// every decision period for free.
+    /// Reads straight from the packed blocks — no write-back (which
+    /// [`Fleet::server`] forces) — so rack- and room-level controller
+    /// loops can poll die temperatures every decision period for free.
     pub fn die_temps_view(&self, out: &mut Vec<Celsius>) {
         out.clear();
         out.extend(
@@ -772,15 +758,12 @@ impl Fleet {
         );
     }
 
-    /// One server's hottest die, from its group's packed block when
-    /// resident (authoritative between steps) or its own state
-    /// otherwise.
+    /// One server's hottest die, from its group's packed block.
     fn die_temp_at_storage(&self, storage: usize) -> Celsius {
-        match self.resident_lane(storage) {
-            Some((resident, lane)) => resident.dynamics[lane.shard]
-                .max_die_temperature(resident.temps.shard(lane.shard), lane.offset),
-            None => self.servers[storage].max_die_temperature(),
-        }
+        let lane = self.lanes[storage];
+        let resident = &self.groups[lane.group].resident;
+        resident.dynamics[lane.shard]
+            .max_die_temperature(resident.temps.shard(lane.shard), lane.offset)
     }
 }
 
@@ -864,7 +847,6 @@ mod tests {
         assert_eq!(fleet.hash_group_count(), 1, "homogeneous fleet, one SKU");
         assert!(fleet.server(0).is_some());
         assert!(fleet.server(3).is_none());
-        assert!(fleet.server_mut(3).is_none());
     }
 
     #[test]
@@ -909,28 +891,29 @@ mod tests {
     }
 
     #[test]
-    fn per_server_control_through_mut_access() {
-        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0, 5).unwrap();
+    fn per_server_fan_faults_split_factorizations() {
+        let mut fleet = Fleet::new(ServerConfig::default(), 3, 0.0, 5).unwrap();
+        fleet.command_all(Rpm::new(3000.0));
         fleet
-            .server_mut(0)
-            .unwrap()
-            .command_fan_speed(Rpm::new(1800.0));
+            .inject_fan_fault(0, FanFault::Degraded { flow_scale: 0.4 })
+            .unwrap();
         fleet
-            .server_mut(1)
-            .unwrap()
-            .command_fan_speed(Rpm::new(4200.0));
+            .inject_fan_fault(2, FanFault::Degraded { flow_scale: 0.7 })
+            .unwrap();
         for _ in 0..1_200 {
             fleet
                 .step(SimDuration::from_secs(1), Utilization::FULL)
                 .unwrap();
         }
-        // Diverged fan speeds split the batch into (at least) two
-        // factorization groups — transient slew signatures may linger
-        // in the cache — and still solve correctly.
-        assert!(fleet.batch_group_count() >= 2);
-        let hot = fleet.server(0).unwrap().max_die_temperature();
-        let cold = fleet.server(1).unwrap().max_die_temperature();
-        assert!(hot.degrees() - cold.degrees() > 15.0);
+        // Three delivered flows, three flow classes — each solves
+        // through its own factorization (transient slew signatures may
+        // linger in the cache).
+        assert!(fleet.batch_group_count() >= 3);
+        let starved = fleet.server(0).unwrap().max_die_temperature();
+        let partial = fleet.server(2).unwrap().max_die_temperature();
+        let healthy = fleet.server(1).unwrap().max_die_temperature();
+        assert!(starved > partial && partial > healthy);
+        assert!(starved.degrees() - healthy.degrees() > 10.0);
     }
 
     #[test]
@@ -1096,11 +1079,10 @@ mod tests {
     }
 
     #[test]
-    fn hetero_group_fan_divergence_falls_back_and_recovers() {
-        // Regression: a *non-first* hash group whose fans diverge while
-        // packed-resident must evict cleanly (sub-slice coordinates)
-        // and keep stepping bit-identically through the per-lane
-        // fallback.
+    fn hetero_group_fan_divergence_splits_and_recovers() {
+        // A *non-first* hash group whose fans diverge must solve its
+        // flow classes in sub-slice coordinates, rejoin one class when
+        // the fault clears, and stay bit-identical throughout.
         let one_socket = ServerConfig {
             sockets: 1,
             process_sigma: vec![1.0],
@@ -1118,49 +1100,55 @@ mod tests {
             .collect();
         let mut fleet = Fleet::from_configs(&configs, 0.0, 17).unwrap();
         assert_eq!(fleet.hash_group_count(), 2);
-        fleet.command_all(Rpm::new(3000.0));
-        let dt = SimDuration::from_secs(1);
-        // Let both groups go packed-resident.
-        for _ in 0..120 {
-            fleet.step(dt, Utilization::FULL).unwrap();
-        }
-        // Diverge fans inside the *second* storage group (the 2-socket
-        // SKU sits after the 1-socket run): one hot, one cold.
-        fleet
-            .server_mut(1)
-            .unwrap()
-            .command_fan_speed(Rpm::new(1800.0));
-        fleet
-            .server_mut(3)
-            .unwrap()
-            .command_fan_speed(Rpm::new(4200.0));
-        for _ in 0..600 {
-            fleet.step(dt, Utilization::FULL).unwrap();
-        }
-        // Scalar reference run, same seeds and command schedule.
         let mut reference: Vec<Server> = configs
             .iter()
             .enumerate()
             .map(|(i, c)| Server::new(c.clone(), 17 + i as u64).unwrap())
             .collect();
-        for server in &mut reference {
-            server.command_fan_speed(Rpm::new(3000.0));
-        }
         let room = configs[0].ambient;
-        for _ in 0..120 {
-            for server in &mut reference {
-                server.set_ambient(room).unwrap();
-                server.step(dt, Utilization::FULL).unwrap();
+        let dt = SimDuration::from_secs(1);
+        let run = |fleet: &mut Fleet, reference: &mut [Server], steps: usize| {
+            for _ in 0..steps {
+                fleet.step(dt, Utilization::FULL).unwrap();
+                for server in reference.iter_mut() {
+                    server.set_ambient(room).unwrap();
+                    server.step(dt, Utilization::FULL).unwrap();
+                }
             }
+        };
+        fleet.command_all(Rpm::new(3000.0));
+        reference
+            .iter_mut()
+            .for_each(|s| s.command_fan_speed(Rpm::new(3000.0)));
+        run(&mut fleet, &mut reference, 120);
+        // Diverge fans inside the *second* storage group (the 2-socket
+        // SKU sits after the 1-socket run): one starved, one stuck.
+        let faults = [
+            (1, FanFault::Degraded { flow_scale: 0.35 }),
+            (3, FanFault::Stuck),
+        ];
+        for (i, fault) in faults {
+            fleet.inject_fan_fault(i, fault).unwrap();
+            reference[i].inject_fan_fault(fault);
         }
-        reference[1].command_fan_speed(Rpm::new(1800.0));
-        reference[3].command_fan_speed(Rpm::new(4200.0));
-        for _ in 0..600 {
-            for server in &mut reference {
-                server.set_ambient(room).unwrap();
-                server.step(dt, Utilization::FULL).unwrap();
-            }
+        fleet.command_all(Rpm::new(4200.0));
+        reference
+            .iter_mut()
+            .for_each(|s| s.command_fan_speed(Rpm::new(4200.0)));
+        run(&mut fleet, &mut reference, 600);
+        let hot = fleet.server(1).unwrap().max_die_temperature();
+        let cool = fleet.server(5).unwrap().max_die_temperature();
+        assert!(hot.degrees() - cool.degrees() > 10.0, "fans diverged");
+        // Clear both faults; the group's flows converge again.
+        for i in [1, 3] {
+            fleet.inject_fan_fault(i, FanFault::None).unwrap();
+            reference[i].inject_fan_fault(FanFault::None);
         }
+        fleet.command_all(Rpm::new(4200.0));
+        reference
+            .iter_mut()
+            .for_each(|s| s.command_fan_speed(Rpm::new(4200.0)));
+        run(&mut fleet, &mut reference, 300);
         for (i, b) in reference.iter().enumerate() {
             let a = fleet.server(i).unwrap();
             assert_eq!(
@@ -1169,10 +1157,9 @@ mod tests {
                 "server {i} die temperature"
             );
             assert_eq!(a.total_energy(), b.total_energy(), "server {i} energy");
+            assert_eq!(a.actual_rpm(), b.actual_rpm(), "server {i} fans");
+            assert_eq!(a.trace().entries(), b.trace().entries(), "server {i} trace");
         }
-        let hot = fleet.server(1).unwrap().max_die_temperature();
-        let cold = fleet.server(3).unwrap().max_die_temperature();
-        assert!(hot.degrees() - cold.degrees() > 10.0, "fans diverged");
     }
 
     #[test]
@@ -1183,7 +1170,7 @@ mod tests {
                 .step(SimDuration::from_secs(1), Utilization::FULL)
                 .unwrap();
         }
-        // The view (read from packed residency) must agree with the
+        // The view (read from the packed blocks) must agree with the
         // full per-server accessor (which forces a lane sync)…
         let mut view = Vec::new();
         fleet.die_temps_view(&mut view);
@@ -1348,16 +1335,26 @@ mod tests {
 
     #[test]
     fn sync_states_exposes_packed_temperatures() {
-        let mut fleet = Fleet::new(ServerConfig::default(), 2, 0.0, 13).unwrap();
+        let mut fleet = Fleet::new(ServerConfig::default(), 3, 0.0, 13).unwrap();
         for _ in 0..120 {
             fleet
                 .step(SimDuration::from_secs(1), Utilization::FULL)
                 .unwrap();
         }
         fleet.sync_states();
-        // After an explicit sync the servers' full states are current:
-        // air nodes must have warmed above ambient.
-        let air = fleet.server(0).unwrap().air_temperature(0).unwrap();
-        assert!(air.degrees() > 24.0, "air node stale at {air}");
+        // After a sync every stored server is current with no lane read
+        // in between: its dies match the packed blocks, its air nodes
+        // warmed above ambient and its energy is the lane's.
+        let mut view = Vec::new();
+        fleet.die_temps_view(&mut view);
+        let mut energy = Joules::ZERO;
+        for (i, &storage) in fleet.index_map.iter().enumerate() {
+            let server = &fleet.servers[storage];
+            assert_eq!(server.max_die_temperature(), view[i], "server {i}");
+            let air = server.air_temperature(0).unwrap();
+            assert!(air.degrees() > 24.0, "air node stale at {air}");
+            energy += server.total_energy();
+        }
+        assert_eq!(energy, fleet.total_energy());
     }
 }

@@ -321,15 +321,17 @@ impl Room {
         // the room parallelizes across racks instead, and fleet
         // trajectories are plan-independent, so this only moves work.
         let plan = plan.with_min_lanes_per_shard(1);
-        let rack_configs = vec![config.server.clone(); spr];
+        // Server `i` of rack `r` is seeded `seed + r·spr + i`. Every
+        // server is built before any rack is assembled, so each rack's
+        // step data sits together in memory (`Fleet::from_servers`).
+        let mut servers = (0..racks * spr)
+            .map(|i| Server::new(config.server.clone(), config.seed.wrapping_add(i as u64)))
+            .collect::<Result<Vec<Server>, _>>()?
+            .into_iter();
         let fleets = (0..racks)
-            .map(|r| {
-                Fleet::with_plan(
-                    &rack_configs,
-                    0.0,
-                    config.seed.wrapping_add((r * spr) as u64),
-                    ShardPlan::new(1),
-                )
+            .map(|_| {
+                let rack = servers.by_ref().take(spr).collect();
+                Fleet::from_servers(rack, 0.0, ShardPlan::new(1))
             })
             .collect::<Result<Vec<Fleet>, CoreError>>()?;
         let spec = RoomAirSpec::with_tile_flows(
@@ -525,7 +527,7 @@ impl Room {
     /// streams), the air-side network with its boundary conditions and
     /// fault state, and the energy/time accounting. Packed shard
     /// blocks are synced first, so the snapshot is exact for any
-    /// residency or thread plan.
+    /// thread plan.
     pub fn checkpoint(&mut self) -> RoomCheckpoint {
         RoomCheckpoint {
             fleets: self.fleets.iter_mut().map(Fleet::checkpoint).collect(),
@@ -1040,7 +1042,7 @@ impl Room {
     /// Every rack's hottest die temperature, appended into `out`
     /// (cleared first) — the controller-loop read path: like
     /// [`Fleet::die_temps_view`] it reads straight from the packed
-    /// shard blocks, with no state unpacks and no residency eviction.
+    /// shard blocks, with no state unpacks.
     pub fn rack_max_die_temperatures(&self, out: &mut Vec<Celsius>) {
         out.clear();
         out.extend(self.fleets.iter().map(Fleet::max_die_temperature));

@@ -3,12 +3,12 @@
 //! reproduces an identically seeded scalar `Server::step` loop bit for
 //! bit — die temperatures, energies, peak power, fan speed changes,
 //! failsafe activations, measured CPU temperatures, CSTH frame counts
-//! and trace entries — through everything that moves state in or out
-//! of residency: varying activity, inlet and step size, fleet-wide fan
-//! commands inside and after the supply latency, per-server commands
-//! and solo steps through `server_mut`, stuck and degraded fans,
-//! failsafe trips and releases, mid-run reads, accounting resets and a
-//! checkpoint restored into a fresh fleet.
+//! and trace entries — through everything that moves state through the
+//! lanes or makes their flows diverge: varying activity, inlet and step
+//! size, fleet-wide fan commands inside and after the supply latency,
+//! stuck and degraded fans, failsafe trips and releases, mid-run reads,
+//! accounting resets and a checkpoint restored into a fresh fleet on
+//! another plan.
 
 use leakctl::fleet::Fleet;
 use leakctl_platform::{FanFault, Server, ServerConfig};
@@ -217,7 +217,7 @@ proptest! {
     #[test]
     fn resident_fleet_matches_scalar_server_loop(
         kinds in prop::collection::vec(0usize..4, 2..9),
-        ops in prop::collection::vec((0usize..12, 0usize..64, 0.0..1.0f64, 0.0..1.0f64), 30..90),
+        ops in prop::collection::vec((0usize..10, 0usize..64, 0.0..1.0f64, 0.0..1.0f64), 30..90),
         seed in 0u64..1_000,
     ) {
         let configs: Vec<ServerConfig> = kinds.iter().map(|&k| config(k)).collect();
@@ -252,18 +252,8 @@ proptest! {
                         fleet.inject_fan_fault(i, fault).unwrap();
                         reference.servers[i].inject_fan_fault(fault);
                     }
-                    7 => {
-                        fleet.server_mut(i).unwrap().command_fan_speed(rpm(x));
-                        reference.servers[i].command_fan_speed(rpm(x));
-                    }
-                    8 => same_server(fleet.server(i).unwrap(), &reference.servers[i], &what)?,
-                    // One server stepped alone, on its own clock.
-                    9 => {
-                        let dt = SimDuration::from_millis(1_000 + 1_000 * (pick as u64 % 3));
-                        fleet.server_mut(i).unwrap().step(dt, activity(x)).unwrap();
-                        reference.servers[i].step(dt, activity(x)).unwrap();
-                    }
-                    10 => {
+                    7 => same_server(fleet.server(i).unwrap(), &reference.servers[i], &what)?,
+                    8 => {
                         let snap = fleet.checkpoint();
                         let other = ShardPlan::new(1 + pick % 4).with_min_lanes_per_shard(1);
                         fleet = Fleet::with_plan(&configs, 0.002, seed + 1, other).unwrap();
@@ -327,4 +317,73 @@ fn failsafe_trip_and_release_on_resident_lanes_match_scalar() {
         .iter()
         .any(|m| m.contains("ignored: failsafe engaged")));
     assert!(messages.iter().any(|m| m.contains("failsafe released")));
+}
+
+/// Before any step, every server reads exactly as `Server::new` built
+/// it — also in a mixed-SKU fleet whose configs differ in ambient, even
+/// within one topology group, where no group inlet exists yet to
+/// overwrite a server's own boundary.
+#[test]
+fn servers_read_before_the_first_step_are_as_built() {
+    let warm = |kind| ServerConfig {
+        ambient: Celsius::new(31.0),
+        ..config(kind)
+    };
+    let configs = vec![config(0), warm(1), config(2), warm(1), warm(0)];
+    for threads in [1usize, 2, 4] {
+        let plan = ShardPlan::new(threads).with_min_lanes_per_shard(1);
+        let mut fleet = Fleet::with_plan(&configs, 0.002, 9, plan).unwrap();
+        let reference = Reference::new(&configs, 9);
+        same_fleet(
+            &mut fleet,
+            &reference,
+            &format!("threads {threads}, as built"),
+        )
+        .unwrap();
+        assert_eq!(
+            fleet.server(1).unwrap().ambient(),
+            Celsius::new(31.0),
+            "threads {threads}: the warm SKU keeps its own ambient"
+        );
+    }
+}
+
+/// 40 servers of one group, each with its own degraded-fan scale: every
+/// step has 40 flow classes, more than the solver's factorization cache
+/// holds, and the fleet still matches the scalar loop bit for bit.
+#[test]
+fn more_flow_classes_than_the_factorization_cache_match_scalar() {
+    let configs = vec![config(0); 40];
+    let mut rng = leakctl::prelude::SimRng::seed(40);
+    let scales: Vec<f64> = (0..configs.len())
+        .map(|_| 0.3 + 0.7 * rng.next_f64())
+        .collect();
+    for threads in [1usize, 2, 4] {
+        let plan = ShardPlan::new(threads).with_min_lanes_per_shard(1);
+        let mut fleet = Fleet::with_plan(&configs, 0.002, 77, plan).unwrap();
+        let mut reference = Reference::new(&configs, 77);
+        fleet.command_all(Rpm::new(2_400.0));
+        for server in &mut reference.servers {
+            server.command_fan_speed(Rpm::new(2_400.0));
+        }
+        for (i, &flow_scale) in scales.iter().enumerate() {
+            let fault = FanFault::Degraded { flow_scale };
+            fleet.inject_fan_fault(i, fault).unwrap();
+            reference.servers[i].inject_fan_fault(fault);
+        }
+        let dt = SimDuration::from_secs(1);
+        for step in 0..90 {
+            let load = if step % 30 < 15 { 1.0 } else { 0.2 };
+            let inlet = Celsius::new(22.0 + 0.05 * step as f64);
+            fleet.step_with_inlet(dt, activity(load), inlet).unwrap();
+            reference.step_with_inlet(dt, activity(load), inlet);
+        }
+        assert!(fleet.batch_group_count() <= 32, "the cache stays bounded");
+        same_fleet(
+            &mut fleet,
+            &reference,
+            &format!("threads {threads}, 40 classes"),
+        )
+        .unwrap();
+    }
 }

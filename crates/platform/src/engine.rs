@@ -14,22 +14,18 @@
 //!
 //! 1. [`ServerCore::begin_step`] applies fan dynamics, the thermal
 //!    failsafe and component powers, and accounts energy;
-//! 2. the thermal network is integrated — either in place through
-//!    [`ServerCore::integrate`], or externally by a
-//!    [`BatchSolver`](leakctl_thermal::BatchSolver) operating on
-//!    [`ServerCore::split_thermal`] lanes from many cores at once;
+//! 2. [`ServerCore::integrate`] integrates the thermal network in place;
 //! 3. [`ServerCore::finish_step`] advances the simulation clock.
 //!
 //! Each formula of phases 1 and 3 is a [`Dynamics`] method (or a
 //! [`CpuSocket`] one), and both [`ServerCore`] and the fleet's resident
 //! lanes ([`DynamicsLanes`](crate::DynamicsLanes), which keep one
 //! record per server in contiguous storage and solve over packed
-//! temperatures) call the same methods, so every path advances the
-//! physics identically.
-//!
-//! [`ServerCore::step`] runs the three phases back to back for headless
-//! (telemetry-free) stepping. `Server` wraps the same phases and adds
-//! CSTH polling and event tracing on top.
+//! temperatures through a shared
+//! [`BatchSolver`](leakctl_thermal::BatchSolver)) call the same
+//! methods, so every path advances the physics identically.
+//! [`Server`](crate::Server) runs the three phases and adds CSTH polling
+//! and event tracing on top.
 
 use leakctl_power::PsuModel;
 use leakctl_sim::Clock;
@@ -692,9 +688,7 @@ impl ServerCore {
     /// component powers are evaluated at start-of-step temperatures and
     /// injected into the network, and energy/peak accounting runs.
     ///
-    /// After this, integrate the thermal network (either
-    /// [`ServerCore::integrate`] or an external batch solve over
-    /// [`ServerCore::split_thermal`]) and call
+    /// After this, call [`ServerCore::integrate`] and then
     /// [`ServerCore::finish_step`]. Every formula here is a
     /// [`Dynamics`] or [`CpuSocket`] method that
     /// [`DynamicsLanes::begin`](crate::DynamicsLanes::begin) calls too.
@@ -733,25 +727,6 @@ impl ServerCore {
         Ok(transition)
     }
 
-    /// As [`ServerCore::begin_step`], first re-pinning the inlet
-    /// (ambient) boundary to an externally computed temperature — the
-    /// coupling hook room-scale air models drive: a fleet engine reads
-    /// its rack's cold-aisle volume and feeds it here every step,
-    /// replacing the scalar `T_inlet = T_room + r·P` approximation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-network failures.
-    pub fn begin_step_with_inlet(
-        &mut self,
-        dt: SimDuration,
-        activity: Utilization,
-        inlet: Celsius,
-    ) -> Result<SpTransition, PlatformError> {
-        self.set_ambient(inlet)?;
-        self.begin_step(dt, activity)
-    }
-
     /// Phase 2 of a step: integrates the thermal network by `dt`
     /// through the core's cached stepper.
     ///
@@ -761,14 +736,6 @@ impl ServerCore {
     pub fn integrate(&mut self, dt: SimDuration) -> Result<(), PlatformError> {
         self.stepper.step(&self.net, &mut self.state, dt)?;
         Ok(())
-    }
-
-    /// The thermal network and mutable state as a batch lane — phase 2
-    /// when an external [`BatchSolver`](leakctl_thermal::BatchSolver)
-    /// integrates many cores through one shared factorization.
-    #[must_use]
-    pub fn split_thermal(&mut self) -> (&ThermalNetwork, &mut ThermalState) {
-        (&self.net, &mut self.state)
     }
 
     /// The thermal state (read side) — e.g. for packing a fleet's
@@ -784,29 +751,6 @@ impl ServerCore {
             return;
         }
         self.dynamics.finish(dt);
-    }
-
-    /// Advances the core by `dt` with the given switching activity:
-    /// [`ServerCore::begin_step`] + [`ServerCore::integrate`] +
-    /// [`ServerCore::finish_step`] — the headless (telemetry-free)
-    /// counterpart of [`Server::step`](crate::Server::step), advancing
-    /// the physics identically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-solver failures.
-    pub fn step(
-        &mut self,
-        dt: SimDuration,
-        activity: Utilization,
-    ) -> Result<SpTransition, PlatformError> {
-        if dt.is_zero() {
-            return Ok(SpTransition::None);
-        }
-        let transition = self.begin_step(dt, activity)?;
-        self.integrate(dt)?;
-        self.finish_step(dt);
-        Ok(transition)
     }
 
     // ---- analysis helpers -------------------------------------------
@@ -891,8 +835,11 @@ mod tests {
 
     #[test]
     fn phased_step_equals_one_shot_step() {
+        // The core's three phases, run by hand, advance the physics
+        // exactly as one `Server::step` does (telemetry never feeds
+        // back into it).
         let mut phased = ServerCore::new(ServerConfig::default()).unwrap();
-        let mut oneshot = ServerCore::new(ServerConfig::default()).unwrap();
+        let mut oneshot = crate::Server::new(ServerConfig::default(), 3).unwrap();
         let dt = SimDuration::from_secs(1);
         for i in 0..300 {
             let act = if i % 30 < 15 {
@@ -906,7 +853,9 @@ mod tests {
             oneshot.step(dt, act).unwrap();
         }
         assert_eq!(phased.max_die_temperature(), oneshot.max_die_temperature());
+        assert_eq!(phased.air_temperature(1), oneshot.air_temperature(1));
         assert_eq!(phased.total_energy(), oneshot.total_energy());
+        assert_eq!(phased.total_power(), oneshot.total_power());
         assert_eq!(phased.now(), oneshot.now());
     }
 
@@ -923,15 +872,5 @@ mod tests {
         core.finish_step(SimDuration::ZERO);
         assert_eq!(core.now(), t);
         assert_eq!(core.total_energy(), e);
-    }
-
-    #[test]
-    fn split_thermal_exposes_live_state() {
-        let mut core = ServerCore::new(ServerConfig::default()).unwrap();
-        core.step(SimDuration::from_secs(60), Utilization::FULL)
-            .unwrap();
-        let (net, state) = core.split_thermal();
-        assert_eq!(state.len(), net.state_count());
-        assert!(state.is_finite());
     }
 }

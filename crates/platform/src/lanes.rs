@@ -1,27 +1,30 @@
 //! Resident dynamics lanes: the per-step dynamics of a run of
 //! identical-topology servers in contiguous storage.
 //!
-//! A fleet keeps a hash group's thermal state packed slot-major in
-//! [`PackedLanes`] between steps. [`DynamicsLanes`] keeps the rest of
-//! what a plain step touches beside it: one [`Dynamics`] record per
+//! A fleet keeps every hash group's thermal state packed slot-major in
+//! [`PackedLanes`], from construction on. [`DynamicsLanes`] keeps the
+//! rest of what a step touches beside it: one [`Dynamics`] record per
 //! server (fans, failsafe, clock, accounting, DIMM/board/PSU
 //! parameters), the socket power models, the start-of-step power
 //! injections in the same slot-major layout the solve reads, and the
-//! end-of-step total power. A plain step is then
-//! [`DynamicsLanes::begin`] → [`SharedKernel::step_shard`] →
-//! [`DynamicsLanes::finish`] over those arrays, with no
-//! [`Server`] object touched. The records run through the same
-//! [`Dynamics`] and [`CpuSocket`] methods as [`ServerCore`], so the
-//! trajectory is bit-identical to stepping the servers one by one.
+//! end-of-step total power. Every step is [`DynamicsLanes::begin`] →
+//! [`SharedKernel`] solve → [`DynamicsLanes::finish`] over those arrays,
+//! with no [`Server`] object touched: one whole-block solve when every
+//! lane delivers the same chassis flow, otherwise one solve per flow
+//! class ([`DynamicsLanes::flows`] names each lane's). The records run
+//! through the same [`Dynamics`] and [`CpuSocket`] methods as
+//! [`ServerCore`], so the trajectory is bit-identical to stepping the
+//! servers one by one.
 //!
-//! The servers stay the authority for everything else. Whatever reads
-//! a server writes its lane back first: [`DynamicsLanes::store`] copies
+//! The lanes are the authority; a server object is a view of its lane
+//! plus what only the server holds (telemetry, trace). Whatever reads a
+//! server writes its lane back first: [`DynamicsLanes::store`] copies
 //! the record, the packed temperatures and the step's network inputs
-//! (flow, inlet, injected powers) into it, and
-//! [`DynamicsLanes::poll`] copies the record and temperatures of the
-//! lanes whose CSTH poll falls due and records their frames.
+//! (flow, inlet, injected powers) into it, and [`DynamicsLanes::poll`]
+//! copies the record and temperatures of the lanes whose CSTH poll
+//! falls due and records their frames.
 //!
-//! [`SharedKernel::step_shard`]: leakctl_thermal::SharedKernel::step_shard
+//! [`SharedKernel`]: leakctl_thermal::SharedKernel
 
 use leakctl_thermal::{FlowChannelId, NodeId, PackedLanes, ThermalNetwork};
 use leakctl_units::{AirFlow, Celsius, Rpm, SimDuration, SimInstant, Utilization, Watts};
@@ -29,6 +32,7 @@ use leakctl_units::{AirFlow, Celsius, Rpm, SimDuration, SimInstant, Utilization,
 use crate::cpu::CpuSocket;
 use crate::engine::{Dynamics, ServerCore, SpTransition};
 use crate::error::PlatformError;
+use crate::fans::FanFault;
 use crate::server::Server;
 
 /// The state slots a step injects power into, shared by every server
@@ -148,6 +152,12 @@ impl DynamicsLanes {
         Watts::new(self.powers[lane])
     }
 
+    /// Each lane's delivered chassis flow — after [`Self::begin`], the
+    /// flow over the current step.
+    pub fn flows(&self) -> impl Iterator<Item = AirFlow> + '_ {
+        self.records.iter().map(|r| r.fans.flow())
+    }
+
     /// The power each lane injects over the current step, slot-major —
     /// the per-lane source of the thermal solve.
     #[must_use]
@@ -180,6 +190,20 @@ impl DynamicsLanes {
         }
     }
 
+    /// Injects (or clears, with [`FanFault::None`]) a fan-bank fault on
+    /// lane `lane`, as [`Server::inject_fan_fault`] does: the record
+    /// takes the fault and `server`, the lane's server, traces it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range or for a
+    /// [`FanFault::Degraded`] flow scale outside `[0, 1]`.
+    pub fn inject_fan_fault(&mut self, lane: usize, fault: FanFault, server: &mut Server) {
+        let record = &mut self.records[lane];
+        record.fans.inject_fault(fault);
+        server.trace_fan_fault(record.now(), fault);
+    }
+
     /// Resets every lane's energy, peak-power and timing accumulators.
     pub fn reset_accounting(&mut self) {
         for record in &mut self.records {
@@ -196,7 +220,8 @@ impl DynamicsLanes {
     ///
     /// Returns the chassis flow when every lane delivers the same flow
     /// (bit for bit) over the step, and `None` when the lanes diverged
-    /// (their networks would then need per-lane factorizations).
+    /// (each flow class then needs its own factorization; see
+    /// [`Self::flows`]).
     ///
     /// # Panics
     ///
@@ -282,7 +307,7 @@ impl DynamicsLanes {
 
     /// Records the CSTH frames now due: each such lane's record and
     /// packed temperatures are copied into its server, which then polls
-    /// exactly as [`Server::finish_step`] does.
+    /// exactly as the end of [`Server::step`] does.
     ///
     /// # Errors
     ///
@@ -309,6 +334,8 @@ impl DynamicsLanes {
     /// packed temperatures and the network inputs of the last step
     /// (chassis flow, `inlet` as the ambient boundary, injected
     /// powers), so the server reads exactly as if it had stepped alone.
+    /// With no `inlet` (no step yet) the server keeps its own ambient
+    /// boundary.
     ///
     /// # Panics
     ///
@@ -318,7 +345,7 @@ impl DynamicsLanes {
         &self,
         lane: usize,
         temps: &PackedLanes,
-        inlet: Celsius,
+        inlet: Option<Celsius>,
         server: &mut Server,
     ) {
         assert_eq!(temps.batch(), self.lanes, "packed block shape");
@@ -340,7 +367,9 @@ impl DynamicsLanes {
         let written: Result<(), leakctl_thermal::ThermalError> = (|| {
             core.net
                 .set_flow(core.chassis_flow, core.dynamics.fans.flow())?;
-            core.net.set_boundary(core.ambient_node, inlet)?;
+            if let Some(inlet) = inlet {
+                core.net.set_boundary(core.ambient_node, inlet)?;
+            }
             for (node, power) in injected.zip(powers) {
                 core.net.set_power(node, power)?;
             }
@@ -355,7 +384,7 @@ impl DynamicsLanes {
     ///
     /// As [`Self::store_lane`], and when `servers` is not one server per
     /// lane.
-    pub fn store(&self, temps: &PackedLanes, inlet: Celsius, servers: &mut [Server]) {
+    pub fn store(&self, temps: &PackedLanes, inlet: Option<Celsius>, servers: &mut [Server]) {
         assert_eq!(servers.len(), self.lanes, "one server per lane");
         for (lane, server) in servers.iter_mut().enumerate() {
             self.store_lane(lane, temps, inlet, server);
@@ -382,10 +411,10 @@ fn hottest_die(dies: &[usize], temps: &[f64], lanes: usize, lane: usize) -> Cels
         .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
 }
 
-/// A hash group's representative network: the topology every resident
-/// lane shares, carrying the group's common chassis flow and inlet so
-/// the shared factorization and boundary source are derived from one
-/// network instead of from every lane.
+/// A hash group's representative network: the topology every lane
+/// shares, set to one flow class's chassis flow and the group's inlet
+/// so each class's factorization and boundary source are derived from
+/// one network instead of from every lane.
 #[derive(Debug, Clone)]
 pub struct LaneTemplate {
     net: ThermalNetwork,
@@ -405,7 +434,8 @@ impl LaneTemplate {
         }
     }
 
-    /// Sets the shared chassis flow and inlet (ambient boundary).
+    /// Sets the chassis flow and inlet (ambient boundary) the next
+    /// prepared solve shares.
     ///
     /// # Errors
     ///

@@ -17,7 +17,7 @@
 //!   powers with leakage-temperature feedback, PSU losses, CSTH
 //!   telemetry polling, and energy/peak accounting,
 //! - [`DynamicsLanes`] — many servers' per-step dynamics as contiguous
-//!   arrays, the plain step of a fleet's packed-resident groups.
+//!   arrays, the step of every fleet group from construction on.
 //!
 //! # Example
 //!

@@ -19,18 +19,15 @@ use crate::fans::FanFault;
 /// [`Server::step`], command cooling with [`Server::command_fan_speed`],
 /// and observe it the way the paper's DLC-PC does — through telemetry.
 ///
-/// A step has three phases. [`Server::begin_step`] applies fan/power
-/// dynamics and traces failsafe transitions, the thermal network is
-/// integrated — in place by [`Server::step`], or through
-/// [`Server::split_thermal`] lanes by a shared-factorization
-/// [`BatchSolver`](leakctl_thermal::BatchSolver) — and
-/// [`Server::finish_step`] advances the clock and polls telemetry. A
-/// fleet goes one step further for its packed-resident groups: it moves
-/// the server's dynamics record and temperatures into
-/// [`DynamicsLanes`](crate::DynamicsLanes) and steps them there with
-/// the same methods, writing them back whenever the server is read or
-/// its telemetry poll falls due. Every path produces the trajectory of
-/// [`Server::step`] bit for bit.
+/// A step has three phases: fan/power dynamics with failsafe
+/// transitions traced, the thermal integration through the core's
+/// cached stepper, and the clock advance with the telemetry poll. A
+/// fleet runs the same phases for all its servers at once: it moves
+/// each server's dynamics record and temperatures into
+/// [`DynamicsLanes`](crate::DynamicsLanes) when it is built, steps them
+/// there with the same methods, and writes them back whenever the
+/// server is read or its telemetry poll falls due. Both paths produce
+/// the trajectory of [`Server::step`] bit for bit.
 ///
 /// See the [crate-level example](crate) for basic use.
 #[derive(Debug, Clone)]
@@ -151,12 +148,6 @@ impl Server {
     #[must_use]
     pub fn config(&self) -> &ServerConfig {
         self.core.config()
-    }
-
-    /// The stepping core (physics + accounting, no telemetry).
-    #[must_use]
-    pub fn core(&self) -> &ServerCore {
-        &self.core
     }
 
     /// The thermal network (read side).
@@ -397,6 +388,13 @@ impl Server {
     ///
     /// Panics for a [`FanFault::Degraded`] flow scale outside `[0, 1]`.
     pub fn inject_fan_fault(&mut self, fault: FanFault) {
+        self.core.inject_fan_fault(fault);
+        self.trace_fan_fault(self.core.now(), fault);
+    }
+
+    /// Traces a fan fault injected at `at` (shared by this server's own
+    /// fault path and a fleet's lanes).
+    pub(crate) fn trace_fan_fault(&mut self, at: SimInstant, fault: FanFault) {
         let label = match fault {
             FanFault::None => "fan fault cleared".to_owned(),
             FanFault::Stuck => "fan controller stuck".to_owned(),
@@ -404,8 +402,7 @@ impl Server {
                 format!("fans degraded to {:.0}% flow", flow_scale * 100.0)
             }
         };
-        self.core.inject_fan_fault(fault);
-        self.trace.record(self.core.now(), "server", label);
+        self.trace.record(at, "server", label);
     }
 
     /// The fan bank's currently injected fault.
@@ -456,63 +453,18 @@ impl Server {
         self.finish_step(dt)
     }
 
-    /// Phase 1 of a batch-integrated step: fan dynamics, failsafe,
-    /// component powers and accounting — everything up to (but not
-    /// including) the thermal integration, with failsafe transitions
-    /// traced. Follow with an external solve over
-    /// [`Server::split_thermal`] (or [`ServerCore::integrate`] through
-    /// [`Server::step`]) and then [`Server::finish_step`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-network failures.
-    pub fn begin_step(
-        &mut self,
-        dt: SimDuration,
-        activity: Utilization,
-    ) -> Result<(), PlatformError> {
+    /// Phase 1 of a step: fan dynamics, failsafe, component powers and
+    /// accounting — everything up to (but not including) the thermal
+    /// integration, with failsafe transitions traced.
+    fn begin_step(&mut self, dt: SimDuration, activity: Utilization) -> Result<(), PlatformError> {
         let transition = self.core.begin_step(dt, activity)?;
         self.trace_transition(self.core.now(), transition);
         Ok(())
     }
 
-    /// As [`Server::begin_step`], first re-pinning the inlet (ambient)
-    /// boundary to an externally computed temperature — the per-step
-    /// coupling hook for room-scale air models, where a cold-aisle
-    /// volume (not the scalar `T_room + r·P` drift) supplies each
-    /// rack's inlet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-network failures.
-    pub fn begin_step_with_inlet(
-        &mut self,
-        dt: SimDuration,
-        activity: Utilization,
-        inlet: Celsius,
-    ) -> Result<(), PlatformError> {
-        self.core.set_ambient(inlet)?;
-        self.begin_step(dt, activity)
-    }
-
-    /// The thermal network and mutable state as a batch lane — see
-    /// [`BatchSolver`](leakctl_thermal::BatchSolver). Valid between
-    /// [`Server::begin_step`] and [`Server::finish_step`].
-    #[must_use]
-    pub fn split_thermal(&mut self) -> (&ThermalNetwork, &mut ThermalState) {
-        self.core.split_thermal()
-    }
-
-    /// Phase 3 of a batch-integrated step: advances the clock and polls
-    /// CSTH telemetry on its cadence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates telemetry failures.
-    pub fn finish_step(&mut self, dt: SimDuration) -> Result<(), PlatformError> {
-        if dt.is_zero() {
-            return Ok(());
-        }
+    /// Phase 3 of a step: advances the clock and polls CSTH telemetry on
+    /// its cadence.
+    fn finish_step(&mut self, dt: SimDuration) -> Result<(), PlatformError> {
         self.core.finish_step(dt);
         self.poll_due()
     }
@@ -894,30 +846,53 @@ mod tests {
 
     #[test]
     fn phased_step_bit_identical_to_plain_step() {
-        // The batch-integration protocol (begin / external-style
-        // integrate / finish) must reproduce Server::step exactly,
-        // telemetry included.
-        let mut phased = server();
+        // The fleet's lane protocol — begin over the dynamics lanes, the
+        // shared kernel over packed temperatures, finish, poll — must
+        // reproduce Server::step exactly, telemetry included, across a
+        // mid-run fan command that moves the shared factorization.
+        use crate::{DynamicsLanes, LaneTemplate};
+        use leakctl_thermal::{BatchSolver, PackedLanes};
+
+        let mut laned = server();
         let mut plain = server();
+        let mut dynamics = DynamicsLanes::load(std::slice::from_ref(&laned));
+        let mut temps = PackedLanes::pack(std::slice::from_ref(laned.thermal_state()));
+        let mut template = LaneTemplate::of(&laned);
+        let mut solver = BatchSolver::new(laned.thermal_network());
+        let inlet = laned.ambient();
         let dt = SimDuration::from_secs(1);
         for i in 0..240 {
+            if i == 100 {
+                dynamics.command_all(Rpm::new(4200.0), std::slice::from_mut(&mut laned));
+                plain.command_fan_speed(Rpm::new(4200.0));
+            }
             let act = if i % 50 < 25 {
                 Utilization::FULL
             } else {
                 Utilization::IDLE
             };
-            phased.begin_step(dt, act).unwrap();
-            {
-                let mut solver = leakctl_thermal::BatchSolver::new(phased.thermal_network());
-                let (net, state) = phased.split_thermal();
-                let mut lanes = [leakctl_thermal::BatchLane { net, state }];
-                solver.step(&mut lanes, dt).unwrap();
+            let flow = dynamics
+                .begin(&temps, dt, act)
+                .expect("one lane agrees with itself");
+            dynamics.flush_events(std::slice::from_mut(&mut laned));
+            template.set_inputs(flow, inlet).unwrap();
+            let kernel = solver.prepare_shared(template.network(), dt).unwrap();
+            kernel.step_shard(&mut temps, dynamics.sources()).unwrap();
+            if dynamics.finish(&temps, dt) {
+                dynamics
+                    .poll(&temps, std::slice::from_mut(&mut laned))
+                    .unwrap();
             }
-            phased.finish_step(dt).unwrap();
             plain.step(dt, act).unwrap();
         }
-        assert_eq!(phased.max_die_temperature(), plain.max_die_temperature());
-        assert_eq!(phased.total_energy(), plain.total_energy());
-        assert_eq!(phased.measured_cpu_temps(), plain.measured_cpu_temps());
+        assert_eq!(dynamics.power(0), plain.total_power());
+        dynamics.store(&temps, Some(inlet), std::slice::from_mut(&mut laned));
+        assert_eq!(laned.max_die_temperature(), plain.max_die_temperature());
+        assert_eq!(laned.air_temperature(0), plain.air_temperature(0));
+        assert_eq!(laned.total_energy(), plain.total_energy());
+        assert_eq!(laned.now(), plain.now());
+        assert_eq!(laned.measured_cpu_temps(), plain.measured_cpu_temps());
+        assert_eq!(laned.csth().frame_count(), plain.csth().frame_count());
+        assert!(solver.group_count() > 1, "the command moved the flow");
     }
 }

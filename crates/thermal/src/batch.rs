@@ -11,21 +11,16 @@
 //! [`BatchSolver`] shares that work. Each distinct `(dt, flow-values)`
 //! signature factors `(C + h·G)` once and back-substitutes all its
 //! lanes as one slot-major blocked multi-RHS solve whose inner loops
-//! run over contiguous lanes and vectorize. Lanes reach the factors in
-//! one of two ways:
-//!
-//! - [`BatchSolver::step`] takes per-lane network/state pairs, groups
-//!   them by signature and reads each lane's power injections and
-//!   boundary temperatures from its own network, cached per lane on
-//!   the network's invalidation generations. Flows may diverge freely.
-//! - [`BatchSolver::prepare_shared`] serves lanes that all hold one
-//!   template network's flows and boundary temperatures (a fleet's
-//!   servers on a common inlet and fan flow): it returns a
-//!   [`SharedKernel`] that steps [`PackedLanes`] blocks — temperatures
-//!   resident slot-major between steps — from caller-supplied power
-//!   blocks and the template's one boundary source, reading no lane
-//!   network. [`BatchSolver::lanes_homogeneous`] tells when a group's
-//!   flows agree.
+//! run over contiguous lanes and vectorize. Lanes reach the factors one
+//! way: [`BatchSolver::prepare_shared`] takes a template network that
+//! holds the lanes' flows and boundary temperatures (a fleet's servers
+//! on a common inlet and fan flow) and returns a [`SharedKernel`] that
+//! steps [`PackedLanes`] blocks — temperatures resident slot-major
+//! between steps — from caller-supplied power blocks and the template's
+//! one boundary source, reading no lane network. Lanes whose flows
+//! differ solve one flow class at a time: set the template to the
+//! class's flow, prepare, and step only that class's lanes with
+//! [`SharedKernel::step_lanes`].
 //!
 //! Every lane's arithmetic is bit-identical to stepping it alone
 //! through a `TransientSolver` with the same backend: assembly,
@@ -39,23 +34,12 @@ use crate::backend::{AutoBackend, SolverBackend};
 use crate::error::ThermalError;
 use crate::network::{ThermalNetwork, ThermalState};
 
-/// One batch member: a network (read side: inputs and generations) and
-/// its temperature state (advanced in place).
-#[derive(Debug)]
-pub struct BatchLane<'a> {
-    /// The lane's network; must be structurally identical to the batch
-    /// template (same [`structure_hash`](ThermalNetwork::structure_hash)).
-    pub net: &'a ThermalNetwork,
-    /// The lane's temperature state.
-    pub state: &'a mut ThermalState,
-}
-
 /// Slot-major packed lane temperatures for [`SharedKernel::step_shard`]:
 /// an `n × batch` block (`[slot * batch + lane]`) that persists across
 /// steps, so the per-step right-hand-side build, solve and divergence
 /// check all run over contiguous memory with no per-lane gather or
-/// scatter. Trajectories are bit-identical to the per-lane
-/// [`BatchSolver::step`] API (and therefore to scalar stepping).
+/// scatter. Every lane's trajectory is bit-identical to scalar
+/// stepping through a [`TransientSolver`](crate::TransientSolver).
 ///
 /// Pack once with [`PackedLanes::pack`], step many times, and
 /// [`PackedLanes::unpack_lane_into`] whenever a lane's
@@ -200,8 +184,9 @@ impl<B: SolverBackend> SharedKernel<'_, B> {
     /// side from the packed temperatures, the caller's `powers`
     /// (slot-major, `[slot * shard.batch() + lane]`) and the shared
     /// boundary source, then back-substitutes through the shared
-    /// factors. Bit-identical to [`BatchSolver::step`] over lane
-    /// networks holding the same powers, flows and boundaries.
+    /// factors. Bit-identical to a scalar
+    /// [`TransientSolver`](crate::TransientSolver) step of each lane's
+    /// network holding the same power, flows and boundaries.
     ///
     /// # Errors
     ///
@@ -222,39 +207,54 @@ impl<B: SolverBackend> SharedKernel<'_, B> {
             self.template,
         )
     }
-}
 
-/// Per-lane cached right-hand-side assembly, keyed on the lane
-/// network's invalidation generations (mirrors the source caches of a
-/// scalar `TransientSolver`).
-#[derive(Debug, Clone)]
-struct LaneCache {
-    cond_key: Option<(u64, u64)>,
-    power_key: Option<u64>,
-    s_bound: Vec<f64>,
-    s_power: Vec<f64>,
-    s: Vec<f64>,
-    /// Cached group assignment, valid while the lane's flow generation,
-    /// the step size and the group table's epoch are all unchanged.
-    group: usize,
-    group_flow_gen: u64,
-    group_h_bits: u64,
-    group_epoch: u64,
-}
-
-impl LaneCache {
-    fn new(n: usize) -> Self {
-        Self {
-            cond_key: None,
-            power_key: None,
-            s_bound: vec![0.0; n],
-            s_power: vec![0.0; n],
-            s: vec![0.0; n],
-            group: usize::MAX,
-            group_flow_gen: 0,
-            group_h_bits: 0,
-            group_epoch: 0,
+    /// Advances only `lanes` (distinct lane indices of `shard`) by the
+    /// prepared step — one flow class of a shard whose lanes' flows
+    /// diverged. Their temperatures and `powers` columns are gathered
+    /// into a block of their own, stepped as [`Self::step_shard`] steps
+    /// a shard, and scattered back; every other lane is untouched. Each
+    /// lane's arithmetic is the same as in a whole-shard step.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::step_shard`]; on error `shard` is left as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `powers` does not match the shard's shape or a lane
+    /// is out of range.
+    pub fn step_lanes(
+        &self,
+        shard: &mut PackedLanes,
+        powers: &[f64],
+        lanes: &[usize],
+    ) -> Result<(), ThermalError> {
+        let (n, batch, width) = (shard.n, shard.batch, lanes.len());
+        assert_eq!(powers.len(), n * batch, "power block shape");
+        if lanes.is_empty() {
+            return Ok(());
         }
+        let mut block = PackedLanes {
+            n,
+            batch: width,
+            temps: vec![0.0; n * width],
+            rhs: vec![0.0; n * width],
+            acc: vec![0.0; width],
+        };
+        let mut block_powers = vec![0.0; n * width];
+        for slot in 0..n {
+            for (column, &lane) in lanes.iter().enumerate() {
+                block.temps[slot * width + column] = shard.temps[slot * batch + lane];
+                block_powers[slot * width + column] = powers[slot * batch + lane];
+            }
+        }
+        self.step_shard(&mut block, &block_powers)?;
+        for slot in 0..n {
+            for (column, &lane) in lanes.iter().enumerate() {
+                shard.temps[slot * batch + lane] = block.temps[slot * width + column];
+            }
+        }
+        Ok(())
     }
 }
 
@@ -278,90 +278,68 @@ const MAX_GROUPS: usize = 32;
 /// Steps N identical-topology networks through shared backward-Euler
 /// factorizations with a blocked multi-RHS substitution.
 ///
-/// Build it from any network of the target topology (the *template* —
-/// only its structure is read), then call [`BatchSolver::step`] with
-/// the fleet's lanes each step. Lanes may diverge freely in powers and
-/// boundary temperatures (right-hand side, always per-lane) and even in
-/// flows (the batch splits into per-signature groups, each with its own
-/// shared factorization). While the lanes' flows agree,
-/// [`BatchSolver::prepare_shared`] steps them from packed blocks
-/// instead, through the same factorization cache.
+/// Build it from any network of the target topology (only its structure
+/// and capacitances are read). Each step, set a template network to the
+/// lanes' common flows and boundary temperatures and call
+/// [`BatchSolver::prepare_shared`]; the returned [`SharedKernel`] steps
+/// packed lane blocks from per-lane power injections. Lanes whose flows
+/// differ step one flow class at a time through
+/// [`SharedKernel::step_lanes`], each class through its own cached
+/// factorization.
 ///
 /// # Example
 ///
 /// ```
-/// use leakctl_thermal::{
-///     BatchLane, BatchSolver, Coupling, ThermalNetworkBuilder,
-/// };
-/// use leakctl_units::{Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
+/// use leakctl_thermal::{BatchSolver, Coupling, PackedLanes, ThermalNetworkBuilder};
+/// use leakctl_units::{Celsius, SimDuration, ThermalCapacitance, ThermalConductance};
 ///
 /// # fn main() -> Result<(), leakctl_thermal::ThermalError> {
-/// let build = || {
-///     let mut b = ThermalNetworkBuilder::new();
-///     let die = b.add_node("die", ThermalCapacitance::new(120.0));
-///     let amb = b.add_boundary("ambient", Celsius::new(24.0));
-///     b.connect(die, amb, Coupling::Conductance(ThermalConductance::new(2.0)))
-///         .unwrap();
-///     (b.build().unwrap(), die)
-/// };
-/// let (mut a, die_a) = build();
-/// let (mut b, die_b) = build();
-/// a.set_power(die_a, Watts::new(50.0))?;
-/// b.set_power(die_b, Watts::new(100.0))?;
+/// let mut b = ThermalNetworkBuilder::new();
+/// let die = b.add_node("die", ThermalCapacitance::new(120.0));
+/// let amb = b.add_boundary("ambient", Celsius::new(24.0));
+/// b.connect(die, amb, Coupling::Conductance(ThermalConductance::new(2.0)))?;
+/// let template = b.build()?;
 ///
-/// let mut solver = BatchSolver::new(&a);
-/// let mut state_a = a.uniform_state(Celsius::new(24.0));
-/// let mut state_b = b.uniform_state(Celsius::new(24.0));
+/// // Two lanes of the template's topology, packed slot-major, drawing
+/// // 50 W and 100 W into the die (`powers[slot * lanes + lane]`).
+/// let start = template.uniform_state(Celsius::new(24.0));
+/// let mut lanes = PackedLanes::pack(&[start.clone(), start]);
+/// let powers = [50.0, 100.0];
+///
+/// let mut solver = BatchSolver::new(&template);
 /// for _ in 0..600 {
-///     let mut lanes = [
-///         BatchLane { net: &a, state: &mut state_a },
-///         BatchLane { net: &b, state: &mut state_b },
-///     ];
-///     solver.step(&mut lanes, SimDuration::from_secs(1))?;
+///     let kernel = solver.prepare_shared(&template, SimDuration::from_secs(1))?;
+///     kernel.step_shard(&mut lanes, &powers)?;
 /// }
 /// // Twice the power, twice the rise — through one factorization.
-/// assert!((a.temperature(&state_a, die_a).degrees() - 49.0).abs() < 0.5);
-/// assert!((b.temperature(&state_b, die_b).degrees() - 74.0).abs() < 0.5);
+/// let die_temps = lanes.temperatures();
+/// assert!((die_temps[0] - 49.0).abs() < 0.5);
+/// assert!((die_temps[1] - 74.0).abs() < 0.5);
+/// assert_eq!(solver.group_count(), 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchSolver<B: SolverBackend = AutoBackend> {
-    n: usize,
     structure_hash: u64,
     /// Pristine backend built once from the template: cloned per group
     /// so shared immutable setup (notably the CSR symbolic analysis)
     /// is never recomputed.
     backend_template: B,
     c: Vec<f64>,
-    lanes: Vec<LaneCache>,
     groups: Vec<GroupCache<B>>,
     step_counter: u64,
-    /// Bumped whenever a group slot is recycled; invalidates every
-    /// lane's sticky group index (indices stay stable on append).
+    /// Bumped whenever a group slot is recycled; invalidates the sticky
+    /// group index (indices stay stable on append).
     groups_epoch: u64,
     /// Sticky group of [`Self::prepare_shared`]:
     /// `(group index, groups_epoch, h_bits, template flow generation)`.
     shared_group: Option<(usize, u64, u64, u64)>,
-    /// Flow generation seen per lane at the last
-    /// [`Self::lanes_homogeneous`] check.
-    flow_gens: Vec<u64>,
-    /// `true` while every lane is known to share the reference flow
-    /// signature.
-    homogeneous: bool,
     // ---- reusable workspaces ---------------------------------------
     sig_scratch: Vec<u64>,
     /// Boundary-source workspace: group creation assembles into it, and
     /// [`Self::prepare_shared`] hands its kernel the template's.
     s_bound_scratch: Vec<f64>,
-    rhs_block: Vec<f64>,
-    x_block: Vec<f64>,
-    acc: Vec<f64>,
-    /// Lane indices ordered group-by-group for the current step.
-    order: Vec<usize>,
-    group_counts: Vec<usize>,
-    group_offsets: Vec<usize>,
-    group_cursor: Vec<usize>,
 }
 
 impl BatchSolver<AutoBackend> {
@@ -384,26 +362,15 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
         let mut c = vec![0.0; n];
         template.capacitances_into(&mut c);
         Self {
-            n,
             structure_hash: template.structure_hash(),
             backend_template: B::build(template),
             c,
-            lanes: Vec::new(),
             groups: Vec::new(),
             step_counter: 0,
             groups_epoch: 0,
             shared_group: None,
-            flow_gens: Vec::new(),
-            homogeneous: false,
             sig_scratch: Vec::new(),
             s_bound_scratch: vec![0.0; n],
-            rhs_block: Vec::new(),
-            x_block: Vec::new(),
-            acc: Vec::new(),
-            order: Vec::new(),
-            group_counts: Vec::new(),
-            group_offsets: Vec::new(),
-            group_cursor: Vec::new(),
         }
     }
 
@@ -414,227 +381,13 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
         self.groups.len()
     }
 
-    /// Advances every lane by `dt` with the implicit backward-Euler
-    /// method, sharing one `(C + h·G)` factorization per `(dt, flow)`
-    /// signature and back-substituting each group as a blocked
-    /// multi-RHS solve.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::SingularSystem`] when a factorization
-    /// fails and [`ThermalError::Diverged`] when a lane produced a
-    /// non-finite temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a lane's network is not structurally identical to
-    /// the template (different
-    /// [`structure_hash`](ThermalNetwork::structure_hash)) or a state
-    /// has the wrong dimension.
-    pub fn step(
-        &mut self,
-        lanes: &mut [BatchLane<'_>],
-        dt: SimDuration,
-    ) -> Result<(), ThermalError> {
-        if dt.is_zero() || lanes.is_empty() {
-            return Ok(());
-        }
-        let n = self.n;
-        let h = dt.as_secs_f64();
-        let h_bits = h.to_bits();
-        self.step_counter += 1;
-
-        if self.lanes.len() != lanes.len() {
-            self.lanes.resize_with(lanes.len(), || LaneCache::new(n));
-            self.rhs_block.resize(n * lanes.len(), 0.0);
-            self.x_block.resize(n * lanes.len(), 0.0);
-            self.acc.resize(lanes.len(), 0.0);
-            self.order.resize(lanes.len(), 0);
-        }
-
-        // ---- per-lane refresh + group assignment --------------------
-        for (idx, lane) in lanes.iter().enumerate() {
-            assert_eq!(
-                lane.net.structure_hash(),
-                self.structure_hash,
-                "lane network is not structurally identical to the batch template"
-            );
-            assert_eq!(
-                lane.state.temps.len(),
-                n,
-                "lane state does not match the batch dimension"
-            );
-            let cache = &mut self.lanes[idx];
-            // Source refresh, keyed like the scalar solver's caches.
-            let cond_key = (lane.net.flow_generation(), lane.net.boundary_generation());
-            let mut source_stale = false;
-            if cache.cond_key != Some(cond_key) {
-                lane.net.assemble_boundary_source_into(&mut cache.s_bound);
-                cache.cond_key = Some(cond_key);
-                source_stale = true;
-            }
-            let power_key = lane.net.power_generation();
-            if cache.power_key != Some(power_key) {
-                lane.net.assemble_power_into(&mut cache.s_power);
-                cache.power_key = Some(power_key);
-                source_stale = true;
-            }
-            if source_stale {
-                for i in 0..n {
-                    cache.s[i] = cache.s_power[i] + cache.s_bound[i];
-                }
-            }
-            // Group assignment: sticky while the lane's flows, the
-            // step size and the group table are unchanged, so
-            // constant-flow stretches pay no signature work at all.
-            let flow_gen = lane.net.flow_generation();
-            let assignment_fresh = cache.group != usize::MAX
-                && cache.group_flow_gen == flow_gen
-                && cache.group_h_bits == h_bits
-                && cache.group_epoch == self.groups_epoch
-                && cache.group < self.groups.len();
-            let group = if assignment_fresh {
-                cache.group
-            } else {
-                self.sig_scratch.clear();
-                lane.net.flow_signature_into(&mut self.sig_scratch);
-                let group = match self
-                    .groups
-                    .iter()
-                    .position(|g| g.key.0 == h_bits && g.key.1 == self.sig_scratch)
-                {
-                    Some(found) => found,
-                    None => Self::create_group(
-                        &mut self.groups,
-                        &mut self.groups_epoch,
-                        &self.backend_template,
-                        &self.c,
-                        &mut self.s_bound_scratch,
-                        lane.net,
-                        (h_bits, self.sig_scratch.clone()),
-                        h,
-                        self.step_counter,
-                    )?,
-                };
-                let epoch = self.groups_epoch;
-                let cache = &mut self.lanes[idx];
-                cache.group = group;
-                cache.group_flow_gen = flow_gen;
-                cache.group_h_bits = h_bits;
-                cache.group_epoch = epoch;
-                group
-            };
-            // Mark the group as used *now*, before any later lane runs
-            // `create_group`: the LRU recycler refuses current-step
-            // groups, so an assignment made earlier in this loop can
-            // never be silently repointed at a different flow's
-            // factorization mid-step.
-            self.groups[group].last_used = self.step_counter;
-        }
-
-        // ---- order lanes group-by-group (counting sort) -------------
-        self.group_counts.clear();
-        self.group_counts.resize(self.groups.len(), 0);
-        for cache in &self.lanes[..lanes.len()] {
-            self.group_counts[cache.group] += 1;
-        }
-        self.group_offsets.clear();
-        let mut running = 0;
-        for &count in &self.group_counts {
-            self.group_offsets.push(running);
-            running += count;
-        }
-        self.group_cursor.clear();
-        self.group_cursor.extend_from_slice(&self.group_offsets);
-        for (idx, cache) in self.lanes[..lanes.len()].iter().enumerate() {
-            self.order[self.group_cursor[cache.group]] = idx;
-            self.group_cursor[cache.group] += 1;
-        }
-
-        // ---- per-group blocked solve --------------------------------
-        for (group_idx, (&start, &count)) in self
-            .group_offsets
-            .iter()
-            .zip(&self.group_counts)
-            .enumerate()
-        {
-            if count == 0 {
-                continue;
-            }
-            let members = &self.order[start..start + count];
-            let batch = count;
-            let rhs = &mut self.rhs_block[..n * batch];
-            for (b, &lane_idx) in members.iter().enumerate() {
-                let temps = &lanes[lane_idx].state.temps;
-                let s = &self.lanes[lane_idx].s;
-                for i in 0..n {
-                    rhs[i * batch + b] = self.c[i] * temps[i] + h * s[i];
-                }
-            }
-            let group = &mut self.groups[group_idx];
-            group.last_used = self.step_counter;
-            let x = &mut self.x_block[..n * batch];
-            group
-                .backend
-                .solve_be_block_into(rhs, x, batch, &mut self.acc[..batch])?;
-            for (b, &lane_idx) in members.iter().enumerate() {
-                let temps = &mut lanes[lane_idx].state.temps;
-                for i in 0..n {
-                    temps[i] = x[i * batch + b];
-                }
-                if let Some(bad) = temps.iter().position(|t| !t.is_finite()) {
-                    return Err(ThermalError::Diverged {
-                        name: lanes[lane_idx].net.slot_name(bad).to_owned(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// `true` when the first `count` lane networks all carry the same
-    /// flow values — the precondition of [`Self::prepare_shared`]. A
-    /// network with no flow channels has an empty signature: trivially
-    /// homogeneous. The check is change-driven: it re-compares
-    /// signatures only after some lane's flow generation moved.
-    pub fn lanes_homogeneous<'n, F>(&mut self, net_of: F, count: usize) -> bool
-    where
-        F: Fn(usize) -> &'n ThermalNetwork,
-    {
-        if self.flow_gens.len() != count {
-            self.flow_gens.clear();
-            self.flow_gens.resize(count, 0);
-            self.homogeneous = false;
-        }
-        let mut moved = false;
-        for (lane, gen) in self.flow_gens.iter_mut().enumerate() {
-            let g = net_of(lane).flow_generation();
-            if *gen != g {
-                *gen = g;
-                moved = true;
-            }
-        }
-        if moved || !self.homogeneous {
-            self.sig_scratch.clear();
-            net_of(0).flow_signature_into(&mut self.sig_scratch);
-            let reference_len = self.sig_scratch.len();
-            for lane in 1..count {
-                net_of(lane).flow_signature_into(&mut self.sig_scratch);
-            }
-            let (reference, rest) = self.sig_scratch.split_at(reference_len);
-            self.homogeneous =
-                reference_len == 0 || rest.chunks(reference_len).all(|sig| sig == reference);
-        }
-        self.homogeneous
-    }
-
     /// Serial phase of a step for lanes that all hold `template`'s
     /// flows and boundary temperatures (the caller guarantees it, for
     /// instance servers sharing one inlet and one delivered fan flow):
     /// resolves the shared factorization from `template` and assembles
     /// the one boundary source every lane shares. No lane network is
     /// read. The returned [`SharedKernel`] then steps each shard's
-    /// [`PackedLanes`] block.
+    /// [`PackedLanes`] block, or one flow class's lanes of it.
     ///
     /// # Errors
     ///
@@ -703,17 +456,10 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
                     .position(|g| g.key.0 == h_bits && g.key.1 == self.sig_scratch);
                 let idx = match found {
                     Some(idx) => idx,
-                    None => Self::create_group(
-                        &mut self.groups,
-                        &mut self.groups_epoch,
-                        &self.backend_template,
-                        &self.c,
-                        &mut self.s_bound_scratch,
-                        representative,
-                        (h_bits, self.sig_scratch.clone()),
-                        h,
-                        self.step_counter,
-                    )?,
+                    None => {
+                        let key = (h_bits, self.sig_scratch.clone());
+                        self.create_group(representative, key, h)?
+                    }
                 };
                 self.shared_group = Some((
                     idx,
@@ -728,60 +474,43 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
         Ok(group_idx)
     }
 
-    /// Creates (or recycles, past [`MAX_GROUPS`]) a group: clones the
-    /// prebuilt backend template (keeping e.g. the CSR symbolic
-    /// analysis instead of recomputing it), assembles `G` from the
-    /// representative network and factors `(C + h·G)`. Returns the
-    /// group index; a failed factorization is not cached (the next
-    /// attempt retries).
-    ///
-    /// Only groups *not* used in the current step are eligible for
-    /// recycling — a group some lane was already assigned to this step
-    /// must keep its factorization until the step's solves are done.
-    /// When every cached group is current (more distinct signatures
-    /// than [`MAX_GROUPS`] in one step), the table grows past the cap
-    /// instead.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates a group — recycling the least recently used one once
+    /// [`MAX_GROUPS`] are live: clones the prebuilt backend template
+    /// (keeping e.g. the CSR symbolic analysis instead of recomputing
+    /// it), assembles `G` from the representative network and factors
+    /// `(C + h·G)`. Returns the group index; a failed factorization is
+    /// not cached (the next attempt retries). Every earlier kernel has
+    /// finished with its group by now (a kernel borrows the solver), so
+    /// any group may be recycled.
     fn create_group(
-        groups: &mut Vec<GroupCache<B>>,
-        groups_epoch: &mut u64,
-        backend_template: &B,
-        c: &[f64],
-        s_bound_scratch: &mut [f64],
+        &mut self,
         net: &ThermalNetwork,
         key: (u64, Vec<u64>),
         h: f64,
-        step_counter: u64,
     ) -> Result<usize, ThermalError> {
-        let mut backend = backend_template.clone();
-        backend.assemble_conductance(net, s_bound_scratch);
-        backend.factor_be(c, h)?;
+        let mut backend = self.backend_template.clone();
+        backend.assemble_conductance(net, &mut self.s_bound_scratch);
+        backend.factor_be(&self.c, h)?;
         let entry = GroupCache {
             key,
             backend,
-            last_used: step_counter,
+            last_used: self.step_counter,
         };
-        let recyclable = if groups.len() >= MAX_GROUPS {
-            groups
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| g.last_used != step_counter)
-                .min_by_key(|(_, g)| g.last_used)
-                .map(|(i, _)| i)
-        } else {
-            None
-        };
-        let slot = if let Some(lru) = recyclable {
-            // Recycling changes what an index means: invalidate every
-            // lane's sticky assignment.
-            *groups_epoch += 1;
-            groups[lru] = entry;
-            lru
-        } else {
-            groups.push(entry);
-            groups.len() - 1
-        };
-        Ok(slot)
+        if self.groups.len() < MAX_GROUPS {
+            self.groups.push(entry);
+            return Ok(self.groups.len() - 1);
+        }
+        let lru = self
+            .groups
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, g)| g.last_used)
+            .map_or(0, |(i, _)| i);
+        // Recycling changes what an index means: invalidate the sticky
+        // assignment.
+        self.groups_epoch += 1;
+        self.groups[lru] = entry;
+        Ok(lru)
     }
 }
 
@@ -822,138 +551,6 @@ pub(crate) mod tests {
         (net, die, amb, ch)
     }
 
-    #[test]
-    fn batched_lanes_bit_identical_to_scalar_solvers() {
-        let count = 5;
-        let mut nets = Vec::new();
-        let mut dies = Vec::new();
-        let mut channels = Vec::new();
-        for i in 0..count {
-            let (mut net, die, _, ch) = build_instance();
-            net.set_power(die, Watts::new(40.0 + 15.0 * i as f64))
-                .unwrap();
-            nets.push(net);
-            dies.push(die);
-            channels.push(ch);
-        }
-        let mut batch = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-        let mut batch_states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let mut scalar_solvers: Vec<_> = nets
-            .iter()
-            .map(TransientSolver::<DenseBackend>::with_backend)
-            .collect();
-        let mut scalar_states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let dt = SimDuration::from_secs(1);
-        for step in 0..200 {
-            // Mid-run divergence: one lane changes flow (splitting the
-            // group), another changes power (RHS only).
-            if step == 60 {
-                nets[1]
-                    .set_flow(channels[1], AirFlow::from_cfm(420.0))
-                    .unwrap();
-            }
-            if step == 120 {
-                nets[3].set_power(dies[3], Watts::new(140.0)).unwrap();
-            }
-            let mut lanes: Vec<BatchLane<'_>> = nets
-                .iter()
-                .zip(batch_states.iter_mut())
-                .map(|(net, state)| BatchLane { net, state })
-                .collect();
-            batch.step(&mut lanes, dt).unwrap();
-            for ((solver, net), state) in scalar_solvers
-                .iter_mut()
-                .zip(&nets)
-                .zip(scalar_states.iter_mut())
-            {
-                solver.step(net, state, dt).unwrap();
-            }
-        }
-        assert_eq!(batch.group_count(), 2, "flow divergence splits groups");
-        for (lane, (bs, ss)) in batch_states.iter().zip(&scalar_states).enumerate() {
-            for (i, (a, b)) in bs.temps.iter().zip(&ss.temps).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "lane {lane} slot {i}: batch {a} vs scalar {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn per_lane_boundaries_stay_independent() {
-        let (net_a, _, amb_a, _) = build_instance();
-        let (mut net_b, _, _, _) = build_instance();
-        let mut net_a = net_a;
-        net_a.set_boundary(amb_a, Celsius::new(40.0)).unwrap();
-        let _ = &mut net_b;
-        let mut solver = BatchSolver::new(&net_a);
-        let mut sa = net_a.uniform_state(Celsius::new(24.0));
-        let mut sb = net_b.uniform_state(Celsius::new(24.0));
-        for _ in 0..1800 {
-            let mut lanes = [
-                BatchLane {
-                    net: &net_a,
-                    state: &mut sa,
-                },
-                BatchLane {
-                    net: &net_b,
-                    state: &mut sb,
-                },
-            ];
-            solver.step(&mut lanes, SimDuration::from_secs(1)).unwrap();
-        }
-        // Same flows — one shared factorization — but the hot-inlet
-        // lane settles 16 K above the cool one.
-        assert_eq!(solver.group_count(), 1);
-        assert!(sa.temps[0] - sb.temps[0] > 15.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "structurally identical")]
-    fn foreign_topology_rejected() {
-        let (net, _, _, _) = build_instance();
-        let mut b = ThermalNetworkBuilder::new();
-        let n0 = b.add_node("other", ThermalCapacitance::new(5.0));
-        let amb = b.add_boundary("amb", Celsius::new(24.0));
-        b.connect(n0, amb, Coupling::Conductance(ThermalConductance::new(1.0)))
-            .unwrap();
-        let other = b.build().unwrap();
-        let mut solver = BatchSolver::new(&net);
-        let mut state = other.uniform_state(Celsius::new(24.0));
-        let mut lanes = [BatchLane {
-            net: &other,
-            state: &mut state,
-        }];
-        let _ = solver.step(&mut lanes, SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn zero_dt_and_empty_batch_are_noops() {
-        let (net, _, _, _) = build_instance();
-        let mut solver = BatchSolver::new(&net);
-        let mut state = net.uniform_state(Celsius::new(24.0));
-        solver
-            .step(
-                &mut [BatchLane {
-                    net: &net,
-                    state: &mut state,
-                }],
-                SimDuration::ZERO,
-            )
-            .unwrap();
-        assert_eq!(state.temps[0], 24.0);
-        solver.step(&mut [], SimDuration::from_secs(1)).unwrap();
-        assert_eq!(solver.group_count(), 0);
-    }
-
     /// The lanes' power injections as one slot-major block
     /// (`[slot * lanes + lane]`), the layout [`SharedKernel`] reads.
     pub(crate) fn power_block(nets: &[ThermalNetwork]) -> Vec<f64> {
@@ -969,8 +566,169 @@ pub(crate) mod tests {
         block
     }
 
+    /// Steps every lane of `packed` (lane `i` holds `nets[i]`'s
+    /// temperatures) once, one flow class at a time: a class is the
+    /// lanes whose networks carry bit-equal flows, its first network is
+    /// the template, and only its lanes step.
+    pub(crate) fn step_by_flow_class<B: SolverBackend + Clone>(
+        solver: &mut BatchSolver<B>,
+        nets: &[ThermalNetwork],
+        packed: &mut PackedLanes,
+        dt: SimDuration,
+    ) {
+        let powers = power_block(nets);
+        let mut classes: Vec<(Vec<u64>, Vec<usize>)> = Vec::new();
+        for (lane, net) in nets.iter().enumerate() {
+            let mut signature = Vec::new();
+            net.flow_signature_into(&mut signature);
+            match classes.iter_mut().find(|(s, _)| *s == signature) {
+                Some((_, members)) => members.push(lane),
+                None => classes.push((signature, vec![lane])),
+            }
+        }
+        for (_, members) in &classes {
+            let kernel = solver.prepare_shared(&nets[members[0]], dt).unwrap();
+            kernel.step_lanes(packed, &powers, members).unwrap();
+        }
+    }
+
+    /// Each network stepped alone through its own scalar solver: the
+    /// reference every batched path must match bit for bit.
+    pub(crate) struct Scalar {
+        solvers: Vec<TransientSolver<DenseBackend>>,
+        pub(crate) states: Vec<ThermalState>,
+    }
+
+    impl Scalar {
+        pub(crate) fn new(nets: &[ThermalNetwork], start: Celsius) -> Self {
+            Self {
+                solvers: nets.iter().map(TransientSolver::with_backend).collect(),
+                states: nets.iter().map(|n| n.uniform_state(start)).collect(),
+            }
+        }
+
+        pub(crate) fn step(&mut self, nets: &[ThermalNetwork], dt: SimDuration) {
+            for ((solver, net), state) in self.solvers.iter_mut().zip(nets).zip(&mut self.states) {
+                solver.step(net, state, dt).unwrap();
+            }
+        }
+
+        /// Asserts `packed`'s lanes equal the reference states bit for
+        /// bit.
+        pub(crate) fn assert_matches(&self, packed: &PackedLanes, what: &str) {
+            let lanes = packed.batch();
+            assert_eq!(lanes, self.states.len(), "{what}: lane count");
+            for (lane, want) in self.states.iter().enumerate() {
+                for (slot, t) in want.temperatures().iter().enumerate() {
+                    let got = packed.temperatures()[slot * lanes + lane];
+                    assert_eq!(
+                        got.to_bits(),
+                        t.to_bits(),
+                        "{what}: lane {lane} slot {slot}: batch {got} vs scalar {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_lanes_bit_identical_to_scalar_solvers() {
+        let count = 5;
+        let mut nets = Vec::new();
+        let mut dies = Vec::new();
+        let mut channels = Vec::new();
+        for i in 0..count {
+            let (mut net, die, _, ch) = build_instance();
+            net.set_power(die, Watts::new(40.0 + 15.0 * i as f64))
+                .unwrap();
+            nets.push(net);
+            dies.push(die);
+            channels.push(ch);
+        }
+        let mut batch = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
+        let mut scalar = Scalar::new(&nets, Celsius::new(24.0));
+        let mut packed = PackedLanes::pack(&scalar.states);
+        let dt = SimDuration::from_secs(1);
+        for step in 0..200 {
+            // Mid-run divergence: one lane changes flow (a second flow
+            // class), another changes power (right-hand side only).
+            if step == 60 {
+                nets[1]
+                    .set_flow(channels[1], AirFlow::from_cfm(420.0))
+                    .unwrap();
+            }
+            if step == 120 {
+                nets[3].set_power(dies[3], Watts::new(140.0)).unwrap();
+            }
+            step_by_flow_class(&mut batch, &nets, &mut packed, dt);
+            scalar.step(&nets, dt);
+        }
+        assert_eq!(batch.group_count(), 2, "one factorization per flow class");
+        scalar.assert_matches(&packed, "two flow classes");
+    }
+
+    #[test]
+    fn per_lane_boundaries_stay_independent() {
+        // Same flows, different inlets: each inlet is its own prepare
+        // (its own boundary source) over one shared factorization.
+        let (mut hot, _, amb, _) = build_instance();
+        hot.set_boundary(amb, Celsius::new(40.0)).unwrap();
+        let (cool, _, _, _) = build_instance();
+        let mut solver = BatchSolver::new(&hot);
+        let start = hot.uniform_state(Celsius::new(24.0));
+        let mut packed = PackedLanes::pack(&[start.clone(), start]);
+        let powers = power_block(&[hot.clone(), cool.clone()]);
+        for _ in 0..1800 {
+            for (lane, template) in [&hot, &cool].into_iter().enumerate() {
+                let kernel = solver
+                    .prepare_shared(template, SimDuration::from_secs(1))
+                    .unwrap();
+                kernel.step_lanes(&mut packed, &powers, &[lane]).unwrap();
+            }
+        }
+        // The hot-inlet lane settles 16 K above the cool one.
+        assert_eq!(solver.group_count(), 1);
+        let die = packed.temperatures();
+        assert!(die[0] - die[1] > 15.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "structurally identical")]
+    fn foreign_topology_rejected() {
+        let (net, _, _, _) = build_instance();
+        let mut b = ThermalNetworkBuilder::new();
+        let n0 = b.add_node("other", ThermalCapacitance::new(5.0));
+        let amb = b.add_boundary("amb", Celsius::new(24.0));
+        b.connect(n0, amb, Coupling::Conductance(ThermalConductance::new(1.0)))
+            .unwrap();
+        let other = b.build().unwrap();
+        let mut solver = BatchSolver::new(&net);
+        let _ = solver.prepare_shared(&other, SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn zero_dt_and_empty_batch_are_noops() {
+        let (mut net, die, _, _) = build_instance();
+        net.set_power(die, Watts::new(80.0)).unwrap();
+        let mut solver = BatchSolver::new(&net);
+        assert_eq!(solver.group_count(), 0, "nothing factored before a step");
+        let mut packed = PackedLanes::pack(&[net.uniform_state(Celsius::new(30.0))]);
+        let powers = power_block(std::slice::from_ref(&net));
+        let before = packed.temperatures().to_vec();
+        let kernel = solver.prepare_shared(&net, SimDuration::ZERO).unwrap();
+        // No lanes: nothing moves, bit for bit.
+        kernel.step_lanes(&mut packed, &powers, &[]).unwrap();
+        assert_eq!(packed.temperatures(), &before[..]);
+        // No time: `C·x = C·T` gives the start temperatures back.
+        kernel.step_shard(&mut packed, &powers).unwrap();
+        for (got, want) in packed.temperatures().iter().zip(&before) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
+    }
+
     #[test]
     fn packed_path_bit_identical_to_lane_api() {
+        // The whole-shard kernel against per-lane scalar solvers.
         let count = 6;
         let mut nets = Vec::new();
         let mut dies = Vec::new();
@@ -981,13 +739,9 @@ pub(crate) mod tests {
             nets.push(net);
             dies.push(die);
         }
-        let mut lane_solver = BatchSolver::new(&nets[0]);
-        let mut lane_states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
+        let mut scalar = Scalar::new(&nets, Celsius::new(24.0));
         let mut packed_solver = BatchSolver::new(&nets[0]);
-        let mut packed = PackedLanes::pack(&lane_states);
+        let mut packed = PackedLanes::pack(&scalar.states);
         assert_eq!(packed.batch(), count);
         let dt = SimDuration::from_secs(1);
         for step in 0..150 {
@@ -995,32 +749,17 @@ pub(crate) mod tests {
                 // Power changes flow through both paths identically.
                 nets[2].set_power(dies[2], Watts::new(120.0)).unwrap();
             }
-            let mut lanes: Vec<BatchLane<'_>> = nets
-                .iter()
-                .zip(lane_states.iter_mut())
-                .map(|(net, state)| BatchLane { net, state })
-                .collect();
-            lane_solver.step(&mut lanes, dt).unwrap();
-            assert!(packed_solver.lanes_homogeneous(|i| &nets[i], count));
+            scalar.step(&nets, dt);
             let powers = power_block(&nets);
             let kernel = packed_solver.prepare_shared(&nets[0], dt).unwrap();
             kernel.step_shard(&mut packed, &powers).unwrap();
         }
         assert_eq!(packed_solver.group_count(), 1);
+        scalar.assert_matches(&packed, "one flow class");
         let mut unpacked = nets[0].uniform_state(Celsius::new(0.0));
-        for (lane, want) in lane_states.iter().enumerate() {
+        for (lane, want) in scalar.states.iter().enumerate() {
             packed.unpack_lane_into(lane, &mut unpacked);
-            for (i, (x, y)) in unpacked.temps.iter().zip(&want.temps).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "lane {lane} slot {i}: packed {x} vs lane-api {y}"
-                );
-                assert_eq!(
-                    packed.temperatures()[i * count + lane].to_bits(),
-                    x.to_bits()
-                );
-            }
+            assert_eq!(&unpacked, want, "lane {lane} unpacks");
         }
         assert!(packed.max_temperature() > 24.0);
     }
@@ -1028,8 +767,7 @@ pub(crate) mod tests {
     #[test]
     fn packed_path_handles_channel_free_networks() {
         // Pure-conduction topology: no flow channels, empty flow
-        // signature — trivially homogeneous, must step rather than
-        // panic.
+        // signature — one class, must step rather than panic.
         let build = || {
             let mut b = ThermalNetworkBuilder::new();
             let die = b.add_node("die", ThermalCapacitance::new(100.0));
@@ -1052,7 +790,6 @@ pub(crate) mod tests {
         let mut packed = PackedLanes::pack(&states);
         let mut solver = BatchSolver::new(&a);
         let nets = vec![a, b];
-        assert!(solver.lanes_homogeneous(|i| &nets[i], nets.len()));
         let powers = power_block(&nets);
         for _ in 0..600 {
             let kernel = solver
@@ -1065,24 +802,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn packed_path_rejects_diverged_flows() {
-        let (net_a, _, _, _) = build_instance();
-        let (mut net_b, _, _, ch_b) = build_instance();
-        net_b.set_flow(ch_b, AirFlow::from_cfm(500.0)).unwrap();
-        let mut solver = BatchSolver::new(&net_a);
-        let nets = [net_a, net_b];
-        assert!(!solver.lanes_homogeneous(|i| &nets[i], 2));
-        // One lane on its own agrees with itself.
-        assert!(solver.lanes_homogeneous(|i| &nets[i], 1));
-    }
-
-    #[test]
     fn more_groups_than_cache_cap_in_one_step_stays_correct() {
-        // Every lane gets a distinct flow ⇒ more groups than
-        // MAX_GROUPS must coexist within one step. The LRU recycler
-        // must not evict a group some earlier lane of the same step is
-        // already assigned to — each lane stays bit-identical to its
-        // scalar solver.
+        // Every lane gets a distinct flow ⇒ more flow classes than
+        // MAX_GROUPS in every step. Classes prepare and solve one at a
+        // time, so the LRU cache stays capped while every lane stays
+        // bit-identical to its scalar solver.
         let count = MAX_GROUPS + 2;
         let mut nets = Vec::new();
         for i in 0..count {
@@ -1093,37 +817,15 @@ pub(crate) mod tests {
             nets.push(net);
         }
         let mut batch = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-        let mut batch_states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let mut scalar: Vec<_> = nets
-            .iter()
-            .map(|n| {
-                (
-                    TransientSolver::<DenseBackend>::with_backend(n),
-                    n.uniform_state(Celsius::new(24.0)),
-                )
-            })
-            .collect();
+        let mut scalar = Scalar::new(&nets, Celsius::new(24.0));
+        let mut packed = PackedLanes::pack(&scalar.states);
         let dt = SimDuration::from_secs(1);
         for _ in 0..5 {
-            let mut lanes: Vec<BatchLane<'_>> = nets
-                .iter()
-                .zip(batch_states.iter_mut())
-                .map(|(net, state)| BatchLane { net, state })
-                .collect();
-            batch.step(&mut lanes, dt).unwrap();
-            for (net, (solver, state)) in nets.iter().zip(scalar.iter_mut()) {
-                solver.step(net, state, dt).unwrap();
-            }
+            step_by_flow_class(&mut batch, &nets, &mut packed, dt);
+            scalar.step(&nets, dt);
         }
-        assert!(batch.group_count() >= count, "no current-step eviction");
-        for (lane, (bs, (_, ss))) in batch_states.iter().zip(&scalar).enumerate() {
-            for (i, (a, b)) in bs.temps.iter().zip(&ss.temps).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "lane {lane} slot {i}");
-            }
-        }
+        assert_eq!(batch.group_count(), MAX_GROUPS, "the cache stays capped");
+        scalar.assert_matches(&packed, "one class per lane");
     }
 
     #[test]
@@ -1131,18 +833,19 @@ pub(crate) mod tests {
         let (mut net, die, _, ch) = build_instance();
         net.set_power(die, Watts::new(60.0)).unwrap();
         let mut solver = BatchSolver::new(&net);
-        let mut state = net.uniform_state(Celsius::new(24.0));
+        let mut scalar = Scalar::new(std::slice::from_ref(&net), Celsius::new(24.0));
+        let mut packed = PackedLanes::pack(&scalar.states);
+        let dt = SimDuration::from_secs(1);
         // A long slew: every step a fresh flow signature.
         for step in 0..(MAX_GROUPS + 20) {
             net.set_flow(ch, AirFlow::from_cfm(100.0 + step as f64))
                 .unwrap();
-            let mut lanes = [BatchLane {
-                net: &net,
-                state: &mut state,
-            }];
-            solver.step(&mut lanes, SimDuration::from_secs(1)).unwrap();
+            let powers = power_block(std::slice::from_ref(&net));
+            let kernel = solver.prepare_shared(&net, dt).unwrap();
+            kernel.step_shard(&mut packed, &powers).unwrap();
+            scalar.step(std::slice::from_ref(&net), dt);
         }
         assert!(solver.group_count() <= MAX_GROUPS);
-        assert!(state.is_finite());
+        scalar.assert_matches(&packed, "after recycling");
     }
 }

@@ -21,6 +21,15 @@
 //! of `(C + h·G)` across steps. Steady states solve directly through the
 //! bundled dense [`linalg`] module.
 //!
+//! A fleet of identical-topology servers steps through one
+//! [`BatchSolver`] instead: it shares each `(dt, flow)` factorization
+//! across every lane and hands out a [`SharedKernel`] that advances
+//! slot-major [`PackedLanes`] blocks (split across threads as
+//! [`ShardedLanes`]) from per-lane power injections. Lanes whose fan
+//! flows differ step one flow class at a time through the same kernel
+//! type, and every lane stays bit-identical to its own
+//! [`TransientSolver`].
+//!
 //! # Example
 //!
 //! ```
@@ -67,7 +76,7 @@ pub mod sparse;
 mod stepper;
 
 pub use backend::{AutoBackend, CsrBackend, DenseBackend, SolverBackend, CSR_NODE_THRESHOLD};
-pub use batch::{BatchLane, BatchSolver, PackedLanes, SharedKernel};
+pub use batch::{BatchSolver, PackedLanes, SharedKernel};
 pub use convection::ConvectionModel;
 pub use error::ThermalError;
 pub use network::{

@@ -242,8 +242,8 @@ pub fn group_by_structure_hash(hashes: impl Iterator<Item = u64>) -> Vec<Vec<usi
 mod tests {
     use super::*;
     use crate::backend::DenseBackend;
-    use crate::batch::tests::power_block;
-    use crate::batch::{BatchLane, BatchSolver};
+    use crate::batch::tests::{power_block, Scalar};
+    use crate::batch::BatchSolver;
     use crate::network::{Coupling, ThermalNetwork, ThermalNetworkBuilder};
     use leakctl_units::{
         AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts,
@@ -348,16 +348,11 @@ mod tests {
             .collect();
         let dt = SimDuration::from_secs(1);
 
-        let mut reference = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-        let mut want = states.clone();
+        let mut reference = Scalar::new(&nets, Celsius::new(24.0));
         for _ in 0..100 {
-            let mut lanes: Vec<BatchLane<'_>> = nets
-                .iter()
-                .zip(want.iter_mut())
-                .map(|(net, state)| BatchLane { net, state })
-                .collect();
-            reference.step(&mut lanes, dt).unwrap();
+            reference.step(&nets, dt);
         }
+        let want = &reference.states;
 
         for threads in [1usize, 2, 8] {
             for min_width in [1usize, 3, 16] {
@@ -368,7 +363,7 @@ mod tests {
                 for _ in 0..100 {
                     step_sharded(&mut solver, &nets, &mut lanes);
                 }
-                for (lane, (a, b)) in unpack_all(&nets, &lanes).iter().zip(&want).enumerate() {
+                for (lane, (a, b)) in unpack_all(&nets, &lanes).iter().zip(want).enumerate() {
                     for (i, (x, y)) in a.temperatures().iter().zip(b.temperatures()).enumerate() {
                         assert_eq!(
                             x.to_bits(),
@@ -415,27 +410,49 @@ mod tests {
     }
 
     #[test]
-    fn mixed_flows_rejected_then_recoverable() {
+    fn mixed_flows_solve_per_class_then_recover() {
         let mut nets = fleet(6, 1);
         let states: Vec<_> = nets
             .iter()
             .map(|n| n.uniform_state(Celsius::new(24.0)))
             .collect();
+        let dt = SimDuration::from_secs(1);
         let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
         let mut solver = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
         let mut lanes = ShardedLanes::pack(&states, &plan);
-        assert!(solver.lanes_homogeneous(|i| &nets[i], nets.len()));
-        step_sharded(&mut solver, &nets, &mut lanes);
-        // Diverge one lane's flow: the shared-factorization contract
-        // breaks.
+        let mut reference = Scalar::new(&nets, Celsius::new(24.0));
         let ch = crate::FlowChannelId(0);
-        nets[3].set_flow(ch, AirFlow::from_cfm(500.0)).unwrap();
-        assert!(!solver.lanes_homogeneous(|i| &nets[i], nets.len()));
-        // Re-converge: the change-driven recheck sees it and stepping
-        // resumes.
-        nets[3].set_flow(ch, AirFlow::from_cfm(250.0)).unwrap();
-        assert!(solver.lanes_homogeneous(|i| &nets[i], nets.len()));
-        step_sharded(&mut solver, &nets, &mut lanes);
+        for step in 0..90 {
+            // Lane 3 (in the second shard) runs its own flow for a
+            // while, then rejoins the others.
+            if step == 30 {
+                nets[3].set_flow(ch, AirFlow::from_cfm(500.0)).unwrap();
+            }
+            if step == 60 {
+                nets[3].set_flow(ch, AirFlow::from_cfm(250.0)).unwrap();
+            }
+            if (30..60).contains(&step) {
+                // Two flow classes: each prepares from one of its own
+                // lanes and steps only its lanes of each shard.
+                for (template, class) in [(0, vec![0, 1, 2, 4, 5]), (3, vec![3])] {
+                    let kernel = solver.prepare_shared(&nets[template], dt).unwrap();
+                    for (range, shard) in lanes.shards_mut() {
+                        let members: Vec<usize> = class
+                            .iter()
+                            .filter(|lane| range.contains(lane))
+                            .map(|lane| lane - range.start)
+                            .collect();
+                        let powers = power_block(&nets[range]);
+                        kernel.step_lanes(shard, &powers, &members).unwrap();
+                    }
+                }
+            } else {
+                step_sharded(&mut solver, &nets, &mut lanes);
+            }
+            reference.step(&nets, dt);
+        }
+        assert_eq!(solver.group_count(), 2);
+        assert_eq!(unpack_all(&nets, &lanes), reference.states);
         assert!(lanes.max_temperature() > 24.0);
     }
 

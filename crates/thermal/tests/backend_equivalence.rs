@@ -1,17 +1,17 @@
 //! Equivalence properties for the solver backends and the batch
 //! engine: whatever path steps the network — dense per-server, CSR
-//! sparse, per-lane batched, or the shared kernel over packed or
-//! thread-sharded lanes —
-//! the trajectory must match the dense
+//! sparse, or the shared kernel over packed or thread-sharded lanes,
+//! whole or one flow class at a time — the trajectory must match the
+//! dense
 //! per-server reference to ≤ 1e-12 relative, or 1e-9 on random room
 //! air networks (and the sharded paths must be *bit-identical* across
 //! thread and shard counts), across randomized topologies, batch sizes
 //! and mid-run input changes.
 
 use leakctl_thermal::{
-    BatchLane, BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, PackedLanes,
-    RoomAirModel, RoomAirSpec, ShardPlan, ShardedLanes, ThermalError, ThermalNetwork,
-    ThermalNetworkBuilder, ThermalState,
+    BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, PackedLanes, RoomAirModel,
+    RoomAirSpec, ShardPlan, ShardedLanes, ThermalError, ThermalNetwork, ThermalNetworkBuilder,
+    ThermalState,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
@@ -160,12 +160,11 @@ proptest! {
         assert_close(sc.temperatures(), sd.temperatures(), "csr");
     }
 
-    /// Batched stepping — per-lane lanes, and the shared kernel over
-    /// packed lanes while their flows agree — must track independent
-    /// dense per-server solvers to ≤ 1e-12 across batch sizes and
-    /// mid-run per-lane flow/power divergence.
-    /// (The per-lane path additionally guarantees bit-identity; this
-    /// property pins the public ≤ 1e-12 contract.)
+    /// Batched stepping — the shared kernel over packed lanes, whole
+    /// while their flows agree and one flow class at a time once they
+    /// diverge — must track independent dense per-server solvers to
+    /// ≤ 1e-12 across batch sizes and mid-run per-lane flow/power
+    /// divergence.
     #[test]
     fn batched_tracks_dense_per_server(
         batch in 1usize..5,
@@ -200,16 +199,12 @@ proptest! {
                 )
             })
             .collect();
-        // Per-lane batch path.
-        let mut batch_solver = BatchSolver::new(&rigs[0].net);
-        let mut batch_states: Vec<_> = rigs
-            .iter()
-            .map(|r| r.net.uniform_state(Celsius::new(ambient)))
-            .collect();
-        // The shared kernel runs while the lanes' flows agree.
-        let mut packed_solver = BatchSolver::new(&rigs[0].net);
-        let mut packed = PackedLanes::pack(&batch_states);
-        let mut packed_live = true;
+        let mut solver = BatchSolver::new(&rigs[0].net);
+        let mut packed = PackedLanes::pack(
+            &reference.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
+        );
+        // Each lane's flow, to partition the lanes into flow classes.
+        let mut flows = vec![cfm; batch];
 
         for step in 0..50 {
             if step == power_change_at {
@@ -217,50 +212,40 @@ proptest! {
                 rig.net.set_power(rig.dies[0], Watts::new(200.0)).unwrap();
             }
             if step == flow_change_at && batch > 1 {
-                // Split the batch into two flow groups mid-run; the
-                // lanes stop agreeing exactly then.
+                // Split the batch into two flow classes mid-run.
                 let rig = &mut rigs[1];
-                rig.net.set_flow(rig.channel, AirFlow::from_cfm(cfm * 2.1)).unwrap();
+                flows[1] = cfm * 2.1;
+                rig.net.set_flow(rig.channel, AirFlow::from_cfm(flows[1])).unwrap();
             }
             for (rig, (solver, state)) in rigs.iter().zip(reference.iter_mut()) {
                 solver.step(&rig.net, state, dt).unwrap();
             }
-            let mut lanes: Vec<BatchLane<'_>> = rigs
-                .iter()
-                .zip(batch_states.iter_mut())
-                .map(|(rig, state)| BatchLane { net: &rig.net, state })
-                .collect();
-            batch_solver.step(&mut lanes, dt).unwrap();
-            if packed_live {
-                if packed_solver.lanes_homogeneous(|i| &rigs[i].net, batch) {
-                    let powers = power_block(&rigs);
-                    let kernel = packed_solver.prepare_shared(&rigs[0].net, dt).unwrap();
-                    kernel.step_shard(&mut packed, &powers).unwrap();
-                } else {
-                    assert!(step == flow_change_at && batch > 1, "only on divergence");
-                    packed_live = false;
+            let powers = power_block(&rigs);
+            let mut done = vec![false; batch];
+            for first in 0..batch {
+                if done[first] {
+                    continue;
                 }
+                let class: Vec<usize> = (first..batch)
+                    .filter(|&lane| flows[lane].to_bits() == flows[first].to_bits())
+                    .collect();
+                for &lane in &class {
+                    done[lane] = true;
+                }
+                let kernel = solver.prepare_shared(&rigs[first].net, dt).unwrap();
+                kernel.step_lanes(&mut packed, &powers, &class).unwrap();
             }
         }
-        for (lane, ((_, ref_state), batch_state)) in
-            reference.iter().zip(&batch_states).enumerate()
-        {
+        let classes = if batch > 1 { 2 } else { 1 };
+        prop_assert_eq!(solver.group_count(), classes);
+        let mut state = rigs[0].net.uniform_state(Celsius::new(0.0));
+        for (lane, (_, ref_state)) in reference.iter().enumerate() {
+            packed.unpack_lane_into(lane, &mut state);
             assert_close(
-                batch_state.temperatures(),
+                state.temperatures(),
                 ref_state.temperatures(),
-                &format!("lane {lane} (per-lane batch)"),
+                &format!("lane {lane} (packed batch)"),
             );
-        }
-        if packed_live {
-            let mut state = rigs[0].net.uniform_state(Celsius::new(0.0));
-            for (lane, (_, ref_state)) in reference.iter().enumerate() {
-                packed.unpack_lane_into(lane, &mut state);
-                assert_close(
-                    state.temperatures(),
-                    ref_state.temperatures(),
-                    &format!("lane {lane} (packed batch)"),
-                );
-            }
         }
     }
 
@@ -359,9 +344,9 @@ proptest! {
 
     /// The shared kernel over sharded lanes is *bit-identical* across
     /// thread counts {1, 2, 8} and arbitrary shard widths: the work
-    /// partition is a pure performance knob. The reference is the
-    /// per-lane `BatchSolver::step` path (itself bit-identical to
-    /// scalar stepping), with a mid-run power change.
+    /// partition is a pure performance knob. The reference is each lane
+    /// stepped alone through a dense scalar solver, with a mid-run
+    /// power change.
     #[test]
     fn sharded_stepping_bit_identical_across_thread_and_shard_counts(
         batch in 1usize..10,
@@ -394,24 +379,24 @@ proptest! {
                 .collect()
         };
 
-        // Reference: the per-lane API.
+        // Reference: each lane alone through a dense scalar solver.
         let mut rigs = build_rigs();
-        let mut solver = BatchSolver::new(&rigs[0].net);
         let mut want: Vec<_> = rigs
             .iter()
             .map(|r| r.net.uniform_state(Celsius::new(ambient)))
+            .collect();
+        let mut scalar: Vec<_> = rigs
+            .iter()
+            .map(|r| DenseTransientSolver::with_backend(&r.net))
             .collect();
         for step in 0..30 {
             if step == power_change_at {
                 let rig = &mut rigs[0];
                 rig.net.set_power(rig.dies[0], Watts::new(190.0)).unwrap();
             }
-            let mut lanes: Vec<BatchLane<'_>> = rigs
-                .iter()
-                .zip(want.iter_mut())
-                .map(|(rig, state)| BatchLane { net: &rig.net, state })
-                .collect();
-            solver.step(&mut lanes, dt).unwrap();
+            for ((solver, rig), state) in scalar.iter_mut().zip(&rigs).zip(want.iter_mut()) {
+                solver.step(&rig.net, state, dt).unwrap();
+            }
         }
         let reference = bits(&want);
 
@@ -446,7 +431,7 @@ proptest! {
             prop_assert_eq!(
                 &bits(&got),
                 &reference,
-                "threads {} width {} diverged from the per-lane reference",
+                "threads {} width {} diverged from the scalar reference",
                 threads,
                 min_width
             );
