@@ -3,11 +3,11 @@
 //!
 //! [`Fleet`] supersedes the original scalar `Rack` (which stepped each
 //! server's thermal network through its own per-server solve) while
-//! preserving its public API — `Rack` remains as a type alias. The
-//! physics is unchanged and bit-identical to an identically seeded
-//! scalar `Server::step` loop: fan dynamics, failsafe, power models and
-//! telemetry run through the same platform methods; only where the
-//! state lives and how the thermal integration is batched differ.
+//! preserving its public API. The physics is unchanged and
+//! bit-identical to an identically seeded scalar `Server::step` loop:
+//! fan dynamics, failsafe, power models and telemetry run through the
+//! same platform methods; only where the state lives and how the
+//! thermal integration is batched differ.
 //!
 //! The stepping engine works in three layers:
 //!

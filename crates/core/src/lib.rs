@@ -56,7 +56,6 @@ mod fitting;
 pub mod fleet;
 mod lut_pipeline;
 pub mod paper;
-pub mod rack;
 pub mod report;
 pub mod room;
 pub mod scenario;
@@ -107,7 +106,9 @@ pub mod prelude {
         BangBangController, FanController, FixedSpeedController, LookupTable, LutController,
         PidController,
     };
-    pub use leakctl_platform::{FanFault, SensorBank, SensorSpec, Server, ServerConfig};
+    pub use leakctl_platform::{
+        DynamicsLanes, FanFault, LaneTemplate, SensorBank, SensorSpec, Server, ServerConfig,
+    };
     pub use leakctl_sim::SimRng;
     pub use leakctl_units::{
         Celsius, Joules, KilowattHours, Rpm, SimDuration, SimInstant, Utilization, Watts,

@@ -387,3 +387,57 @@ fn more_flow_classes_than_the_factorization_cache_match_scalar() {
         .unwrap();
     }
 }
+
+/// The per-step power terms a fleet carries between phases — each
+/// die's leakage from one step's finish into the next begin, each
+/// lane's fan power from begin into finish — reproduce the scalar loop
+/// bit for bit through everything that could stale them: a new random
+/// activity on every step (a carried leakage meets a new dynamic term),
+/// a degraded fan that splits the flow classes, a hot inlet that trips
+/// the weak SKU's failsafe and a cool one that releases it, and a
+/// checkpoint restored mid-run into a fleet on another plan.
+#[test]
+fn carried_power_terms_match_scalar_through_faults_trips_and_restore() {
+    let configs: Vec<ServerConfig> = [0, 2, 1, 2, 0, 0, 2].iter().map(|&k| config(k)).collect();
+    let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
+    let mut fleet = Fleet::with_plan(&configs, 0.002, 11, plan).unwrap();
+    let mut reference = Reference::new(&configs, 11);
+    fleet.command_all(Rpm::new(1_800.0));
+    for server in &mut reference.servers {
+        server.command_fan_speed(Rpm::new(1_800.0));
+    }
+    let mut rng = leakctl::prelude::SimRng::seed(27);
+    let dt = SimDuration::from_secs(1);
+    let mut run = |fleet: &mut Fleet, reference: &mut Reference, steps, (low, high), inlet| {
+        for _ in 0..steps {
+            let load = activity(low + (high - low) * rng.next_f64());
+            let inlet = Celsius::new(inlet);
+            fleet.step_with_inlet(dt, load, inlet).unwrap();
+            reference.step_with_inlet(dt, load, inlet);
+        }
+    };
+    run(&mut fleet, &mut reference, 120, (0.0, 1.0), 24.0);
+    let fault = FanFault::Degraded { flow_scale: 0.55 };
+    fleet.inject_fan_fault(4, fault).unwrap();
+    reference.servers[4].inject_fan_fault(fault);
+    run(&mut fleet, &mut reference, 300, (0.6, 1.0), 38.0);
+    same_fleet(&mut fleet, &reference, "hot inlet, degraded fan").unwrap();
+    let weak = fleet.server(1).unwrap();
+    assert!(weak.failsafe_activations() >= 1, "the hot inlet must trip");
+
+    let snap = fleet.checkpoint();
+    let other = ShardPlan::new(3).with_min_lanes_per_shard(1);
+    fleet = Fleet::with_plan(&configs, 0.002, 12, other).unwrap();
+    fleet.restore(&snap).unwrap();
+    run(&mut fleet, &mut reference, 60, (0.6, 1.0), 38.0);
+    run(&mut fleet, &mut reference, 900, (0.0, 0.3), 18.0);
+    same_fleet(&mut fleet, &reference, "restored, cooled").unwrap();
+    let released = fleet
+        .server(1)
+        .unwrap()
+        .trace()
+        .entries()
+        .iter()
+        .any(|e| e.message.contains("failsafe released"));
+    assert!(released, "the cool inlet must release the failsafe");
+}

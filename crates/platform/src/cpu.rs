@@ -83,10 +83,22 @@ impl CpuSocket {
         self.cores
     }
 
-    /// Total socket power at the given activity and die temperature.
+    /// Total socket power at the given activity and die temperature:
+    /// `idle + dynamic + leakage`, summed left to right, exactly as
+    /// [`CpuSocket::power_with_leakage`] sums it. A caller that already
+    /// holds [`CpuSocket::leakage_power`] at `die_temp` gets the same
+    /// bits from that function without a second exponential.
     #[must_use]
     pub fn power(&self, activity: Utilization, die_temp: Celsius) -> Watts {
-        self.idle + self.dynamic_power(activity) + self.leakage_power(die_temp)
+        self.power_with_leakage(activity, self.leakage_power(die_temp))
+    }
+
+    /// Total socket power at the given activity with the leakage term
+    /// already evaluated (`leakage` = [`CpuSocket::leakage_power`] at
+    /// the die temperature): `idle + dynamic + leakage`, in that order.
+    #[must_use]
+    pub fn power_with_leakage(&self, activity: Utilization, leakage: Watts) -> Watts {
+        self.idle + self.dynamic_power(activity) + leakage
     }
 
     /// The dynamic (switching) component only.
@@ -132,6 +144,9 @@ mod tests {
         let total = s.power(u, t);
         let parts = Watts::new(55.0) + s.dynamic_power(u) + s.leakage_power(t);
         assert!((total.value() - parts.value()).abs() < 1e-12);
+        // A carried leakage term gives the same bits.
+        let carried = s.power_with_leakage(u, s.leakage_power(t));
+        assert_eq!(carried.value().to_bits(), total.value().to_bits());
     }
 
     #[test]

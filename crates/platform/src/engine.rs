@@ -260,18 +260,28 @@ impl Dynamics {
     /// Wall power of the system side plus fan power, given the CPU
     /// sockets' total.
     pub(crate) fn total_power(&self, cpu: Watts) -> Watts {
-        self.psu.input_power(self.dc_power(cpu)) + self.fans.power()
+        self.total_power_with_fans(cpu, self.fans.power())
+    }
+
+    /// [`Self::total_power`] with the fan power already evaluated at
+    /// the current fan speeds (`fans` = [`FanBank::power`]).
+    pub(crate) fn total_power_with_fans(&self, cpu: Watts, fans: Watts) -> Watts {
+        self.psu.input_power(self.dc_power(cpu)) + fans
     }
 
     /// Energy and peak accounting over a step of `dt`, with the
-    /// start-of-step CPU power.
-    pub(crate) fn account(&mut self, dt: SimDuration, cpu: Watts) {
+    /// start-of-step CPU power. Returns the fan power it accounted: the
+    /// fans hold their speeds until the next step's
+    /// [`Self::advance_fans`], so that is also the end-of-step fan
+    /// power.
+    pub(crate) fn account(&mut self, dt: SimDuration, cpu: Watts) -> Watts {
         let wall = self.psu.input_power(self.dc_power(cpu));
         let fan_p = self.fans.power();
         self.system_energy += wall * dt;
         self.fan_energy += fan_p * dt;
         self.peak_power = self.peak_power.max(wall + fan_p);
         self.accounted += dt;
+        fan_p
     }
 
     /// End of a step: advances the clock by `dt`.

@@ -16,6 +16,19 @@
 //! [`ServerCore`], so the trajectory is bit-identical to stepping the
 //! servers one by one.
 //!
+//! Each per-step power term is evaluated once. A die's leakage
+//! (the exponential in temperature) is evaluated by finish at the
+//! end-of-step temperatures and carried into the next begin, which
+//! steps from those same temperatures; a lane's fan power is evaluated
+//! by begin's accounting and carried into finish, since nothing moves
+//! the fans in between. Both go through
+//! [`CpuSocket::power_with_leakage`] and the record's methods, so the
+//! sums keep their operand order and their bits. The leakage carry is
+//! stale after [`DynamicsLanes::load`] (construction, restore) and from
+//! each begin until its finish — so a step that fails between the two
+//! leaves it stale — and a begin with a stale carry evaluates the
+//! leakage from the packed temperatures it is given.
+//!
 //! The lanes are the authority; a server object is a view of its lane
 //! plus what only the server holds (telemetry, trace). Whatever reads a
 //! server writes its lane back first: [`DynamicsLanes::store`] copies
@@ -78,6 +91,17 @@ pub struct DynamicsLanes {
     sources: Vec<f64>,
     /// Total power (W) at the end of the last step, per lane.
     powers: Vec<f64>,
+    /// Each die's leakage at the block's temperatures as the last
+    /// [`Self::finish`] left them, laid out like `sockets`; read by the
+    /// next [`Self::begin`] only while `leakage_fresh`.
+    leakage: Vec<Watts>,
+    /// `true` from a [`Self::finish`] until the next [`Self::begin`]:
+    /// the temperatures `leakage` was evaluated at are still the
+    /// block's.
+    leakage_fresh: bool,
+    /// Each lane's fan power over the current step, from
+    /// [`Self::begin`]'s accounting, for [`Self::finish`].
+    fan_powers: Vec<Watts>,
     /// Each lane's next CSTH poll instant.
     next_poll: Vec<SimInstant>,
     /// Failsafe transitions of the last [`Self::begin`], not yet traced:
@@ -88,7 +112,10 @@ pub struct DynamicsLanes {
 impl DynamicsLanes {
     /// Loads the lanes from `servers` (at least one, all of one thermal
     /// topology): their records, socket models, last injected powers,
-    /// current total powers and poll schedules.
+    /// current total powers and poll schedules. The leakage carry
+    /// starts stale, so the first [`Self::begin`] evaluates every die's
+    /// leakage from the block it is given — whatever temperatures a
+    /// construction or a restore packed.
     ///
     /// # Panics
     ///
@@ -117,13 +144,17 @@ impl DynamicsLanes {
                 sources[slot * lanes + lane] = core.net.power(node).value();
             }
         }
+        let sockets: Vec<CpuSocket> = servers
+            .iter()
+            .flat_map(|s| s.core.sockets.iter().copied())
+            .collect();
         Self {
             lanes,
             records: servers.iter().map(|s| s.core.dynamics).collect(),
-            sockets: servers
-                .iter()
-                .flat_map(|s| s.core.sockets.iter().copied())
-                .collect(),
+            leakage: vec![Watts::ZERO; sockets.len()],
+            leakage_fresh: false,
+            fan_powers: vec![Watts::ZERO; lanes],
+            sockets,
             sources,
             powers: servers.iter().map(|s| s.total_power().value()).collect(),
             next_poll: servers.iter().map(|s| s.poll.next_fire()).collect(),
@@ -218,6 +249,17 @@ impl DynamicsLanes {
     /// [`Dynamics`] and [`CpuSocket`] methods [`ServerCore::begin_step`]
     /// calls.
     ///
+    /// Each die's leakage is the one the last [`Self::finish`]
+    /// evaluated at the temperatures it left in `temps`, so `temps` must
+    /// be that block, unchanged (a fleet writes its blocks only by
+    /// stepping; to start from other temperatures, [`Self::load`] the
+    /// lanes again). When the carry is stale — after [`Self::load`], or
+    /// when a step failed between its begin and its finish — the
+    /// leakage is evaluated from `temps`. Either way the socket power is
+    /// [`CpuSocket::power_with_leakage`] of the same leakage bits. This
+    /// begin marks the carry stale until its own finish, and keeps each
+    /// lane's accounted fan power for that finish.
+    ///
     /// Returns the chassis flow when every lane delivers the same flow
     /// (bit for bit) over the step, and `None` when the lanes diverged
     /// (each flow class then needs its own factorization; see
@@ -238,6 +280,7 @@ impl DynamicsLanes {
         let lanes = self.lanes;
         let per_lane = self.slots.dies.len();
         let temps = temps.temperatures();
+        let carried = std::mem::replace(&mut self.leakage_fresh, false);
         let mut shared: Option<AirFlow> = None;
         let mut homogeneous = true;
         for (lane, record) in self.records.iter_mut().enumerate() {
@@ -252,10 +295,16 @@ impl DynamicsLanes {
                 self.events.push((lane, start, transition));
             }
             let mut cpu = Watts::ZERO;
-            let sockets = &self.sockets[lane * per_lane..(lane + 1) * per_lane];
-            for (socket, &slot) in sockets.iter().zip(&self.slots.dies) {
+            let dies = lane * per_lane..(lane + 1) * per_lane;
+            let sockets = self.sockets[dies.clone()].iter();
+            for ((socket, leakage), &slot) in
+                sockets.zip(&mut self.leakage[dies]).zip(&self.slots.dies)
+            {
                 let at = slot * lanes + lane;
-                let p = socket.power(activity, Celsius::new(temps[at]));
+                if !carried {
+                    *leakage = socket.leakage_power(Celsius::new(temps[at]));
+                }
+                let p = socket.power_with_leakage(activity, *leakage);
                 cpu += p;
                 self.sources[at] = p.value();
             }
@@ -263,7 +312,7 @@ impl DynamicsLanes {
                 self.sources[slot * lanes + lane] = p.value();
             }
             self.sources[self.slots.board * lanes + lane] = record.board_power.value();
-            record.account(dt, cpu);
+            self.fan_powers[lane] = record.account(dt, cpu);
         }
         shared.filter(|_| homogeneous)
     }
@@ -272,6 +321,12 @@ impl DynamicsLanes {
     /// lane's clock moves by `dt` and its end-of-step total power is
     /// recorded. Returns `true` when some lane's CSTH poll is now due
     /// (call [`Self::poll`]).
+    ///
+    /// The total takes the fan power [`Self::begin`] accounted (the fan
+    /// speeds have not moved since) and evaluates each die's leakage at
+    /// the end-of-step temperatures once: the value goes into the
+    /// socket power here and is carried into the next begin, which
+    /// steps from these same temperatures.
     ///
     /// # Panics
     ///
@@ -285,14 +340,21 @@ impl DynamicsLanes {
         for (lane, (record, power)) in self.records.iter_mut().zip(&mut self.powers).enumerate() {
             record.finish(dt);
             let activity = record.last_activity;
-            let cpu: Watts = self.sockets[lane * per_lane..(lane + 1) * per_lane]
-                .iter()
-                .zip(&self.slots.dies)
-                .map(|(s, &slot)| s.power(activity, Celsius::new(temps[slot * lanes + lane])))
-                .sum();
-            *power = record.total_power(cpu).value();
+            let mut cpu = Watts::ZERO;
+            let dies = lane * per_lane..(lane + 1) * per_lane;
+            let sockets = self.sockets[dies.clone()].iter();
+            for ((socket, leakage), &slot) in
+                sockets.zip(&mut self.leakage[dies]).zip(&self.slots.dies)
+            {
+                *leakage = socket.leakage_power(Celsius::new(temps[slot * lanes + lane]));
+                cpu += socket.power_with_leakage(activity, *leakage);
+            }
+            *power = record
+                .total_power_with_fans(cpu, self.fan_powers[lane])
+                .value();
             poll_due |= self.next_poll[lane] <= record.now();
         }
+        self.leakage_fresh = true;
         poll_due
     }
 
@@ -451,5 +513,49 @@ impl LaneTemplate {
     #[must_use]
     pub fn network(&self) -> &ThermalNetwork {
         &self.net
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ServerConfig;
+    use leakctl_thermal::BatchSolver;
+
+    /// Each die's injected power equals the socket's power at the
+    /// block's die temperature, bit for bit.
+    fn assert_die_sources_at(dynamics: &DynamicsLanes, temps: &PackedLanes, load: Utilization) {
+        for (socket, &slot) in dynamics.sockets.iter().zip(&dynamics.slots.dies) {
+            let want = socket.power(load, Celsius::new(temps.temperatures()[slot]));
+            assert_eq!(dynamics.sources()[slot].to_bits(), want.value().to_bits());
+        }
+    }
+
+    #[test]
+    fn leakage_carry_is_rebuilt_after_a_step_without_finish() {
+        let server = Server::new(ServerConfig::default(), 1).unwrap();
+        let mut dynamics = DynamicsLanes::load(std::slice::from_ref(&server));
+        let mut temps = PackedLanes::pack(std::slice::from_ref(server.thermal_state()));
+        let mut template = LaneTemplate::of(&server);
+        let mut solver = BatchSolver::new(server.thermal_network());
+        let dt = SimDuration::from_secs(1);
+        let mut solve = |dynamics: &DynamicsLanes, temps: &mut PackedLanes, flow| {
+            template.set_inputs(flow, server.ambient()).unwrap();
+            let kernel = solver.prepare_shared(template.network(), dt).unwrap();
+            kernel.step_shard(temps, dynamics.sources()).unwrap();
+        };
+        let loads = [0.9, 0.4, 1.0, 0.1].map(Utilization::saturating_from_fraction);
+        for (i, &load) in loads.iter().cycle().take(40).enumerate() {
+            let flow = dynamics.begin(&temps, dt, load).unwrap();
+            // Fresh from load, carried from a finish, or rebuilt after
+            // a step whose solve moved the temperatures but never
+            // finished: always the power at the temperatures stepped
+            // from.
+            assert_die_sources_at(&dynamics, &temps, load);
+            solve(&dynamics, &mut temps, flow);
+            if i % 3 != 2 {
+                dynamics.finish(&temps, dt);
+            }
+        }
     }
 }

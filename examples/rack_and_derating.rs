@@ -8,8 +8,8 @@
 //! ```
 
 use leakctl::derating::{air_density_ratio, derating_sweep};
+use leakctl::fleet::Fleet;
 use leakctl::prelude::*;
-use leakctl::rack::Rack;
 use leakctl::report::ascii_table;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("sealed aisle (r = 0)", 0.0),
         ("leaky aisle (r = 4 mK/W)", 0.004),
     ] {
-        let mut rack = Rack::new(ServerConfig::default(), 4, recirc, 42)?;
+        let mut rack = Fleet::new(ServerConfig::default(), 4, recirc, 42)?;
         rack.command_all(lut.lookup(Utilization::FULL));
         for _ in 0..2_400 {
             rack.step(SimDuration::from_secs(1), Utilization::FULL)?;
