@@ -1,6 +1,6 @@
 //! Criterion bench for **rack-scale** stepping: the shared-factorization
-//! kernel a resident fleet group runs (`BatchSolver::prepare_shared` +
-//! `SharedKernel::step_shard`, through `RackKernel`) against
+//! kernel a resident fleet group runs (`BatchSolver::prepare` +
+//! `SharedKernel::step_racks`, through `RackKernel`) against
 //! independent per-server solves, the same kernel thread-sharded, and
 //! the CSR sparse backend against dense at room-scale node counts.
 //!

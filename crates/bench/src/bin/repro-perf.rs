@@ -20,7 +20,7 @@ use leakctl::RunOptions;
 use leakctl_bench::perf::{best_of, render_json, GateArgs, PerfResult};
 use leakctl_bench::SteppingKernel;
 use leakctl_control::FixedSpeedController;
-use leakctl_thermal::{BatchSolver, PackedLanes, ThermalState};
+use leakctl_thermal::{BatchSolver, PackedLanes, RackSpan, ShardPlan, ThermalState};
 use leakctl_workload::suite;
 
 /// The least wall time a fast row times: it repeats its run until this
@@ -64,15 +64,19 @@ fn bench_network_stateless(steps: u64) -> PerfResult {
 
 /// Steps/sec of the same kernel through a persistent
 /// `TransientSolver` — cached assembly, reused LU factorization,
-/// zero allocation per step.
+/// zero allocation per step. Each round steps a fresh kernel `steps`
+/// times, repeated until [`MIN_TIMED_S`] is timed, so every round ends
+/// on the same temperature.
 fn bench_network_cached(steps: u64) -> PerfResult {
-    let mut kernel = SteppingKernel::new();
-    let start = Instant::now();
-    kernel.step_cached(steps);
-    let wall_s = start.elapsed().as_secs_f64();
+    let (rounds, wall_s, kernel) = timed_rounds(|| {
+        let mut kernel = SteppingKernel::new();
+        let start = Instant::now();
+        kernel.step_cached(steps);
+        (start.elapsed().as_secs_f64(), kernel)
+    });
     PerfResult {
         name: "network_step_cached",
-        steps,
+        steps: rounds * steps,
         wall_s,
         extra: vec![(
             "max_temp_c",
@@ -114,9 +118,10 @@ fn bench_server_step(steps: u64) -> PerfResult {
 }
 
 /// The phases of a fleet step, timed apart: 48 default servers at 60 %
-/// load and 3000 rpm stepped by hand as one resident group steps —
+/// load and 3000 rpm stepped by hand as one tile of a lane store steps —
 /// [`DynamicsLanes::begin`], the [`SharedKernel`] solve over the packed
-/// temperatures (template inputs, cached prepare, shard step),
+/// temperatures (template flow, cached prepare, the rack's
+/// boundary-source column, block step),
 /// [`DynamicsLanes::finish`], and the CSTH polls that fall due. `steps`
 /// counts server-steps; each phase reports its ns per server-step.
 ///
@@ -131,7 +136,12 @@ fn bench_lane_phases(steps: u64) -> PerfResult {
     let mut dynamics = DynamicsLanes::load(&servers);
     let mut template = LaneTemplate::of(&servers[0]);
     let mut solver = BatchSolver::new(servers[0].thermal_network());
-    let inlet = servers[0].ambient();
+    let inlet = [servers[0].ambient()];
+    let mut bound = Vec::new();
+    let one_rack = [RackSpan {
+        lanes: 0..LANES,
+        rack: 0,
+    }];
     let dt = SimDuration::from_secs(1);
     let load = Utilization::from_percent(60.0).expect("valid load");
     dynamics.command_all(Rpm::new(3000.0), &mut servers);
@@ -141,15 +151,18 @@ fn bench_lane_phases(steps: u64) -> PerfResult {
     for step in 0..120 + group_steps {
         let clock = Instant::now();
         let flow = dynamics
-            .begin(&temps, dt, load)
+            .begin(&temps, dt, &one_rack, &[load])
             .expect("identical lanes share one flow");
         let begun = Instant::now();
-        template.set_inputs(flow, inlet).expect("template inputs");
-        let kernel = solver
-            .prepare_shared(template.network(), dt)
+        template.set_flow(flow).expect("template flow");
+        solver.begin_step();
+        let prepared = solver
+            .prepare(template.network(), dt)
             .expect("shared factorization");
+        template.boundary_sources_into(&inlet, &mut bound);
+        let kernel = solver.kernel(&prepared, &bound, template.network());
         kernel
-            .step_shard(&mut temps, dynamics.sources())
+            .step_racks(&mut temps, dynamics.sources(), &one_rack)
             .expect("step succeeds");
         let solved = Instant::now();
         let poll_due = dynamics.finish(&temps, dt);
@@ -217,33 +230,39 @@ fn server_shaped_bank(rng: &mut SimRng) -> SensorBank {
 /// server-shaped banks. A bank refills every 16th frame, so each block
 /// times the refilling frame of every bank and steps the other 15
 /// frames untimed; `steps` counts the draws (71 channels × 16 per
-/// refill). One untimed block first allocates every bank's buffer.
+/// refill). Each round builds the banks afresh from one seed, steps one
+/// untimed block to allocate every bank's buffer, then times `blocks`
+/// blocks; rounds repeat until [`MIN_TIMED_S`] is timed, and every
+/// round sums to the same checksum.
 fn bench_sensor_refill(blocks: u64) -> PerfResult {
     const BANKS: usize = 512;
     const BLOCK: usize = 16;
     const NOISY: u64 = 71;
-    let mut rng = SimRng::seed(42);
-    let mut banks: Vec<SensorBank> = (0..BANKS).map(|_| server_shaped_bank(&mut rng)).collect();
     let truth: Vec<f64> = (0..73).map(|c| 40.0 + f64::from(c)).collect();
-    let mut frame = vec![0.0; truth.len()];
-    let mut frames = |banks: &mut [SensorBank], count: usize| {
-        for bank in banks {
-            for _ in 0..count {
-                bank.measure_frame(&truth, &mut frame);
+    let (rounds, wall_s, checksum) = timed_rounds(|| {
+        let mut rng = SimRng::seed(42);
+        let mut banks: Vec<SensorBank> = (0..BANKS).map(|_| server_shaped_bank(&mut rng)).collect();
+        let mut frame = vec![0.0; truth.len()];
+        let mut frames = |banks: &mut [SensorBank], count: usize| {
+            for bank in banks {
+                for _ in 0..count {
+                    bank.measure_frame(&truth, &mut frame);
+                }
             }
+            frame.iter().sum::<f64>()
+        };
+        frames(&mut banks, BLOCK);
+        let mut wall_s = 0.0;
+        let mut checksum = 0.0;
+        for _ in 0..blocks {
+            let start = Instant::now();
+            checksum += frames(&mut banks, 1);
+            wall_s += start.elapsed().as_secs_f64();
+            frames(&mut banks, BLOCK - 1);
         }
-        frame.iter().sum::<f64>()
-    };
-    frames(&mut banks, BLOCK);
-    let mut wall_s = 0.0;
-    let mut checksum = 0.0;
-    for _ in 0..blocks {
-        let start = Instant::now();
-        checksum += frames(&mut banks, 1);
-        wall_s += start.elapsed().as_secs_f64();
-        frames(&mut banks, BLOCK - 1);
-    }
-    let draws = blocks * BANKS as u64 * NOISY * BLOCK as u64;
+        (wall_s, checksum)
+    });
+    let draws = rounds * blocks * BANKS as u64 * NOISY * BLOCK as u64;
     PerfResult {
         name: "sensor_refill",
         steps: draws,
@@ -270,17 +289,21 @@ fn fleet_with_history() -> Fleet {
 /// Server snapshots/sec of `Fleet::checkpoint` on a fleet with
 /// history. Each checkpoint replaces and drops the previous one, as a
 /// building run's periodic checkpoint does; `steps` counts servers
-/// snapshotted.
+/// snapshotted. Rounds of `checkpoints` checkpoints repeat until
+/// [`MIN_TIMED_S`] is timed.
 fn bench_fleet_checkpoint(fleet: &mut Fleet, checkpoints: u64) -> PerfResult {
     let frames = fleet.server(0).expect("server 0").csth().frame_count();
     let mut kept = fleet.checkpoint();
-    let mut servers = 0;
-    let start = Instant::now();
-    for _ in 0..checkpoints {
-        servers += kept.len() as u64;
-        kept = fleet.checkpoint();
-    }
-    let wall_s = start.elapsed().as_secs_f64();
+    let (rounds, wall_s, round_servers) = timed_rounds(|| {
+        let mut servers = 0;
+        let start = Instant::now();
+        for _ in 0..checkpoints {
+            servers += kept.len() as u64;
+            kept = fleet.checkpoint();
+        }
+        (start.elapsed().as_secs_f64(), servers)
+    });
+    let servers = rounds * round_servers;
     PerfResult {
         name: "fleet_checkpoint",
         steps: servers,
@@ -291,6 +314,47 @@ fn bench_fleet_checkpoint(fleet: &mut Fleet, checkpoints: u64) -> PerfResult {
                 format!("{:.2}", wall_s * 1e6 / servers as f64),
             ),
             ("csth_frames", frames.to_string()),
+        ],
+    }
+}
+
+/// ns per server-step of a whole room on the `mpc-wide` floor — 16 ×
+/// 16 racks of 2 default servers, one lane store — at 60 % load with
+/// fans at 3000 rpm on one worker, through the public `Room` API. Each
+/// round builds the room, lets the fans settle over 120 untimed steps
+/// and times `steps` room steps; rounds repeat until [`MIN_TIMED_S`]
+/// is timed, and every round ends on the same die temperature.
+fn bench_room_step(steps: u64) -> PerfResult {
+    let dt = SimDuration::from_secs(1);
+    let load = Utilization::from_percent(60.0).expect("valid load");
+    let (rounds, wall_s, room) = timed_rounds(|| {
+        let mut room =
+            Room::with_plan(RoomConfig::new(16, 16, 2), ShardPlan::new(1)).expect("room builds");
+        room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(3000.0)))
+            .expect("fan floor applies");
+        for _ in 0..120 {
+            room.step(dt, load).expect("warm-up step succeeds");
+        }
+        let start = Instant::now();
+        for _ in 0..steps {
+            room.step(dt, load).expect("room step succeeds");
+        }
+        (start.elapsed().as_secs_f64(), room)
+    });
+    let server_steps = rounds * steps * room.servers() as u64;
+    PerfResult {
+        name: "room16x16x2_step",
+        steps: server_steps,
+        wall_s,
+        extra: vec![
+            (
+                "ns_per_server_step",
+                format!("{:.1}", wall_s * 1e9 / server_steps as f64),
+            ),
+            (
+                "max_die_temp_c",
+                format!("{:.6}", room.max_die_temperature().degrees()),
+            ),
         ],
     }
 }
@@ -367,6 +431,7 @@ fn main() {
             bench_fleet_checkpoint(&mut fleet, step_count / 400)
         }),
         best_of(reps, || bench_lane_phases(48 * step_count)),
+        best_of(reps, || bench_room_step(step_count / 10)),
     ];
     for r in &results {
         println!(

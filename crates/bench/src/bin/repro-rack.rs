@@ -1,7 +1,7 @@
 //! Rack-scale batching report: servers-stepped/sec through the
 //! shared-factorization kernel a resident `Fleet` group runs
-//! ([`BatchSolver::prepare_shared`](leakctl_thermal::BatchSolver::prepare_shared)
-//! then [`SharedKernel::step_shard`](leakctl_thermal::SharedKernel::step_shard),
+//! ([`BatchSolver::prepare`](leakctl_thermal::BatchSolver::prepare)
+//! then [`SharedKernel::step_racks`](leakctl_thermal::SharedKernel::step_racks),
 //! driven by [`RackKernel`]) versus independent full `Server::step`
 //! calls, merged into the
 //! `BENCH_perf.json` perf artifact (appending to an existing report

@@ -119,9 +119,13 @@ impl BuildingSpec {
     /// demand: one room is settled at full load and its steady IT power
     /// scaled by the room count and the capacity margin. Deterministic,
     /// so every run (and every thread plan) sees the identical spec.
+    /// The probe room runs single-sharded, as every room of a
+    /// [`Building`] does: it spawns no workers, so a single-threaded
+    /// caller stays single-threaded.
     #[must_use]
     pub fn plant_spec(&self) -> ChilledWaterSpec {
-        let mut room = leakctl::room::Room::new(self.room_config()).expect("probe room builds");
+        let mut room = leakctl::room::Room::with_plan(self.room_config(), ShardPlan::new(1))
+            .expect("probe room builds");
         room.apply(&ControlAction::hold().with_fan_floor(Rpm::new(self.base.fan_floor)))
             .expect("fan floor applies");
         for _ in 0..self.warmup_steps {

@@ -354,9 +354,10 @@ impl Default for SteppingKernel {
 
 /// A rack of identical server-topology thermal lanes stepped through
 /// the kernel a resident `Fleet` group runs:
-/// [`BatchSolver::prepare_shared`](leakctl_thermal::BatchSolver::prepare_shared)
-/// on one template network, then
-/// [`SharedKernel::step_shard`](leakctl_thermal::SharedKernel::step_shard)
+/// [`BatchSolver::prepare`](leakctl_thermal::BatchSolver::prepare) of
+/// one template network, paired with its boundary source by
+/// [`BatchSolver::kernel`](leakctl_thermal::BatchSolver::kernel), then
+/// [`SharedKernel::step_racks`](leakctl_thermal::SharedKernel::step_racks)
 /// over each shard's packed temperatures and power block — the
 /// measurement kernel behind the `rack_scale` criterion groups and the
 /// `repro-rack` servers-stepped/sec report.
@@ -377,6 +378,8 @@ pub struct RackKernel {
     /// Per shard, its lanes' power injections (`[slot * width + lane]`).
     powers: Vec<Vec<f64>>,
     solver: leakctl_thermal::BatchSolver,
+    /// The template's boundary-source column, every lane's.
+    bound: Vec<f64>,
     tick: u64,
 }
 
@@ -406,8 +409,11 @@ impl RackKernel {
         let powers = (0..lanes.shard_count())
             .map(|i| vec![0.0; n * lanes.shard_range(i).len()])
             .collect();
+        let mut bound = vec![0.0; n];
+        template.assemble_boundary_source_into(&mut bound);
         let mut kernel = Self {
             solver: BatchSolver::new(&template),
+            bound,
             template,
             die_slots,
             lanes,
@@ -486,13 +492,25 @@ impl RackKernel {
         }
     }
 
+    /// Opens a step and prepares the template's factorization.
+    fn prepare(&mut self) -> leakctl_thermal::Prepared {
+        self.solver.begin_step();
+        self.solver
+            .prepare(&self.template, leakctl_units::SimDuration::from_secs(1))
+            .expect("shared factorization")
+    }
+
     fn step_once(&mut self) {
-        let kernel = self
-            .solver
-            .prepare_shared(&self.template, leakctl_units::SimDuration::from_secs(1))
-            .expect("shared factorization");
-        for ((_, shard), powers) in self.lanes.shards_mut().zip(&self.powers) {
-            kernel.step_shard(shard, powers).expect("step succeeds");
+        let prepared = self.prepare();
+        let kernel = self.solver.kernel(&prepared, &self.bound, &self.template);
+        for ((range, shard), powers) in self.lanes.shards_mut().zip(&self.powers) {
+            let whole = [leakctl_thermal::RackSpan {
+                lanes: 0..range.len(),
+                rack: 0,
+            }];
+            kernel
+                .step_racks(shard, powers, &whole)
+                .expect("step succeeds");
         }
     }
 
@@ -506,13 +524,17 @@ impl RackKernel {
     ///
     /// Panics when a step fails (the kernel network is regular).
     pub fn step_many(&mut self, steps: u64) {
-        let kernel = self
-            .solver
-            .prepare_shared(&self.template, leakctl_units::SimDuration::from_secs(1))
-            .expect("shared factorization");
+        let prepared = self.prepare();
+        let kernel = self.solver.kernel(&prepared, &self.bound, &self.template);
         let run = |shard: &mut leakctl_thermal::PackedLanes, powers: &[f64]| {
+            let whole = [leakctl_thermal::RackSpan {
+                lanes: 0..shard.batch(),
+                rack: 0,
+            }];
             for _ in 0..steps {
-                kernel.step_shard(shard, powers).expect("step succeeds");
+                kernel
+                    .step_racks(shard, powers, &whole)
+                    .expect("step succeeds");
             }
         };
         let single = self.powers.len() == 1;

@@ -1,49 +1,52 @@
-//! A rack-scale fleet of digital-twin servers stepped through the
-//! thread-sharded, shared-factorization batch engine.
+//! The lane store every server steps in, and the one-rack [`Fleet`].
 //!
-//! [`Fleet`] supersedes the original scalar `Rack` (which stepped each
-//! server's thermal network through its own per-server solve) while
-//! preserving its public API. The physics is unchanged and
-//! bit-identical to an identically seeded scalar `Server::step` loop:
-//! fan dynamics, failsafe, power models and telemetry run through the
-//! same platform methods; only where the state lives and how the
-//! thermal integration is batched differ.
+//! A lane store holds a run of racks — one for a [`Fleet`], every
+//! rack of a [`Room`](crate::room::Room) — and steps all of their
+//! servers through the shared-factorization batch engine. The physics
+//! is bit-identical to an identically seeded scalar `Server::step` loop
+//! with each server on its rack's inlet: fan dynamics, failsafe, power
+//! models and telemetry run through the same platform methods; only
+//! where the state lives and how the thermal integration is batched
+//! differ.
 //!
-//! The stepping engine works in three layers:
+//! The store works in three layers:
 //!
 //! - **Hash groups.** Servers are partitioned by their thermal
 //!   network's [`structure_hash`](leakctl_thermal::ThermalNetwork::structure_hash)
-//!   (mixed-SKU fleets via [`Fleet::from_configs`]); each group batches
-//!   through its own shared `(dt, flow)` factorizations.
-//! - **Resident temperatures and dynamics.** From construction on, a
-//!   group's thermal state lives in slot-major [`ShardedLanes`] blocks
-//!   and its per-step dynamics — fan banks, failsafes, clocks,
-//!   accounting, power parameters — in [`DynamicsLanes`] arrays beside
-//!   them. Every step is begin → solve → finish over those arrays, and
-//!   no `Server` is touched. When every lane delivers the same chassis
-//!   flow (the common fleet regime) the solve is one
-//!   [`SharedKernel`](leakctl_thermal::SharedKernel) pass per shard,
-//!   fused with finish, from each lane's power injection and the one
-//!   boundary source the group's inlet and flow give. When a fan fault
-//!   or a failsafe trip makes the flows diverge, the lanes solve one
-//!   flow class at a time: each class (bit-equal flow) prepares its own
-//!   factorization and boundary source and steps only its lanes of each
-//!   shard. Fleet accessors (energy, power, die temperatures, faults,
-//!   commands, accounting) read and write the lane arrays. A server
-//!   object is written back from its lane when something reads it —
-//!   [`Fleet::server`], [`Fleet::checkpoint`] — and, for the lanes
-//!   concerned, on every step whose CSTH poll falls due.
-//! - **Shard workers.** Large groups split into per-shard lane blocks
-//!   ([`ShardPlan`], thread count from `LEAKCTL_THREADS` or the
-//!   machine) and each step's two parallel phases — begin (fans,
-//!   failsafe, powers, accounting) and solve+finish — run one
-//!   [`std::thread::scope`] worker per shard. Results are bit-identical
-//!   for any thread or shard count.
+//!   (mixed-SKU fleets via [`Fleet::from_configs`]), across all racks;
+//!   each group has one [`BatchSolver`], one factorization cache and one
+//!   [`LaneTemplate`]. Racks differ only in their inlet and activity, so
+//!   each rack is a contiguous lane range of its group and reads its own
+//!   activity and its own boundary-source column.
+//! - **Tiles.** A group's lanes live in cache-sized tiles: whole racks,
+//!   closed at the first rack boundary at or past 32 lanes.
+//!   A tile keeps its temperatures packed slot-major ([`PackedLanes`]),
+//!   its per-step dynamics — fan banks, failsafes, clocks, accounting,
+//!   power parameters — in [`DynamicsLanes`] arrays beside them, and its
+//!   servers. Each step, a tile runs begin → solve → finish while it is
+//!   still in cache: the solve is one [`SharedKernel`] pass over the
+//!   tile when its lanes deliver one chassis flow, or one pass per flow
+//!   class over that class's lanes when a fan fault or a failsafe trip
+//!   made them diverge. No `Server` is touched except by the CSTH polls
+//!   that fall due; a server object is written back from its lane when
+//!   something reads it ([`Fleet::server`], [`Fleet::checkpoint`]).
+//! - **Prepares and workers.** Each step prepares every flow class once
+//!   for the whole store: a factorization from the cache and one
+//!   boundary-source column per rack. The classes the last step ran are
+//!   prepared up front, so a settled step solves each tile right after
+//!   its begin; a tile that meets a new class waits, the class is
+//!   prepared, and the tile finishes. The tiles are split across workers
+//!   by the store's [`ShardPlan`] over lanes (thread count from
+//!   `LEAKCTL_THREADS` or the machine), each worker running its tiles on
+//!   one [`std::thread::scope`] thread. Results are bit-identical for
+//!   any thread or shard count.
 //!
-//! Inlet coupling follows the original model: all servers share one
-//! inlet whose temperature drifts with the rack's total heat (exhaust
-//! recirculation) — the "real-life data center" setting the paper's
-//! conclusion points toward.
+//! A [`Fleet`] is the one-rack store with the original inlet coupling:
+//! all servers share one inlet whose temperature drifts with the rack's
+//! total heat (exhaust recirculation) — the "real-life data center"
+//! setting the paper's conclusion points toward.
+//!
+//! [`SharedKernel`]: leakctl_thermal::SharedKernel
 
 use std::ops::Range;
 use std::thread;
@@ -52,152 +55,286 @@ use leakctl_platform::{
     DynamicsLanes, FanFault, LaneTemplate, PlatformError, Server, ServerConfig,
 };
 use leakctl_thermal::{
-    group_by_structure_hash, BatchSolver, PackedLanes, ShardPlan, ShardedLanes, ThermalState,
+    group_by_structure_hash, BatchSolver, PackedLanes, Prepared, RackSpan, ShardPlan, SharedKernel,
+    ThermalState,
 };
 use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, TempDelta, Utilization, Watts};
 
 use crate::error::CoreError;
 
-/// One structure-hash group: a contiguous run of (storage-ordered)
-/// servers sharing a topology, batched through one solver.
-#[derive(Debug)]
-struct FleetGroup {
-    /// Contiguous storage range of this group's servers.
-    range: Range<usize>,
-    solver: BatchSolver,
-    /// The group's representative network, set to each solve's flow
-    /// and inlet.
-    template: LaneTemplate,
-    /// The group's state, authoritative over the servers' copies.
-    resident: Resident,
-}
+/// The fewest lanes a tile closes at: a tile takes whole racks until it
+/// holds at least this many lanes (a worker's last tile takes what is
+/// left), so two-server racks step 16 to a tile while a 48-server rack
+/// is a tile of its own.
+const TILE_LANES: usize = 32;
 
-/// Where a server lives inside its group's resident blocks (fixed: the
-/// plan's partition depends only on the group size).
+/// Where a server lives: its group, its tile in the group, and its lane
+/// in the tile.
 #[derive(Debug, Clone, Copy)]
 struct LaneRef {
     group: usize,
-    shard: usize,
+    tile: usize,
     offset: usize,
 }
 
-/// A group's lanes: packed temperatures and dynamics records.
+/// A cache-sized run of one group's lanes with everything a step
+/// touches: packed temperatures, dynamics records and the servers.
 #[derive(Debug)]
-struct Resident {
-    temps: ShardedLanes,
-    /// One block per shard of `temps`, over the same lanes.
-    dynamics: Vec<DynamicsLanes>,
-    /// The inlet of the last step: every lane's ambient boundary
-    /// (`None` before the first step, when each server keeps its own).
-    inlet: Option<Celsius>,
+struct Tile {
+    temps: PackedLanes,
+    dynamics: DynamicsLanes,
+    /// The tile's servers, lane `i` in `servers[i]`.
+    servers: Vec<Server>,
+    /// The tile's lanes by rack.
+    spans: Vec<RackSpan>,
+    /// The distinct flows the lanes deliver over the current step, in
+    /// first-seen order (set by [`Tile::begin`]).
+    flows: Vec<AirFlow>,
+    /// `true` from a begin whose flows the step had not prepared until
+    /// the solve and finish that follow their prepare.
+    waiting: bool,
 }
 
-impl Resident {
-    /// Loads a group's servers into resident blocks on `plan`'s
-    /// partition.
-    fn load(servers: &[Server], plan: &ShardPlan) -> Self {
+impl Tile {
+    fn load(servers: Vec<Server>, spans: Vec<RackSpan>) -> Self {
         let states: Vec<ThermalState> = servers.iter().map(|s| s.thermal_state().clone()).collect();
-        let temps = ShardedLanes::pack(&states, plan);
-        let dynamics = (0..temps.shard_count())
-            .map(|i| DynamicsLanes::load(&servers[temps.shard_range(i)]))
-            .collect();
         Self {
-            temps,
-            dynamics,
-            inlet: None,
+            temps: PackedLanes::pack(&states),
+            dynamics: DynamicsLanes::load(&servers),
+            servers,
+            spans,
+            flows: Vec::new(),
+            waiting: false,
         }
     }
 
-    /// Writes every lane back into its server.
-    fn store(&self, servers: &mut [Server]) {
-        for (i, dynamics) in self.dynamics.iter().enumerate() {
-            let range = self.temps.shard_range(i);
-            dynamics.store(self.temps.shard(i), self.inlet, &mut servers[range]);
-        }
+    /// Writes lane `lane` back into its server.
+    fn store_lane(&mut self, lane: usize, inlet: Option<Celsius>) {
+        self.dynamics
+            .store_lane(lane, &self.temps, inlet, &mut self.servers[lane]);
     }
 
-    /// Writes one lane back into its server.
-    fn store_lane(&self, lane: LaneRef, server: &mut Server) {
-        self.dynamics[lane.shard].store_lane(
-            lane.offset,
-            self.temps.shard(lane.shard),
-            self.inlet,
-            server,
-        );
-    }
-
-    fn command_all(&mut self, rpm: Rpm, servers: &mut [Server]) {
-        for (i, dynamics) in self.dynamics.iter_mut().enumerate() {
-            dynamics.command_all(rpm, &mut servers[self.temps.shard_range(i)]);
-        }
-    }
-
-    /// Runs `work` on every (temperature block, dynamics block) pair —
-    /// the first shard on the calling thread, each further shard on a
-    /// scoped worker — and folds the results in shard order.
-    fn fold_shards<T: Send>(
-        &mut self,
-        work: impl Fn(&mut PackedLanes, &mut DynamicsLanes) -> T + Sync,
-        combine: impl Fn(T, T) -> T,
-    ) -> T {
-        let single = self.dynamics.len() == 1;
-        let mut blocks = self.temps.shards_mut().zip(&mut self.dynamics);
-        let Some(((_, temps), dynamics)) = blocks.next() else {
-            unreachable!("a resident group has at least one shard");
-        };
-        if single {
-            return work(temps, dynamics);
-        }
-        thread::scope(|scope| {
-            let work = &work;
-            let handles: Vec<_> = blocks
-                .map(|((_, temps), dynamics)| scope.spawn(move || work(temps, dynamics)))
-                .collect();
-            let first = work(temps, dynamics);
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .fold(first, combine)
-        })
-    }
-}
-
-impl FleetGroup {
-    /// The solve of a step whose lanes' flows diverged, one flow class
-    /// at a time: each class — the lanes delivering one chassis flow,
-    /// bit for bit, in first-seen order — sets the template to its flow,
-    /// prepares its factorization and boundary source, and solves only
-    /// its lanes of each shard.
-    fn solve_flow_classes(&mut self, dt: SimDuration, inlet: Celsius) -> Result<(), CoreError> {
-        let resident = &mut self.resident;
-        let mut classes: Vec<AirFlow> = Vec::new();
-        for flow in resident.dynamics.iter().flat_map(DynamicsLanes::flows) {
-            if !classes.iter().any(|&class| same_bits(class, flow)) {
-                classes.push(flow);
+    /// Phase 1: begin every lane on its rack's activity, trace the
+    /// failsafe transitions and collect the step's flows.
+    fn begin(&mut self, dt: SimDuration, activities: &[Utilization]) {
+        let flow = self
+            .dynamics
+            .begin(&self.temps, dt, &self.spans, activities);
+        self.dynamics.flush_events(&mut self.servers);
+        self.flows.clear();
+        match flow {
+            Some(flow) => self.flows.push(flow),
+            None => {
+                for flow in self.dynamics.flows() {
+                    if !self.flows.iter().any(|&seen| same_bits(seen, flow)) {
+                        self.flows.push(flow);
+                    }
+                }
             }
+        }
+    }
+
+    /// The solve, when `kernels` holds every flow of the tile (returns
+    /// `false`, touching nothing, otherwise): one pass over the tile
+    /// for one flow, else one pass per class over its lanes.
+    fn solve(&mut self, kernels: &[(AirFlow, Kernel<'_>)]) -> Result<bool, PlatformError> {
+        let find = |flow: AirFlow| {
+            kernels
+                .iter()
+                .find(|(class, _)| same_bits(*class, flow))
+                .map(|(_, kernel)| kernel)
+        };
+        if self.flows.iter().any(|&flow| find(flow).is_none()) {
+            return Ok(false);
+        }
+        let sources = self.dynamics.sources();
+        if let [flow] = self.flows[..] {
+            if let Some(kernel) = find(flow) {
+                kernel.step_racks(&mut self.temps, sources, &self.spans)?;
+            }
+            return Ok(true);
         }
         let mut members = Vec::new();
-        for class in classes {
-            self.template.set_inputs(class, inlet)?;
-            let kernel = self
-                .solver
-                .prepare_shared(self.template.network(), dt)
-                .map_err(PlatformError::from)?;
-            for ((_, temps), dynamics) in resident.temps.shards_mut().zip(&resident.dynamics) {
-                members.clear();
-                members.extend(
-                    dynamics
-                        .flows()
-                        .enumerate()
-                        .filter(|&(_, flow)| same_bits(flow, class))
-                        .map(|(lane, _)| lane),
-                );
-                kernel
-                    .step_lanes(temps, dynamics.sources(), &members)
-                    .map_err(PlatformError::from)?;
+        for &class in &self.flows {
+            members.clear();
+            members.extend(
+                self.dynamics
+                    .flows()
+                    .enumerate()
+                    .filter(|&(_, flow)| same_bits(flow, class))
+                    .map(|(lane, _)| lane),
+            );
+            if let Some(kernel) = find(class) {
+                kernel.step_lanes(&mut self.temps, sources, &self.spans, &members)?;
             }
         }
+        Ok(true)
+    }
+
+    /// Phase 3: finish every lane and record the CSTH frames now due.
+    fn finish(&mut self, dt: SimDuration) -> Result<(), PlatformError> {
+        if self.dynamics.finish(&self.temps, dt) {
+            self.dynamics.poll(&self.temps, &mut self.servers)?;
+        }
         Ok(())
+    }
+}
+
+type Kernel<'a> = SharedKernel<'a, leakctl_thermal::AutoBackend>;
+
+/// A flow class prepared for the current step: its factorization and
+/// one boundary-source column per rack.
+#[derive(Debug)]
+struct Class {
+    flow: AirFlow,
+    prepared: Prepared,
+    bounds: Vec<f64>,
+}
+
+/// Prepares flow class `flow` for a step of `dt` on `inlets`: sets the
+/// template to the flow, resolves the factorization and writes one
+/// boundary-source column per rack into `bounds`.
+fn prepare(
+    solver: &mut BatchSolver,
+    template: &mut LaneTemplate,
+    flow: AirFlow,
+    dt: SimDuration,
+    inlets: &[Celsius],
+    bounds: &mut Vec<f64>,
+) -> Result<Prepared, CoreError> {
+    template.set_flow(flow)?;
+    let prepared = solver
+        .prepare(template.network(), dt)
+        .map_err(PlatformError::from)?;
+    template.boundary_sources_into(inlets, bounds);
+    Ok(prepared)
+}
+
+/// One structure-hash group: its tiles, split across workers, and the
+/// solver and template its flow classes prepare through.
+#[derive(Debug)]
+struct Group {
+    solver: BatchSolver,
+    /// The group's representative network, set to each class's flow.
+    template: LaneTemplate,
+    tiles: Vec<Tile>,
+    /// Each worker's contiguous run of tiles.
+    shards: Vec<Range<usize>>,
+    /// The flow classes of the last step — the classes the next step
+    /// prepares first.
+    classes: Vec<Class>,
+}
+
+impl Group {
+    fn new(tiles: Vec<Tile>, shards: Vec<Range<usize>>) -> Self {
+        let representative = &tiles[0].servers[0];
+        Self {
+            solver: BatchSolver::new(representative.thermal_network()),
+            template: LaneTemplate::of(representative),
+            tiles,
+            shards,
+            classes: Vec::new(),
+        }
+    }
+
+    /// One step of every tile: the last step's classes are prepared,
+    /// every tile begins and — when the step prepared its flows —
+    /// solves and finishes at once; the classes no tile ran are
+    /// dropped; then any new classes are prepared and the tiles that
+    /// waited for them solve and finish.
+    fn step(
+        &mut self,
+        dt: SimDuration,
+        activities: &[Utilization],
+        inlets: &[Celsius],
+    ) -> Result<(), CoreError> {
+        self.solver.begin_step();
+        for class in &mut self.classes {
+            class.prepared = prepare(
+                &mut self.solver,
+                &mut self.template,
+                class.flow,
+                dt,
+                inlets,
+                &mut class.bounds,
+            )?;
+        }
+        self.pass(dt, activities, true)?;
+        // A class no tile ran (a slew moved the flows on) gives its
+        // factorization back, so the new classes can recycle it.
+        let tiles = &self.tiles;
+        let ran = |flow: AirFlow| {
+            tiles
+                .iter()
+                .any(|tile| tile.flows.iter().any(|&f| same_bits(f, flow)))
+        };
+        let mut i = 0;
+        while i < self.classes.len() {
+            if ran(self.classes[i].flow) {
+                i += 1;
+            } else {
+                self.solver.release(self.classes.swap_remove(i).prepared);
+            }
+        }
+        let mut waited = false;
+        for tile in self.tiles.iter().filter(|tile| tile.waiting) {
+            waited = true;
+            for &flow in &tile.flows {
+                if self.classes.iter().any(|c| same_bits(c.flow, flow)) {
+                    continue;
+                }
+                let mut bounds = Vec::new();
+                let prepared = prepare(
+                    &mut self.solver,
+                    &mut self.template,
+                    flow,
+                    dt,
+                    inlets,
+                    &mut bounds,
+                )?;
+                self.classes.push(Class {
+                    flow,
+                    prepared,
+                    bounds,
+                });
+            }
+        }
+        if waited {
+            self.pass(dt, activities, false)?;
+        }
+        Ok(())
+    }
+
+    /// One parallel pass over the tiles, each worker on its shard: the
+    /// first pass begins every tile, a later one takes only the tiles
+    /// still waiting; a tile whose flows all have a prepared class
+    /// solves and finishes.
+    fn pass(
+        &mut self,
+        dt: SimDuration,
+        activities: &[Utilization],
+        first: bool,
+    ) -> Result<(), CoreError> {
+        let names = self.template.network();
+        let kernels: Vec<(AirFlow, Kernel<'_>)> = self
+            .classes
+            .iter()
+            .map(|c| (c.flow, self.solver.kernel(&c.prepared, &c.bounds, names)))
+            .collect();
+        run_sharded(&mut self.tiles, &self.shards, |tiles, _| {
+            for tile in tiles {
+                if first {
+                    tile.begin(dt, activities);
+                } else if !tile.waiting {
+                    continue;
+                }
+                tile.waiting = !tile.solve(&kernels)?;
+                if !tile.waiting {
+                    tile.finish(dt)?;
+                }
+            }
+            Ok::<(), CoreError>(())
+        })
     }
 }
 
@@ -206,12 +343,311 @@ fn same_bits(a: AirFlow, b: AirFlow) -> bool {
     a.value().to_bits() == b.value().to_bits()
 }
 
-/// The common flow of two shards, or `None` when either diverged or
-/// they differ.
-fn same_flow(a: Option<AirFlow>, b: Option<AirFlow>) -> Option<AirFlow> {
-    match (a, b) {
-        (Some(x), Some(y)) if same_bits(x, y) => Some(x),
-        _ => None,
+/// The servers of equal-size racks in one set of lanes (see the module
+/// docs): a [`Fleet`] is one rack, a [`Room`](crate::room::Room) every
+/// rack of its floor. Server indices are original construction order;
+/// rack `r` is servers `r·rack_len..(r+1)·rack_len`.
+#[derive(Debug)]
+pub(crate) struct LaneStore {
+    /// `lanes[original]`: where the server lives.
+    lanes: Vec<LaneRef>,
+    rack_len: usize,
+    groups: Vec<Group>,
+    /// Each rack's inlet over the last step (empty before the first
+    /// step, when every server keeps its own ambient boundary).
+    inlets: Vec<Celsius>,
+}
+
+impl LaneStore {
+    /// Loads `servers` (at least one; racks of `rack_len`, which must
+    /// divide the count) into tiles on `plan`'s partition of each
+    /// group's lanes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Invalid`] for an empty store or racks that
+    /// do not divide it.
+    pub(crate) fn new(
+        servers: Vec<Server>,
+        rack_len: usize,
+        plan: &ShardPlan,
+    ) -> Result<Self, CoreError> {
+        if servers.is_empty() || rack_len == 0 || !servers.len().is_multiple_of(rack_len) {
+            return Err(CoreError::Invalid {
+                what: "a lane store needs whole, non-empty racks".to_owned(),
+            });
+        }
+        let count = servers.len();
+        // Group original indices by first-seen structure hash (the
+        // shared `group_by_structure_hash` policy); within a group the
+        // lanes keep original order, so each rack's lanes are
+        // contiguous.
+        let member_lists =
+            group_by_structure_hash(servers.iter().map(|s| s.thermal_network().structure_hash()));
+        let mut slots: Vec<Option<Server>> = servers.into_iter().map(Some).collect();
+        let mut lanes = vec![
+            LaneRef {
+                group: 0,
+                tile: 0,
+                offset: 0,
+            };
+            count
+        ];
+        let mut groups = Vec::with_capacity(member_lists.len());
+        for (g, members) in member_lists.iter().enumerate() {
+            let rack = |lane: usize| members[lane] / rack_len;
+            let mut tiles = Vec::new();
+            let mut shards = Vec::new();
+            for range in plan.ranges(members.len()) {
+                let first = tiles.len();
+                let mut start = range.start;
+                for end in range.start + 1..=range.end {
+                    let rack_ends = end == range.end || rack(end) != rack(end - 1);
+                    if !(rack_ends && (end - start >= TILE_LANES || end == range.end)) {
+                        continue;
+                    }
+                    let mut servers = Vec::with_capacity(end - start);
+                    let mut spans: Vec<RackSpan> = Vec::new();
+                    for (offset, lane) in (start..end).enumerate() {
+                        let original = members[lane];
+                        let server = slots[original].take().ok_or_else(|| CoreError::Invalid {
+                            what: "internal: server storage permutation is not a bijection"
+                                .to_owned(),
+                        })?;
+                        servers.push(server);
+                        lanes[original] = LaneRef {
+                            group: g,
+                            tile: tiles.len(),
+                            offset,
+                        };
+                        match spans.last_mut() {
+                            Some(span) if span.rack == rack(lane) => span.lanes.end = offset + 1,
+                            _ => spans.push(RackSpan {
+                                lanes: offset..offset + 1,
+                                rack: rack(lane),
+                            }),
+                        }
+                    }
+                    tiles.push(Tile::load(servers, spans));
+                    start = end;
+                }
+                shards.push(first..tiles.len());
+            }
+            groups.push(Group::new(tiles, shards));
+        }
+        Ok(Self {
+            lanes,
+            rack_len,
+            groups,
+            inlets: Vec::new(),
+        })
+    }
+
+    /// Number of servers.
+    pub(crate) fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Rack `rack`'s servers, as original indices.
+    fn rack(&self, rack: usize) -> Range<usize> {
+        rack * self.rack_len..(rack + 1) * self.rack_len
+    }
+
+    /// Server `original`'s tile and lane in it.
+    fn tile(&self, original: usize) -> (&Tile, usize) {
+        let lane = self.lanes[original];
+        (&self.groups[lane.group].tiles[lane.tile], lane.offset)
+    }
+
+    /// Commands every server's fans (see [`Fleet::command_all`]).
+    pub(crate) fn command_all(&mut self, rpm: Rpm) {
+        for tile in self.groups.iter_mut().flat_map(|g| &mut g.tiles) {
+            tile.dynamics.command_all(rpm, &mut tile.servers);
+        }
+    }
+
+    /// Server `original`, written back from its lane first.
+    pub(crate) fn server(&mut self, original: usize) -> Option<&Server> {
+        let lane = *self.lanes.get(original)?;
+        let inlet = self.inlets.get(original / self.rack_len).copied();
+        let tile = &mut self.groups[lane.group].tiles[lane.tile];
+        tile.store_lane(lane.offset, inlet);
+        Some(&tile.servers[lane.offset])
+    }
+
+    /// Injects `fault` on server `original`'s lane (the caller has
+    /// validated the fault); `false` for an out-of-range server.
+    pub(crate) fn inject_fan_fault(&mut self, original: usize, fault: FanFault) -> bool {
+        let Some(&lane) = self.lanes.get(original) else {
+            return false;
+        };
+        let tile = &mut self.groups[lane.group].tiles[lane.tile];
+        tile.dynamics
+            .inject_fan_fault(lane.offset, fault, &mut tile.servers[lane.offset]);
+        true
+    }
+
+    /// Server `original`'s injected fan fault.
+    pub(crate) fn fan_fault(&self, original: usize) -> Option<FanFault> {
+        (original < self.len()).then(|| {
+            let (tile, lane) = self.tile(original);
+            tile.dynamics.record(lane).fan_fault()
+        })
+    }
+
+    /// Rack `rack`'s power (system + fans) at the end of the last step,
+    /// summed in original server order: storage order groups servers by
+    /// hash, and float addition is order-sensitive, so this is the sum a
+    /// scalar loop over the rack's servers gives.
+    pub(crate) fn rack_power(&self, rack: usize) -> Watts {
+        Watts::new(
+            self.rack(rack)
+                .map(|original| {
+                    let (tile, lane) = self.tile(original);
+                    tile.dynamics.power(lane).value()
+                })
+                .sum(),
+        )
+    }
+
+    /// Rack `rack`'s energy since construction (original server order,
+    /// see [`Self::rack_power`]).
+    pub(crate) fn rack_energy(&self, rack: usize) -> Joules {
+        self.rack(rack)
+            .map(|original| {
+                let (tile, lane) = self.tile(original);
+                tile.dynamics.record(lane).total_energy()
+            })
+            .sum()
+    }
+
+    /// Rack `rack`'s hottest die, from the packed blocks.
+    pub(crate) fn rack_max_die_temperature(&self, rack: usize) -> Celsius {
+        self.rack(rack)
+            .map(|original| self.die_temperature(original))
+            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
+    }
+
+    /// The hottest die of the store, scanning the tiles' packed blocks
+    /// in storage order (a maximum does not depend on the order).
+    pub(crate) fn max_die_temperature(&self) -> Celsius {
+        self.groups
+            .iter()
+            .flat_map(|g| &g.tiles)
+            .flat_map(|tile| {
+                (0..tile.servers.len())
+                    .map(|lane| tile.dynamics.max_die_temperature(&tile.temps, lane))
+            })
+            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
+    }
+
+    /// Server `original`'s hottest die, from its tile's packed block.
+    fn die_temperature(&self, original: usize) -> Celsius {
+        let (tile, lane) = self.tile(original);
+        tile.dynamics.max_die_temperature(&tile.temps, lane)
+    }
+
+    /// Resets every server's energy, peak-power and timing accumulators.
+    pub(crate) fn reset_accounting(&mut self) {
+        for tile in self.groups.iter_mut().flat_map(|g| &mut g.tiles) {
+            tile.dynamics.reset_accounting();
+        }
+    }
+
+    /// Snapshots every server in original order, each written back from
+    /// its lane first.
+    pub(crate) fn checkpoint(&mut self) -> FleetCheckpoint {
+        for tile in self.groups.iter_mut().flat_map(|g| &mut g.tiles) {
+            for span in tile.spans.clone() {
+                let inlet = self.inlets.get(span.rack).copied();
+                for lane in span.lanes {
+                    tile.store_lane(lane, inlet);
+                }
+            }
+        }
+        FleetCheckpoint {
+            servers: (0..self.len())
+                .map(|original| {
+                    let (tile, lane) = self.tile(original);
+                    tile.servers[lane].clone()
+                })
+                .collect(),
+        }
+    }
+
+    /// Checks that `checkpoint` matches this store's servers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Invalid`] when the server count or a thermal
+    /// topology differs.
+    pub(crate) fn can_restore(&self, checkpoint: &FleetCheckpoint) -> Result<(), CoreError> {
+        if checkpoint.servers.len() != self.len() {
+            return Err(CoreError::Invalid {
+                what: format!(
+                    "checkpoint holds {} servers, fleet has {}",
+                    checkpoint.servers.len(),
+                    self.len()
+                ),
+            });
+        }
+        for (original, snap) in checkpoint.servers.iter().enumerate() {
+            let (tile, lane) = self.tile(original);
+            if snap.thermal_network().structure_hash()
+                != tile.servers[lane].thermal_network().structure_hash()
+            {
+                return Err(CoreError::Invalid {
+                    what: format!("checkpoint server {original} has a different thermal topology"),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Restores `checkpoint` and reloads every tile from its servers;
+    /// until the next step each server keeps the ambient boundary the
+    /// checkpoint holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::can_restore`]; nothing is touched on error.
+    pub(crate) fn restore(&mut self, checkpoint: &FleetCheckpoint) -> Result<(), CoreError> {
+        self.can_restore(checkpoint)?;
+        self.inlets.clear();
+        for (original, snap) in checkpoint.servers.iter().enumerate() {
+            let lane = self.lanes[original];
+            self.groups[lane.group].tiles[lane.tile].servers[lane.offset] = snap.clone();
+        }
+        for tile in self.groups.iter_mut().flat_map(|g| &mut g.tiles) {
+            *tile = Tile::load(
+                std::mem::take(&mut tile.servers),
+                std::mem::take(&mut tile.spans),
+            );
+        }
+        Ok(())
+    }
+
+    /// Advances every server by `dt`, rack `r` at `activities[r]` on
+    /// inlet `inlets[r]`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform and solver failures.
+    pub(crate) fn step(
+        &mut self,
+        dt: SimDuration,
+        activities: &[Utilization],
+        inlets: &[Celsius],
+    ) -> Result<(), CoreError> {
+        self.inlets.clear();
+        self.inlets.extend_from_slice(inlets);
+        if dt.is_zero() {
+            return Ok(());
+        }
+        for group in &mut self.groups {
+            group.step(dt, activities, inlets)?;
+        }
+        Ok(())
     }
 }
 
@@ -225,9 +661,9 @@ fn same_flow(a: Option<AirFlow>, b: Option<AirFlow>) -> Option<AirFlow> {
 /// recirculates to the inlet (0 for perfect containment; a few mK/W for
 /// a poorly sealed aisle).
 ///
-/// Every server belongs to exactly one structure-hash group, and every
-/// step batches each group's backward-Euler solves through shared
-/// factorizations on the packed sharded engine.
+/// A fleet is the one-rack lane store (see the module docs): every
+/// step batches each structure-hash group's backward-Euler solves
+/// through shared factorizations over packed, tiled lanes.
 ///
 /// # Example
 ///
@@ -248,19 +684,9 @@ fn same_flow(a: Option<AirFlow>, b: Option<AirFlow>) -> Option<AirFlow> {
 /// ```
 #[derive(Debug)]
 pub struct Fleet {
-    /// Servers in storage order: hash groups, each contiguous.
-    servers: Vec<Server>,
-    /// `index_map[original] = storage` — public indices are original
-    /// construction order.
-    index_map: Vec<usize>,
-    /// `lanes[storage]`: the server's place in its group's resident
-    /// blocks.
-    lanes: Vec<LaneRef>,
+    store: LaneStore,
     room: Celsius,
     recirculation_k_per_w: f64,
-    /// The shard partition of every group.
-    plan: ShardPlan,
-    groups: Vec<FleetGroup>,
 }
 
 impl Fleet {
@@ -301,11 +727,10 @@ impl Fleet {
     }
 
     /// The environment's thread plan, widened for fleet stepping: a
-    /// step spawns its scoped workers twice (begin phase, then
-    /// solve+finish), so shards need enough per-server dynamics work to
-    /// amortize the spawns — a wider floor than the thermal-only
-    /// kernels use. [`Fleet::with_plan`] honors a caller's plan
-    /// verbatim.
+    /// step spawns its scoped workers once per pass, so shards need
+    /// enough per-server dynamics work to amortize the spawns — a wider
+    /// floor than the thermal-only kernels use. [`Fleet::with_plan`]
+    /// honors a caller's plan verbatim.
     fn default_plan() -> ShardPlan {
         ShardPlan::from_env().with_min_lanes_per_shard(32)
     }
@@ -323,30 +748,7 @@ impl Fleet {
         seed: u64,
         plan: ShardPlan,
     ) -> Result<Self, CoreError> {
-        let built = configs
-            .iter()
-            .enumerate()
-            .map(|(i, config)| Server::new(config.clone(), seed.wrapping_add(i as u64)))
-            .collect::<Result<Vec<Server>, PlatformError>>()?;
-        Self::from_servers(built, recirculation_k_per_w, plan)
-    }
-
-    /// Assembles a fleet from freshly built servers (server `i` keeps
-    /// index `i`; the room temperature is server 0's ambient) and loads
-    /// every group's lanes. A [`Room`](crate::room::Room) builds all its
-    /// racks' servers first and then assembles each rack, so every
-    /// rack's step data — lanes, template and solver — is allocated
-    /// together instead of between the racks' servers.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::new`].
-    pub(crate) fn from_servers(
-        built: Vec<Server>,
-        recirculation_k_per_w: f64,
-        plan: ShardPlan,
-    ) -> Result<Self, CoreError> {
-        if built.is_empty() {
+        if configs.is_empty() {
             return Err(CoreError::Invalid {
                 what: "fleet needs at least one server".to_owned(),
             });
@@ -356,125 +758,52 @@ impl Fleet {
                 what: "recirculation coefficient must be non-negative".to_owned(),
             });
         }
+        let built = configs
+            .iter()
+            .enumerate()
+            .map(|(i, config)| Server::new(config.clone(), seed.wrapping_add(i as u64)))
+            .collect::<Result<Vec<Server>, PlatformError>>()?;
         let room = built[0].config().ambient;
-
-        // Group original indices by first-seen structure hash (the
-        // shared `group_by_structure_hash` policy). Storage order =
-        // concatenated groups, so every group is one contiguous,
-        // shardable server run.
-        let member_lists =
-            group_by_structure_hash(built.iter().map(|s| s.thermal_network().structure_hash()));
-        let mut index_map = vec![0usize; built.len()];
-        let mut order: Vec<usize> = Vec::with_capacity(built.len());
-        let mut ranges = Vec::with_capacity(member_lists.len());
-        for members in &member_lists {
-            let start = order.len();
-            order.extend_from_slice(members);
-            ranges.push(start..order.len());
-        }
-        for (storage, &original) in order.iter().enumerate() {
-            index_map[original] = storage;
-        }
-        let mut by_storage: Vec<Option<Server>> = built.into_iter().map(Some).collect();
-        let mut servers: Vec<Server> = Vec::with_capacity(order.len());
-        for &original in &order {
-            let Some(server) = by_storage[original].take() else {
-                return Err(CoreError::Invalid {
-                    what: "internal: server storage permutation is not a bijection".to_owned(),
-                });
-            };
-            servers.push(server);
-        }
-        // Groups are contiguous in storage order and a plan's shard
-        // ranges tile their group, so lanes come out in storage order.
-        let mut lanes = Vec::with_capacity(servers.len());
-        for (g, range) in ranges.iter().enumerate() {
-            for (shard, lane_range) in plan.ranges(range.len()).into_iter().enumerate() {
-                lanes.extend((0..lane_range.len()).map(|offset| LaneRef {
-                    group: g,
-                    shard,
-                    offset,
-                }));
-            }
-        }
-        let groups = ranges
-            .into_iter()
-            .map(|range| {
-                let members = &servers[range.clone()];
-                FleetGroup {
-                    solver: BatchSolver::new(members[0].thermal_network()),
-                    template: LaneTemplate::of(&members[0]),
-                    resident: Resident::load(members, &plan),
-                    range,
-                }
-            })
-            .collect();
         Ok(Self {
-            servers,
-            index_map,
-            lanes,
+            store: LaneStore::new(built, configs.len(), &plan)?,
             room,
             recirculation_k_per_w,
-            plan,
-            groups,
         })
     }
 
     /// Number of servers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.servers.len()
+        self.store.len()
     }
 
     /// `true` when the fleet is empty (construction forbids it).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
+        self.store.len() == 0
     }
 
     /// Number of structure-hash groups batching through shared
     /// factorizations (1 for a homogeneous fleet).
     #[must_use]
     pub fn hash_group_count(&self) -> usize {
-        self.groups.len()
+        self.store.groups.len()
     }
 
     /// Commands every server's fans (a command takes effect from the
     /// next step: command latency, then slew). A server whose failsafe
     /// is engaged ignores it and traces that.
     pub fn command_all(&mut self, rpm: Rpm) {
-        for group in &mut self.groups {
-            let servers = &mut self.servers[group.range.clone()];
-            group.resident.command_all(rpm, servers);
-        }
+        self.store.command_all(rpm);
     }
 
     /// Access to an individual server (e.g. to read per-server
     /// telemetry or ground truth). Takes `&mut self` because the
-    /// server's state lives in its group's lanes between steps: this
-    /// writes the server's lane back first.
+    /// server's state lives in its lane between steps: this writes the
+    /// server's lane back first.
     #[must_use]
     pub fn server(&mut self, index: usize) -> Option<&Server> {
-        let &storage = self.index_map.get(index)?;
-        let lane = self.lanes[storage];
-        self.groups[lane.group]
-            .resident
-            .store_lane(lane, &mut self.servers[storage]);
-        Some(&self.servers[storage])
-    }
-
-    /// Writes every group's lanes back into its servers.
-    fn sync_states(&mut self) {
-        for group in &self.groups {
-            group.resident.store(&mut self.servers[group.range.clone()]);
-        }
-    }
-
-    /// A storage index's dynamics block and offset in it.
-    fn dynamics_at(&self, storage: usize) -> (&DynamicsLanes, usize) {
-        let lane = self.lanes[storage];
-        let dynamics = &self.groups[lane.group].resident.dynamics[lane.shard];
-        (dynamics, lane.offset)
+        self.store.server(index)
     }
 
     /// Number of shared factorizations currently live across the batch
@@ -483,13 +812,29 @@ impl Fleet {
     /// flows diverge, up to each solver's cache bound).
     #[must_use]
     pub fn batch_group_count(&self) -> usize {
-        self.groups.iter().map(|g| g.solver.group_count()).sum()
+        self.store
+            .groups
+            .iter()
+            .map(|g| g.solver.group_count())
+            .sum()
+    }
+
+    /// Shared factorizations computed since construction, summed over
+    /// the hash-group engines (diagnostics: it stops moving once every
+    /// flow class a step runs is cached).
+    #[must_use]
+    pub fn factorizations(&self) -> u64 {
+        self.store
+            .groups
+            .iter()
+            .map(|g| g.solver.factorizations())
+            .sum()
     }
 
     /// Injects (or clears, with [`FanFault::None`]) a fan-bank fault
     /// on server `index`, in its lane's record. From the next step the
     /// faulted server's chassis flow diverges from its neighbours, and
-    /// its group solves one flow class at a time until the flows agree
+    /// its tile solves one flow class at a time until the flows agree
     /// again.
     ///
     /// # Errors
@@ -504,28 +849,20 @@ impl Fleet {
                 });
             }
         }
-        let &storage = self
-            .index_map
-            .get(index)
-            .ok_or_else(|| CoreError::Invalid {
+        if self.store.inject_fan_fault(index, fault) {
+            Ok(())
+        } else {
+            Err(CoreError::Invalid {
                 what: format!("server index {index} out of range"),
-            })?;
-        let lane = self.lanes[storage];
-        self.groups[lane.group].resident.dynamics[lane.shard].inject_fan_fault(
-            lane.offset,
-            fault,
-            &mut self.servers[storage],
-        );
-        Ok(())
+            })
+        }
     }
 
     /// Server `index`'s currently injected fan fault (`None` for an
     /// out-of-range index).
     #[must_use]
     pub fn fan_fault(&self, index: usize) -> Option<FanFault> {
-        let &storage = self.index_map.get(index)?;
-        let (dynamics, offset) = self.dynamics_at(storage);
-        Some(dynamics.record(offset).fan_fault())
+        self.store.fan_fault(index)
     }
 
     /// Snapshots the full fleet — every server's thermal state, fan
@@ -534,66 +871,20 @@ impl Fleet {
     /// written back into the servers first, so the snapshot is exact
     /// under any thread plan.
     pub fn checkpoint(&mut self) -> FleetCheckpoint {
-        self.sync_states();
-        FleetCheckpoint {
-            servers: self
-                .index_map
-                .iter()
-                .map(|&storage| self.servers[storage].clone())
-                .collect(),
-        }
+        self.store.checkpoint()
     }
 
     /// Restores a [`Fleet::checkpoint`] — into this fleet or any fleet
     /// built from the same configs (any thread/shard plan) — and
-    /// reloads every group's lanes from the restored servers, so the
-    /// resumed trajectory is bit-identical to the uninterrupted one.
+    /// reloads every lane from the restored servers, so the resumed
+    /// trajectory is bit-identical to the uninterrupted one.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Invalid`] when the checkpoint's server
     /// count or thermal topologies do not match this fleet.
     pub fn restore(&mut self, checkpoint: &FleetCheckpoint) -> Result<(), CoreError> {
-        self.can_restore(checkpoint)?;
-        for (original, snap) in checkpoint.servers.iter().enumerate() {
-            self.servers[self.index_map[original]] = snap.clone();
-        }
-        for group in &mut self.groups {
-            group.resident = Resident::load(&self.servers[group.range.clone()], &self.plan);
-        }
-        Ok(())
-    }
-
-    /// Checks that `checkpoint` could be restored into this fleet
-    /// without doing it — the validation half of [`Fleet::restore`],
-    /// exposed so multi-fleet owners (a [`Room`](crate::room::Room))
-    /// can validate every rack before mutating any of them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Invalid`] when the checkpoint's server
-    /// count or thermal topologies do not match this fleet.
-    pub fn can_restore(&self, checkpoint: &FleetCheckpoint) -> Result<(), CoreError> {
-        if checkpoint.servers.len() != self.servers.len() {
-            return Err(CoreError::Invalid {
-                what: format!(
-                    "checkpoint holds {} servers, fleet has {}",
-                    checkpoint.servers.len(),
-                    self.servers.len()
-                ),
-            });
-        }
-        for (original, snap) in checkpoint.servers.iter().enumerate() {
-            let storage = self.index_map[original];
-            if snap.thermal_network().structure_hash()
-                != self.servers[storage].thermal_network().structure_hash()
-            {
-                return Err(CoreError::Invalid {
-                    what: format!("checkpoint server {original} has a different thermal topology"),
-                });
-            }
-        }
-        Ok(())
+        self.store.restore(checkpoint)
     }
 
     /// Advances every server by `dt` at the same activity level, then
@@ -608,10 +899,8 @@ impl Fleet {
     }
 
     /// Advances every server by `dt` with an *externally supplied*
-    /// inlet temperature — the room-scale coupling point: a
-    /// [`Room`](crate::room::Room) reads each rack's cold-aisle air
-    /// volume from the room network and feeds it here, replacing the
-    /// scalar `T_room + r·P` drift that [`Fleet::step`] applies.
+    /// inlet temperature, replacing the scalar `T_room + r·P` drift
+    /// that [`Fleet::step`] applies.
     ///
     /// # Errors
     ///
@@ -622,66 +911,7 @@ impl Fleet {
         activity: Utilization,
         inlet: Celsius,
     ) -> Result<(), CoreError> {
-        for g in 0..self.groups.len() {
-            self.step_group(g, dt, activity, inlet)?;
-        }
-        Ok(())
-    }
-
-    /// One hash group's step over its lanes: begin (sharded), then the
-    /// solve, then finish (sharded) and the CSTH polls that fell due.
-    /// When every lane delivers one flow the solve is one shared
-    /// factorization fused with finish over each whole shard; otherwise
-    /// it runs one flow class at a time
-    /// ([`FleetGroup::solve_flow_classes`]) before finish.
-    fn step_group(
-        &mut self,
-        g: usize,
-        dt: SimDuration,
-        activity: Utilization,
-        inlet: Celsius,
-    ) -> Result<(), CoreError> {
-        let group = &mut self.groups[g];
-        let servers = &mut self.servers[group.range.clone()];
-        group.resident.inlet = Some(inlet);
-        if dt.is_zero() {
-            return Ok(());
-        }
-        let resident = &mut group.resident;
-        let flow = resident.fold_shards(
-            |temps, dynamics| dynamics.begin(temps, dt, activity),
-            same_flow,
-        );
-        for (i, dynamics) in resident.dynamics.iter_mut().enumerate() {
-            dynamics.flush_events(&mut servers[resident.temps.shard_range(i)]);
-        }
-        let poll_due = if let Some(flow) = flow {
-            group.template.set_inputs(flow, inlet)?;
-            let kernel = group
-                .solver
-                .prepare_shared(group.template.network(), dt)
-                .map_err(PlatformError::from)?;
-            group.resident.fold_shards(
-                |temps, dynamics| {
-                    kernel.step_shard(temps, dynamics.sources())?;
-                    Ok::<bool, PlatformError>(dynamics.finish(temps, dt))
-                },
-                |a, b| Ok(a? | b?),
-            )?
-        } else {
-            group.solve_flow_classes(dt, inlet)?;
-            group
-                .resident
-                .fold_shards(|temps, dynamics| dynamics.finish(temps, dt), |a, b| a | b)
-        };
-        if poll_due {
-            let resident = &mut group.resident;
-            for (i, dynamics) in resident.dynamics.iter_mut().enumerate() {
-                let range = resident.temps.shard_range(i);
-                dynamics.poll(resident.temps.shard(i), &mut servers[range])?;
-            }
-        }
-        Ok(())
+        self.store.step(dt, &[activity], &[inlet])
     }
 
     /// The current shared inlet temperature.
@@ -692,84 +922,51 @@ impl Fleet {
     }
 
     /// Total fleet power (system + fans across all servers), summed in
-    /// *original* server order: storage order groups servers by hash,
-    /// and float addition is order-sensitive, so summing storage-order
-    /// would bitwise-diverge a mixed-SKU fleet from the scalar
-    /// reference loop the bit-identity tests compare against. Each
-    /// server contributes the end-of-step power its last step recorded
-    /// (nothing changes it between steps).
+    /// *original* server order, so a mixed-SKU fleet matches the scalar
+    /// reference loop bit for bit. Each server contributes the
+    /// end-of-step power its last step recorded (nothing changes it
+    /// between steps).
     #[must_use]
     pub fn total_power(&self) -> Watts {
-        Watts::new(
-            self.index_map
-                .iter()
-                .map(|&storage| {
-                    let (dynamics, offset) = self.dynamics_at(storage);
-                    dynamics.power(offset).value()
-                })
-                .sum(),
-        )
+        self.store.rack_power(0)
     }
 
     /// Total fleet energy since construction (original server order,
     /// see [`Fleet::total_power`]).
     #[must_use]
     pub fn total_energy(&self) -> Joules {
-        self.index_map
-            .iter()
-            .map(|&storage| {
-                let (dynamics, offset) = self.dynamics_at(storage);
-                dynamics.record(offset).total_energy()
-            })
-            .sum()
+        self.store.rack_energy(0)
     }
 
     /// Resets every server's energy, peak-power and timing
     /// accumulators (e.g. after a warm-up phase). Thermal state is
     /// untouched.
     pub fn reset_accounting(&mut self) {
-        for group in &mut self.groups {
-            for dynamics in &mut group.resident.dynamics {
-                dynamics.reset_accounting();
-            }
-        }
+        self.store.reset_accounting();
     }
 
     /// The hottest die anywhere in the fleet.
     #[must_use]
     pub fn max_die_temperature(&self) -> Celsius {
-        (0..self.servers.len())
-            .map(|storage| self.die_temp_at_storage(storage))
-            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
+        self.store.max_die_temperature()
     }
 
     /// Every server's hottest die temperature, in original index
     /// order, appended into `out` (cleared first).
     ///
     /// Reads straight from the packed blocks — no write-back (which
-    /// [`Fleet::server`] forces) — so rack- and room-level controller
-    /// loops can poll die temperatures every decision period for free.
+    /// [`Fleet::server`] forces) — so rack-level controller loops can
+    /// poll die temperatures every decision period for free.
     pub fn die_temps_view(&self, out: &mut Vec<Celsius>) {
         out.clear();
-        out.extend(
-            self.index_map
-                .iter()
-                .map(|&storage| self.die_temp_at_storage(storage)),
-        );
-    }
-
-    /// One server's hottest die, from its group's packed block.
-    fn die_temp_at_storage(&self, storage: usize) -> Celsius {
-        let lane = self.lanes[storage];
-        let resident = &self.groups[lane.group].resident;
-        resident.dynamics[lane.shard]
-            .max_die_temperature(resident.temps.shard(lane.shard), lane.offset)
+        out.extend((0..self.len()).map(|original| self.store.die_temperature(original)));
     }
 }
 
-/// A full fleet snapshot, produced by [`Fleet::checkpoint`]: server
-/// clones (thermal state, fans, faults, accounting, RNG streams) in
-/// original index order, restorable into any fleet built from the same
+/// A full fleet snapshot, produced by [`Fleet::checkpoint`] (and held
+/// by a [`RoomCheckpoint`](crate::room::RoomCheckpoint)): server clones
+/// (thermal state, fans, faults, accounting, RNG streams) in original
+/// index order, restorable into any fleet or room built from the same
 /// configs for a bit-identical resume under any thread plan.
 #[derive(Debug, Clone)]
 pub struct FleetCheckpoint {
@@ -794,8 +991,8 @@ impl FleetCheckpoint {
 /// is a single range, one scoped worker per range otherwise — and
 /// reports the lowest shard's failure (deterministic regardless of
 /// completion order). `work` also receives its chunk's range so
-/// callers can slice per-item side arrays. Shared by the room's rack
-/// phase (sharding fleets across racks) and the building's room phase.
+/// callers can slice per-item side arrays. Shared by the lane store's
+/// tile passes and the building's room phase.
 pub(crate) fn run_sharded<T, E, F>(
     items: &mut [T],
     ranges: &[Range<usize>],
@@ -1341,20 +1538,67 @@ mod tests {
                 .step(SimDuration::from_secs(1), Utilization::FULL)
                 .unwrap();
         }
-        fleet.sync_states();
-        // After a sync every stored server is current with no lane read
-        // in between: its dies match the packed blocks, its air nodes
-        // warmed above ambient and its energy is the lane's.
+        let _ = fleet.checkpoint();
+        // After a checkpoint every stored server is current with no
+        // lane read in between: its dies match the packed blocks, its
+        // air nodes warmed above ambient and its energy is the lane's.
         let mut view = Vec::new();
         fleet.die_temps_view(&mut view);
         let mut energy = Joules::ZERO;
-        for (i, &storage) in fleet.index_map.iter().enumerate() {
-            let server = &fleet.servers[storage];
-            assert_eq!(server.max_die_temperature(), view[i], "server {i}");
+        for (i, &die) in view.iter().enumerate() {
+            let (tile, lane) = fleet.store.tile(i);
+            let server = &tile.servers[lane];
+            assert_eq!(server.max_die_temperature(), die, "server {i}");
             let air = server.air_temperature(0).unwrap();
             assert!(air.degrees() > 24.0, "air node stale at {air}");
             energy += server.total_energy();
         }
         assert_eq!(energy, fleet.total_energy());
+    }
+
+    #[test]
+    fn settled_flow_classes_stop_factoring() {
+        // 34 servers, each on its own degraded-fan scale: 34 flow
+        // classes every step, more than the cache's 32. No class a step
+        // prepared is evicted within it, so once the fans settle a step
+        // factors nothing, and the fleet matches the scalar loop.
+        let count = 34;
+        let configs = vec![ServerConfig::default(); count];
+        let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
+        let mut fleet = Fleet::with_plan(&configs, 0.0, 41, plan).unwrap();
+        let mut reference: Vec<Server> = (0..count)
+            .map(|i| Server::new(ServerConfig::default(), 41 + i as u64).unwrap())
+            .collect();
+        fleet.command_all(Rpm::new(3000.0));
+        for (i, server) in reference.iter_mut().enumerate() {
+            server.command_fan_speed(Rpm::new(3000.0));
+            let fault = FanFault::Degraded {
+                flow_scale: 0.6 + 0.01 * i as f64,
+            };
+            server.inject_fan_fault(fault);
+            fleet.inject_fan_fault(i, fault).unwrap();
+        }
+        let load = Utilization::saturating_from_fraction(0.5);
+        let dt = SimDuration::from_secs(1);
+        let step = |fleet: &mut Fleet, reference: &mut [Server]| {
+            fleet.step(dt, load).unwrap();
+            for server in reference.iter_mut() {
+                server.step(dt, load).unwrap();
+            }
+        };
+        for _ in 0..60 {
+            step(&mut fleet, &mut reference);
+        }
+        let settled = fleet.factorizations();
+        for _ in 0..20 {
+            step(&mut fleet, &mut reference);
+            assert_eq!(fleet.factorizations(), settled, "a settled step factors");
+        }
+        assert_eq!(fleet.batch_group_count(), count, "one group per class");
+        for (i, want) in reference.iter().enumerate() {
+            let got = fleet.server(i).unwrap();
+            assert_eq!(got.thermal_state(), want.thermal_state(), "server {i}");
+            assert_eq!(got.total_energy(), want.total_energy(), "server {i}");
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! A machine room: many [`Fleet`]s coupled through a coarse air-volume
-//! network ([`RoomAirModel`]), stepped with cross-rack work sharding.
+//! A machine room: racks of servers in one lane store, coupled through
+//! a coarse air-volume network ([`RoomAirModel`]).
 //!
 //! This is the paper's "real-life data center" setting scaled out: the
 //! CRAH supply set-point, under-floor tile-flow distribution and
@@ -14,11 +14,14 @@
 //!    and the room network advances by `dt` through the cached
 //!    backward-Euler solver (sparse CSR once the room is large enough).
 //! 2. **Rack phase (parallel).** Each rack reads its cold-aisle
-//!    temperature as the inlet boundary and its [`Fleet`] advances by
-//!    `dt` — racks are sharded across scoped workers exactly like a
-//!    [`Fleet`] shards its lanes within one rack
-//!    ([`ShardPlan`]), and since racks only interact
-//!    through the (serial) air phase, the room trajectory is
+//!    temperature as its inlet, and every server of the room advances
+//!    by `dt` in one lane store (see [`crate::fleet`]): hash groups span
+//!    the whole room, each flow class prepares once per step for every
+//!    rack — one factorization, one boundary-source column per rack —
+//!    and cache-sized tiles of whole racks run begin → solve → finish,
+//!    split across workers by the room's [`ShardPlan`] over lanes.
+//!    Since racks only interact through the (serial) air phase and
+//!    lanes never mix in a solve, the room trajectory is
 //!    **bit-identical for any thread count** (`LEAKCTL_THREADS`).
 //!
 //! CRAH cooling work is accounted through a chilled-water COP model
@@ -29,12 +32,12 @@
 
 use leakctl_platform::{FanFault, Server, ServerConfig};
 use leakctl_thermal::{RoomAirModel, RoomAirSpec, ShardPlan};
-use leakctl_units::{AirFlow, Celsius, Joules, Rpm, SimDuration, Utilization, Watts};
+use leakctl_units::{AirFlow, Celsius, Joules, SimDuration, Utilization, Watts};
 
 use crate::control::{ControlAction, RoomController, RoomObservation};
 use crate::drive::{Drive, Stages};
 use crate::error::{CoreError, PlacementError, RoomError};
-use crate::fleet::{run_sharded, Fleet, FleetCheckpoint};
+use crate::fleet::{FleetCheckpoint, LaneStore};
 use crate::schedule::PlacementAction;
 
 /// Scenario builder for a [`Room`]: floor-grid geometry, CRAH
@@ -243,8 +246,8 @@ pub fn crah_cop(supply: Celsius) -> f64 {
     (0.0068 * t * t + 0.0008 * t + 0.458).max(0.1)
 }
 
-/// A machine room: one [`Fleet`] per rack, coupled through a
-/// [`RoomAirModel`], stepped with racks sharded across worker threads.
+/// A machine room: every rack's servers in one lane store, each rack on
+/// its own cold-aisle inlet from a [`RoomAirModel`].
 ///
 /// # Example
 ///
@@ -264,10 +267,10 @@ pub fn crah_cop(supply: Celsius) -> f64 {
 /// ```
 #[derive(Debug)]
 pub struct Room {
-    fleets: Vec<Fleet>,
+    /// Every server, racks of `servers_per_rack` in rack order.
+    store: LaneStore,
+    racks: usize,
     air: RoomAirModel,
-    /// Cross-rack work partition (racks per worker).
-    plan: ShardPlan,
     crah_energy: Joules,
     accounted: SimDuration,
     servers_per_rack: usize,
@@ -295,7 +298,7 @@ pub struct Room {
 
 impl Room {
     /// Builds the room with the environment's thread plan
-    /// (`LEAKCTL_THREADS`, else the machine) for cross-rack sharding.
+    /// (`LEAKCTL_THREADS`, else the machine) for sharding its lanes.
     ///
     /// # Errors
     ///
@@ -305,9 +308,10 @@ impl Room {
         Self::with_plan(config, ShardPlan::from_env())
     }
 
-    /// As [`Room::new`] with an explicit cross-rack thread plan — a
-    /// pure performance knob: the room trajectory is bit-identical for
-    /// any plan (racks only interact through the serial air phase).
+    /// As [`Room::new`] with an explicit thread plan over the room's
+    /// lanes — a pure performance knob: the room trajectory is
+    /// bit-identical for any plan (racks only interact through the
+    /// serial air phase).
     ///
     /// # Errors
     ///
@@ -316,24 +320,12 @@ impl Room {
         config.validate()?;
         let racks = config.racks();
         let spr = config.servers_per_rack;
-        // Each rack is a whole shard's worth of work: shard down to
-        // single racks. Within-rack sharding is disabled (plan of 1) —
-        // the room parallelizes across racks instead, and fleet
-        // trajectories are plan-independent, so this only moves work.
-        let plan = plan.with_min_lanes_per_shard(1);
-        // Server `i` of rack `r` is seeded `seed + r·spr + i`. Every
-        // server is built before any rack is assembled, so each rack's
-        // step data sits together in memory (`Fleet::from_servers`).
-        let mut servers = (0..racks * spr)
+        // Server `i` of rack `r` is seeded `seed + r·spr + i`. The plan
+        // may shard down to single lanes.
+        let servers = (0..racks * spr)
             .map(|i| Server::new(config.server.clone(), config.seed.wrapping_add(i as u64)))
-            .collect::<Result<Vec<Server>, _>>()?
-            .into_iter();
-        let fleets = (0..racks)
-            .map(|_| {
-                let rack = servers.by_ref().take(spr).collect();
-                Fleet::from_servers(rack, 0.0, ShardPlan::new(1))
-            })
-            .collect::<Result<Vec<Fleet>, CoreError>>()?;
+            .collect::<Result<Vec<Server>, _>>()?;
+        let store = LaneStore::new(servers, spr, &plan.with_min_lanes_per_shard(1))?;
         let spec = RoomAirSpec::with_tile_flows(
             config.crah_supply,
             config.tile_flows(),
@@ -341,9 +333,9 @@ impl Room {
         );
         let air = RoomAirModel::new(spec).map_err(leakctl_platform::PlatformError::from)?;
         Ok(Self {
-            fleets,
+            store,
+            racks,
             air,
-            plan,
             crah_energy: Joules::ZERO,
             accounted: SimDuration::ZERO,
             servers_per_rack: spr,
@@ -361,31 +353,25 @@ impl Room {
     /// Number of racks.
     #[must_use]
     pub fn racks(&self) -> usize {
-        self.fleets.len()
+        self.racks
     }
 
     /// Total server count.
     #[must_use]
     pub fn servers(&self) -> usize {
-        self.fleets.len() * self.servers_per_rack
-    }
-
-    /// Rack `rack`'s fleet (read side; per-server ground truth goes
-    /// through [`Fleet::server`] on the mutable accessor).
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range rack.
-    #[must_use]
-    pub fn fleet(&self, rack: usize) -> &Fleet {
-        &self.fleets[rack]
+        self.store.len()
     }
 
     /// Server `index` of rack `rack`, for its per-server telemetry and
-    /// ground truth (see [`Fleet::server`]); `None` when out of range.
+    /// ground truth, written back from its lane first (see
+    /// [`Fleet::server`](crate::fleet::Fleet::server)); `None` when out
+    /// of range.
     #[must_use]
     pub fn server(&mut self, rack: usize, index: usize) -> Option<&Server> {
-        self.fleets.get_mut(rack)?.server(index)
+        if rack >= self.racks || index >= self.servers_per_rack {
+            return None;
+        }
+        self.store.server(rack * self.servers_per_rack + index)
     }
 
     /// The room air network (read side).
@@ -429,10 +415,10 @@ impl Room {
     /// Returns [`RoomError::RackOutOfRange`] or
     /// [`RoomError::InvalidFault`] for a blockage outside `[0, 1]`.
     pub fn set_tile_blockage(&mut self, rack: usize, blockage: f64) -> Result<(), RoomError> {
-        if rack >= self.fleets.len() {
+        if rack >= self.racks {
             return Err(RoomError::RackOutOfRange {
                 rack,
-                racks: self.fleets.len(),
+                racks: self.racks,
             });
         }
         if !(blockage.is_finite() && (0.0..=1.0).contains(&blockage)) {
@@ -455,12 +441,13 @@ impl Room {
             .tile_blockage(rack)
             .map_err(|_| RoomError::RackOutOfRange {
                 rack,
-                racks: self.fleets.len(),
+                racks: self.racks,
             })
     }
 
     /// Injects (or clears, with [`FanFault::None`]) a fan-bank fault on
-    /// server `server` of rack `rack` (see [`Fleet::inject_fan_fault`]).
+    /// server `server` of rack `rack` (see
+    /// [`Fleet::inject_fan_fault`](crate::fleet::Fleet::inject_fan_fault)).
     ///
     /// # Errors
     ///
@@ -474,10 +461,10 @@ impl Room {
         server: usize,
         fault: FanFault,
     ) -> Result<(), RoomError> {
-        if rack >= self.fleets.len() {
+        if rack >= self.racks {
             return Err(RoomError::RackOutOfRange {
                 rack,
-                racks: self.fleets.len(),
+                racks: self.racks,
             });
         }
         if server >= self.servers_per_rack {
@@ -493,11 +480,9 @@ impl Room {
                 });
             }
         }
-        self.fleets[rack]
-            .inject_fan_fault(server, fault)
-            .map_err(|_| RoomError::InvalidFault {
-                what: "fan fault rejected by the fleet",
-            })
+        self.store
+            .inject_fan_fault(rack * self.servers_per_rack + server, fault);
+        Ok(())
     }
 
     /// The fan fault currently injected on server `server` of rack
@@ -508,29 +493,35 @@ impl Room {
     /// Returns [`RoomError::RackOutOfRange`] /
     /// [`RoomError::ServerOutOfRange`] for bad indices.
     pub fn fan_fault(&self, rack: usize, server: usize) -> Result<FanFault, RoomError> {
-        if rack >= self.fleets.len() {
+        if rack >= self.racks {
             return Err(RoomError::RackOutOfRange {
                 rack,
-                racks: self.fleets.len(),
+                racks: self.racks,
             });
         }
-        self.fleets[rack]
-            .fan_fault(server)
-            .ok_or(RoomError::ServerOutOfRange {
+        if server >= self.servers_per_rack {
+            return Err(RoomError::ServerOutOfRange {
                 server,
                 servers: self.servers_per_rack,
+            });
+        }
+        self.store
+            .fan_fault(rack * self.servers_per_rack + server)
+            .ok_or(RoomError::RackOutOfRange {
+                rack,
+                racks: self.racks,
             })
     }
 
-    /// Snapshots the full room — every rack's fleet (thermal state,
-    /// fan banks with injected faults, service processors, sensor RNG
+    /// Snapshots the full room — every server (thermal state, fan
+    /// banks with injected faults, service processors, sensor RNG
     /// streams), the air-side network with its boundary conditions and
-    /// fault state, and the energy/time accounting. Packed shard
-    /// blocks are synced first, so the snapshot is exact for any
-    /// thread plan.
+    /// fault state, and the energy/time accounting. The lanes are
+    /// written back first, so the snapshot is exact for any thread
+    /// plan.
     pub fn checkpoint(&mut self) -> RoomCheckpoint {
         RoomCheckpoint {
-            fleets: self.fleets.iter_mut().map(Fleet::checkpoint).collect(),
+            store: self.store.checkpoint(),
             air: self.air.clone(),
             crah_energy: self.crah_energy,
             accounted: self.accounted,
@@ -553,13 +544,11 @@ impl Room {
     /// counts or thermal topologies differ.
     pub fn restore(&mut self, checkpoint: &RoomCheckpoint) -> Result<(), RoomError> {
         self.can_restore(checkpoint)?;
-        for (fleet, snap) in self.fleets.iter_mut().zip(&checkpoint.fleets) {
-            fleet
-                .restore(snap)
-                .map_err(|e| RoomError::CheckpointMismatch {
-                    what: e.to_string(),
-                })?;
-        }
+        self.store
+            .restore(&checkpoint.store)
+            .map_err(|e| RoomError::CheckpointMismatch {
+                what: e.to_string(),
+            })?;
         self.air = checkpoint.air.clone();
         self.crah_energy = checkpoint.crah_energy;
         self.accounted = checkpoint.accounted;
@@ -581,12 +570,12 @@ impl Room {
     /// Returns [`RoomError::CheckpointMismatch`] when rack/server
     /// counts or thermal topologies differ.
     pub fn can_restore(&self, checkpoint: &RoomCheckpoint) -> Result<(), RoomError> {
-        if checkpoint.fleets.len() != self.fleets.len() {
+        if checkpoint.racks() != self.racks {
             return Err(RoomError::CheckpointMismatch {
                 what: format!(
                     "checkpoint holds {} racks, room has {}",
-                    checkpoint.fleets.len(),
-                    self.fleets.len()
+                    checkpoint.racks(),
+                    self.racks
                 ),
             });
         }
@@ -595,28 +584,19 @@ impl Room {
                 what: "air-side rack count differs".to_owned(),
             });
         }
-        if checkpoint.placement.len() != self.fleets.len()
-            || checkpoint.budgets.len() != self.fleets.len()
-            || checkpoint.last_rack_activity.len() != self.fleets.len()
+        if checkpoint.placement.len() != self.racks
+            || checkpoint.budgets.len() != self.racks
+            || checkpoint.last_rack_activity.len() != self.racks
         {
             return Err(RoomError::CheckpointMismatch {
                 what: "placement rack count differs".to_owned(),
             });
         }
-        for (r, (fleet, snap)) in self.fleets.iter().zip(&checkpoint.fleets).enumerate() {
-            fleet
-                .can_restore(snap)
-                .map_err(|e| RoomError::CheckpointMismatch {
-                    what: format!("rack {r}: {e}"),
-                })?;
-        }
-        Ok(())
-    }
-
-    fn command_fans(&mut self, rpm: Rpm) {
-        for fleet in &mut self.fleets {
-            fleet.command_all(rpm);
-        }
+        self.store
+            .can_restore(&checkpoint.store)
+            .map_err(|e| RoomError::CheckpointMismatch {
+                what: e.to_string(),
+            })
     }
 
     /// Validates and atomically applies a typed room command — the one
@@ -641,7 +621,7 @@ impl Room {
             }
         }
         if let Some(flows) = &action.tile_flows {
-            if flows.len() != self.fleets.len() {
+            if flows.len() != self.racks {
                 return Err(invalid("one tile flow per rack required"));
             }
             if flows
@@ -671,7 +651,7 @@ impl Room {
             }
         }
         if let Some(rpm) = action.fan_floor {
-            self.command_fans(rpm);
+            self.store.command_all(rpm);
         }
         Ok(())
     }
@@ -693,7 +673,7 @@ impl Room {
         obs.cooling_power = Watts::new(self.air.crah_heat_removed().value().max(0.0) / cop);
         obs.cop = cop;
         obs.servers_per_rack = self.servers_per_rack;
-        let racks = self.fleets.len();
+        let racks = self.racks;
         obs.cold_aisles.clear();
         obs.cold_aisles
             .extend((0..racks).map(|r| self.air.cold_aisle_temperature(r)));
@@ -708,7 +688,7 @@ impl Room {
             .extend((0..racks).map(|r| self.air.tile_flow(r).unwrap_or(AirFlow::ZERO)));
         obs.rack_it_power.clear();
         obs.rack_it_power
-            .extend(self.fleets.iter().map(Fleet::total_power));
+            .extend((0..racks).map(|r| self.store.rack_power(r)));
         obs.rack_activity.clear();
         obs.rack_activity
             .extend_from_slice(&self.last_rack_activity);
@@ -796,7 +776,7 @@ impl Room {
     /// Returns [`CoreError::Placement`] describing the first violation;
     /// nothing is committed on any error.
     pub fn apply_placement(&mut self, action: &PlacementAction) -> Result<(), CoreError> {
-        let racks = self.fleets.len();
+        let racks = self.racks;
         // ---- validate everything up front (atomicity).
         if action.utilizations.len() != racks {
             return Err(PlacementError::RackCountMismatch {
@@ -886,66 +866,51 @@ impl Room {
     pub fn step_placed(&mut self, dt: SimDuration) -> Result<(), CoreError> {
         let mut activities = std::mem::take(&mut self.activities);
         activities.clear();
-        activities.extend(
-            self.placement
-                .iter()
-                .zip(&self.budgets)
-                .zip(&self.fleets)
-                .map(|((&commanded, budget), fleet)| match budget {
-                    Some(budget) => {
-                        let power = fleet.total_power().value();
-                        if power > budget.value() && power > 0.0 {
-                            Utilization::saturating_from_fraction(
-                                commanded.as_fraction() * budget.value() / power,
-                            )
-                        } else {
-                            commanded
-                        }
+        activities.extend(self.placement.iter().zip(&self.budgets).enumerate().map(
+            |(rack, (&commanded, budget))| match budget {
+                Some(budget) => {
+                    let power = self.store.rack_power(rack).value();
+                    if power > budget.value() && power > 0.0 {
+                        Utilization::saturating_from_fraction(
+                            commanded.as_fraction() * budget.value() / power,
+                        )
+                    } else {
+                        commanded
                     }
-                    None => commanded,
-                }),
-        );
+                }
+                None => commanded,
+            },
+        ));
         let result = self.advance(dt, &activities);
         self.activities = activities;
         result
     }
 
-    /// One operator-split step: serial air phase, then the rack phase
-    /// sharded across scoped workers.
+    /// One operator-split step: serial air phase, then every server on
+    /// its rack's cold aisle through the lane store.
     fn advance(&mut self, dt: SimDuration, activities: &[Utilization]) -> Result<(), CoreError> {
         if dt.is_zero() {
             return Ok(());
         }
         // ---- air phase (serial): inject start-of-step rack powers,
         // advance the room network.
-        for (r, fleet) in self.fleets.iter().enumerate() {
+        for r in 0..self.racks {
             self.air
-                .set_rack_power(r, fleet.total_power())
+                .set_rack_power(r, self.store.rack_power(r))
                 .map_err(leakctl_platform::PlatformError::from)?;
         }
         self.air
             .step(dt)
             .map_err(leakctl_platform::PlatformError::from)?;
 
-        // ---- rack phase (parallel): cold-aisle temperature → inlet
-        // boundary, one fleet step per rack, racks sharded across
-        // workers. Racks are independent within the step, so any
-        // partition is bit-identical.
+        // ---- rack phase (parallel): cold-aisle temperature → each
+        // rack's inlet, one store step over every server. Lanes are
+        // independent within the step, so any partition is
+        // bit-identical.
         self.inlets.clear();
         self.inlets
-            .extend((0..self.fleets.len()).map(|r| self.air.cold_aisle_temperature(r)));
-        let ranges = self.plan.ranges(self.fleets.len());
-        let inlets = &self.inlets;
-        run_sharded(&mut self.fleets, &ranges, |chunk, range| {
-            for ((fleet, &inlet), &activity) in chunk
-                .iter_mut()
-                .zip(&inlets[range.clone()])
-                .zip(&activities[range])
-            {
-                fleet.step_with_inlet(dt, activity, inlet)?;
-            }
-            Ok::<(), CoreError>(())
-        })?;
+            .extend((0..self.racks).map(|r| self.air.cold_aisle_temperature(r)));
+        self.store.step(dt, activities, &self.inlets)?;
 
         // ---- CRAH cooling work over the step, through the COP at the
         // current set-point.
@@ -987,16 +952,18 @@ impl Room {
         self.air.return_temperature()
     }
 
-    /// Total IT power (every fleet, rack order).
+    /// Total IT power: each rack's sum in server order, summed in rack
+    /// order.
     #[must_use]
     pub fn total_power(&self) -> Watts {
-        self.fleets.iter().map(Fleet::total_power).sum()
+        (0..self.racks).map(|r| self.store.rack_power(r)).sum()
     }
 
-    /// Accumulated IT (server + fan) energy since construction.
+    /// Accumulated IT (server + fan) energy since construction, summed
+    /// as [`Room::total_power`] is.
     #[must_use]
     pub fn it_energy(&self) -> Joules {
-        self.fleets.iter().map(Fleet::total_energy).sum()
+        (0..self.racks).map(|r| self.store.rack_energy(r)).sum()
     }
 
     /// Accumulated CRAH cooling energy (heat removed over COP).
@@ -1022,9 +989,7 @@ impl Room {
     /// CRAH cooling energy and the accounted clock (e.g. after a
     /// warm-up phase). Thermal state is untouched.
     pub fn reset_accounting(&mut self) {
-        for fleet in &mut self.fleets {
-            fleet.reset_accounting();
-        }
+        self.store.reset_accounting();
         self.crah_energy = Joules::ZERO;
         self.accounted = SimDuration::ZERO;
     }
@@ -1033,19 +998,15 @@ impl Room {
     /// no unpacks).
     #[must_use]
     pub fn max_die_temperature(&self) -> Celsius {
-        self.fleets
-            .iter()
-            .map(Fleet::max_die_temperature)
-            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
+        self.store.max_die_temperature()
     }
 
     /// Every rack's hottest die temperature, appended into `out`
-    /// (cleared first) — the controller-loop read path: like
-    /// [`Fleet::die_temps_view`] it reads straight from the packed
-    /// shard blocks, with no state unpacks.
+    /// (cleared first) — the controller-loop read path: it reads
+    /// straight from the packed lane blocks, with no state unpacks.
     pub fn rack_max_die_temperatures(&self, out: &mut Vec<Celsius>) {
         out.clear();
-        out.extend(self.fleets.iter().map(Fleet::max_die_temperature));
+        out.extend((0..self.racks).map(|r| self.store.rack_max_die_temperature(r)));
     }
 
     /// The rack whose hottest die is highest right now — the hot spot
@@ -1054,25 +1015,21 @@ impl Room {
     /// injected fault) picks a rack instead of panicking.
     #[must_use]
     pub fn hottest_rack(&self) -> usize {
-        (0..self.fleets.len())
-            .max_by(|&a, &b| {
-                self.fleets[a]
-                    .max_die_temperature()
-                    .degrees()
-                    .total_cmp(&self.fleets[b].max_die_temperature().degrees())
-            })
+        let die = |rack| self.store.rack_max_die_temperature(rack).degrees();
+        (0..self.racks)
+            .max_by(|&a, &b| die(a).total_cmp(&die(b)))
             .unwrap_or(0)
     }
 }
 
 /// A full-state snapshot of a [`Room`] (see [`Room::checkpoint`]):
-/// every rack's fleet in original index order, the air-side network
-/// (boundary conditions and fault state included) and the energy/time
-/// accounting. Restoring resumes the trajectory bit-identically for
-/// any thread plan.
+/// one lane-store snapshot of every server in rack order, the air-side
+/// network (boundary conditions and fault state included) and the
+/// energy/time accounting. Restoring resumes the trajectory
+/// bit-identically for any thread plan.
 #[derive(Debug, Clone)]
 pub struct RoomCheckpoint {
-    fleets: Vec<FleetCheckpoint>,
+    store: FleetCheckpoint,
     air: RoomAirModel,
     crah_energy: Joules,
     accounted: SimDuration,
@@ -1086,7 +1043,7 @@ impl RoomCheckpoint {
     /// Number of racks captured.
     #[must_use]
     pub fn racks(&self) -> usize {
-        self.fleets.len()
+        self.placement.len()
     }
 
     /// Simulated time accounted at the capture point.
@@ -1147,6 +1104,7 @@ impl<F: FnMut(u64) -> Utilization> Stages<Room> for Uniform<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leakctl_units::Rpm;
 
     fn small() -> RoomConfig {
         let mut config = RoomConfig::new(1, 2, 3);

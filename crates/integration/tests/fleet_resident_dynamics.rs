@@ -350,7 +350,10 @@ fn servers_read_before_the_first_step_are_as_built() {
 
 /// 40 servers of one group, each with its own degraded-fan scale: every
 /// step has 40 flow classes, more than the solver's factorization cache
-/// holds, and the fleet still matches the scalar loop bit for bit.
+/// retains across steps (32), so the cache grows to the step's class
+/// count instead of evicting a class the step prepared. Once the fans
+/// settle, every step finds all 40 classes cached and factors nothing,
+/// and the fleet still matches the scalar loop bit for bit.
 #[test]
 fn more_flow_classes_than_the_factorization_cache_match_scalar() {
     let configs = vec![config(0); 40];
@@ -372,13 +375,26 @@ fn more_flow_classes_than_the_factorization_cache_match_scalar() {
             reference.servers[i].inject_fan_fault(fault);
         }
         let dt = SimDuration::from_secs(1);
+        let mut settled = 0;
         for step in 0..90 {
+            if step == 60 {
+                settled = fleet.factorizations();
+            }
             let load = if step % 30 < 15 { 1.0 } else { 0.2 };
             let inlet = Celsius::new(22.0 + 0.05 * step as f64);
             fleet.step_with_inlet(dt, activity(load), inlet).unwrap();
             reference.step_with_inlet(dt, activity(load), inlet);
         }
-        assert!(fleet.batch_group_count() <= 32, "the cache stays bounded");
+        assert_eq!(
+            fleet.batch_group_count(),
+            configs.len(),
+            "threads {threads}: one cached factorization per class"
+        );
+        assert_eq!(
+            fleet.factorizations(),
+            settled,
+            "threads {threads}: settled steps factor nothing"
+        );
         same_fleet(
             &mut fleet,
             &reference,

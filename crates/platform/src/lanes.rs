@@ -31,15 +31,15 @@
 //!
 //! The lanes are the authority; a server object is a view of its lane
 //! plus what only the server holds (telemetry, trace). Whatever reads a
-//! server writes its lane back first: [`DynamicsLanes::store`] copies
-//! the record, the packed temperatures and the step's network inputs
-//! (flow, inlet, injected powers) into it, and [`DynamicsLanes::poll`]
+//! server writes its lane back first: [`DynamicsLanes::store_lane`]
+//! copies the record, the packed temperatures and the step's network
+//! inputs (flow, inlet, injected powers) into it, and [`DynamicsLanes::poll`]
 //! copies the record and temperatures of the lanes whose CSTH poll
 //! falls due and records their frames.
 //!
 //! [`SharedKernel`]: leakctl_thermal::SharedKernel
 
-use leakctl_thermal::{FlowChannelId, NodeId, PackedLanes, ThermalNetwork};
+use leakctl_thermal::{FlowChannelId, NodeId, PackedLanes, RackSpan, ThermalNetwork};
 use leakctl_units::{AirFlow, Celsius, Rpm, SimDuration, SimInstant, Utilization, Watts};
 
 use crate::cpu::CpuSocket;
@@ -247,7 +247,8 @@ impl DynamicsLanes {
     /// failsafe, the socket/DIMM/board powers written into
     /// [`Self::sources`], and energy accounting — each through the
     /// [`Dynamics`] and [`CpuSocket`] methods [`ServerCore::begin_step`]
-    /// calls.
+    /// calls. Each span's lanes run their rack's activity,
+    /// `activities[span.rack]`.
     ///
     /// Each die's leakage is the one the last [`Self::finish`]
     /// evaluated at the temperatures it left in `temps`, so `temps` must
@@ -267,15 +268,21 @@ impl DynamicsLanes {
     ///
     /// # Panics
     ///
-    /// Panics when `temps` is not this block's shape or `dt` is zero (a
+    /// Panics when `temps` is not this block's shape, `spans` do not
+    /// tile the block, a span's rack has no activity or `dt` is zero (a
     /// zero-length step has no dynamics; skip it).
     pub fn begin(
         &mut self,
         temps: &PackedLanes,
         dt: SimDuration,
-        activity: Utilization,
+        spans: &[RackSpan],
+        activities: &[Utilization],
     ) -> Option<AirFlow> {
         assert_eq!(temps.batch(), self.lanes, "packed block shape");
+        assert!(
+            RackSpan::cover(spans, self.lanes),
+            "rack spans tile the block"
+        );
         assert!(!dt.is_zero(), "a zero-length step has no dynamics to begin");
         let lanes = self.lanes;
         let per_lane = self.slots.dies.len();
@@ -283,7 +290,10 @@ impl DynamicsLanes {
         let carried = std::mem::replace(&mut self.leakage_fresh, false);
         let mut shared: Option<AirFlow> = None;
         let mut homogeneous = true;
-        for (lane, record) in self.records.iter_mut().enumerate() {
+        let racks = spans
+            .iter()
+            .flat_map(|span| span.lanes.clone().map(|_| activities[span.rack]));
+        for (lane, (record, activity)) in self.records.iter_mut().zip(racks).enumerate() {
             let flow = record.advance_fans(dt, activity);
             match shared {
                 None => shared = Some(flow),
@@ -439,19 +449,6 @@ impl DynamicsLanes {
         })();
         written.expect("a server's own network accepts its inputs");
     }
-
-    /// [`Self::store_lane`] for every lane.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::store_lane`], and when `servers` is not one server per
-    /// lane.
-    pub fn store(&self, temps: &PackedLanes, inlet: Option<Celsius>, servers: &mut [Server]) {
-        assert_eq!(servers.len(), self.lanes, "one server per lane");
-        for (lane, server) in servers.iter_mut().enumerate() {
-            self.store_lane(lane, temps, inlet, server);
-        }
-    }
 }
 
 impl PoweredSlots {
@@ -474,9 +471,9 @@ fn hottest_die(dies: &[usize], temps: &[f64], lanes: usize, lane: usize) -> Cels
 }
 
 /// A hash group's representative network: the topology every lane
-/// shares, set to one flow class's chassis flow and the group's inlet
-/// so each class's factorization and boundary source are derived from
-/// one network instead of from every lane.
+/// shares, set to one flow class's chassis flow so each class's
+/// factorization and its racks' boundary sources are derived from one
+/// network instead of from every lane.
 #[derive(Debug, Clone)]
 pub struct LaneTemplate {
     net: ThermalNetwork,
@@ -496,17 +493,25 @@ impl LaneTemplate {
         }
     }
 
-    /// Sets the chassis flow and inlet (ambient boundary) the next
-    /// prepared solve shares.
+    /// Sets the chassis flow the next prepared solve shares.
     ///
     /// # Errors
     ///
     /// Propagates thermal-network failures (never expected for the
-    /// template's own channel and node).
-    pub fn set_inputs(&mut self, flow: AirFlow, inlet: Celsius) -> Result<(), PlatformError> {
+    /// template's own channel).
+    pub fn set_flow(&mut self, flow: AirFlow) -> Result<(), PlatformError> {
         self.net.set_flow(self.chassis, flow)?;
-        self.net.set_boundary(self.ambient, inlet)?;
         Ok(())
+    }
+
+    /// One boundary-source column per rack inlet at the current flow
+    /// ([`ThermalNetwork::assemble_boundary_sources_into`] with the
+    /// ambient node on each inlet): `columns` is resized to
+    /// `inlets.len()` columns and filled.
+    pub fn boundary_sources_into(&self, inlets: &[Celsius], columns: &mut Vec<f64>) {
+        columns.resize(inlets.len() * self.net.state_count(), 0.0);
+        self.net
+            .assemble_boundary_sources_into(self.ambient, inlets, columns);
     }
 
     /// The representative network.
@@ -539,14 +544,25 @@ mod tests {
         let mut template = LaneTemplate::of(&server);
         let mut solver = BatchSolver::new(server.thermal_network());
         let dt = SimDuration::from_secs(1);
+        let one_rack = [RackSpan {
+            lanes: 0..1,
+            rack: 0,
+        }];
+        let inlet = [server.ambient()];
+        let mut bound = Vec::new();
         let mut solve = |dynamics: &DynamicsLanes, temps: &mut PackedLanes, flow| {
-            template.set_inputs(flow, server.ambient()).unwrap();
-            let kernel = solver.prepare_shared(template.network(), dt).unwrap();
-            kernel.step_shard(temps, dynamics.sources()).unwrap();
+            template.set_flow(flow).unwrap();
+            solver.begin_step();
+            let prepared = solver.prepare(template.network(), dt).unwrap();
+            template.boundary_sources_into(&inlet, &mut bound);
+            let kernel = solver.kernel(&prepared, &bound, template.network());
+            kernel
+                .step_racks(temps, dynamics.sources(), &one_rack)
+                .unwrap();
         };
         let loads = [0.9, 0.4, 1.0, 0.1].map(Utilization::saturating_from_fraction);
         for (i, &load) in loads.iter().cycle().take(40).enumerate() {
-            let flow = dynamics.begin(&temps, dt, load).unwrap();
+            let flow = dynamics.begin(&temps, dt, &one_rack, &[load]).unwrap();
             // Fresh from load, carried from a finish, or rebuilt after
             // a step whose solve moved the temperatures but never
             // finished: always the power at the temperatures stepped

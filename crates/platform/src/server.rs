@@ -851,7 +851,7 @@ mod tests {
         // reproduce Server::step exactly, telemetry included, across a
         // mid-run fan command that moves the shared factorization.
         use crate::{DynamicsLanes, LaneTemplate};
-        use leakctl_thermal::{BatchSolver, PackedLanes};
+        use leakctl_thermal::{BatchSolver, PackedLanes, RackSpan};
 
         let mut laned = server();
         let mut plain = server();
@@ -860,6 +860,7 @@ mod tests {
         let mut template = LaneTemplate::of(&laned);
         let mut solver = BatchSolver::new(laned.thermal_network());
         let inlet = laned.ambient();
+        let mut bound = Vec::new();
         let dt = SimDuration::from_secs(1);
         for i in 0..240 {
             if i == 100 {
@@ -871,13 +872,22 @@ mod tests {
             } else {
                 Utilization::IDLE
             };
+            let one_rack = [RackSpan {
+                lanes: 0..1,
+                rack: 0,
+            }];
             let flow = dynamics
-                .begin(&temps, dt, act)
+                .begin(&temps, dt, &one_rack, &[act])
                 .expect("one lane agrees with itself");
             dynamics.flush_events(std::slice::from_mut(&mut laned));
-            template.set_inputs(flow, inlet).unwrap();
-            let kernel = solver.prepare_shared(template.network(), dt).unwrap();
-            kernel.step_shard(&mut temps, dynamics.sources()).unwrap();
+            template.set_flow(flow).unwrap();
+            solver.begin_step();
+            let prepared = solver.prepare(template.network(), dt).unwrap();
+            template.boundary_sources_into(&[inlet], &mut bound);
+            let kernel = solver.kernel(&prepared, &bound, template.network());
+            kernel
+                .step_racks(&mut temps, dynamics.sources(), &one_rack)
+                .unwrap();
             if dynamics.finish(&temps, dt) {
                 dynamics
                     .poll(&temps, std::slice::from_mut(&mut laned))
@@ -886,7 +896,7 @@ mod tests {
             plain.step(dt, act).unwrap();
         }
         assert_eq!(dynamics.power(0), plain.total_power());
-        dynamics.store(&temps, Some(inlet), std::slice::from_mut(&mut laned));
+        dynamics.store_lane(0, &temps, Some(inlet), &mut laned);
         assert_eq!(laned.max_die_temperature(), plain.max_die_temperature());
         assert_eq!(laned.air_temperature(0), plain.air_temperature(0));
         assert_eq!(laned.total_energy(), plain.total_energy());

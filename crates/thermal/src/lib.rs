@@ -25,7 +25,8 @@
 //! [`BatchSolver`] instead: it shares each `(dt, flow)` factorization
 //! across every lane and hands out a [`SharedKernel`] that advances
 //! slot-major [`PackedLanes`] blocks (split across threads as
-//! [`ShardedLanes`]) from per-lane power injections. Lanes whose fan
+//! [`ShardedLanes`]) from per-lane power injections, each rack's lanes
+//! ([`RackSpan`]) on their own inlet's boundary source. Lanes whose fan
 //! flows differ step one flow class at a time through the same kernel
 //! type, and every lane stays bit-identical to its own
 //! [`TransientSolver`].
@@ -76,7 +77,7 @@ pub mod sparse;
 mod stepper;
 
 pub use backend::{AutoBackend, CsrBackend, DenseBackend, SolverBackend, CSR_NODE_THRESHOLD};
-pub use batch::{BatchSolver, PackedLanes, SharedKernel};
+pub use batch::{BatchSolver, PackedLanes, Prepared, RackSpan, SharedKernel};
 pub use convection::ConvectionModel;
 pub use error::ThermalError;
 pub use network::{

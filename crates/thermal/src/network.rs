@@ -766,16 +766,55 @@ impl ThermalNetwork {
     /// skipping matrix assembly. Replays the boundary stencil, which
     /// holds the same products in the same accumulation order as
     /// [`Self::assemble_conductance_with`], so the result is
-    /// bit-identical to the `s_bound` a full assembly would produce —
-    /// the batch solver uses this to refresh per-server sources while
-    /// sharing one conductance matrix across the fleet.
-    pub(crate) fn assemble_boundary_source_into(&self, s_bound: &mut [f64]) {
+    /// bit-identical to the `s_bound` a full assembly would produce:
+    /// the one boundary-source column of a
+    /// [`BatchSolver::kernel`](crate::BatchSolver::kernel) whose lanes
+    /// all sit on this network's boundary temperatures.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `s_bound` is shorter than the state count.
+    pub fn assemble_boundary_source_into(&self, s_bound: &mut [f64]) {
+        self.replay_boundary_stencil(s_bound, None);
+    }
+
+    /// One boundary-source column per temperature of `boundary`: column
+    /// `i` (`columns[i * n..(i + 1) * n]`, `n` the state count) is the
+    /// boundary source a solve of this network assembles with
+    /// `boundary` held at `temps[i]`, through the same stencil replay,
+    /// so each column is bit-identical to the source of a network whose
+    /// boundary sits at that temperature. This is how lanes on several
+    /// inlets (one rack each) share one factorization.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `columns` is not `temps.len()` columns long.
+    pub fn assemble_boundary_sources_into(
+        &self,
+        boundary: NodeId,
+        temps: &[Celsius],
+        columns: &mut [f64],
+    ) {
+        let n = self.state_count();
+        assert_eq!(columns.len(), temps.len() * n, "one column per temperature");
+        for (column, temp) in columns.chunks_exact_mut(n.max(1)).zip(temps) {
+            self.replay_boundary_stencil(column, Some((boundary.0, temp.degrees())));
+        }
+    }
+
+    /// The stencil replay behind both source assemblies, with `pinned`
+    /// optionally overriding one boundary node's temperature.
+    fn replay_boundary_stencil(&self, s_bound: &mut [f64], pinned: Option<(usize, f64)>) {
         s_bound.fill(0.0);
         for term in &self.boundary_stencil {
             if term.g <= 0.0 {
                 continue;
             }
             if let NodeKind::Boundary { temp } = self.nodes[term.node].kind {
+                let temp = match pinned {
+                    Some((node, pinned)) if node == term.node => pinned,
+                    _ => temp,
+                };
                 s_bound[term.slot] += term.g * temp;
             }
         }
@@ -1345,5 +1384,31 @@ mod tests {
             }
         }
         assert!(zero_flow_seen, "the g <= 0 skip must be exercised");
+    }
+
+    #[test]
+    fn boundary_source_columns_match_a_network_on_each_temperature() {
+        let mut rng = Lcg(0xc01);
+        for _ in 0..40 {
+            let (mut net, bounds, channels) = random_network(&mut rng);
+            let ch = channels[rng.below(channels.len())];
+            net.set_flow(ch, AirFlow::new(0.05 * rng.unit())).unwrap();
+            let pinned = bounds[rng.below(bounds.len())];
+            let temps: Vec<Celsius> = (0..4)
+                .map(|_| Celsius::new(10.0 + 30.0 * rng.unit()))
+                .collect();
+            let n = net.state_count();
+            let mut columns = vec![f64::NAN; temps.len() * n];
+            net.assemble_boundary_sources_into(pinned, &temps, &mut columns);
+            for (i, &t) in temps.iter().enumerate() {
+                let mut at = net.clone();
+                at.set_boundary(pinned, t).unwrap();
+                let got: Vec<u64> = columns[i * n..(i + 1) * n]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, full_boundary_source(&at), "column {i}");
+            }
+        }
     }
 }

@@ -9,15 +9,16 @@
 //! contiguous partition and [`ShardedLanes`] owns one [`PackedLanes`]
 //! block per shard. A step is then:
 //!
-//! 1. *serial*: [`BatchSolver::prepare_shared`](crate::BatchSolver::prepare_shared)
+//! 1. *serial*: [`BatchSolver::prepare`](crate::BatchSolver::prepare)
 //!    resolves the shared factorization (cheap, change-driven — sticky
-//!    across constant-flow stretches) and the group's one boundary
-//!    source;
+//!    across constant-flow stretches) and
+//!    [`BatchSolver::kernel`](crate::BatchSolver::kernel) pairs it with
+//!    the boundary sources;
 //! 2. *parallel* (one [`std::thread::scope`] worker per shard, no pool
 //!    state to manage): each shard builds its right-hand-side block
 //!    from its lanes' powers and back-substitutes through the shared
 //!    read-only factors with
-//!    [`SharedKernel::step_shard`](crate::SharedKernel::step_shard).
+//!    [`SharedKernel::step_racks`](crate::SharedKernel::step_racks).
 //!
 //! The caller owns the workers, so a fleet engine fuses its own
 //! per-lane work (server dynamics, telemetry) with the solve inside one
@@ -206,7 +207,7 @@ impl ShardedLanes {
     /// Iterates the per-shard blocks with their lane ranges — for
     /// fleet engines that fuse their own per-lane work (server
     /// dynamics, telemetry) with
-    /// [`SharedKernel::step_shard`](crate::SharedKernel::step_shard)
+    /// [`SharedKernel::step_racks`](crate::SharedKernel::step_racks)
     /// inside one parallel region.
     pub fn shards_mut(&mut self) -> impl Iterator<Item = (Range<usize>, &mut PackedLanes)> {
         self.starts
@@ -242,7 +243,7 @@ pub fn group_by_structure_hash(hashes: impl Iterator<Item = u64>) -> Vec<Vec<usi
 mod tests {
     use super::*;
     use crate::backend::DenseBackend;
-    use crate::batch::tests::{power_block, Scalar};
+    use crate::batch::tests::{kernel_of, one_rack, power_block, Scalar};
     use crate::batch::BatchSolver;
     use crate::network::{Coupling, ThermalNetwork, ThermalNetworkBuilder};
     use leakctl_units::{
@@ -315,13 +316,13 @@ mod tests {
         nets: &[ThermalNetwork],
         lanes: &mut ShardedLanes,
     ) {
-        let kernel = solver
-            .prepare_shared(&nets[0], SimDuration::from_secs(1))
-            .unwrap();
+        let mut bound = Vec::new();
+        let kernel = kernel_of(solver, &nets[0], SimDuration::from_secs(1), &mut bound);
         thread::scope(|scope| {
             for (range, shard) in lanes.shards_mut() {
+                let spans = one_rack(range.len());
                 let (kernel, powers) = (&kernel, power_block(&nets[range]));
-                scope.spawn(move || kernel.step_shard(shard, &powers).unwrap());
+                scope.spawn(move || kernel.step_racks(shard, &powers, &spans).unwrap());
             }
         });
     }
@@ -391,11 +392,13 @@ mod tests {
 
         let mut a = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
         let mut lanes_a = ShardedLanes::pack(&states, &plan);
-        let kernel = a.prepare_shared(&nets[0], dt).unwrap();
+        let mut bound = Vec::new();
+        let kernel = kernel_of(&mut a, &nets[0], dt, &mut bound);
         for (range, shard) in lanes_a.shards_mut() {
+            let spans = one_rack(range.len());
             let powers = power_block(&nets[range]);
             for _ in 0..80 {
-                kernel.step_shard(shard, &powers).unwrap();
+                kernel.step_racks(shard, &powers, &spans).unwrap();
             }
         }
 
@@ -435,15 +438,17 @@ mod tests {
                 // Two flow classes: each prepares from one of its own
                 // lanes and steps only its lanes of each shard.
                 for (template, class) in [(0, vec![0, 1, 2, 4, 5]), (3, vec![3])] {
-                    let kernel = solver.prepare_shared(&nets[template], dt).unwrap();
+                    let mut bound = Vec::new();
+                    let kernel = kernel_of(&mut solver, &nets[template], dt, &mut bound);
                     for (range, shard) in lanes.shards_mut() {
                         let members: Vec<usize> = class
                             .iter()
                             .filter(|lane| range.contains(lane))
                             .map(|lane| lane - range.start)
                             .collect();
+                        let spans = one_rack(range.len());
                         let powers = power_block(&nets[range]);
-                        kernel.step_lanes(shard, &powers, &members).unwrap();
+                        kernel.step_lanes(shard, &powers, &spans, &members).unwrap();
                     }
                 }
             } else {

@@ -9,9 +9,9 @@
 //! and mid-run input changes.
 
 use leakctl_thermal::{
-    BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, PackedLanes, RoomAirModel,
-    RoomAirSpec, ShardPlan, ShardedLanes, ThermalError, ThermalNetwork, ThermalNetworkBuilder,
-    ThermalState,
+    BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, PackedLanes, RackSpan,
+    RoomAirModel, RoomAirSpec, ShardPlan, ShardedLanes, ThermalError, ThermalNetwork,
+    ThermalNetworkBuilder, ThermalState,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
@@ -200,6 +200,7 @@ proptest! {
             })
             .collect();
         let mut solver = BatchSolver::new(&rigs[0].net);
+        let mut bound = vec![0.0; rigs[0].net.state_count()];
         let mut packed = PackedLanes::pack(
             &reference.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
         );
@@ -232,8 +233,18 @@ proptest! {
                 for &lane in &class {
                     done[lane] = true;
                 }
-                let kernel = solver.prepare_shared(&rigs[first].net, dt).unwrap();
-                kernel.step_lanes(&mut packed, &powers, &class).unwrap();
+                let net = &rigs[first].net;
+                solver.begin_step();
+                let prepared = solver.prepare(net, dt).unwrap();
+                net.assemble_boundary_source_into(&mut bound);
+                let kernel = solver.kernel(&prepared, &bound, net);
+                let spans = [RackSpan {
+                    lanes: 0..batch,
+                    rack: 0,
+                }];
+                kernel
+                    .step_lanes(&mut packed, &powers, &spans, &class)
+                    .unwrap();
             }
         }
         let classes = if batch > 1 { 2 } else { 1 };
@@ -408,17 +419,26 @@ proptest! {
                 .map(|r| r.net.uniform_state(Celsius::new(ambient)))
                 .collect();
             let mut solver = BatchSolver::new(&rigs[0].net);
+            let mut bound = vec![0.0; rigs[0].net.state_count()];
             let mut lanes = ShardedLanes::pack(&states, &plan);
             for step in 0..30 {
                 if step == power_change_at {
                     let rig = &mut rigs[0];
                     rig.net.set_power(rig.dies[0], Watts::new(190.0)).unwrap();
                 }
-                let kernel = solver.prepare_shared(&rigs[0].net, dt).unwrap();
+                let net = &rigs[0].net;
+                solver.begin_step();
+                let prepared = solver.prepare(net, dt).unwrap();
+                net.assemble_boundary_source_into(&mut bound);
+                let kernel = solver.kernel(&prepared, &bound, net);
                 std::thread::scope(|scope| {
                     for (range, shard) in lanes.shards_mut() {
+                        let spans = [RackSpan {
+                            lanes: 0..range.len(),
+                            rack: 0,
+                        }];
                         let (kernel, powers) = (&kernel, power_block(&rigs[range]));
-                        scope.spawn(move || kernel.step_shard(shard, &powers).unwrap());
+                        scope.spawn(move || kernel.step_racks(shard, &powers, &spans).unwrap());
                     }
                 });
             }
