@@ -17,31 +17,11 @@ use std::time::Instant;
 use leakctl::fleet::Fleet;
 use leakctl::prelude::*;
 use leakctl::RunOptions;
-use leakctl_bench::perf::{best_of, render_json, GateArgs, PerfResult};
+use leakctl_bench::perf::{best_of, render_json, timed_rounds, GateArgs, PerfResult};
 use leakctl_bench::SteppingKernel;
 use leakctl_control::FixedSpeedController;
 use leakctl_thermal::{BatchSolver, PackedLanes, RackSpan, ShardPlan, ThermalState};
 use leakctl_workload::suite;
-
-/// The least wall time a fast row times: it repeats its run until this
-/// much has been measured, so a scheduler hiccup of a few milliseconds
-/// cannot swing its rate.
-const MIN_TIMED_S: f64 = 0.2;
-
-/// Repeats `round` — which returns the seconds it timed and its
-/// result — until at least [`MIN_TIMED_S`] has been timed. Returns the
-/// rounds run, the seconds timed and the last round's result.
-fn timed_rounds<T>(mut round: impl FnMut() -> (f64, T)) -> (u64, f64, T) {
-    let (mut wall_s, mut last) = round();
-    let mut rounds = 1;
-    while wall_s < MIN_TIMED_S {
-        let (s, result) = round();
-        wall_s += s;
-        last = result;
-        rounds += 1;
-    }
-    (rounds, wall_s, last)
-}
 
 /// Steps/sec of the raw thermal-network stepping kernel at constant
 /// inputs with a throwaway `TransientSolver` per step, which
@@ -65,7 +45,7 @@ fn bench_network_stateless(steps: u64) -> PerfResult {
 /// Steps/sec of the same kernel through a persistent
 /// `TransientSolver` — cached assembly, reused LU factorization,
 /// zero allocation per step. Each round steps a fresh kernel `steps`
-/// times, repeated until [`MIN_TIMED_S`] is timed, so every round ends
+/// times, repeated until `MIN_TIMED_S` is timed, so every round ends
 /// on the same temperature.
 fn bench_network_cached(steps: u64) -> PerfResult {
     let (rounds, wall_s, kernel) = timed_rounds(|| {
@@ -232,7 +212,7 @@ fn server_shaped_bank(rng: &mut SimRng) -> SensorBank {
 /// frames untimed; `steps` counts the draws (71 channels × 16 per
 /// refill). Each round builds the banks afresh from one seed, steps one
 /// untimed block to allocate every bank's buffer, then times `blocks`
-/// blocks; rounds repeat until [`MIN_TIMED_S`] is timed, and every
+/// blocks; rounds repeat until `MIN_TIMED_S` is timed, and every
 /// round sums to the same checksum.
 fn bench_sensor_refill(blocks: u64) -> PerfResult {
     const BANKS: usize = 512;
@@ -290,7 +270,7 @@ fn fleet_with_history() -> Fleet {
 /// history. Each checkpoint replaces and drops the previous one, as a
 /// building run's periodic checkpoint does; `steps` counts servers
 /// snapshotted. Rounds of `checkpoints` checkpoints repeat until
-/// [`MIN_TIMED_S`] is timed.
+/// `MIN_TIMED_S` is timed.
 fn bench_fleet_checkpoint(fleet: &mut Fleet, checkpoints: u64) -> PerfResult {
     let frames = fleet.server(0).expect("server 0").csth().frame_count();
     let mut kept = fleet.checkpoint();
@@ -322,7 +302,7 @@ fn bench_fleet_checkpoint(fleet: &mut Fleet, checkpoints: u64) -> PerfResult {
 /// 16 racks of 2 default servers, one lane store — at 60 % load with
 /// fans at 3000 rpm on one worker, through the public `Room` API. Each
 /// round builds the room, lets the fans settle over 120 untimed steps
-/// and times `steps` room steps; rounds repeat until [`MIN_TIMED_S`]
+/// and times `steps` room steps; rounds repeat until `MIN_TIMED_S`
 /// is timed, and every round ends on the same die temperature.
 fn bench_room_step(steps: u64) -> PerfResult {
     let dt = SimDuration::from_secs(1);
@@ -362,7 +342,7 @@ fn bench_room_step(steps: u64) -> PerfResult {
 /// One full 80-minute Table-I-protocol run (Default controller on
 /// Test-3) — the paper's headline workload and the acceptance metric
 /// for stepping-engine optimizations — repeated until
-/// [`MIN_TIMED_S`] is timed (every run is the same seeded run). Energy
+/// `MIN_TIMED_S` is timed (every run is the same seeded run). Energy
 /// is reported to 1e-12 kWh so perf PRs can prove the physics is
 /// untouched.
 fn bench_run80min(quick: bool) -> PerfResult {

@@ -30,10 +30,16 @@
 //!   parallelism); `rack128_parallel` carries `parallel_speedup_x`,
 //!   the multi-thread-over-single-thread ratio.
 //!
+//! Every row but `rack128_fleet_step` repeats its timed region until
+//! at least 0.2 s is timed (`leakctl_bench::perf::timed_rounds`); each
+//! round rebuilds its kernel (or copies the warmed-up servers) and runs
+//! the same steps, so the printed temperatures do not depend on the
+//! repetition count.
+//!
 //! Results are bit-identical across the kernels: the gate fails unless
-//! every repetition of `rack128_batch_thermal`, `rack128_shard1` and
-//! each swept thread count ends on the same hottest temperature, bit
-//! for bit (the value printed as `max_temp_c`).
+//! every round of `rack128_batch_thermal`, `rack128_shard1` and each
+//! swept thread count ends on the same hottest temperature, bit for
+//! bit (the value printed as `max_temp_c`).
 //!
 //! The headline `batch_speedup_x` extra on `rack128_batch_thermal` is
 //! its ratio to `rack128_server_loop` in servers-stepped/sec;
@@ -48,7 +54,7 @@ use std::time::Instant;
 
 use leakctl::fleet::Fleet;
 use leakctl::prelude::*;
-use leakctl_bench::perf::{best_of, gate_main, GateRun, PerfResult};
+use leakctl_bench::perf::{best_of, gate_main, timed_rounds, GateRun, PerfResult};
 use leakctl_bench::RackKernel;
 use leakctl_thermal::ShardPlan;
 
@@ -56,54 +62,76 @@ use leakctl_thermal::ShardPlan;
 const RACK: usize = 128;
 
 /// Full scalar baseline: `RACK` independent servers, each stepped
-/// through `Server::step`.
+/// through `Server::step`. Each round steps a copy of the same
+/// warmed-up servers `steps` times, repeated until `MIN_TIMED_S` is
+/// timed, so every round ends on the same temperatures.
 fn bench_server_loop(steps: u64) -> PerfResult {
-    let mut servers: Vec<Server> = (0..RACK)
+    let mut warm: Vec<Server> = (0..RACK)
         .map(|i| Server::new(ServerConfig::default(), i as u64).expect("server builds"))
         .collect();
     // Warm up: let fans settle so flows stop changing step-to-step.
-    for server in &mut servers {
+    for server in &mut warm {
         for _ in 0..120 {
             server
                 .step(SimDuration::from_secs(1), Utilization::FULL)
                 .expect("warmup step succeeds");
         }
     }
-    let start = Instant::now();
-    for _ in 0..steps {
-        for server in &mut servers {
-            server
-                .step(SimDuration::from_secs(1), Utilization::FULL)
-                .expect("step succeeds");
+    let (rounds, wall_s, servers) = timed_rounds(|| {
+        let mut servers = warm.clone();
+        let start = Instant::now();
+        for _ in 0..steps {
+            for server in &mut servers {
+                server
+                    .step(SimDuration::from_secs(1), Utilization::FULL)
+                    .expect("step succeeds");
+            }
         }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
+        (start.elapsed().as_secs_f64(), servers)
+    });
     let max_t = servers
         .iter()
         .map(|s| s.max_die_temperature().degrees())
         .fold(f64::NEG_INFINITY, f64::max);
     PerfResult {
         name: "rack128_server_loop",
-        steps: steps * RACK as u64,
+        steps: rounds * steps * RACK as u64,
         wall_s,
         extra: vec![("max_die_temp_c", format!("{max_t:.6}"))],
     }
 }
 
+/// Times `run` over `steps` steps of a fresh `threads`-worker kernel
+/// after one untimed warm-up step (so the shared factorization exists),
+/// repeated until `MIN_TIMED_S` is timed. Every round starts from the
+/// same state, so each one pushes the same bits of its final hottest
+/// temperature onto `end_bits`. Returns the rounds run, the seconds
+/// timed and the last round's kernel.
+fn kernel_rounds(
+    steps: u64,
+    threads: usize,
+    run: impl Fn(&mut RackKernel, u64),
+    end_bits: &mut Vec<u64>,
+) -> (u64, f64, RackKernel) {
+    timed_rounds(|| {
+        let mut kernel = RackKernel::new(RACK, threads);
+        run(&mut kernel, 1);
+        let start = Instant::now();
+        run(&mut kernel, steps);
+        let wall_s = start.elapsed().as_secs_f64();
+        end_bits.push(kernel.max_temperature().degrees().to_bits());
+        (wall_s, kernel)
+    })
+}
+
 /// Batched thermal stepping: `RACK` identical server-topology networks
 /// through one shared factorization (constant inputs). Pushes the bits
-/// of the final hottest temperature onto `end_bits`.
+/// of each round's final hottest temperature onto `end_bits`.
 fn bench_batch_thermal(steps: u64, end_bits: &mut Vec<u64>) -> PerfResult {
-    let mut kernel = RackKernel::new(RACK, 1);
-    // Warm-up step so the shared factorization exists.
-    kernel.step_batched(1);
-    let start = Instant::now();
-    kernel.step_batched(steps);
-    let wall_s = start.elapsed().as_secs_f64();
-    end_bits.push(kernel.max_temperature().degrees().to_bits());
+    let (rounds, wall_s, kernel) = kernel_rounds(steps, 1, RackKernel::step_batched, end_bits);
     PerfResult {
         name: "rack128_batch_thermal",
-        steps: steps * RACK as u64,
+        steps: rounds * steps * RACK as u64,
         wall_s,
         extra: vec![(
             "max_temp_c",
@@ -114,14 +142,11 @@ fn bench_batch_thermal(steps: u64, end_bits: &mut Vec<u64>) -> PerfResult {
 
 /// Batched thermal stepping with per-step per-lane power updates.
 fn bench_batch_dynamic(steps: u64) -> PerfResult {
-    let mut kernel = RackKernel::new(RACK, 1);
-    kernel.step_batched_dynamic(1);
-    let start = Instant::now();
-    kernel.step_batched_dynamic(steps);
-    let wall_s = start.elapsed().as_secs_f64();
+    let (rounds, wall_s, kernel) =
+        kernel_rounds(steps, 1, RackKernel::step_batched_dynamic, &mut Vec::new());
     PerfResult {
         name: "rack128_batch_dynamic",
-        steps: steps * RACK as u64,
+        steps: rounds * steps * RACK as u64,
         wall_s,
         extra: vec![(
             "max_temp_c",
@@ -133,22 +158,17 @@ fn bench_batch_dynamic(steps: u64) -> PerfResult {
 /// Thread-sharded batch stepping at a fixed worker count (constant
 /// inputs; one serial prepare, then every worker runs its shard's full
 /// step sequence with zero cross-thread synchronization). Pushes the
-/// bits of the final hottest temperature onto `end_bits`.
+/// bits of each round's final hottest temperature onto `end_bits`.
 fn bench_sharded(
     steps: u64,
     threads: usize,
     name: &'static str,
     end_bits: &mut Vec<u64>,
 ) -> PerfResult {
-    let mut kernel = RackKernel::new(RACK, threads);
-    kernel.step_many(1);
-    let start = Instant::now();
-    kernel.step_many(steps);
-    let wall_s = start.elapsed().as_secs_f64();
-    end_bits.push(kernel.max_temperature().degrees().to_bits());
+    let (rounds, wall_s, kernel) = kernel_rounds(steps, threads, RackKernel::step_many, end_bits);
     PerfResult {
         name,
-        steps: steps * RACK as u64,
+        steps: rounds * steps * RACK as u64,
         wall_s,
         extra: vec![
             ("threads", format!("{threads}")),
@@ -203,9 +223,9 @@ fn gate(quick: bool) -> GateRun {
     let steps = if quick { 300 } else { 2_000 };
     let reps = if quick { 2 } else { 3 };
     // The batch kernels are fast enough that short runs sit inside
-    // shared-runner timer noise; give them 20× the steps so the timed
-    // region is tens of milliseconds and the CI regression gate stays
-    // meaningful.
+    // shared-runner timer noise; give each round 20× the steps, and
+    // repeat rounds until `MIN_TIMED_S` is timed, so the CI regression
+    // gate stays meaningful.
     let scalar = best_of(reps, || bench_server_loop(steps));
     let mut batch_bits = Vec::new();
     let mut batched = best_of(reps, || bench_batch_thermal(steps * 20, &mut batch_bits));

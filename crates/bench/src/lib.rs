@@ -358,7 +358,8 @@ impl Default for SteppingKernel {
 /// one template network, paired with its boundary source by
 /// [`BatchSolver::kernel`](leakctl_thermal::BatchSolver::kernel), then
 /// [`SharedKernel::step_racks`](leakctl_thermal::SharedKernel::step_racks)
-/// over each shard's packed temperatures and power block — the
+/// over the packed temperatures and power block of each
+/// [`ShardPlan`](leakctl_thermal::ShardPlan) range — the
 /// measurement kernel behind the `rack_scale` criterion groups and the
 /// `repro-rack` servers-stepped/sec report.
 ///
@@ -374,9 +375,8 @@ pub struct RackKernel {
     template: leakctl_thermal::ThermalNetwork,
     /// State slots of the dies, in socket order.
     die_slots: Vec<usize>,
-    lanes: leakctl_thermal::ShardedLanes,
-    /// Per shard, its lanes' power injections (`[slot * width + lane]`).
-    powers: Vec<Vec<f64>>,
+    /// One per plan range, in lane order.
+    shards: Vec<RackShard>,
     solver: leakctl_thermal::BatchSolver,
     /// The template's boundary-source column, every lane's.
     bound: Vec<f64>,
@@ -393,7 +393,7 @@ impl RackKernel {
     /// build).
     #[must_use]
     pub fn new(servers: usize, threads: usize) -> Self {
-        use leakctl_thermal::{BatchSolver, ShardPlan, ShardedLanes};
+        use leakctl_thermal::{BatchSolver, PackedLanes, ShardPlan};
         use leakctl_units::{AirFlow, Celsius};
         let (mut template, dies, flow) = server_like_network(2);
         template
@@ -404,10 +404,15 @@ impl RackKernel {
             .map(|&die| template.state_slot(die).expect("dies are capacitive"))
             .collect();
         let states = vec![template.uniform_state(Celsius::new(24.0)); servers];
-        let lanes = ShardedLanes::pack(&states, &ShardPlan::new(threads));
         let n = template.state_count();
-        let powers = (0..lanes.shard_count())
-            .map(|i| vec![0.0; n * lanes.shard_range(i).len()])
+        let shards = ShardPlan::new(threads)
+            .ranges(servers)
+            .into_iter()
+            .map(|lanes| RackShard {
+                temps: PackedLanes::pack(&states[lanes.clone()]),
+                powers: vec![0.0; n * lanes.len()],
+                lanes,
+            })
             .collect();
         let mut bound = vec![0.0; n];
         template.assemble_boundary_source_into(&mut bound);
@@ -416,8 +421,7 @@ impl RackKernel {
             bound,
             template,
             die_slots,
-            lanes,
-            powers,
+            shards,
             tick: 0,
         };
         kernel.set_die_powers(|lane, s| 80.0 + lane as f64 * 0.1 + s as f64);
@@ -427,26 +431,23 @@ impl RackKernel {
     /// Number of lanes.
     #[must_use]
     pub fn servers(&self) -> usize {
-        (0..self.shard_count())
-            .map(|i| self.lanes.shard_range(i).len())
-            .sum()
+        self.shards.iter().map(|shard| shard.lanes.len()).sum()
     }
 
     /// Number of shards the lanes split into.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.lanes.shard_count()
+        self.shards.len()
     }
 
     /// Writes `power(lane, socket)` into every lane's die slots, lane
     /// by lane.
     fn set_die_powers(&mut self, power: impl Fn(usize, usize) -> f64) {
-        for (i, block) in self.powers.iter_mut().enumerate() {
-            let range = self.lanes.shard_range(i);
-            let width = range.len();
-            for (offset, lane) in range.enumerate() {
+        for shard in &mut self.shards {
+            let width = shard.lanes.len();
+            for (offset, lane) in shard.lanes.clone().enumerate() {
                 for (s, &slot) in self.die_slots.iter().enumerate() {
-                    block[slot * width + offset] = power(lane, s);
+                    shard.powers[slot * width + offset] = power(lane, s);
                 }
             }
         }
@@ -503,13 +504,10 @@ impl RackKernel {
     fn step_once(&mut self) {
         let prepared = self.prepare();
         let kernel = self.solver.kernel(&prepared, &self.bound, &self.template);
-        for ((range, shard), powers) in self.lanes.shards_mut().zip(&self.powers) {
-            let whole = [leakctl_thermal::RackSpan {
-                lanes: 0..range.len(),
-                rack: 0,
-            }];
+        for shard in &mut self.shards {
+            let whole = shard.whole();
             kernel
-                .step_racks(shard, powers, &whole)
+                .step_racks(&mut shard.temps, &shard.powers, &whole)
                 .expect("step succeeds");
         }
     }
@@ -526,25 +524,22 @@ impl RackKernel {
     pub fn step_many(&mut self, steps: u64) {
         let prepared = self.prepare();
         let kernel = self.solver.kernel(&prepared, &self.bound, &self.template);
-        let run = |shard: &mut leakctl_thermal::PackedLanes, powers: &[f64]| {
-            let whole = [leakctl_thermal::RackSpan {
-                lanes: 0..shard.batch(),
-                rack: 0,
-            }];
+        let run = |shard: &mut RackShard| {
+            let whole = shard.whole();
             for _ in 0..steps {
                 kernel
-                    .step_racks(shard, powers, &whole)
+                    .step_racks(&mut shard.temps, &shard.powers, &whole)
                     .expect("step succeeds");
             }
         };
-        let single = self.powers.len() == 1;
+        let single = self.shards.len() == 1;
         std::thread::scope(|scope| {
-            for ((_, shard), powers) in self.lanes.shards_mut().zip(&self.powers) {
+            for shard in &mut self.shards {
                 if single {
-                    run(shard, powers);
+                    run(shard);
                 } else {
                     let run = &run;
-                    scope.spawn(move || run(shard, powers));
+                    scope.spawn(move || run(shard));
                 }
             }
         });
@@ -554,7 +549,32 @@ impl RackKernel {
     /// loops are not optimized away).
     #[must_use]
     pub fn max_temperature(&self) -> leakctl_units::Celsius {
-        leakctl_units::Celsius::new(self.lanes.max_temperature())
+        let hottest = self
+            .shards
+            .iter()
+            .map(|shard| shard.temps.max_temperature())
+            .fold(f64::NEG_INFINITY, f64::max);
+        leakctl_units::Celsius::new(hottest)
+    }
+}
+
+/// One [`RackKernel`] shard: a contiguous lane range with its packed
+/// temperatures and its lanes' power injections
+/// (`[slot * width + lane]`).
+#[derive(Debug)]
+struct RackShard {
+    lanes: std::ops::Range<usize>,
+    temps: leakctl_thermal::PackedLanes,
+    powers: Vec<f64>,
+}
+
+impl RackShard {
+    /// The shard's lanes as one rack.
+    fn whole(&self) -> [leakctl_thermal::RackSpan; 1] {
+        [leakctl_thermal::RackSpan {
+            lanes: 0..self.lanes.len(),
+            rack: 0,
+        }]
     }
 }
 
@@ -726,6 +746,26 @@ pub mod perf {
         pub fn steps_per_sec(&self) -> f64 {
             self.steps as f64 / self.wall_s.max(1e-12)
         }
+    }
+
+    /// The least wall time a fast row times: it repeats its run until
+    /// this much has been measured, so a scheduler hiccup of a few
+    /// milliseconds cannot swing its rate.
+    pub const MIN_TIMED_S: f64 = 0.2;
+
+    /// Repeats `round` — which returns the seconds it timed and its
+    /// result — until at least [`MIN_TIMED_S`] has been timed. Returns
+    /// the rounds run, the seconds timed and the last round's result.
+    pub fn timed_rounds<T>(mut round: impl FnMut() -> (f64, T)) -> (u64, f64, T) {
+        let (mut wall_s, mut last) = round();
+        let mut rounds = 1;
+        while wall_s < MIN_TIMED_S {
+            let (s, result) = round();
+            wall_s += s;
+            last = result;
+            rounds += 1;
+        }
+        (rounds, wall_s, last)
     }
 
     /// Runs a measurement `reps` times and keeps the fastest —

@@ -3,9 +3,9 @@
 //! from the same spec, with each server stepped alone through
 //! `Server::step` on its rack's cold-aisle temperature — bit for bit.
 //! The script runs per-rack placement activities, a blocked floor tile,
-//! a `Degraded` fan in one rack and a checkpoint restored into a room
-//! on a two-worker plan, over a floor whose racks straddle both lane
-//! tiles and shard boundaries.
+//! a `Degraded` fan in one rack and a checkpoint restored both into the
+//! room that ran past it and into rooms on a two-worker plan, over a
+//! floor whose racks straddle both lane tiles and shard boundaries.
 
 use leakctl::control::ControlAction;
 use leakctl::room::{Room, RoomConfig};
@@ -212,18 +212,21 @@ fn room_matches_scalar_servers_on_their_cold_aisles() {
     // Restored into the same room, every server reads back as the
     // checkpoint holds it — on the checkpoint's cold aisle, not the one
     // of the room's last step — and so does a checkpoint taken before
-    // the next step.
+    // the next step, which resumes the tail bit for bit in a fresh room
+    // on two workers.
+    let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
     live.restore(&snap).unwrap();
     assert_matches(&mut live, &at_checkpoint, "restored in place");
     let again = live.checkpoint();
-    let mut fresh = Room::with_plan(config.clone(), ShardPlan::new(1)).unwrap();
+    let mut fresh = Room::with_plan(config.clone(), plan).unwrap();
     fresh.restore(&again).unwrap();
     assert_matches(&mut fresh, &at_checkpoint, "checkpoint of a restored room");
+    run_room(&mut fresh, CHECKPOINT_STEP..STEPS);
+    assert_matches(&mut fresh, &reference, "resumed from a restored room");
     run_room(&mut live, CHECKPOINT_STEP..STEPS);
     assert_matches(&mut live, &reference, "replayed in place");
 
     // Restored into a room on two workers, the tail replays bit for bit.
-    let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
     let mut resumed = Room::with_plan(config, plan).unwrap();
     resumed.restore(&snap).unwrap();
     run_room(&mut resumed, CHECKPOINT_STEP..STEPS);

@@ -13,7 +13,7 @@
 //! lane delivers the same chassis flow, otherwise one solve per flow
 //! class ([`DynamicsLanes::flows`] names each lane's). The records run
 //! through the same [`Dynamics`] and [`CpuSocket`] methods as
-//! [`ServerCore`], so the trajectory is bit-identical to stepping the
+//! [`Server::step`], so the trajectory is bit-identical to stepping the
 //! servers one by one.
 //!
 //! Each per-step power term is evaluated once. A die's leakage
@@ -32,10 +32,12 @@
 //! The lanes are the authority; a server object is a view of its lane
 //! plus what only the server holds (telemetry, trace). Whatever reads a
 //! server writes its lane back first: [`DynamicsLanes::store_lane`]
-//! copies the record, the packed temperatures and the step's network
-//! inputs (flow, inlet, injected powers) into it, and [`DynamicsLanes::poll`]
-//! copies the record and temperatures of the lanes whose CSTH poll
-//! falls due and records their frames.
+//! copies the record, the packed temperatures and the step's inlet into
+//! it, and [`DynamicsLanes::poll`] copies the record and temperatures
+//! of the lanes whose CSTH poll falls due and records their frames. The
+//! server's chassis flow and injected powers are not written back:
+//! nothing reads them from a fleet server, and every begin writes all
+//! powered slots of [`DynamicsLanes::sources`] before a solve.
 //!
 //! [`SharedKernel`]: leakctl_thermal::SharedKernel
 
@@ -43,7 +45,7 @@ use leakctl_thermal::{FlowChannelId, NodeId, PackedLanes, RackSpan, ThermalNetwo
 use leakctl_units::{AirFlow, Celsius, Rpm, SimDuration, SimInstant, Utilization, Watts};
 
 use crate::cpu::CpuSocket;
-use crate::engine::{Dynamics, ServerCore, SpTransition};
+use crate::engine::{Dynamics, SpTransition};
 use crate::error::PlatformError;
 use crate::fans::FanFault;
 use crate::server::Server;
@@ -59,16 +61,17 @@ struct PoweredSlots {
 }
 
 impl PoweredSlots {
-    fn of(core: &ServerCore) -> Self {
+    fn of(server: &Server) -> Self {
         let slot = |node: NodeId| {
-            core.net
+            server
+                .net
                 .state_slot(node)
                 .expect("powered nodes are capacitive")
         };
         Self {
-            dies: core.socket_nodes.iter().map(|n| slot(n.die)).collect(),
-            dimms: core.dimm_nodes.map(slot),
-            board: slot(core.air_dimm),
+            dies: server.socket_nodes.iter().map(|n| slot(n.die)).collect(),
+            dimms: server.dimm_nodes.map(slot),
+            board: slot(server.air_dimm),
         }
     }
 }
@@ -111,11 +114,11 @@ pub struct DynamicsLanes {
 
 impl DynamicsLanes {
     /// Loads the lanes from `servers` (at least one, all of one thermal
-    /// topology): their records, socket models, last injected powers,
-    /// current total powers and poll schedules. The leakage carry
-    /// starts stale, so the first [`Self::begin`] evaluates every die's
-    /// leakage from the block it is given — whatever temperatures a
-    /// construction or a restore packed.
+    /// topology): their records, socket models, current total powers
+    /// and poll schedules. The sources start at zero until the first
+    /// [`Self::begin`] writes them, and the leakage carry starts stale,
+    /// so that begin evaluates every die's leakage from the block it is
+    /// given — whatever temperatures a construction or a restore packed.
     ///
     /// # Panics
     ///
@@ -124,42 +127,27 @@ impl DynamicsLanes {
     pub fn load(servers: &[Server]) -> Self {
         assert!(!servers.is_empty(), "dynamics lanes need a server");
         let lanes = servers.len();
-        let slots = PoweredSlots::of(&servers[0].core);
-        let n = servers[0].core.net.state_count();
-        let mut sources = vec![0.0; n * lanes];
-        for (lane, server) in servers.iter().enumerate() {
-            let core = &server.core;
-            assert_eq!(
-                core.net.structure_hash(),
-                servers[0].core.net.structure_hash(),
-                "dynamics lanes share one thermal topology"
-            );
-            let injected = core
-                .socket_nodes
-                .iter()
-                .map(|n| n.die)
-                .chain(core.dimm_nodes)
-                .chain([core.air_dimm]);
-            for (slot, node) in slots.powered().zip(injected) {
-                sources[slot * lanes + lane] = core.net.power(node).value();
-            }
-        }
+        let hash = servers[0].net.structure_hash();
+        assert!(
+            servers.iter().all(|s| s.net.structure_hash() == hash),
+            "dynamics lanes share one thermal topology"
+        );
         let sockets: Vec<CpuSocket> = servers
             .iter()
-            .flat_map(|s| s.core.sockets.iter().copied())
+            .flat_map(|s| s.sockets.iter().copied())
             .collect();
         Self {
             lanes,
-            records: servers.iter().map(|s| s.core.dynamics).collect(),
+            records: servers.iter().map(|s| s.dynamics).collect(),
             leakage: vec![Watts::ZERO; sockets.len()],
             leakage_fresh: false,
             fan_powers: vec![Watts::ZERO; lanes],
             sockets,
-            sources,
+            sources: vec![0.0; servers[0].net.state_count() * lanes],
             powers: servers.iter().map(|s| s.total_power().value()).collect(),
             next_poll: servers.iter().map(|s| s.poll.next_fire()).collect(),
             events: Vec::new(),
-            slots,
+            slots: PoweredSlots::of(&servers[0]),
         }
     }
 
@@ -246,8 +234,8 @@ impl DynamicsLanes {
     /// die temperatures from `temps`: fan supplies and slew, the
     /// failsafe, the socket/DIMM/board powers written into
     /// [`Self::sources`], and energy accounting — each through the
-    /// [`Dynamics`] and [`CpuSocket`] methods [`ServerCore::begin_step`]
-    /// calls. Each span's lanes run their rack's activity,
+    /// [`Dynamics`] and [`CpuSocket`] methods [`Server::step`] calls.
+    /// Each span's lanes run their rack's activity,
     /// `activities[span.rack]`.
     ///
     /// Each die's leakage is the one the last [`Self::finish`]
@@ -394,20 +382,22 @@ impl DynamicsLanes {
             if self.next_poll[lane] > self.records[lane].now() {
                 continue;
             }
-            server.core.dynamics = self.records[lane];
-            temps.unpack_lane_into(lane, &mut server.core.state);
+            server.dynamics = self.records[lane];
+            temps.unpack_lane_into(lane, &mut server.state);
             server.poll_due()?;
             self.next_poll[lane] = server.poll.next_fire();
         }
         Ok(())
     }
 
-    /// Writes lane `lane` back into `server` in full: the record, the
-    /// packed temperatures and the network inputs of the last step
-    /// (chassis flow, `inlet` as the ambient boundary, injected
-    /// powers), so the server reads exactly as if it had stepped alone.
+    /// Writes lane `lane` back into `server`: the record, the packed
+    /// temperatures and `inlet`, the last step's inlet, as the ambient
+    /// boundary, so every temperature, power, energy and fan reading
+    /// of the server is the one it would give had it stepped alone.
     /// With no `inlet` (no step yet) the server keeps its own ambient
-    /// boundary.
+    /// boundary. The server network's chassis flow and injected powers
+    /// keep whatever they last held: nothing reads them from a fleet
+    /// server, and [`Server::step`] sets both before it integrates.
     ///
     /// # Panics
     ///
@@ -421,49 +411,18 @@ impl DynamicsLanes {
         server: &mut Server,
     ) {
         assert_eq!(temps.batch(), self.lanes, "packed block shape");
-        let core = &mut server.core;
-        core.dynamics = self.records[lane];
-        temps.unpack_lane_into(lane, &mut core.state);
-        let injected = core
-            .socket_nodes
-            .iter()
-            .map(|n| n.die)
-            .chain(core.dimm_nodes)
-            .chain([core.air_dimm]);
-        let powers = self
-            .slots
-            .powered()
-            .map(|slot| Watts::new(self.sources[slot * self.lanes + lane]));
-        // The server's own channel, boundary and capacitive nodes: the
-        // setters cannot fail on them.
-        let written: Result<(), leakctl_thermal::ThermalError> = (|| {
-            core.net
-                .set_flow(core.chassis_flow, core.dynamics.fans.flow())?;
-            if let Some(inlet) = inlet {
-                core.net.set_boundary(core.ambient_node, inlet)?;
-            }
-            for (node, power) in injected.zip(powers) {
-                core.net.set_power(node, power)?;
-            }
-            Ok(())
-        })();
-        written.expect("a server's own network accepts its inputs");
-    }
-}
-
-impl PoweredSlots {
-    /// Every powered slot in injection order: dies, DIMM banks, board.
-    fn powered(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dies
-            .iter()
-            .copied()
-            .chain(self.dimms)
-            .chain([self.board])
+        server.dynamics = self.records[lane];
+        temps.unpack_lane_into(lane, &mut server.state);
+        if let Some(inlet) = inlet {
+            server
+                .set_ambient(inlet)
+                .expect("a server's own ambient node takes its inlet");
+        }
     }
 }
 
 /// The hottest of `lane`'s die slots in a slot-major block of `lanes`
-/// columns, folded as [`ServerCore::max_die_temperature`] folds.
+/// columns, folded as [`Server::max_die_temperature`] folds.
 fn hottest_die(dies: &[usize], temps: &[f64], lanes: usize, lane: usize) -> Celsius {
     dies.iter()
         .map(|&slot| Celsius::new(temps[slot * lanes + lane]))
@@ -485,11 +444,10 @@ impl LaneTemplate {
     /// The representative of `server`'s topology.
     #[must_use]
     pub fn of(server: &Server) -> Self {
-        let core = &server.core;
         Self {
-            net: core.net.clone(),
-            chassis: core.chassis_flow,
-            ambient: core.ambient_node,
+            net: server.net.clone(),
+            chassis: server.chassis_flow,
+            ambient: server.ambient_node,
         }
     }
 

@@ -52,7 +52,7 @@ mod service_processor;
 pub use config::ServerConfig;
 pub use cpu::CpuSocket;
 pub use dimm::DimmBank;
-pub use engine::{Dynamics, ServerCore, SpTransition};
+pub use engine::{Dynamics, SpTransition};
 pub use error::PlatformError;
 pub use fans::{FanBank, FanFault, FanSupply, FanUnit};
 pub use lanes::{DynamicsLanes, LaneTemplate};

@@ -2,28 +2,29 @@
 
 use leakctl_sim::{Periodic, SimRng, TraceRecorder};
 use leakctl_telemetry::{ChannelId, Csth, SensorBank, SensorSpec, CSTH_POLL_PERIOD};
-use leakctl_thermal::{ThermalNetwork, ThermalState};
+use leakctl_thermal::{FlowChannelId, NodeId, ThermalNetwork, ThermalState, TransientSolver};
 use leakctl_units::{Celsius, Joules, Rpm, SimDuration, SimInstant, Utilization, Watts};
 
 use crate::config::ServerConfig;
-use crate::engine::{ServerCore, SpTransition};
+use crate::cpu::CpuSocket;
+use crate::engine::{Dynamics, ServerNetwork, SocketNodes, SpTransition};
 use crate::error::PlatformError;
 use crate::fans::FanFault;
 
 /// The digital-twin enterprise server.
 ///
-/// Owns the stepping core ([`ServerCore`]: thermal RC network,
-/// per-component power models, the fan bank with its external supplies,
-/// the service-processor failsafe, energy/peak accounting) plus the
-/// CSTH telemetry harness and the event trace. Drive it with
+/// Owns the thermal RC network, the per-component power models, the
+/// [`Dynamics`] record (the fan bank with its external supplies, the
+/// service-processor failsafe, the clock and energy/peak accounting),
+/// the CSTH telemetry harness and the event trace. Drive it with
 /// [`Server::step`], command cooling with [`Server::command_fan_speed`],
 /// and observe it the way the paper's DLC-PC does — through telemetry.
 ///
-/// A step has three phases: fan/power dynamics with failsafe
-/// transitions traced, the thermal integration through the core's
-/// cached stepper, and the clock advance with the telemetry poll. A
-/// fleet runs the same phases for all its servers at once: it moves
-/// each server's dynamics record and temperatures into
+/// A step runs fan/power dynamics with failsafe transitions traced, the
+/// thermal integration through the server's cached stepper, and the
+/// clock advance with the telemetry poll. A fleet runs the same
+/// dynamics for all its servers at once: it moves each server's
+/// dynamics record and temperatures into
 /// [`DynamicsLanes`](crate::DynamicsLanes) when it is built, steps them
 /// there with the same methods, and writes them back whenever the
 /// server is read or its telemetry poll falls due. Both paths produce
@@ -32,7 +33,23 @@ use crate::fans::FanFault;
 /// See the [crate-level example](crate) for basic use.
 #[derive(Debug, Clone)]
 pub struct Server {
-    pub(crate) core: ServerCore,
+    pub(crate) config: ServerConfig,
+    /// Fans, failsafe, clock, accounting and the non-socket power
+    /// parameters.
+    pub(crate) dynamics: Dynamics,
+    pub(crate) sockets: Vec<CpuSocket>,
+    // Thermal model.
+    pub(crate) net: ThermalNetwork,
+    pub(crate) state: ThermalState,
+    /// Cached stepping engine: reuses assembly and the `(C + h·G)`
+    /// factorization across the (very common) constant-flow,
+    /// constant-dt stretches of a run.
+    stepper: TransientSolver,
+    pub(crate) socket_nodes: Vec<SocketNodes>,
+    pub(crate) dimm_nodes: [NodeId; 2],
+    pub(crate) air_dimm: NodeId,
+    pub(crate) ambient_node: NodeId,
+    pub(crate) chassis_flow: FlowChannelId,
     // Telemetry: one sensor per CSTH channel, in registration order.
     csth: Csth,
     sensors: SensorBank,
@@ -55,13 +72,40 @@ impl Server {
     /// Returns [`PlatformError::Config`] for inconsistent configuration
     /// or a thermal-construction failure.
     pub fn new(config: ServerConfig, seed: u64) -> Result<Self, PlatformError> {
-        let core = ServerCore::new(config)?;
-        let config = core.config();
-        let mut rng = SimRng::seed(seed);
+        config.validate()?;
+
+        // ---- components ------------------------------------------
+        let cpu_slope = config.cpu_dynamic_slope_per_socket();
+        let sockets: Vec<CpuSocket> = (0..config.sockets)
+            .map(|s| {
+                CpuSocket::new(
+                    s,
+                    config.cores_per_socket,
+                    config.cpu_idle_per_socket,
+                    cpu_slope,
+                    config.cpu_const_leak_per_socket.value(),
+                    config.cpu_leak_ref_per_socket.value(),
+                    config.process_sigma[s],
+                    config.core_voltage,
+                )
+            })
+            .collect();
+        let dynamics = Dynamics::new(&config);
+        let ServerNetwork {
+            net,
+            socket_nodes,
+            dimm_nodes,
+            air_dimm,
+            ambient_node,
+            chassis_flow,
+        } = ServerNetwork::build(&config, dynamics.fans.flow())?;
+        let state = net.uniform_state(config.ambient);
+        let stepper = TransientSolver::new(&net);
 
         // ---- telemetry --------------------------------------------
         // Channels register in poll order; the fork order below fixes
         // every noise stream.
+        let mut rng = SimRng::seed(seed);
         let mut csth = Csth::new(CSTH_POLL_PERIOD);
         let mut sensors = SensorBank::new();
         let mut add = |name: &str, unit: &str, spec, rng| {
@@ -120,7 +164,17 @@ impl Server {
         let channels = csth.channel_count();
 
         let mut server = Self {
-            core,
+            config,
+            dynamics,
+            sockets,
+            net,
+            state,
+            stepper,
+            socket_nodes,
+            dimm_nodes,
+            air_dimm,
+            ambient_node,
+            chassis_flow,
             csth,
             sensors,
             truth: Vec::with_capacity(channels),
@@ -141,26 +195,43 @@ impl Server {
     /// The simulation clock.
     #[must_use]
     pub fn now(&self) -> SimInstant {
-        self.core.now()
+        self.dynamics.now()
     }
 
     /// The machine configuration.
     #[must_use]
     pub fn config(&self) -> &ServerConfig {
-        self.core.config()
+        &self.config
     }
 
-    /// The thermal network (read side).
+    /// The thermal network (read side) — e.g. for building a
+    /// [`BatchSolver`](leakctl_thermal::BatchSolver) over a fleet of
+    /// identically configured servers.
     #[must_use]
     pub fn thermal_network(&self) -> &ThermalNetwork {
-        self.core.thermal_network()
+        &self.net
     }
 
     /// The thermal state (read side) — e.g. for packing a fleet's
     /// states into batch storage.
     #[must_use]
     pub fn thermal_state(&self) -> &ThermalState {
-        self.core.thermal_state()
+        &self.state
+    }
+
+    /// The temperature of `node` in the live state.
+    fn temperature(&self, node: NodeId) -> Celsius {
+        self.net.temperature(&self.state, node)
+    }
+
+    /// The node handles of `socket`.
+    fn socket(&self, socket: usize) -> Result<&SocketNodes, PlatformError> {
+        self.socket_nodes
+            .get(socket)
+            .ok_or(PlatformError::BadIndex {
+                kind: "socket",
+                index: socket,
+            })
     }
 
     /// Ground-truth die temperature of `socket`.
@@ -169,7 +240,7 @@ impl Server {
     ///
     /// Returns [`PlatformError::BadIndex`] for an out-of-range socket.
     pub fn die_temperature(&self, socket: usize) -> Result<Celsius, PlatformError> {
-        self.core.die_temperature(socket)
+        Ok(self.temperature(self.socket(socket)?.die))
     }
 
     /// Ground-truth heat-sink temperature of `socket`.
@@ -178,7 +249,7 @@ impl Server {
     ///
     /// Returns [`PlatformError::BadIndex`] for an out-of-range socket.
     pub fn sink_temperature(&self, socket: usize) -> Result<Celsius, PlatformError> {
-        self.core.sink_temperature(socket)
+        Ok(self.temperature(self.socket(socket)?.sink))
     }
 
     /// Ground-truth local air temperature at `socket`'s heat sink.
@@ -187,13 +258,16 @@ impl Server {
     ///
     /// Returns [`PlatformError::BadIndex`] for an out-of-range socket.
     pub fn air_temperature(&self, socket: usize) -> Result<Celsius, PlatformError> {
-        self.core.air_temperature(socket)
+        Ok(self.temperature(self.socket(socket)?.air))
     }
 
     /// Ground-truth hottest die temperature.
     #[must_use]
     pub fn max_die_temperature(&self) -> Celsius {
-        self.core.max_die_temperature()
+        self.socket_nodes
+            .iter()
+            .map(|n| self.temperature(n.die))
+            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
     }
 
     /// Latest measured value of each CPU temperature channel (2 per
@@ -239,63 +313,78 @@ impl Server {
     /// behind the PSU; fans are powered externally.
     #[must_use]
     pub fn system_power(&self) -> Watts {
-        self.core.system_power()
+        self.dynamics.psu.input_power(self.dc_power())
     }
 
     /// Ground-truth DC power of all system components.
     #[must_use]
     pub fn dc_power(&self) -> Watts {
-        self.core.dc_power()
+        self.dynamics.dc_power(self.cpu_power())
+    }
+
+    /// The CPU sockets' total power at the current die temperatures and
+    /// applied activity.
+    fn cpu_power(&self) -> Watts {
+        let activity = self.dynamics.last_activity;
+        self.sockets
+            .iter()
+            .zip(&self.socket_nodes)
+            .map(|(s, n)| s.power(activity, self.temperature(n.die)))
+            .sum()
     }
 
     /// Ground-truth total CPU leakage right now (for analysis and for
     /// validating the leakage fit; controllers never see this).
     #[must_use]
     pub fn leakage_power(&self) -> Watts {
-        self.core.leakage_power()
+        self.sockets
+            .iter()
+            .zip(&self.socket_nodes)
+            .map(|(s, n)| s.leakage_power(self.temperature(n.die)))
+            .sum()
     }
 
     /// Ground-truth fan power (drawn from the external supplies).
     #[must_use]
     pub fn fan_power(&self) -> Watts {
-        self.core.fan_power()
+        self.dynamics.fan_power()
     }
 
     /// Ground-truth total power: system wall power plus fan power.
     #[must_use]
     pub fn total_power(&self) -> Watts {
-        self.core.total_power()
+        self.dynamics.total_power(self.cpu_power())
     }
 
     /// Accumulated system + fan energy since construction or the last
     /// [`Server::reset_accounting`].
     #[must_use]
     pub fn total_energy(&self) -> Joules {
-        self.core.total_energy()
+        self.dynamics.total_energy()
     }
 
     /// Accumulated fan energy.
     #[must_use]
     pub fn fan_energy(&self) -> Joules {
-        self.core.fan_energy()
+        self.dynamics.fan_energy()
     }
 
     /// Accumulated system (wall) energy.
     #[must_use]
     pub fn system_energy(&self) -> Joules {
-        self.core.system_energy()
+        self.dynamics.system_energy()
     }
 
     /// Highest instantaneous total power observed.
     #[must_use]
     pub fn peak_power(&self) -> Watts {
-        self.core.peak_power()
+        self.dynamics.peak_power()
     }
 
     /// Time over which energy has been accumulated.
     #[must_use]
     pub fn accounted_time(&self) -> SimDuration {
-        self.core.accounted_time()
+        self.dynamics.accounted_time()
     }
 
     /// The telemetry harness (read side).
@@ -313,31 +402,31 @@ impl Server {
     /// Mean actual fan speed.
     #[must_use]
     pub fn actual_rpm(&self) -> Rpm {
-        self.core.actual_rpm()
+        self.dynamics.actual_rpm()
     }
 
     /// Last applied fan command.
     #[must_use]
     pub fn commanded_rpm(&self) -> Rpm {
-        self.core.commanded_rpm()
+        self.dynamics.commanded_rpm()
     }
 
     /// Number of accepted fan speed changes.
     #[must_use]
     pub fn fan_speed_changes(&self) -> u64 {
-        self.core.fan_speed_changes()
+        self.dynamics.fan_speed_changes()
     }
 
     /// How many times the thermal failsafe tripped.
     #[must_use]
     pub fn failsafe_activations(&self) -> u32 {
-        self.core.failsafe_activations()
+        self.dynamics.failsafe_activations()
     }
 
     /// The activity level applied in the most recent step.
     #[must_use]
     pub fn current_activity(&self) -> Utilization {
-        self.core.current_activity()
+        self.dynamics.current_activity()
     }
 
     // ---- control ----------------------------------------------------
@@ -347,8 +436,8 @@ impl Server {
     /// While the thermal failsafe is engaged the command is recorded but
     /// overridden.
     pub fn command_fan_speed(&mut self, rpm: Rpm) {
-        if !self.core.command_fan_speed(rpm) {
-            self.trace_ignored_command(self.core.now(), rpm);
+        if !self.dynamics.command_fan_speed(rpm) {
+            self.trace_ignored_command(self.now(), rpm);
         }
     }
 
@@ -388,8 +477,8 @@ impl Server {
     ///
     /// Panics for a [`FanFault::Degraded`] flow scale outside `[0, 1]`.
     pub fn inject_fan_fault(&mut self, fault: FanFault) {
-        self.core.inject_fan_fault(fault);
-        self.trace_fan_fault(self.core.now(), fault);
+        self.dynamics.fans.inject_fault(fault);
+        self.trace_fan_fault(self.now(), fault);
     }
 
     /// Traces a fan fault injected at `at` (shared by this server's own
@@ -408,7 +497,7 @@ impl Server {
     /// The fan bank's currently injected fault.
     #[must_use]
     pub fn fan_fault(&self) -> FanFault {
-        self.core.fan_fault()
+        self.dynamics.fan_fault()
     }
 
     /// Re-pins the ambient (inlet) temperature — used for ambient-
@@ -420,19 +509,20 @@ impl Server {
     /// Propagates thermal-network errors (never expected for the
     /// built-in ambient node).
     pub fn set_ambient(&mut self, ambient: Celsius) -> Result<(), PlatformError> {
-        self.core.set_ambient(ambient)
+        self.net.set_boundary(self.ambient_node, ambient)?;
+        Ok(())
     }
 
     /// The current ambient (inlet) temperature.
     #[must_use]
     pub fn ambient(&self) -> Celsius {
-        self.core.ambient()
+        self.temperature(self.ambient_node)
     }
 
     /// Resets energy, peak-power and timing accumulators (used between
     /// experiment phases; telemetry history is preserved).
     pub fn reset_accounting(&mut self) {
-        self.core.reset_accounting();
+        self.dynamics.reset_accounting();
     }
 
     // ---- dynamics ---------------------------------------------------
@@ -448,30 +538,39 @@ impl Server {
         if dt.is_zero() {
             return Ok(());
         }
-        self.begin_step(dt, activity)?;
-        self.core.integrate(dt)?;
-        self.finish_step(dt)
-    }
+        // Fan supplies apply due commands and the fans slew; the
+        // failsafe runs on the ground-truth start-of-step hottest die.
+        let flow = self.dynamics.advance_fans(dt, activity);
+        self.net.set_flow(self.chassis_flow, flow)?;
+        let transition = self.dynamics.failsafe(self.max_die_temperature());
 
-    /// Phase 1 of a step: fan dynamics, failsafe, component powers and
-    /// accounting — everything up to (but not including) the thermal
-    /// integration, with failsafe transitions traced.
-    fn begin_step(&mut self, dt: SimDuration, activity: Utilization) -> Result<(), PlatformError> {
-        let transition = self.core.begin_step(dt, activity)?;
-        self.trace_transition(self.core.now(), transition);
-        Ok(())
-    }
+        // Component powers from start-of-step temperatures, injected
+        // into the network and accounted. Each model is evaluated once
+        // (the leakage exponential is the single most expensive
+        // power-model term). Every formula here is a `Dynamics` or
+        // `CpuSocket` method that `DynamicsLanes::begin` calls too.
+        let mut cpu = Watts::ZERO;
+        for (socket, nodes) in self.sockets.iter().zip(&self.socket_nodes) {
+            let p = socket.power(activity, self.net.temperature(&self.state, nodes.die));
+            cpu += p;
+            self.net.set_power(nodes.die, p)?;
+        }
+        for (p, node) in self.dynamics.dimm_powers().into_iter().zip(self.dimm_nodes) {
+            self.net.set_power(node, p)?;
+        }
+        self.net
+            .set_power(self.air_dimm, self.dynamics.board_power)?;
+        self.dynamics.account(dt, cpu);
+        self.trace_transition(self.now(), transition);
 
-    /// Phase 3 of a step: advances the clock and polls CSTH telemetry on
-    /// its cadence.
-    fn finish_step(&mut self, dt: SimDuration) -> Result<(), PlatformError> {
-        self.core.finish_step(dt);
+        self.stepper.step(&self.net, &mut self.state, dt)?;
+        self.dynamics.finish(dt);
         self.poll_due()
     }
 
     /// Records every CSTH frame due at the current instant.
     pub(crate) fn poll_due(&mut self) -> Result<(), PlatformError> {
-        let now = self.core.now();
+        let now = self.now();
         while self.poll.is_due(now) {
             self.poll_telemetry()?;
             self.poll.advance();
@@ -483,39 +582,37 @@ impl Server {
     /// channel's true value in registration order, measured by the
     /// sensor bank in one pass.
     fn poll_telemetry(&mut self) -> Result<(), PlatformError> {
-        let core = &self.core;
-        let truth = &mut self.truth;
+        let mut truth = std::mem::take(&mut self.truth);
         truth.clear();
         // CPU temperatures: two diodes per die.
-        for nodes in &core.socket_nodes {
-            let t = core.net.temperature(&core.state, nodes.die).degrees();
+        for nodes in &self.socket_nodes {
+            let t = self.temperature(nodes.die).degrees();
             truth.extend([t, t]);
         }
         // DIMM temperatures: per-module offset around the bank node.
-        let per_bank = core.config.dimm_count / 2;
+        let per_bank = self.config.dimm_count / 2;
         for (i, offset) in self.dimm_offsets.iter().enumerate() {
-            let bank = core
-                .net
-                .temperature(&core.state, core.dimm_nodes[i / per_bank]);
+            let bank = self.temperature(self.dimm_nodes[i / per_bank]);
             truth.push(bank.degrees() + offset);
         }
         // Per-core currents, then per-socket voltages.
-        for (socket, nodes) in core.sockets.iter().zip(&core.socket_nodes) {
-            let die = core.net.temperature(&core.state, nodes.die);
+        for (socket, nodes) in self.sockets.iter().zip(&self.socket_nodes) {
+            let die = self.temperature(nodes.die);
             let i = socket
-                .core_current(core.dynamics.last_activity, die)
+                .core_current(self.dynamics.last_activity, die)
                 .value();
-            truth.extend(std::iter::repeat_n(i, core.config.cores_per_socket));
+            truth.extend(std::iter::repeat_n(i, self.config.cores_per_socket));
         }
-        truth.extend(core.sockets.iter().map(|s| s.core_voltage().value()));
+        truth.extend(self.sockets.iter().map(|s| s.core_voltage().value()));
         // System power, fan power, fan RPM.
         truth.extend([
-            core.system_power().value(),
-            core.fan_power().value(),
-            core.actual_rpm().value(),
+            self.system_power().value(),
+            self.fan_power().value(),
+            self.actual_rpm().value(),
         ]);
-        self.sensors.measure_frame(truth, &mut self.frame);
-        self.csth.record_frame(core.now(), &self.frame)?;
+        self.sensors.measure_frame(&truth, &mut self.frame);
+        self.truth = truth;
+        self.csth.record_frame(self.now(), &self.frame)?;
         Ok(())
     }
 
@@ -534,7 +631,63 @@ impl Server {
         activity: Utilization,
         rpm: Rpm,
     ) -> Result<(Vec<Celsius>, Watts), PlatformError> {
-        self.core.steady_state_preview(activity, rpm)
+        let mut net = self.net.clone();
+        let rpm = rpm.clamp(self.config.min_rpm, self.config.max_rpm);
+        net.set_flow(self.chassis_flow, self.config.fans.flow(rpm))?;
+        for (bank, node) in self.dynamics.dimm_banks.iter().zip(self.dimm_nodes) {
+            net.set_power(node, bank.power(activity))?;
+        }
+        net.set_power(self.air_dimm, self.config.board_power)?;
+
+        let mut temps: Vec<Celsius> = vec![self.config.ambient; self.sockets.len()];
+        let mut state = net.uniform_state(self.config.ambient);
+        // One solver for the whole fixed-point loop: flows are constant
+        // across iterations, so `G` is factored once and every
+        // iteration is a single back-substitution.
+        let mut solver = TransientSolver::new(&net);
+        for _ in 0..60 {
+            for (socket, nodes) in self.sockets.iter().zip(&self.socket_nodes) {
+                let idx = socket.id();
+                net.set_power(nodes.die, socket.power(activity, temps[idx]))?;
+            }
+            solver.steady_state_into(&net, &mut state)?;
+            let new_temps: Vec<Celsius> = self
+                .socket_nodes
+                .iter()
+                .map(|n| net.temperature(&state, n.die))
+                .collect();
+            // Leakage–temperature thermal runaway: the fixed point has
+            // no finite solution at this operating point.
+            if new_temps.iter().any(|t| !t.is_finite()) {
+                return Err(PlatformError::Thermal(
+                    leakctl_thermal::ThermalError::Diverged {
+                        name: "leakage-temperature fixed point".to_owned(),
+                    },
+                ));
+            }
+            let delta = new_temps
+                .iter()
+                .zip(&temps)
+                .map(|(a, b)| (a.degrees() - b.degrees()).abs())
+                .fold(0.0, f64::max);
+            temps = new_temps;
+            if delta < 1e-6 {
+                break;
+            }
+        }
+        let dc: Watts = self
+            .sockets
+            .iter()
+            .map(|s| s.power(activity, temps[s.id()]))
+            .sum::<Watts>()
+            + self
+                .dynamics
+                .dimm_banks
+                .iter()
+                .map(|b| b.power(activity))
+                .sum::<Watts>()
+            + self.config.board_power;
+        Ok((temps, dc))
     }
 }
 
@@ -839,9 +992,15 @@ mod tests {
     #[test]
     fn zero_step_is_noop() {
         let mut s = server();
-        let t = s.now();
-        s.step(SimDuration::ZERO, Utilization::FULL).unwrap();
-        assert_eq!(s.now(), t);
+        settle(&mut s, Utilization::FULL, Rpm::new(2400.0), 2);
+        let before = s.clone();
+        s.step(SimDuration::ZERO, Utilization::IDLE).unwrap();
+        assert_eq!(s.now(), before.now());
+        assert_eq!(s.total_energy(), before.total_energy());
+        assert_eq!(s.accounted_time(), before.accounted_time());
+        assert_eq!(s.thermal_state(), before.thermal_state());
+        assert_eq!(s.current_activity(), before.current_activity());
+        assert_eq!(s.csth().frame_count(), before.csth().frame_count());
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! A fleet of identical-topology servers steps through one
 //! [`BatchSolver`] instead: it shares each `(dt, flow)` factorization
 //! across every lane and hands out a [`SharedKernel`] that advances
-//! slot-major [`PackedLanes`] blocks (split across threads as
-//! [`ShardedLanes`]) from per-lane power injections, each rack's lanes
+//! slot-major [`PackedLanes`] blocks (split across threads by a
+//! [`ShardPlan`]) from per-lane power injections, each rack's lanes
 //! ([`RackSpan`]) on their own inlet's boundary source. Lanes whose fan
 //! flows differ step one flow class at a time through the same kernel
 //! type, and every lane stays bit-identical to its own
@@ -85,7 +85,7 @@ pub use network::{
 };
 pub use plant::{ChilledWaterLoop, ChilledWaterSpec};
 pub use room::{RoomAirModel, RoomAirSpec};
-pub use shard::{group_by_structure_hash, ShardPlan, ShardedLanes, THREADS_ENV};
+pub use shard::{group_by_structure_hash, ShardPlan, THREADS_ENV};
 pub use stepper::TransientSolver;
 
 /// A [`TransientSolver`] pinned to the dense backend (explicit choice;

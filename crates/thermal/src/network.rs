@@ -765,7 +765,7 @@ impl ThermalNetwork {
     /// Writes only the boundary-coupling source vector into `s_bound`,
     /// skipping matrix assembly. Replays the boundary stencil, which
     /// holds the same products in the same accumulation order as
-    /// [`Self::assemble_conductance_with`], so the result is
+    /// `assemble_conductance_with`, so the result is
     /// bit-identical to the `s_bound` a full assembly would produce:
     /// the one boundary-source column of a
     /// [`BatchSolver::kernel`](crate::BatchSolver::kernel) whose lanes

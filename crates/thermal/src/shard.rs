@@ -1,37 +1,23 @@
-//! Thread-sharded stepping of packed lane blocks.
+//! The deterministic thread partition of a lane batch.
 //!
 //! After the shared `(C + h·G)` factorization, packed lanes are
 //! completely independent: the blocked substitution carries one
 //! accumulator per lane and never mixes columns. A batch can therefore
-//! be *split into per-shard slot-major blocks* and stepped on as many
-//! threads as the machine offers with **bit-identical** results for any
-//! thread or shard count. [`ShardPlan`] picks the deterministic
-//! contiguous partition and [`ShardedLanes`] owns one [`PackedLanes`]
-//! block per shard. A step is then:
+//! be stepped in contiguous lane ranges on as many threads as the
+//! machine offers with **bit-identical** results for any thread or
+//! shard count. [`ShardPlan`] picks that partition; the caller owns
+//! the workers and the storage of each range (a fleet's lane store
+//! steps each range's tiles on one worker, fusing the server dynamics
+//! and telemetry with the solve through
+//! [`SharedKernel::step_racks`](crate::SharedKernel::step_racks)).
 //!
-//! 1. *serial*: [`BatchSolver::prepare`](crate::BatchSolver::prepare)
-//!    resolves the shared factorization (cheap, change-driven — sticky
-//!    across constant-flow stretches) and
-//!    [`BatchSolver::kernel`](crate::BatchSolver::kernel) pairs it with
-//!    the boundary sources;
-//! 2. *parallel* (one [`std::thread::scope`] worker per shard, no pool
-//!    state to manage): each shard builds its right-hand-side block
-//!    from its lanes' powers and back-substitutes through the shared
-//!    read-only factors with
-//!    [`SharedKernel::step_racks`](crate::SharedKernel::step_racks).
-//!
-//! The caller owns the workers, so a fleet engine fuses its own
-//! per-lane work (server dynamics, telemetry) with the solve inside one
-//! parallel region. Thread count comes from [`ShardPlan::from_env`]
-//! (`LEAKCTL_THREADS`, else the machine's available parallelism), and
-//! small batches stay single-shard — and therefore inline, with zero
-//! spawn overhead — via a minimum shard width.
+//! Thread count comes from [`ShardPlan::from_env`] (`LEAKCTL_THREADS`,
+//! else the machine's available parallelism), and small batches stay
+//! single-shard — and therefore inline, with zero spawn overhead — via
+//! a minimum shard width.
 
 use std::ops::Range;
 use std::thread;
-
-use crate::batch::PackedLanes;
-use crate::network::ThermalState;
 
 /// Environment variable overriding the worker thread count used by
 /// [`ShardPlan::from_env`]. `LEAKCTL_THREADS=1` forces fully inline
@@ -137,89 +123,6 @@ impl Default for ShardPlan {
     }
 }
 
-/// A batch of lane states split into per-shard slot-major
-/// [`PackedLanes`] blocks, per a [`ShardPlan`].
-///
-/// Pack once, then step every shard each step through a
-/// [`SharedKernel`](crate::SharedKernel); a lane's state is unpacked
-/// from its shard's block with [`PackedLanes::unpack_lane_into`].
-#[derive(Debug, Clone)]
-pub struct ShardedLanes {
-    /// Lane offset of each shard (parallel to `shards`).
-    starts: Vec<usize>,
-    shards: Vec<PackedLanes>,
-}
-
-impl ShardedLanes {
-    /// Packs per-lane states into the plan's per-shard blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `states` is empty or disagrees in dimension.
-    #[must_use]
-    pub fn pack(states: &[ThermalState], plan: &ShardPlan) -> Self {
-        assert!(!states.is_empty(), "sharded batch needs at least one lane");
-        let ranges = plan.ranges(states.len());
-        let mut starts = Vec::with_capacity(ranges.len());
-        let mut shards = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            starts.push(range.start);
-            shards.push(PackedLanes::pack(&states[range]));
-        }
-        Self { starts, shards }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The contiguous lane range of shard `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn shard_range(&self, i: usize) -> Range<usize> {
-        self.starts[i]..self.starts[i] + self.shards[i].batch()
-    }
-
-    /// Shard `i`'s block (its lanes are [`Self::shard_range`]`(i)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn shard(&self, i: usize) -> &PackedLanes {
-        &self.shards[i]
-    }
-
-    /// The hottest packed temperature across all lanes.
-    #[must_use]
-    pub fn max_temperature(&self) -> f64 {
-        self.shards
-            .iter()
-            .map(PackedLanes::max_temperature)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Iterates the per-shard blocks with their lane ranges — for
-    /// fleet engines that fuse their own per-lane work (server
-    /// dynamics, telemetry) with
-    /// [`SharedKernel::step_racks`](crate::SharedKernel::step_racks)
-    /// inside one parallel region.
-    pub fn shards_mut(&mut self) -> impl Iterator<Item = (Range<usize>, &mut PackedLanes)> {
-        self.starts
-            .iter()
-            .zip(self.shards.iter_mut())
-            .map(|(&start, shard)| {
-                let batch = shard.batch();
-                (start..start + batch, shard)
-            })
-    }
-}
-
 /// Partitions items by structure hash in first-seen order: returns the
 /// member lists of input *positions*, one list per distinct hash — the
 /// grouping policy of the core fleet engine.
@@ -244,8 +147,8 @@ mod tests {
     use super::*;
     use crate::backend::DenseBackend;
     use crate::batch::tests::{kernel_of, one_rack, power_block, Scalar};
-    use crate::batch::BatchSolver;
-    use crate::network::{Coupling, ThermalNetwork, ThermalNetworkBuilder};
+    use crate::batch::{BatchSolver, PackedLanes};
+    use crate::network::{Coupling, ThermalNetwork, ThermalNetworkBuilder, ThermalState};
     use leakctl_units::{
         AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts,
     };
@@ -309,35 +212,56 @@ mod tests {
         assert_eq!(ShardPlan::new(0).threads(), 1, "clamped");
     }
 
-    /// Steps every shard of `lanes` once through one prepared kernel,
-    /// each shard on its own scoped worker.
+    /// One packed block per range of `plan`, with its lane range.
+    type Blocks = Vec<(Range<usize>, PackedLanes)>;
+
+    fn pack_blocks(states: &[ThermalState], plan: &ShardPlan) -> Blocks {
+        plan.ranges(states.len())
+            .into_iter()
+            .map(|range| {
+                let block = PackedLanes::pack(&states[range.clone()]);
+                (range, block)
+            })
+            .collect()
+    }
+
+    /// Steps every block once through one prepared kernel, each block
+    /// on its own scoped worker.
     fn step_sharded(
         solver: &mut BatchSolver<DenseBackend>,
         nets: &[ThermalNetwork],
-        lanes: &mut ShardedLanes,
+        blocks: &mut Blocks,
     ) {
         let mut bound = Vec::new();
         let kernel = kernel_of(solver, &nets[0], SimDuration::from_secs(1), &mut bound);
         thread::scope(|scope| {
-            for (range, shard) in lanes.shards_mut() {
+            for (range, block) in blocks.iter_mut() {
                 let spans = one_rack(range.len());
-                let (kernel, powers) = (&kernel, power_block(&nets[range]));
-                scope.spawn(move || kernel.step_racks(shard, &powers, &spans).unwrap());
+                let (kernel, powers) = (&kernel, power_block(&nets[range.clone()]));
+                scope.spawn(move || kernel.step_racks(block, &powers, &spans).unwrap());
             }
         });
     }
 
-    /// Every lane's temperatures, unpacked from its shard's block.
-    fn unpack_all(nets: &[ThermalNetwork], lanes: &ShardedLanes) -> Vec<ThermalState> {
+    /// Every lane's temperatures, unpacked from its range's block.
+    fn unpack_all(nets: &[ThermalNetwork], blocks: &Blocks) -> Vec<ThermalState> {
         let mut out = Vec::with_capacity(nets.len());
-        for i in 0..lanes.shard_count() {
-            for (offset, lane) in lanes.shard_range(i).enumerate() {
+        for (range, block) in blocks {
+            for (offset, lane) in range.clone().enumerate() {
                 let mut state = nets[lane].uniform_state(Celsius::new(0.0));
-                lanes.shard(i).unpack_lane_into(offset, &mut state);
+                block.unpack_lane_into(offset, &mut state);
                 out.push(state);
             }
         }
         out
+    }
+
+    /// The hottest packed temperature across all blocks.
+    fn max_temperature(blocks: &Blocks) -> f64 {
+        blocks
+            .iter()
+            .map(|(_, block)| block.max_temperature())
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     #[test]
@@ -359,12 +283,17 @@ mod tests {
             for min_width in [1usize, 3, 16] {
                 let plan = ShardPlan::new(threads).with_min_lanes_per_shard(min_width);
                 let mut solver = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-                let mut lanes = ShardedLanes::pack(&states, &plan);
-                assert_eq!(lanes.shard_count(), plan.shard_count(nets.len()));
+                let mut blocks = pack_blocks(&states, &plan);
+                assert_eq!(blocks.len(), plan.shard_count(nets.len()));
                 for _ in 0..100 {
-                    step_sharded(&mut solver, &nets, &mut lanes);
+                    step_sharded(&mut solver, &nets, &mut blocks);
                 }
-                for (lane, (a, b)) in unpack_all(&nets, &lanes).iter().zip(want).enumerate() {
+                let hottest = want
+                    .iter()
+                    .map(|s| s.max_temperature().degrees())
+                    .fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(max_temperature(&blocks), hottest);
+                for (lane, (a, b)) in unpack_all(&nets, &blocks).iter().zip(want).enumerate() {
                     for (i, (x, y)) in a.temperatures().iter().zip(b.temperatures()).enumerate() {
                         assert_eq!(
                             x.to_bits(),
@@ -391,25 +320,25 @@ mod tests {
         let plan = ShardPlan::new(3).with_min_lanes_per_shard(4);
 
         let mut a = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-        let mut lanes_a = ShardedLanes::pack(&states, &plan);
+        let mut blocks_a = pack_blocks(&states, &plan);
         let mut bound = Vec::new();
         let kernel = kernel_of(&mut a, &nets[0], dt, &mut bound);
-        for (range, shard) in lanes_a.shards_mut() {
+        for (range, block) in &mut blocks_a {
             let spans = one_rack(range.len());
-            let powers = power_block(&nets[range]);
+            let powers = power_block(&nets[range.clone()]);
             for _ in 0..80 {
-                kernel.step_racks(shard, &powers, &spans).unwrap();
+                kernel.step_racks(block, &powers, &spans).unwrap();
             }
         }
 
         let mut b = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-        let mut lanes_b = ShardedLanes::pack(&states, &plan);
+        let mut blocks_b = pack_blocks(&states, &plan);
         for _ in 0..80 {
-            step_sharded(&mut b, &nets, &mut lanes_b);
+            step_sharded(&mut b, &nets, &mut blocks_b);
         }
         assert_eq!(b.group_count(), 1, "the shared factorization is sticky");
-        assert_eq!(unpack_all(&nets, &lanes_a), unpack_all(&nets, &lanes_b));
-        assert!(lanes_a.max_temperature() > 24.0);
+        assert_eq!(unpack_all(&nets, &blocks_a), unpack_all(&nets, &blocks_b));
+        assert!(max_temperature(&blocks_a) > 24.0);
     }
 
     #[test]
@@ -422,7 +351,7 @@ mod tests {
         let dt = SimDuration::from_secs(1);
         let plan = ShardPlan::new(2).with_min_lanes_per_shard(1);
         let mut solver = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-        let mut lanes = ShardedLanes::pack(&states, &plan);
+        let mut blocks = pack_blocks(&states, &plan);
         let mut reference = Scalar::new(&nets, Celsius::new(24.0));
         let ch = crate::FlowChannelId(0);
         for step in 0..90 {
@@ -440,61 +369,24 @@ mod tests {
                 for (template, class) in [(0, vec![0, 1, 2, 4, 5]), (3, vec![3])] {
                     let mut bound = Vec::new();
                     let kernel = kernel_of(&mut solver, &nets[template], dt, &mut bound);
-                    for (range, shard) in lanes.shards_mut() {
+                    for (range, block) in &mut blocks {
                         let members: Vec<usize> = class
                             .iter()
                             .filter(|lane| range.contains(lane))
                             .map(|lane| lane - range.start)
                             .collect();
                         let spans = one_rack(range.len());
-                        let powers = power_block(&nets[range]);
-                        kernel.step_lanes(shard, &powers, &spans, &members).unwrap();
+                        let powers = power_block(&nets[range.clone()]);
+                        kernel.step_lanes(block, &powers, &spans, &members).unwrap();
                     }
                 }
             } else {
-                step_sharded(&mut solver, &nets, &mut lanes);
+                step_sharded(&mut solver, &nets, &mut blocks);
             }
             reference.step(&nets, dt);
         }
         assert_eq!(solver.group_count(), 2);
-        assert_eq!(unpack_all(&nets, &lanes), reference.states);
-        assert!(lanes.max_temperature() > 24.0);
-    }
-
-    #[test]
-    fn sharded_lane_accessors_agree_with_unpack() {
-        let nets = fleet(9, 2);
-        let states: Vec<_> = nets
-            .iter()
-            .map(|n| n.uniform_state(Celsius::new(24.0)))
-            .collect();
-        let plan = ShardPlan::new(3).with_min_lanes_per_shard(2);
-        let mut solver = BatchSolver::<DenseBackend>::with_backend(&nets[0]);
-        let mut lanes = ShardedLanes::pack(&states, &plan);
-        for _ in 0..50 {
-            step_sharded(&mut solver, &nets, &mut lanes);
-        }
-        let ranges: Vec<_> = lanes.shards_mut().map(|(range, _)| range).collect();
-        assert_eq!(ranges, plan.ranges(nets.len()));
-        let unpacked = unpack_all(&nets, &lanes);
-        let n = nets[0].state_count();
-        for (i, range) in ranges.iter().enumerate() {
-            assert_eq!(lanes.shard_range(i), *range);
-            let block = lanes.shard(i);
-            assert_eq!(block.batch(), range.len());
-            for (offset, lane) in range.clone().enumerate() {
-                for slot in 0..n {
-                    assert_eq!(
-                        block.temperatures()[slot * range.len() + offset],
-                        unpacked[lane].temperatures()[slot]
-                    );
-                }
-            }
-        }
-        let hottest = unpacked
-            .iter()
-            .map(|s| s.max_temperature().degrees())
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(lanes.max_temperature(), hottest);
+        assert_eq!(unpack_all(&nets, &blocks), reference.states);
+        assert!(max_temperature(&blocks) > 24.0);
     }
 }

@@ -10,8 +10,8 @@
 
 use leakctl_thermal::{
     BatchSolver, Coupling, CsrTransientSolver, DenseTransientSolver, PackedLanes, RackSpan,
-    RoomAirModel, RoomAirSpec, ShardPlan, ShardedLanes, ThermalError, ThermalNetwork,
-    ThermalNetworkBuilder, ThermalState,
+    RoomAirModel, RoomAirSpec, ShardPlan, ThermalError, ThermalNetwork, ThermalNetworkBuilder,
+    ThermalState,
 };
 use leakctl_units::{AirFlow, Celsius, SimDuration, ThermalCapacitance, ThermalConductance, Watts};
 use proptest::prelude::*;
@@ -420,7 +420,11 @@ proptest! {
                 .collect();
             let mut solver = BatchSolver::new(&rigs[0].net);
             let mut bound = vec![0.0; rigs[0].net.state_count()];
-            let mut lanes = ShardedLanes::pack(&states, &plan);
+            let mut blocks: Vec<_> = plan
+                .ranges(states.len())
+                .into_iter()
+                .map(|range| (range.clone(), PackedLanes::pack(&states[range])))
+                .collect();
             for step in 0..30 {
                 if step == power_change_at {
                     let rig = &mut rigs[0];
@@ -432,20 +436,20 @@ proptest! {
                 net.assemble_boundary_source_into(&mut bound);
                 let kernel = solver.kernel(&prepared, &bound, net);
                 std::thread::scope(|scope| {
-                    for (range, shard) in lanes.shards_mut() {
+                    for (range, block) in &mut blocks {
                         let spans = [RackSpan {
                             lanes: 0..range.len(),
                             rack: 0,
                         }];
-                        let (kernel, powers) = (&kernel, power_block(&rigs[range]));
-                        scope.spawn(move || kernel.step_racks(shard, &powers, &spans).unwrap());
+                        let (kernel, powers) = (&kernel, power_block(&rigs[range.clone()]));
+                        scope.spawn(move || kernel.step_racks(block, &powers, &spans).unwrap());
                     }
                 });
             }
             let mut got = states;
-            for i in 0..lanes.shard_count() {
-                for (offset, lane) in lanes.shard_range(i).enumerate() {
-                    lanes.shard(i).unpack_lane_into(offset, &mut got[lane]);
+            for (range, block) in &blocks {
+                for (offset, lane) in range.clone().enumerate() {
+                    block.unpack_lane_into(offset, &mut got[lane]);
                 }
             }
             prop_assert_eq!(
