@@ -427,6 +427,11 @@ fn main() {
     }
 
     let json = render_json(&results, quick);
-    std::fs::write(&out, &json).expect("perf JSON written");
-    println!("\nwrote {out}:\n{json}");
+    match out {
+        Some(out) => {
+            std::fs::write(&out, &json).expect("perf JSON written");
+            println!("\nwrote {out}:\n{json}");
+        }
+        None => println!("\n{json}"),
+    }
 }

@@ -881,8 +881,8 @@ pub mod perf {
     pub struct GateArgs {
         /// Run the reduced-size scenario.
         pub quick: bool,
-        /// Report path (default `BENCH_perf.json`).
-        pub out: String,
+        /// Report path; without one the run writes no report.
+        pub out: Option<String>,
     }
 
     impl GateArgs {
@@ -895,14 +895,14 @@ pub mod perf {
         pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
             let mut parsed = Self {
                 quick: false,
-                out: "BENCH_perf.json".to_owned(),
+                out: None,
             };
             let mut args = args.into_iter();
             while let Some(arg) = args.next() {
                 match arg.as_str() {
                     "--quick" => parsed.quick = true,
                     "--out" => match args.next() {
-                        Some(path) if !path.starts_with("--") => parsed.out = path,
+                        Some(path) if !path.starts_with("--") => parsed.out = Some(path),
                         _ => return Err("--out needs a path".to_owned()),
                     },
                     _ => return Err(format!("unknown argument `{arg}`")),
@@ -936,17 +936,20 @@ pub mod perf {
     /// The shared `main` of the gate binaries: parses `--quick` and
     /// `--out PATH` (exit 2 on a bad command line), runs `gate` with
     /// the quick flag, merges its results into the report at the out
-    /// path (a fresh report when none is there), then exits 1 after
-    /// printing every failed check, or prints the pass line.
+    /// path when one was given (a fresh report when none is there),
+    /// then exits 1 after printing every failed check, or prints the
+    /// pass line.
     pub fn gate_main(bin: &str, gate: impl FnOnce(bool) -> GateRun) {
         let args = GateArgs::from_env(bin);
         let run = gate(args.quick);
-        let json = std::fs::read_to_string(&args.out)
-            .ok()
-            .and_then(|existing| merge_into_json(&existing, &run.results, args.quick))
-            .unwrap_or_else(|| render_json(&run.results, args.quick));
-        std::fs::write(&args.out, &json).expect("perf JSON written");
-        println!("wrote {}", args.out);
+        if let Some(out) = &args.out {
+            let json = std::fs::read_to_string(out)
+                .ok()
+                .and_then(|existing| merge_into_json(&existing, &run.results, args.quick))
+                .unwrap_or_else(|| render_json(&run.results, args.quick));
+            std::fs::write(out, &json).expect("perf JSON written");
+            println!("wrote {out}");
+        }
         let mut failed = false;
         for (_, message) in run.checks.iter().filter(|(held, _)| !held) {
             eprintln!("FAIL: {message}");
@@ -1159,14 +1162,14 @@ mod tests {
             parse(&[]),
             Ok(GateArgs {
                 quick: false,
-                out: "BENCH_perf.json".to_owned()
+                out: None
             })
         );
         assert_eq!(
             parse(&["--out", "x.json", "--quick"]),
             Ok(GateArgs {
                 quick: true,
-                out: "x.json".to_owned()
+                out: Some("x.json".to_owned())
             })
         );
         // `--out` with no path is an error, not the default path.

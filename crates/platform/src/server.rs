@@ -53,9 +53,8 @@ pub struct Server {
     // Telemetry: one sensor per CSTH channel, in registration order.
     csth: Csth,
     sensors: SensorBank,
-    /// Per-poll scratch: the true value and the reading of each channel.
+    /// Per-poll scratch: the true value of each channel.
     truth: Vec<f64>,
-    frame: Vec<f64>,
     /// Per-module DIMM sensor offsets around the bank node.
     dimm_offsets: Vec<f64>,
     cpu_temps: Vec<ChannelId>, // 2 per socket
@@ -110,7 +109,7 @@ impl Server {
         let mut sensors = SensorBank::new();
         let mut add = |name: &str, unit: &str, spec, rng| {
             sensors.push(spec, rng);
-            csth.add_channel(name, unit)
+            csth.add_measured_channel(name, unit, &spec)
         };
         let mut cpu_temps = Vec::new();
         for s in 0..config.sockets {
@@ -178,7 +177,6 @@ impl Server {
             csth,
             sensors,
             truth: Vec::with_capacity(channels),
-            frame: vec![0.0; channels],
             dimm_offsets,
             cpu_temps,
             poll: Periodic::new(SimInstant::ZERO, CSTH_POLL_PERIOD),
@@ -580,7 +578,7 @@ impl Server {
 
     /// Records one telemetry frame at the current instant: every
     /// channel's true value in registration order, measured by the
-    /// sensor bank in one pass.
+    /// sensor bank straight into the capture in one pass.
     fn poll_telemetry(&mut self) -> Result<(), PlatformError> {
         let mut truth = std::mem::take(&mut self.truth);
         truth.clear();
@@ -610,10 +608,10 @@ impl Server {
             self.fan_power().value(),
             self.actual_rpm().value(),
         ]);
-        self.sensors.measure_frame(&truth, &mut self.frame);
+        let now = self.now();
+        let recorded = self.sensors.measure_into(&mut self.csth, now, &truth);
         self.truth = truth;
-        self.csth.record_frame(self.now(), &self.frame)?;
-        Ok(())
+        Ok(recorded?)
     }
 
     // ---- analysis helpers -------------------------------------------
@@ -856,6 +854,72 @@ mod tests {
         // 4 CPU temps, 32 DIMM temps, 32 core currents, 2 Vdd, system
         // power, fan power, fan RPM.
         assert_eq!(s.csth().channel_count(), 4 + 32 + 32 + 2 + 3);
+    }
+
+    #[test]
+    fn negative_zero_readings_read_back_bit_for_bit() {
+        // Fans seized at 0 rpm with no electronics floor: the fan_rpm and
+        // fan_power truths are 0, so a small negative noise draw rounds
+        // to a `-0.0` reading, which the capture must keep.
+        let fans = leakctl_power::FanPowerModel::new(
+            6,
+            Watts::new(5.4),
+            Watts::ZERO,
+            Rpm::new(4200.0),
+            leakctl_units::AirFlow::from_cfm(95.0),
+        );
+        let config = ServerConfig {
+            fans,
+            ..ServerConfig::default()
+        };
+        let mut s = Server::new(config.clone(), 42).unwrap();
+        s.dynamics.fans = crate::fans::FanBank::new(
+            fans,
+            Rpm::new(0.0),
+            config.fan_slew_rpm_per_s,
+            SimDuration::from_millis(config.supply_latency_ms),
+            config.min_rpm,
+            config.max_rpm,
+        );
+        s.inject_fan_fault(FanFault::Stuck);
+        for _ in 0..600 {
+            s.step(SimDuration::from_secs(1), Utilization::IDLE)
+                .unwrap();
+        }
+        assert_eq!(s.actual_rpm(), Rpm::new(0.0));
+        let negative_zero = (-0.0f64).to_bits();
+        for name in ["fan_rpm", "fan_power"] {
+            let series = s.csth().series(s.csth().channel_by_name(name).unwrap());
+            let bits: Vec<u64> = series.values().map(f64::to_bits).collect();
+            assert!(bits.contains(&negative_zero), "{name} read no -0.0");
+            assert!(bits.contains(&0), "{name} read no +0.0");
+        }
+        assert!(s.csth().to_csv().unwrap().contains(",fan_rpm,RPM,-0\n"));
+    }
+
+    #[test]
+    fn core_currents_beyond_i16_steps_read_back_exactly() {
+        // A 0.1 V core draws ~10× the default SKU's current: well past
+        // 32.767 A, the largest reading 0.001 A steps fit in an `i16`.
+        let config = ServerConfig {
+            core_voltage: 0.1,
+            ..ServerConfig::default()
+        };
+        let mut s = Server::new(config, 42).unwrap();
+        for _ in 0..100 {
+            s.step(SimDuration::from_secs(1), Utilization::FULL)
+                .unwrap();
+        }
+        let die = s.temperature(s.socket_nodes[0].die);
+        let truth = s.sockets[0].core_current(Utilization::FULL, die).value();
+        assert!(truth > 40.0, "core current {truth} A");
+        let ch = s.csth().channel_by_name("cpu0_core00_i").unwrap();
+        let (at, reading) = s.csth().last(ch).unwrap();
+        assert_eq!(at, s.now());
+        assert!((reading - truth).abs() < 0.1, "{reading} A vs {truth} A");
+        let steps = (reading / 0.001).round();
+        assert_eq!((steps * 0.001).to_bits(), reading.to_bits(), "on the grid");
+        assert!(s.csth().series(ch).values().all(|i| i > 32.767));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use core::fmt;
 
 use leakctl_units::{SimDuration, SimInstant};
 
-use crate::harness::{Channel, Csth};
+use crate::harness::Csth;
 use crate::series::TimeSeries;
 
 /// Errors produced by CSV import/export.
@@ -109,7 +109,8 @@ impl Csth {
             Some((_, h)) if h.trim() == HEADER => {}
             _ => return Err(CsvError::BadHeader),
         }
-        let mut channels: Vec<Channel> = Vec::new();
+        // `(name, unit)` in first-encounter order.
+        let mut channels: Vec<(&str, &str)> = Vec::new();
         let mut columns: Vec<TimeSeries> = Vec::new();
         for (idx, line) in lines {
             let line = line.trim();
@@ -133,13 +134,10 @@ impl Csth {
                 reason: format!("bad value: {e}"),
             })?;
             let (name, unit) = (parts[1], parts[2]);
-            let slot = match channels.iter().position(|c| c.name == name) {
+            let slot = match channels.iter().position(|&(n, _)| n == name) {
                 Some(i) => i,
                 None => {
-                    channels.push(Channel {
-                        name: name.to_owned(),
-                        unit: unit.to_owned(),
-                    });
+                    channels.push((name, unit));
                     columns.push(TimeSeries::new());
                     channels.len() - 1
                 }
@@ -160,15 +158,23 @@ impl Csth {
             .unwrap_or_default();
         if let Some(c) = columns.iter().position(|c| c.view().times() != times) {
             return Err(CsvError::RaggedChannel {
-                channel: channels[c].name.clone(),
+                channel: channels[c].0.to_owned(),
             });
         }
-        let mut readers: Vec<_> = columns.iter().map(|c| c.view().values()).collect();
-        let mut values = Vec::with_capacity(times.len() * readers.len());
-        for _ in 0..times.len() {
-            values.extend(readers.iter_mut().filter_map(Iterator::next));
+        let mut csth = Csth::new(poll_period);
+        for (name, unit) in channels {
+            csth.add_channel(name, unit)
+                .expect("before the first frame");
         }
-        Ok(Csth::from_frames(poll_period, channels, times, values))
+        let mut readers: Vec<_> = columns.iter().map(|c| c.view().values()).collect();
+        let mut frame = Vec::with_capacity(readers.len());
+        for &at in &times {
+            frame.clear();
+            frame.extend(readers.iter_mut().filter_map(Iterator::next));
+            csth.record_frame(at, &frame)
+                .expect("whole frames of finite values in time order");
+        }
+        Ok(csth)
     }
 }
 

@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use leakctl_units::{SimDuration, SimInstant};
 
-use crate::series::{SeriesView, BLOCK_FRAMES};
+use crate::series::{Block, Column, SeriesView, BLOCK_FRAMES};
+use crate::SensorSpec;
 
 /// Identifier of a channel registered with a [`Csth`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -68,6 +69,8 @@ impl std::error::Error for TelemetryError {}
 pub(crate) struct Channel {
     pub(crate) name: String,
     pub(crate) unit: String,
+    /// Where the channel's readings sit in a frame.
+    pub(crate) column: Column,
 }
 
 /// The Continuous System Telemetry Harness: a registry of named,
@@ -77,22 +80,32 @@ pub(crate) struct Channel {
 /// temperatures, 32 DIMM temperatures, per-core V/I, system power) and
 /// records one *frame* — a value for every channel — per 10-second
 /// poll. Storage is frame-major: one timestamp per frame, and the values
-/// in row-major `frame × channel` blocks of 16 frames. Full blocks are
-/// sealed, immutable and shared behind [`Arc`], so a clone (a server
-/// checkpoint) copies the timestamps, the open block and one pointer per
-/// sealed block rather than the whole history. A poll is one append and
-/// [`Csth::series`] reads a channel across the blocks as a
+/// in row-major `frame × channel` blocks of 16 frames. A channel
+/// registered with a quantized [`SensorSpec`] stores each reading
+/// `k × q` as its `i16` step count `k`, which decodes to the same bits;
+/// the rare reading no `i16` count decodes to (a `-0.0`, an off-grid
+/// value, more than 32,767 steps) is kept exactly beside the block.
+/// Other channels store f64. A default server's frame is 71 step
+/// counts and 2 socket voltages: 158 B plus its 8 B timestamp, against
+/// 584 B of f64 readings. Full blocks are sealed, immutable and shared
+/// behind [`Arc`], so a clone (a server checkpoint) copies the
+/// timestamps, the open block and one pointer per sealed block rather
+/// than the whole history. A poll is one append, which the
+/// [`SensorBank`](crate::SensorBank) writes straight into the open
+/// block, and [`Csth::series`] reads a channel across the blocks as a
 /// [`SeriesView`]. Controllers and the characterization pipeline read
 /// from here, never from simulator internals.
 ///
 /// # Example
 ///
 /// ```
-/// use leakctl_telemetry::{Csth, CSTH_POLL_PERIOD};
+/// use leakctl_telemetry::{Csth, SensorSpec, CSTH_POLL_PERIOD};
 /// use leakctl_units::SimInstant;
 ///
 /// let mut csth = Csth::new(CSTH_POLL_PERIOD);
-/// let power = csth.add_channel("system_power", "W").unwrap();
+/// let power = csth
+///     .add_measured_channel("system_power", "W", &SensorSpec::system_power_meter())
+///     .unwrap();
 /// let fan = csth.add_channel("fan_rpm", "RPM").unwrap();
 /// csth.record_frame(SimInstant::ZERO, &[502.0, 2400.0]).unwrap();
 /// assert_eq!(csth.last(power), Some((SimInstant::ZERO, 502.0)));
@@ -101,13 +114,15 @@ pub(crate) struct Channel {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Csth {
     channels: Arc<Vec<Channel>>,
+    /// Step counts and raw values per frame.
+    coded: usize,
+    raw: usize,
     times: Vec<SimInstant>,
-    /// Full blocks, `block[row · channels + channel]` for frame
-    /// `b · BLOCK_FRAMES + row`; shared with every clone.
-    sealed: Vec<Arc<Vec<f64>>>,
-    /// The 1..=`BLOCK_FRAMES` frames after the sealed ones (none before
-    /// the first frame).
-    open: Vec<f64>,
+    /// Full blocks of `BLOCK_FRAMES` frames, frame `b · BLOCK_FRAMES +
+    /// row` in row `row` of block `b`; shared with every clone.
+    sealed: Vec<Arc<Block>>,
+    /// The 0..`BLOCK_FRAMES` frames after the sealed ones.
+    open: Block,
     poll_period: SimDuration,
 }
 
@@ -119,45 +134,58 @@ impl Csth {
     pub fn new(poll_period: SimDuration) -> Self {
         Self {
             channels: Arc::default(),
+            coded: 0,
+            raw: 0,
             times: Vec::new(),
             sealed: Vec::new(),
-            open: Vec::new(),
+            open: Block::default(),
             poll_period,
         }
     }
 
-    /// Assembles a capture from validated frame-major parts.
-    pub(crate) fn from_frames(
-        poll_period: SimDuration,
-        channels: Vec<Channel>,
-        times: Vec<SimInstant>,
-        values: Vec<f64>,
-    ) -> Self {
-        assert_eq!(values.len(), times.len() * channels.len(), "whole frames");
-        let n = channels.len();
-        let mut csth = Self::new(poll_period);
-        csth.channels = Arc::new(channels);
-        for (f, &at) in times.iter().enumerate() {
-            csth.push_frame(at, &values[f * n..(f + 1) * n]);
-        }
-        csth
-    }
-
-    /// Registers a channel and returns its id.
+    /// Registers a channel that stores f64 readings and returns its id.
     ///
     /// # Errors
     ///
     /// Returns [`TelemetryError::ChannelsFrozen`] once a frame has been
     /// recorded: every frame carries the same channels.
     pub fn add_channel(&mut self, name: &str, unit: &str) -> Result<ChannelId, TelemetryError> {
+        self.add_measured_channel(name, unit, &SensorSpec::ideal())
+    }
+
+    /// Registers the channel a sensor of `spec` reads and returns its
+    /// id. A quantized spec (step `q > 0`) stores each reading as its
+    /// step count; an ideal one stores f64.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelemetryError::ChannelsFrozen`] once a frame has been
+    /// recorded: every frame carries the same channels.
+    pub fn add_measured_channel(
+        &mut self,
+        name: &str,
+        unit: &str,
+        spec: &SensorSpec,
+    ) -> Result<ChannelId, TelemetryError> {
         if !self.times.is_empty() {
             return Err(TelemetryError::ChannelsFrozen {
                 channel: name.to_owned(),
             });
         }
+        let column = if spec.is_quantized() {
+            self.coded += 1;
+            Column::Coded {
+                slot: self.coded - 1,
+                step: spec.quantization,
+            }
+        } else {
+            self.raw += 1;
+            Column::Raw { slot: self.raw - 1 }
+        };
         Arc::make_mut(&mut self.channels).push(Channel {
             name: name.to_owned(),
             unit: unit.to_owned(),
+            column,
         });
         Ok(ChannelId(self.channels.len() - 1))
     }
@@ -179,31 +207,55 @@ impl Csth {
                 got: frame.len(),
             });
         }
+        self.write_frame(at, |channels, block| {
+            for (c, (channel, &v)) in channels.iter().zip(frame).enumerate() {
+                let finite = match channel.column {
+                    Column::Coded { step, .. } => block.push_reading(v, step),
+                    Column::Raw { .. } => {
+                        block.raw.push(v);
+                        v.is_finite()
+                    }
+                };
+                if !finite {
+                    return Some(c);
+                }
+            }
+            None
+        })
+    }
+
+    /// Appends one frame at `at` that `write` fills in channel order —
+    /// a step count or exact reading per coded channel, a value per raw
+    /// one — returning the first non-finite channel, if any. Seals the
+    /// open block once it is full. Nothing is recorded on error.
+    pub(crate) fn write_frame(
+        &mut self,
+        at: SimInstant,
+        write: impl FnOnce(&[Channel], &mut Block) -> Option<usize>,
+    ) -> Result<(), TelemetryError> {
         if let Some(&last) = self.times.last() {
             if at < last {
                 return Err(TelemetryError::TimeRegression { at, last });
             }
         }
-        if let Some(c) = frame.iter().position(|v| !v.is_finite()) {
+        let mark = self.open.open_frame(self.coded, self.raw);
+        if let Some(c) = write(&self.channels, &mut self.open) {
+            self.open.truncate(mark);
             return Err(TelemetryError::NonFinite {
                 channel: self.channels[c].name.clone(),
                 at,
             });
         }
-        self.push_frame(at, frame);
-        Ok(())
-    }
-
-    /// Appends a validated frame, first sealing the open block when it
-    /// is full. A new open block grows by doubling, so its allocations
-    /// spread over the polls that fill it rather than all landing on
-    /// the one that starts it, which also refills the sensor noise.
-    fn push_frame(&mut self, at: SimInstant, frame: &[f64]) {
+        assert!(
+            self.open.codes.len() == mark[0] + self.coded
+                && self.open.raw.len() == mark[1] + self.raw,
+            "a frame holds the registered step counts and raw values"
+        );
+        self.times.push(at);
         if self.times.len() == (self.sealed.len() + 1) * BLOCK_FRAMES {
             self.sealed.push(Arc::new(std::mem::take(&mut self.open)));
         }
-        self.times.push(at);
-        self.open.extend_from_slice(frame);
+        Ok(())
     }
 
     /// The samples recorded on `channel`, as a borrowed view.
@@ -222,8 +274,8 @@ impl Csth {
             &self.times,
             &self.sealed,
             &self.open,
-            self.channels.len(),
-            channel.0,
+            (self.coded, self.raw),
+            self.channels[channel.0].column,
         )
     }
 
@@ -234,11 +286,7 @@ impl Csth {
         if channel.0 >= self.channels.len() {
             return None;
         }
-        let at = *self.times.last()?;
-        Some((
-            at,
-            self.open[self.open.len() - self.channels.len() + channel.0],
-        ))
+        self.series(channel).last()
     }
 
     /// The channel's name.
@@ -379,20 +427,50 @@ mod tests {
 
     #[test]
     fn clone_shares_sealed_blocks_not_the_open_one() {
-        let (mut csth, cpu0, _) = two_channels();
+        // A coded diode channel beside a raw one.
+        let mut csth = Csth::new(CSTH_POLL_PERIOD);
+        let cpu0 = csth
+            .add_measured_channel("cpu0_temp", "C", &SensorSpec::cpu_thermal_diode())
+            .unwrap();
+        csth.add_channel("cpu0_vdd", "V").unwrap();
         for f in 0..2 * BLOCK_FRAMES as u64 + 3 {
-            csth.record_frame(at(10 * f), &[f as f64, 0.0]).unwrap();
+            csth.record_frame(at(10 * f), &[f as f64, 1.1]).unwrap();
         }
         assert_eq!(csth.sealed.len(), 2);
-        assert_eq!(csth.open.len(), 3 * 2);
+        assert_eq!(csth.open.codes.len(), 3);
+        assert_eq!(csth.open.raw.len(), 3);
         let mut copy = csth.clone();
         assert!(Arc::ptr_eq(&csth.channels, &copy.channels));
         for (a, b) in csth.sealed.iter().zip(&copy.sealed) {
             assert!(Arc::ptr_eq(a, b), "sealed blocks are shared");
         }
-        assert_ne!(csth.open.as_ptr(), copy.open.as_ptr(), "open block is not");
-        copy.record_frame(at(1_000), &[-1.0, 0.0]).unwrap();
+        assert_ne!(
+            csth.open.codes.as_ptr(),
+            copy.open.codes.as_ptr(),
+            "open block is not"
+        );
+        copy.record_frame(at(1_000), &[-1.5, 1.1]).unwrap();
         assert_eq!(csth.last(cpu0), Some((at(340), 34.0)));
-        assert_eq!(copy.last(cpu0), Some((at(1_000), -1.0)));
+        assert_eq!(copy.last(cpu0), Some((at(1_000), -1.5)));
+    }
+
+    #[test]
+    fn a_rejected_frame_leaves_the_block_untouched() {
+        let mut csth = Csth::new(CSTH_POLL_PERIOD);
+        let cpu0 = csth
+            .add_measured_channel("cpu0_temp", "C", &SensorSpec::cpu_thermal_diode())
+            .unwrap();
+        csth.add_channel("cpu0_vdd", "V").unwrap();
+        for f in 0..BLOCK_FRAMES as u64 - 1 {
+            csth.record_frame(at(10 * f), &[50.0, 1.1]).unwrap();
+        }
+        let before = csth.open.clone();
+        let err = csth.record_frame(at(200), &[50.25, f64::NAN]).unwrap_err();
+        assert!(matches!(err, TelemetryError::NonFinite { .. }));
+        assert_eq!(csth.open, before, "the off-grid reading's fallback is gone");
+        assert!(csth.sealed.is_empty());
+        csth.record_frame(at(200), &[50.25, 1.2]).unwrap();
+        assert_eq!(csth.sealed.len(), 1, "the sixteenth frame seals");
+        assert_eq!(csth.last(cpu0), Some((at(200), 50.25)));
     }
 }

@@ -1,6 +1,9 @@
 //! Measurement-channel sensor model.
 
 use leakctl_sim::SimRng;
+use leakctl_units::SimInstant;
+
+use crate::harness::{Csth, TelemetryError};
 
 /// Static error characteristics of a measurement channel.
 ///
@@ -69,19 +72,37 @@ impl SensorSpec {
         self.noise_sigma > 0.0
     }
 
-    /// The reading of `true_value`: `quantize(gain·true + offset + σ·z)`,
-    /// with `z` the next standard-normal value of `draws` — taken only
-    /// when σ > 0. The one measurement function every sensor shares.
+    /// Whether the channel reads in whole steps (`q > 0`).
+    pub(crate) fn is_quantized(&self) -> bool {
+        self.quantization > 0.0
+    }
+
+    /// The reading of `true_value` counted in quantization steps:
+    /// `round((gain·true + offset + σ·z) / q)`, or the unquantized value
+    /// when `q = 0`, with `z` the next standard-normal value of `draws` —
+    /// taken only when σ > 0. The reading is [`Self::reading`] of the
+    /// count. The one measurement function every sensor shares.
     #[inline]
-    fn apply(&self, true_value: f64, draws: &mut std::slice::Iter<'_, f64>) -> f64 {
+    fn count(&self, true_value: f64, draws: &mut std::slice::Iter<'_, f64>) -> f64 {
         let mut v = self.gain * true_value + self.offset;
         if self.is_noisy() {
             v += self.noise_sigma * draws.next().expect("one draw per noisy channel");
         }
-        if self.quantization > 0.0 {
-            v = (v / self.quantization).round() * self.quantization;
+        if self.is_quantized() {
+            v = (v / self.quantization).round();
         }
         v
+    }
+
+    /// The reading a [`Self::count`] stands for: `count × q`, or the
+    /// count itself when `q = 0`.
+    #[inline]
+    fn reading(&self, count: f64) -> f64 {
+        if self.is_quantized() {
+            count * self.quantization
+        } else {
+            count
+        }
     }
 }
 
@@ -111,12 +132,17 @@ const NOISE_BLOCK: usize = 16;
 /// shared frame cursor: every channel is measured once per frame, so
 /// all cursors would move together anyway. The readings are
 /// byte-identical to one `next_gaussian` per noisy reading.
+/// [`SensorBank::measure_into`] records a frame straight into a
+/// [`Csth`] whose channels were registered with the same specs: a
+/// quantized channel's reading lands in the open block as its step
+/// count, with no f64 frame in between.
 ///
 /// # Example
 ///
 /// ```
 /// use leakctl_sim::SimRng;
-/// use leakctl_telemetry::{SensorBank, SensorSpec};
+/// use leakctl_telemetry::{Csth, SensorBank, SensorSpec, CSTH_POLL_PERIOD};
+/// use leakctl_units::SimInstant;
 ///
 /// let mut rng = SimRng::seed(1);
 /// let mut bank = SensorBank::new();
@@ -126,6 +152,16 @@ const NOISE_BLOCK: usize = 16;
 /// bank.measure_frame(&[70.0, 1.1], &mut frame);
 /// assert!((frame[0] - 70.0).abs() < 2.0);
 /// assert_eq!(frame[1], 1.1);
+///
+/// // The same sensors measuring into a capture, registered in order.
+/// let mut csth = Csth::new(CSTH_POLL_PERIOD);
+/// let cpu0 = csth
+///     .add_measured_channel("cpu0_temp", "C", &SensorSpec::cpu_thermal_diode())
+///     .unwrap();
+/// csth.add_channel("cpu0_vdd", "V").unwrap();
+/// bank.measure_into(&mut csth, SimInstant::ZERO, &[70.0, 1.1]).unwrap();
+/// let (_, reading) = csth.last(cpu0).unwrap();
+/// assert_eq!(reading % 0.5, 0.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SensorBank {
@@ -171,6 +207,18 @@ impl SensorBank {
         );
     }
 
+    /// The sensors and the noise draws of the next frame, refilling the
+    /// noise at a block's first frame.
+    fn next_frame(&mut self) -> (&[SensorSpec], std::slice::Iter<'_, f64>) {
+        let k = self.frames % NOISE_BLOCK;
+        if k == 0 {
+            self.refill();
+        }
+        self.frames += 1;
+        let row = self.noise.len() / NOISE_BLOCK;
+        (&self.specs, self.noise[k * row..(k + 1) * row].iter())
+    }
+
     /// Measures one frame: `out[c]` is channel `c`'s reading of
     /// `truth[c]`.
     ///
@@ -183,16 +231,63 @@ impl SensorBank {
             truth.len() == n && out.len() == n,
             "a frame holds one value per channel"
         );
-        let k = self.frames % NOISE_BLOCK;
-        if k == 0 {
-            self.refill();
+        let (specs, mut draws) = self.next_frame();
+        for ((o, &x), spec) in out.iter_mut().zip(truth).zip(specs) {
+            *o = spec.reading(spec.count(x, &mut draws));
         }
-        let row = self.noise.len() / NOISE_BLOCK;
-        let mut draws = self.noise[k * row..(k + 1) * row].iter();
-        for ((o, &x), spec) in out.iter_mut().zip(truth).zip(&self.specs) {
-            *o = spec.apply(x, &mut draws);
-        }
-        self.frames += 1;
+    }
+
+    /// Measures one frame and records it in `csth` at `at`, writing each
+    /// quantized channel's step count straight into the capture's open
+    /// block. Reads back exactly what [`Self::measure_frame`] would have
+    /// returned, and draws the same noise.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelemetryError::TimeRegression`] when `at` precedes the
+    /// capture's last frame and [`TelemetryError::NonFinite`] naming the
+    /// first non-finite reading; nothing is recorded, but the frame's
+    /// noise is spent.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `truth` or `csth` does not hold one value per sensor,
+    /// or when `csth` splits its channels into quantized and raw ones
+    /// differently from this bank. The channels must be registered with
+    /// this bank's specs, in order, through
+    /// [`Csth::add_measured_channel`]; debug builds check every step.
+    pub fn measure_into(
+        &mut self,
+        csth: &mut Csth,
+        at: SimInstant,
+        truth: &[f64],
+    ) -> Result<(), TelemetryError> {
+        assert!(
+            truth.len() == self.specs.len() && csth.channel_count() == self.specs.len(),
+            "a frame holds one value per channel"
+        );
+        let (specs, mut draws) = self.next_frame();
+        csth.write_frame(at, |channels, block| {
+            debug_assert!(
+                channels.iter().zip(specs).all(|(channel, spec)| {
+                    channel.column.step().to_bits() == spec.quantization.max(0.0).to_bits()
+                }),
+                "channels registered with this bank's specs"
+            );
+            for (c, (&x, spec)) in truth.iter().zip(specs).enumerate() {
+                let count = spec.count(x, &mut draws);
+                let finite = if spec.is_quantized() {
+                    block.push_count(count, spec.quantization)
+                } else {
+                    block.raw.push(count);
+                    count.is_finite()
+                };
+                if !finite {
+                    return Some(c);
+                }
+            }
+            None
+        })
     }
 }
 

@@ -1,47 +1,185 @@
-//! Timestamped sample series: a borrowed view of one channel with the
-//! summary statistics, and its owned form.
+//! Timestamped sample series: the coded block storage of a capture, a
+//! borrowed view of one channel with the summary statistics, and its
+//! owned form.
 
 use std::sync::Arc;
 
-use leakctl_units::{SimDuration, SimInstant};
+use leakctl_units::SimInstant;
 
 /// Frames per sealed block of a [`Csth`](crate::Csth) capture.
 pub(crate) const BLOCK_FRAMES: usize = 16;
 
+/// The step count standing in for a reading that no `i16` count
+/// decodes to bit for bit; the block's `exact` list holds the reading.
+const ESCAPE: i16 = i16::MIN;
+
+/// Where a channel's readings sit in each frame of a [`Block`].
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub(crate) enum Column {
+    /// A quantized channel: `codes[row · coded + slot]` holds the step
+    /// count `k` of a reading `k × step`.
+    Coded {
+        /// The channel's place among the frame's codes.
+        slot: usize,
+        /// The quantization step.
+        step: f64,
+    },
+    /// Any other channel: `raw[row · raw + slot]` holds the reading.
+    Raw {
+        /// The channel's place among the frame's raw values.
+        slot: usize,
+    },
+}
+
+impl Column {
+    /// The quantization step, or 0 for a raw channel.
+    pub(crate) fn step(self) -> f64 {
+        match self {
+            Self::Coded { step, .. } => step,
+            Self::Raw { .. } => 0.0,
+        }
+    }
+}
+
+/// Up to [`BLOCK_FRAMES`] frames, row-major: each frame's step counts in
+/// `codes`, then its unquantized values in `raw`.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub(crate) struct Block {
+    pub(crate) codes: Vec<i16>,
+    pub(crate) raw: Vec<f64>,
+    /// `(position in codes, reading)` of every [`ESCAPE`] code, in
+    /// position order: `-0.0`, off-grid readings and counts beyond
+    /// `i16`.
+    exact: Vec<(u32, f64)>,
+}
+
+/// Makes room for one more frame of `width` values: a block's first
+/// frame reserves one frame, later frames double the room, so a full
+/// block holds exactly [`BLOCK_FRAMES`] frames and no poll allocates a
+/// whole block at once.
+fn reserve_frame<T>(values: &mut Vec<T>, width: usize) {
+    if values.capacity() - values.len() < width {
+        values.reserve_exact(values.len().max(width));
+    }
+}
+
+impl Block {
+    /// Makes room for one frame of `coded` step counts and `raw`
+    /// values, and returns the lengths [`Self::truncate`] restores.
+    pub(crate) fn open_frame(&mut self, coded: usize, raw: usize) -> [usize; 3] {
+        reserve_frame(&mut self.codes, coded);
+        reserve_frame(&mut self.raw, raw);
+        [self.codes.len(), self.raw.len(), self.exact.len()]
+    }
+
+    /// Drops a partly written frame.
+    pub(crate) fn truncate(&mut self, [codes, raw, exact]: [usize; 3]) {
+        self.codes.truncate(codes);
+        self.raw.truncate(raw);
+        self.exact.truncate(exact);
+    }
+
+    /// Appends the reading `count × step` as its step count `count`, or
+    /// exactly through the fallback when `count` is not an `i16` whose
+    /// decoding has the same bits (a `-0.0`, a count out of range, a
+    /// fraction, a non-finite value). Returns whether the reading is
+    /// finite.
+    #[inline]
+    pub(crate) fn push_count(&mut self, count: f64, step: f64) -> bool {
+        let code = count as i16;
+        if code != ESCAPE && f64::from(code).to_bits() == count.to_bits() {
+            self.codes.push(code);
+            true
+        } else {
+            self.push_exact(count * step)
+        }
+    }
+
+    /// Appends `reading` to a coded channel of quantization `step`: as
+    /// its step count when that decodes to the same bits, exactly
+    /// otherwise. Returns whether the reading is finite.
+    pub(crate) fn push_reading(&mut self, reading: f64, step: f64) -> bool {
+        let count = (reading / step).round();
+        if (count * step).to_bits() == reading.to_bits() {
+            self.push_count(count, step)
+        } else {
+            self.push_exact(reading)
+        }
+    }
+
+    #[cold]
+    fn push_exact(&mut self, reading: f64) -> bool {
+        let at = u32::try_from(self.codes.len()).expect("a block's codes fit u32");
+        self.exact.push((at, reading));
+        self.codes.push(ESCAPE);
+        reading.is_finite()
+    }
+
+    /// The reading of `column` in frame `row`, each frame holding
+    /// `coded` step counts and `raw` values.
+    fn read(&self, column: Column, coded: usize, raw: usize, row: usize) -> f64 {
+        match column {
+            Column::Coded { slot, step } => {
+                let at = row * coded + slot;
+                match self.codes[at] {
+                    ESCAPE => {
+                        let i = self
+                            .exact
+                            .binary_search_by_key(&at, |&(p, _)| p as usize)
+                            .expect("every escape code has its exact reading");
+                        self.exact[i].1
+                    }
+                    k => f64::from(k) * step,
+                }
+            }
+            Column::Raw { slot } => self.raw[row * raw + slot],
+        }
+    }
+}
+
 /// A read-only view of one channel's `(time, value)` samples.
 ///
-/// The view reads one channel across the blocks of a frame-major
+/// The view reads one channel across the blocks of a
 /// [`Csth`](crate::Csth) capture without copying, and reads a
-/// [`TimeSeries`] as a single block. Times are non-decreasing, which
-/// keeps windowed queries `O(log n)`. This is the one home of the series
-/// statistics.
+/// [`TimeSeries`] as a single block. A quantized channel decodes each
+/// stored step count `k` as `k × q`, the reading its sensor took, bit for
+/// bit. Times are non-decreasing, which keeps windowed queries
+/// `O(log n)`. This is the one home of the series statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesView<'a> {
     times: &'a [SimInstant],
     // Sample `i` is frame `first + i` of `sealed` (full blocks of
-    // `BLOCK_FRAMES` frames) followed by `open`; each frame is `stride`
-    // values wide with this channel at `column`.
-    sealed: &'a [Arc<Vec<f64>>],
-    open: &'a [f64],
+    // `BLOCK_FRAMES` frames) followed by `open`; each frame holds
+    // `coded` step counts and `raw` values, this channel at `column`.
+    sealed: &'a [Arc<Block>],
+    open: &'a Block,
     first: usize,
-    stride: usize,
-    column: usize,
+    coded: usize,
+    raw: usize,
+    column: Column,
 }
 
 impl<'a> SeriesView<'a> {
     /// A view of every frame in `sealed` then `open`, one time per frame,
-    /// reading value `column` of each `stride`-wide frame.
+    /// reading `column` of frames `coded` step counts and `raw` values
+    /// wide.
     pub(crate) fn new(
         times: &'a [SimInstant],
-        sealed: &'a [Arc<Vec<f64>>],
-        open: &'a [f64],
-        stride: usize,
-        column: usize,
+        sealed: &'a [Arc<Block>],
+        open: &'a Block,
+        (coded, raw): (usize, usize),
+        column: Column,
     ) -> Self {
-        debug_assert!(column < stride, "a series view reads inside the frame");
+        debug_assert!(
+            match column {
+                Column::Coded { slot, .. } => slot < coded,
+                Column::Raw { slot } => slot < raw,
+            },
+            "a series view reads inside the frame"
+        );
         debug_assert_eq!(
-            times.len() * stride,
-            sealed.len() * BLOCK_FRAMES * stride + open.len(),
+            [coded, raw].map(|width| (times.len() - sealed.len() * BLOCK_FRAMES) * width),
+            [open.codes.len(), open.raw.len()],
             "one time per frame"
         );
         Self {
@@ -49,21 +187,20 @@ impl<'a> SeriesView<'a> {
             sealed,
             open,
             first: 0,
-            stride,
+            coded,
+            raw,
             column,
         }
     }
 
     fn value(&self, i: usize) -> f64 {
         let frame = self.first + i;
-        let (block, row) = (frame / BLOCK_FRAMES, frame % BLOCK_FRAMES);
-        match self.sealed.get(block) {
-            Some(values) => values[row * self.stride + self.column],
-            None => {
-                let row = frame - self.sealed.len() * BLOCK_FRAMES;
-                self.open[row * self.stride + self.column]
-            }
-        }
+        let block = frame / BLOCK_FRAMES;
+        let (values, row) = match self.sealed.get(block) {
+            Some(values) => (&**values, frame % BLOCK_FRAMES),
+            None => (self.open, frame - self.sealed.len() * BLOCK_FRAMES),
+        };
+        values.read(self.column, self.coded, self.raw, row)
     }
 
     /// Number of samples.
@@ -119,33 +256,6 @@ impl<'a> SeriesView<'a> {
             .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
     }
 
-    /// Smallest value.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        self.values()
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.min(v))))
-    }
-
-    /// Linear-interpolation percentile (`p ∈ [0, 100]`) of the values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `[0, 100]`.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-        if self.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.values().collect();
-        sorted.sort_by(f64::total_cmp);
-        let rank = p / 100.0 * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-
     /// Samples with `from <= time < to`.
     #[must_use]
     pub fn window(&self, from: SimInstant, to: SimInstant) -> SeriesView<'a> {
@@ -156,62 +266,6 @@ impl<'a> SeriesView<'a> {
             first: self.first + start,
             ..*self
         }
-    }
-
-    /// The value at or immediately before `at` (sample-and-hold read).
-    #[must_use]
-    pub fn at_or_before(&self, at: SimInstant) -> Option<f64> {
-        let idx = self.times.partition_point(|&t| t <= at);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.value(idx - 1))
-        }
-    }
-
-    /// Time-weighted average over the sampled span (trapezoidal), or the
-    /// plain mean when fewer than two samples exist.
-    #[must_use]
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.len() < 2 {
-            return self.mean();
-        }
-        let mut area = 0.0;
-        let mut span = 0.0;
-        for i in 1..self.len() {
-            let dt = (self.times[i] - self.times[i - 1]).as_secs_f64();
-            area += 0.5 * (self.value(i) + self.value(i - 1)) * dt;
-            span += dt;
-        }
-        if span > 0.0 {
-            Some(area / span)
-        } else {
-            self.mean()
-        }
-    }
-
-    /// Resamples onto a regular grid (`period` apart, starting at the
-    /// first sample) using sample-and-hold semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a zero period.
-    #[must_use]
-    pub fn resample(&self, period: SimDuration) -> TimeSeries {
-        assert!(!period.is_zero(), "resample period must be non-zero");
-        let mut out = TimeSeries::new();
-        let (Some(&first), Some(&last)) = (self.times.first(), self.times.last()) else {
-            return out;
-        };
-        let mut t = first;
-        while t <= last {
-            if let Some(v) = self.at_or_before(t) {
-                out.times.push(t);
-                out.values.push(v);
-            }
-            t += period;
-        }
-        out
     }
 }
 
@@ -235,7 +289,8 @@ impl<'a> SeriesView<'a> {
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TimeSeries {
     times: Vec<SimInstant>,
-    values: Vec<f64>,
+    /// One block of one raw value per sample.
+    values: Block,
 }
 
 impl TimeSeries {
@@ -261,14 +316,20 @@ impl TimeSeries {
             return Err(format!("sample value at {at} is not finite"));
         }
         self.times.push(at);
-        self.values.push(value);
+        self.values.raw.push(value);
         Ok(())
     }
 
     /// The statistics view over every sample.
     #[must_use]
     pub fn view(&self) -> SeriesView<'_> {
-        SeriesView::new(&self.times, &[], &self.values, 1, 0)
+        SeriesView::new(
+            &self.times,
+            &[],
+            &self.values,
+            (0, 1),
+            Column::Raw { slot: 0 },
+        )
     }
 }
 
@@ -296,7 +357,6 @@ mod tests {
         assert!(!v.is_empty());
         assert_eq!(v.mean(), Some(60.0));
         assert_eq!(v.max(), Some(70.0));
-        assert_eq!(v.min(), Some(50.0));
         assert_eq!(v.last(), Some((at(20), 60.0)));
         assert_eq!(v.times().len(), 3);
         assert_eq!(v.values().collect::<Vec<_>>(), [50.0, 70.0, 60.0]);
@@ -309,13 +369,8 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.mean(), None);
         assert_eq!(v.max(), None);
-        assert_eq!(v.min(), None);
         assert_eq!(v.last(), None);
-        assert_eq!(v.percentile(50.0), None);
-        assert_eq!(v.time_weighted_mean(), None);
-        assert_eq!(v.at_or_before(at(5)), None);
         assert!(v.window(at(0), at(10)).is_empty());
-        assert!(v.resample(SimDuration::from_secs(1)).view().is_empty());
     }
 
     #[test]
@@ -324,22 +379,6 @@ mod tests {
         assert!(s.push(at(5), 2.0).is_err());
         assert!(s.push(at(10), 2.0).is_ok(), "equal timestamps allowed");
         assert!(s.push(at(11), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn percentiles() {
-        let s = series(&[(0, 10.0), (1, 20.0), (2, 30.0), (3, 40.0), (4, 50.0)]);
-        let v = s.view();
-        assert_eq!(v.percentile(0.0), Some(10.0));
-        assert_eq!(v.percentile(50.0), Some(30.0));
-        assert_eq!(v.percentile(100.0), Some(50.0));
-        assert_eq!(v.percentile(25.0), Some(20.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn percentile_range_checked() {
-        let _ = series(&[(0, 1.0)]).view().percentile(150.0);
     }
 
     #[test]
@@ -355,57 +394,39 @@ mod tests {
     }
 
     #[test]
-    fn sample_and_hold_read() {
-        let s = series(&[(10, 1.0), (20, 2.0)]);
-        let v = s.view();
-        assert_eq!(v.at_or_before(at(9)), None);
-        assert_eq!(v.at_or_before(at(10)), Some(1.0));
-        assert_eq!(v.at_or_before(at(15)), Some(1.0));
-        assert_eq!(v.at_or_before(at(25)), Some(2.0));
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_long_holds() {
-        // 0 °C for 90 s then 10 °C for 10 s: TW mean must sit near the
-        // long-held value, the plain mean at the midpoint.
-        let s = series(&[(0, 0.0), (90, 0.0), (90, 10.0), (100, 10.0)]);
-        let tw = s.view().time_weighted_mean().unwrap();
-        assert!((tw - 1.0).abs() < 1e-9, "expected 1.0, got {tw}");
-        assert_eq!(s.view().mean(), Some(5.0));
-    }
-
-    #[test]
-    fn resample_holds_values() {
-        let s = series(&[(0, 1.0), (25, 2.0), (50, 3.0)]);
-        let r = s.view().resample(SimDuration::from_secs(10));
-        assert_eq!(r.view().len(), 6); // t = 0, 10, 20, 30, 40, 50.
-        assert_eq!(
-            r.view().values().collect::<Vec<_>>(),
-            [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]
-        );
-    }
-
-    #[test]
     fn iter_yields_pairs() {
         let s = series(&[(0, 1.0), (10, 2.0)]);
         let pairs: Vec<_> = s.view().iter().collect();
         assert_eq!(pairs, vec![(at(0), 1.0), (at(10), 2.0)]);
     }
 
+    /// A block of one coded channel (0.5 steps, step count `f` in
+    /// frame `f`) and one raw channel (`100 + f`).
+    fn two_channel_block(frames: core::ops::Range<usize>) -> Block {
+        let mut block = Block::default();
+        for f in frames {
+            block.open_frame(1, 1);
+            assert!(block.push_count(f as f64, 0.5));
+            block.raw.push(100.0 + f as f64);
+        }
+        block
+    }
+
     #[test]
     fn strided_view_reads_one_column() {
-        // Two interleaved channels over one sealed block and two open
-        // frames: column 1 of frame f is 100 + f.
+        // One sealed block and two open frames, read by either column.
         let frames = BLOCK_FRAMES + 2;
         let times: Vec<SimInstant> = (0..frames as u64).map(|f| at(10 * f)).collect();
-        let frame = |f: usize| [f as f64, 100.0 + f as f64];
-        let sealed = [Arc::new((0..BLOCK_FRAMES).flat_map(frame).collect())];
-        let open: Vec<f64> = (BLOCK_FRAMES..frames).flat_map(frame).collect();
-        let v = SeriesView::new(&times, &sealed, &open, 2, 1);
+        let sealed = [Arc::new(two_channel_block(0..BLOCK_FRAMES))];
+        let open = two_channel_block(BLOCK_FRAMES..frames);
+        let coded = Column::Coded { slot: 0, step: 0.5 };
+        let halves = SeriesView::new(&times, &sealed, &open, (1, 1), coded);
+        assert!(halves.values().eq((0..frames).map(|f| 0.5 * f as f64)));
+        assert_eq!(halves.last(), Some((at(170), 8.5)));
+        let v = SeriesView::new(&times, &sealed, &open, (1, 1), Column::Raw { slot: 0 });
         assert_eq!(v.values().len(), frames);
         assert!(v.values().eq((0..frames).map(|f| 100.0 + f as f64)));
         assert_eq!(v.last(), Some((at(170), 117.0)));
-        assert_eq!(v.at_or_before(at(155)), Some(115.0));
         let w = v.window(at(150), at(170));
         assert_eq!(
             w.iter().collect::<Vec<_>>(),
@@ -413,5 +434,51 @@ mod tests {
         );
         assert_eq!(w.mean(), Some(115.5));
         assert_eq!(w.window(at(160), at(999)).last(), Some((at(160), 116.0)));
+    }
+
+    #[test]
+    fn full_block_holds_exactly_its_frames() {
+        // A default server's frame: 71 step counts and 2 raw values.
+        let mut block = Block::default();
+        for f in 0..BLOCK_FRAMES {
+            block.open_frame(71, 2);
+            for c in 0..71 {
+                assert!(block.push_count((f * c) as f64, 0.5));
+            }
+            block.raw.extend([1.1, 1.2]);
+            let room = (f + 1).next_power_of_two();
+            assert_eq!(block.codes.capacity(), 71 * room, "frame {f}");
+            assert_eq!(block.raw.capacity(), 2 * room, "frame {f}");
+        }
+        assert_eq!(block.codes.capacity(), 71 * BLOCK_FRAMES);
+        assert_eq!(block.raw.capacity(), 2 * BLOCK_FRAMES);
+    }
+
+    #[test]
+    fn readings_no_code_holds_read_back_exactly() {
+        let step = 0.001;
+        // `(reading, stored as a step count)`.
+        let readings = [
+            (0.0, true),
+            (1234.0 * step, true),
+            (32767.0 * step, true),
+            (-0.0, false),
+            (40_000.0 * step, false),
+            (-32768.0 * step, false),
+            (f64::MAX, false),
+            (0.0005, false),
+        ];
+        let mut block = Block::default();
+        block.open_frame(readings.len(), 0);
+        for (reading, _) in readings {
+            assert!(block.push_reading(reading, step));
+        }
+        for (slot, (want, coded)) in readings.into_iter().enumerate() {
+            assert_eq!(block.codes[slot] != ESCAPE, coded, "slot {slot}: {want}");
+            let got = block.read(Column::Coded { slot, step }, readings.len(), 0, 0);
+            assert_eq!(got.to_bits(), want.to_bits(), "slot {slot}: {want}");
+        }
+        assert!(!block.push_count(f64::NAN, step));
+        assert!(!block.push_reading(f64::INFINITY, step));
     }
 }

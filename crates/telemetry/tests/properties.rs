@@ -1,7 +1,9 @@
 //! Property-based tests for telemetry storage and sensors.
 
 use leakctl_sim::SimRng;
-use leakctl_telemetry::{Csth, SensorBank, SensorSpec, TimeSeries, CSTH_POLL_PERIOD};
+use leakctl_telemetry::{
+    Csth, SensorBank, SensorSpec, TelemetryError, TimeSeries, CSTH_POLL_PERIOD,
+};
 use leakctl_units::SimInstant;
 use proptest::prelude::*;
 
@@ -33,9 +35,9 @@ impl FlatCapture {
         s
     }
 
-    /// Checks that `csth` reads back exactly this capture. `probe`
-    /// picks window bounds and a sample-and-hold instant.
-    fn check(&self, csth: &Csth, probe: (usize, usize, u64)) -> Result<(), TestCaseError> {
+    /// Checks that `csth` reads back exactly this capture, bit for bit.
+    /// `probe` picks window bounds.
+    fn check(&self, csth: &Csth, probe: (usize, usize)) -> Result<(), TestCaseError> {
         let frames = self.times.len();
         prop_assert_eq!(csth.frame_count(), frames);
         prop_assert_eq!(csth.sample_count(), frames * self.n);
@@ -51,15 +53,16 @@ impl FlatCapture {
         let (from, to) = (bound(lo), bound(hi));
         let first = self.times.partition_point(|&t| t < from);
         let end = self.times.partition_point(|&t| t < to).max(first);
-        let probe_at = SimInstant::from_millis(probe.2);
-        let held = self.times.partition_point(|&t| t <= probe_at);
         for (c, id) in csth.channels().enumerate() {
             let series = csth.series(id);
             let flat = self.series(c);
             let flat = flat.view();
             prop_assert_eq!(series.times(), &self.times[..]);
             prop_assert!(
-                series.values().eq(self.column(c, 0..frames)),
+                series
+                    .values()
+                    .map(f64::to_bits)
+                    .eq(self.column(c, 0..frames).into_iter().map(f64::to_bits)),
                 "channel {}",
                 c
             );
@@ -67,9 +70,10 @@ impl FlatCapture {
             let last = self
                 .times
                 .last()
-                .map(|&t| (t, self.values[(frames - 1) * self.n + c]));
-            prop_assert_eq!(csth.last(id), last);
-            prop_assert_eq!(series.last(), last);
+                .map(|&t| (t, self.values[(frames - 1) * self.n + c].to_bits()));
+            let bits = |s: Option<(SimInstant, f64)>| s.map(|(t, v)| (t, v.to_bits()));
+            prop_assert_eq!(bits(csth.last(id)), last);
+            prop_assert_eq!(bits(series.last()), last);
             let window = series.window(from, to);
             prop_assert!(
                 window.values().eq(self.column(c, first..end)),
@@ -79,18 +83,9 @@ impl FlatCapture {
             );
             prop_assert_eq!(window.times(), &self.times[first..end]);
             prop_assert_eq!(window.last(), flat.window(from, to).last());
-            let expect_held = held.checked_sub(1).map(|f| self.values[f * self.n + c]);
-            prop_assert_eq!(series.at_or_before(probe_at), expect_held);
-            if frames > 0 {
-                let p = (probe.2 % 101) as f64;
-                prop_assert_eq!(
-                    series.percentile(p).map(f64::to_bits),
-                    flat.percentile(p).map(f64::to_bits)
-                );
-            }
             prop_assert_eq!(
-                series.time_weighted_mean().map(f64::to_bits),
-                flat.time_weighted_mean().map(f64::to_bits)
+                series.mean().map(f64::to_bits),
+                flat.mean().map(f64::to_bits)
             );
         }
         let csv = csth.to_csv().expect("export");
@@ -123,8 +118,7 @@ fn reference_reading(spec: SensorSpec, rng: &mut SimRng, true_value: f64) -> f64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Series statistics are consistent: min ≤ mean ≤ max, percentiles
-    /// ordered.
+    /// Series statistics are consistent: min ≤ mean ≤ max.
     #[test]
     fn series_statistics_consistent(
         values in prop::collection::vec(-100.0..1000.0f64, 1..50),
@@ -134,16 +128,10 @@ proptest! {
             s.push(SimInstant::from_millis(i as u64 * 1_000), *v).expect("push");
         }
         let s = s.view();
-        let (min, mean, max) = (
-            s.min().expect("non-empty"),
-            s.mean().expect("non-empty"),
-            s.max().expect("non-empty"),
-        );
+        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let (mean, max) = (s.mean().expect("non-empty"), s.max().expect("non-empty"));
         prop_assert!(min <= mean + 1e-12 && mean <= max + 1e-12);
-        let p25 = s.percentile(25.0).expect("non-empty");
-        let p75 = s.percentile(75.0).expect("non-empty");
-        prop_assert!(p25 <= p75);
-        prop_assert!(min <= p25 && p75 <= max);
+        prop_assert_eq!(max, values.iter().copied().fold(f64::NEG_INFINITY, f64::max));
     }
 
     /// Windowing partitions the series: every sample lands in exactly
@@ -250,6 +238,82 @@ proptest! {
         prop_assert!(clone.is_some());
     }
 
+    /// A capture the bank measures into reads back each per-call
+    /// reference reading bit for bit, over truths that include zero,
+    /// negative and huge values: `-0.0` readings, counts beyond `i16`
+    /// and overflowing readings included. Every frame carries every
+    /// kind of channel, and the run crosses several seals and refills.
+    #[test]
+    fn measured_capture_matches_per_call_reference(
+        channels in prop::collection::vec(
+            (0.9..1.1f64, -2.0..2.0f64, 0usize..3, 0usize..4),
+            1..40,
+        ),
+        truths in prop::collection::vec((0usize..5, -200.0..200.0f64), 40),
+        frames in 17usize..60,
+        seed in 0u64..1_000,
+    ) {
+        let sigmas = [0.0, 0.25, 3.0];
+        let quants = [0.0, 0.5, 0.001, 1.0];
+        let specs: Vec<SensorSpec> = channels
+            .iter()
+            .map(|&(gain, offset, s, q)| SensorSpec {
+                gain,
+                offset,
+                noise_sigma: sigmas[s],
+                quantization: quants[q],
+            })
+            .collect();
+        let mut parent = SimRng::seed(seed);
+        let mut bank = SensorBank::new();
+        let mut csth = Csth::new(CSTH_POLL_PERIOD);
+        let mut reference = Vec::new();
+        for (c, spec) in specs.iter().enumerate() {
+            let rng = parent.fork(&format!("ch{c}"));
+            reference.push(rng.clone());
+            bank.push(*spec, rng);
+            csth.add_measured_channel(&format!("ch{c}"), "x", spec)
+                .expect("before the first frame");
+        }
+        // Zero (which reads `-0.0` under small negative noise), the
+        // sampled value, a huge one, one near `f64::MAX` (an infinite truth
+        // or reading past ±179) and a small one.
+        let truth_of = |(kind, x): (usize, f64)| match kind {
+            0 => 0.0,
+            1 => x,
+            2 => x * 1e9,
+            3 => -x * 1e306,
+            _ => x * 0.01,
+        };
+        let mut truth = vec![0.0; specs.len()];
+        let mut flat = FlatCapture { n: specs.len(), times: Vec::new(), values: Vec::new() };
+        for f in 0..frames {
+            for (c, t) in truth.iter_mut().enumerate() {
+                *t = truth_of(truths[(f * 7 + c) % truths.len()]);
+            }
+            let want: Vec<f64> = specs
+                .iter()
+                .zip(&mut reference)
+                .zip(&truth)
+                .map(|((&spec, rng), &x)| reference_reading(spec, rng, x))
+                .collect();
+            let at = SimInstant::from_millis(f as u64 * 10_000);
+            let recorded = bank.measure_into(&mut csth, at, &truth);
+            match want.iter().position(|v| !v.is_finite()) {
+                Some(c) => prop_assert_eq!(
+                    recorded,
+                    Err(TelemetryError::NonFinite { channel: format!("ch{c}"), at })
+                ),
+                None => {
+                    prop_assert_eq!(recorded, Ok(()));
+                    flat.times.push(at);
+                    flat.values.extend_from_slice(&want);
+                }
+            }
+        }
+        flat.check(&csth, (0, frames))?;
+    }
+
     /// Block storage reads back exactly what was recorded, across the
     /// 16-frame block boundaries. A clone taken at any frame (the
     /// checkpoint path) and its original then record different frames,
@@ -261,18 +325,23 @@ proptest! {
         clone_at in 0usize..71,
         gaps in prop::collection::vec(0u64..3, 70),
         seed in 0u64..1_000,
-        probe in (0usize..71, 0usize..71, 0u64..800_000),
+        probe in (0usize..71, 0usize..71),
     ) {
         let clone_at = clone_at.min(frames);
         let mut csth = Csth::new(CSTH_POLL_PERIOD);
+        // Raw channels beside coded ones whose values sit on their grid,
+        // off it (0.125 steps on a 0.5 grid) or beyond `i16` counts.
+        let quantization = [0.0, 0.125, 0.5];
         for c in 0..n {
-            csth.add_channel(&format!("ch{c}"), "C").expect("before the first frame");
+            let spec = SensorSpec { quantization: quantization[c % 3], ..SensorSpec::ideal() };
+            csth.add_measured_channel(&format!("ch{c}"), "C", &spec)
+                .expect("before the first frame");
         }
         let value = |side: u64, f: usize, c: usize| {
             let h = (seed ^ side).wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add((f * 131 + c * 7) as u64)
                 .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            (h >> 40) as f64 * 0.125 - 50.0
+            ((h >> 40) % (1 << (8 + c % 16))) as f64 * 0.125 - 50.0
         };
         let fill = |frame: &mut [f64], side: u64, f: usize| {
             frame.iter_mut().enumerate().for_each(|(c, v)| *v = value(side, f, c));

@@ -339,6 +339,8 @@ struct GroupCache<B> {
 /// current step is recycled. A step that prepares more classes than
 /// this grows the cache to its class count instead, so no class it
 /// prepared is evicted and a settled step finds every class cached.
+/// The next step that opens after a step of fewer classes shrinks the
+/// cache back to this size.
 const MAX_GROUPS: usize = 32;
 
 /// A factorization resolved for the current step by
@@ -476,8 +478,25 @@ impl<B: SolverBackend + Clone> BatchSolver<B> {
 
     /// Opens a new step: every [`Prepared`] handle of the last step
     /// expires, and the factorizations that step prepared become
-    /// recyclable again.
+    /// recyclable again. A cache grown past its 32-group cap releases
+    /// its least-recently-used groups that the last step did not
+    /// prepare, down to the cap.
     pub fn begin_step(&mut self) {
+        while self.groups.len() > MAX_GROUPS {
+            let Some(lru) = self
+                .groups
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| g.last_used < self.step)
+                .min_by_key(|(_, g)| g.last_used)
+                .map(|(i, _)| i)
+            else {
+                break;
+            };
+            // Removal moves indices: invalidate the sticky assignment.
+            self.groups.swap_remove(lru);
+            self.groups_epoch += 1;
+        }
         self.step += 1;
     }
 
@@ -997,7 +1016,9 @@ pub(crate) mod tests {
         scalar.assert_matches(&packed, "one class per lane");
 
         // A later step of fewer classes recycles the stale groups
-        // instead of growing further.
+        // instead of growing further, and the step after it releases
+        // the least recently used down to the cap, keeping the classes
+        // in use.
         let fresh: Vec<ThermalNetwork> = (0..3)
             .map(|i| {
                 let (mut net, _, _, ch) = build_instance();
@@ -1008,8 +1029,14 @@ pub(crate) mod tests {
             .collect();
         let mut packed = PackedLanes::pack(&Scalar::new(&fresh, Celsius::new(24.0)).states);
         step_by_flow_class(&mut batch, &fresh, &mut packed, dt);
-        assert_eq!(batch.group_count(), count, "stale groups recycled");
         assert_eq!(batch.factorizations(), count as u64 + 3);
+        step_by_flow_class(&mut batch, &fresh, &mut packed, dt);
+        assert!(batch.group_count() <= MAX_GROUPS, "cache shrank to the cap");
+        assert_eq!(
+            batch.factorizations(),
+            count as u64 + 3,
+            "no class refactored"
+        );
     }
 
     #[test]
